@@ -5,7 +5,7 @@ Three instructive cases on the scaled projective-plane simplex:
 
   1. the diagonal with circle direction (1, 1)  -> accept (a round disc),
   2. the diagonal with circle direction (1, 0)  -> reject (a half-cone:
-     the weight ratio m = 0 clashes with the odd valuation of g_2),
+     the weight ratio m = 0 clashes with the odd valuation of x_2),
   3. an antidiagonal segment with direction (1, 1) -> reject (the tangent
      is orthogonal to the circle direction everywhere, so the pulled-back
      area form vanishes).
@@ -17,7 +17,7 @@ from fractions import Fraction as F
 
 from toriclift import catalog
 from toriclift.chart import CircleEmbedding
-from toriclift.criterion import build_graph, check_lift
+from toriclift.criterion import build_graph, check_lift, valuation
 
 
 def show(title, P, gamma, interval, K):
@@ -42,12 +42,15 @@ def main():
     show("antidiagonal (s, 2 - s), K = (1, 1)", P,
          [[F(0), F(1)], [F(2), F(-1)]], (F(0), F(2)), (1, 1))
 
-    # a peek under the hood: the endpoint graph of the accepted disc
+    # a peek under the hood: the chart polynomials of the accepted disc
     graph = build_graph(P, diag, iv, 0, CircleEmbedding((1, 1)))
-    print("\nEndpoint graph of the accepted disc at the origin:")
-    print(f"  chart vertex {graph.chart.vertex}, weights k = {graph.k}")
-    print(f"  g_2 jet coefficients: {graph.g[0].coeffs[:4]} ...")
-    print(f"  face index set Q = {sorted(graph.Q)}, x1 range = {graph.x1_max}")
+    print("\nEndpoint chart of the accepted disc at the origin:")
+    vertex = ", ".join(map(str, graph.chart.vertex))
+    print(f"  chart vertex ({vertex}), weights k = {graph.k}")
+    for pos, x in enumerate(graph.x, start=1):
+        coeffs = ", ".join(map(str, x))
+        print(f"  x_{pos}(tau) coefficients [{coeffs}], valuation {valuation(x)}")
+    print(f"  face index set Q = {sorted(graph.Q)}, tau range = {graph.x1_max}")
 
 
 if __name__ == "__main__":

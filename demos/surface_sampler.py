@@ -2,7 +2,7 @@
 them numerically.
 
 For each case this script builds the endpoint graph, runs the
-floating-point planarity probe at the x1 = 0 tip, verifies the pullback
+floating-point planarity probe at the tau = 0 tip, verifies the pullback
 density identity, and writes an OBJ mesh next to this script.
 
 Run:  python3 demos/surface_sampler.py
@@ -33,7 +33,7 @@ def show(name, P, gamma, interval, K):
           f"(residuals {probe.residual_coarse:.3g} -> {probe.residual_fine:.3g}, "
           f"ratio {probe.ratio:.2f})")
     omega, exact = pullback_density(graph, 0.5)
-    print(f"  pullback density at x1 = 0.5: numeric {omega:.10f}, exact {exact:.10f}")
+    print(f"  pullback density at tau = 0.5: numeric {omega:.10f}, exact {exact:.10f}")
     sample = sample_surface(graph, 80, 64)
     out = os.path.join(HERE, f"{name}.obj")
     export_mesh(sample, "obj", out)

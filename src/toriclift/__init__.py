@@ -1,13 +1,13 @@
 """Delzant polytope validation and the equivariant curve-lift criterion.
 
-Exact decision machinery lives in `exactmath`, `jets`, `polytope`,
-`chart`, and `criterion`; the floating-point surface oracle in `surface`;
+Exact decision machinery lives in `exactmath`, `polytope`, `chart`,
+and `criterion`, which decides each endpoint in closed form from the
+chart polynomials; the floating-point surface oracle in `surface`;
 file formats in `io`; standard polytopes in `catalog`.
 """
 
 from .chart import CircleEmbedding, VertexChart, make_chart, to_chart, from_chart
 from .criterion import CurveGraph, LiftVerdict, build_graph, check_lift
-from .jets import Jet
 from .polytope import Face, HPolytope, Subtorus, validate_delzant
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "CurveGraph",
     "Face",
     "HPolytope",
-    "Jet",
     "LiftVerdict",
     "Subtorus",
     "VertexChart",

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 accept/pass, 1 reject/fail, 2 inconclusive, 3 usage or
-parse error.  Machine output (--json) is byte-deterministic for identical
-inputs.
+Exit codes: 0 accept/pass, 1 reject/fail, 3 usage or parse error.  A
+curve the criterion rules out (including an endpoint outside the polytope
+or a singular endpoint parametrisation) is a reject, exit 1; a malformed
+file or option is exit 3.  Machine output (--json) is byte-deterministic
+for identical inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .polytope import (
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 
@@ -127,8 +128,7 @@ def cmd_equiv(args) -> int:
 def cmd_lift_check(args) -> int:
     P = io.load_polytope(args.polytope)
     spec = io.load_curve(args.curve)
-    verdict = check_lift(P, spec.gamma, spec.interval, spec.circle,
-                         spec.chart_vertices, order=args.max_order)
+    verdict = check_lift(P, spec.gamma, spec.interval, spec.circle, spec.chart_vertices)
     machine = {"command": "lift-check", **verdict.to_dict()}
     human = [f"verdict: {verdict.verdict}"]
     for rep in verdict.reports:
@@ -137,8 +137,7 @@ def cmd_lift_check(args) -> int:
             human.append(f"    {c.condition} [{c.location}]: {c.outcome}"
                          + (f" ({c.detail})" if c.detail else ""))
     _emit(args, machine, human)
-    return {"accept": EXIT_PASS, "reject": EXIT_FAIL,
-            "inconclusive": EXIT_INCONCLUSIVE}[verdict.verdict]
+    return EXIT_PASS if verdict.verdict == "accept" else EXIT_FAIL
 
 
 def cmd_sample(args) -> int:
@@ -147,7 +146,7 @@ def cmd_sample(args) -> int:
     P = io.load_polytope(args.polytope)
     spec = io.load_curve(args.curve)
     graph = build_graph(P, spec.gamma, spec.interval, args.endpoint, spec.circle,
-                        spec.chart_vertices[args.endpoint], order=args.max_order)
+                        spec.chart_vertices[args.endpoint])
     sample = surface.sample_surface(graph, args.nx, args.nt)
     fmt = args.format or ("obj" if str(args.out).endswith(".obj") else "csv")
     project = tuple(int(i) - 1 for i in args.project.split(","))
@@ -199,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift-check", help="decide the equivariant lift criterion")
     p.add_argument("polytope")
     p.add_argument("curve")
-    p.add_argument("--max-order", type=int, default=16)
     common(p)
     p.set_defaults(func=cmd_lift_check)
 
@@ -212,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "obj"])
     p.add_argument("--project", default="1,2,3", help="coordinates for the OBJ projection")
     p.add_argument("--endpoint", type=int, choices=[0, 1], default=0)
-    p.add_argument("--max-order", type=int, default=16)
     common(p)
     p.set_defaults(func=cmd_sample)
 

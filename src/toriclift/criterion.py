@@ -1,12 +1,16 @@
 """The lift decision procedure: endpoint graphs in vertex charts,
 interior transversality and containment, and the combined verdict.
 
-A polynomial curve gamma(s) with endpoints on the boundary is converted,
-at each endpoint, to a graph (x1, g_2(x1), ..., g_n(x1)) over a chart
-coordinate; the smoothness of the rotated surface then reduces to weight
-and valuation conditions on the g_i.  Every mathematical failure is a
-verdict with diagnostics, never an exception; exceptions are reserved for
-malformed input.
+A polynomial curve gamma(s) with endpoints on the boundary is written, at
+each endpoint, in the chart of a vertex of the endpoint's face as chart
+polynomials x_j(tau), where tau runs from the endpoint into the domain.
+One coordinate x_p off the face has x_p(0) = 0 and x_p'(0) > 0 and serves
+as the parameter.  The graph g_j = x_j o x_p^{-1} of every other
+coordinate then has exactly the valuation of x_j and the sign of its
+leading coefficient, so the weight and valuation conditions that decide
+smoothness are read off the polynomials themselves, in closed form.
+Every mathematical failure is a verdict with diagnostics, never an
+exception; exceptions are reserved for malformed input.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import jets
 from .chart import CircleEmbedding, VertexChart, local_weights, make_chart, q_set
 from .exactmath import (
     RatPoly,
@@ -29,7 +32,6 @@ from .exactmath import (
     poly_trim,
     sturm_count,
 )
-from .jets import Jet
 from .polytope import HPolytope, PolytopeError, minimal_face
 
 Curve = list[RatPoly]  # one coefficient list per ambient coordinate
@@ -47,21 +49,22 @@ class GraphBuildReject(Exception):
 
 @dataclass(frozen=True)
 class CurveGraph:
-    """Per-endpoint graph data: coordinates re-indexed so the parameter is 1.
+    """Per-endpoint chart data: coordinates re-indexed so the parameter is 1.
 
-    Positions are 1-based in reports (parameter = 1); `g[i]` is the jet of
-    coordinate i+2, `k` the circle weights with k[0] = k_1, `Q` the set of
-    positions (2..n) spanning the endpoint's minimal face.
+    Positions are 1-based in reports (parameter = 1); `x[i]` is the chart
+    polynomial of position i+1 in tau, `k` the circle weights with
+    k[0] = k_1, `Q` the set of positions (2..n) spanning the endpoint's
+    minimal face.
     """
 
     chart: VertexChart
     circle: CircleEmbedding
-    param_chart_index: int          # chart coordinate serving as x1
+    param_chart_index: int          # chart coordinate serving as the parameter
     other_chart_indices: tuple[int, ...]
-    g: tuple[Jet, ...]              # g_2 .. g_n as jets in x1
+    x: tuple[RatPoly, ...]          # x_p, then the other chart coordinates, in tau
     k: tuple[int, ...]              # weights, parameter first
     Q: frozenset[int]               # subset of {2..n}
-    x1_max: Fraction                # x1 value at the far end of the curve
+    x1_max: Fraction                # tau range b - a of the curve
 
     @property
     def n(self) -> int:
@@ -72,7 +75,7 @@ class CurveGraph:
 class Condition:
     condition: str
     location: str
-    outcome: str  # holds | fails | unknown
+    outcome: str  # holds | fails
     detail: str = ""
 
 
@@ -83,17 +86,12 @@ class Report:
 
     @property
     def status(self) -> str:
-        outcomes = [c.outcome for c in self.conditions]
-        if "fails" in outcomes:
-            return "fails"
-        if "unknown" in outcomes:
-            return "unknown"
-        return "holds"
+        return "fails" if any(c.outcome == "fails" for c in self.conditions) else "holds"
 
 
 @dataclass(frozen=True)
 class LiftVerdict:
-    verdict: str  # accept | reject | inconclusive
+    verdict: str  # accept | reject
     reports: tuple[Report, ...]
 
     def report(self, name: str) -> Optional[Report]:
@@ -125,12 +123,12 @@ def curve_eval(gamma: Curve, s: Fraction) -> tuple[Fraction, ...]:
     return tuple(poly_eval(c, s) for c in gamma)
 
 
-def curve_deriv(gamma: Curve) -> Curve:
-    return [poly_deriv(c) for c in gamma]
-
-
 def _fmt(x) -> str:
     return str(x)
+
+
+def _fmt_point(p: Sequence[Fraction]) -> str:
+    return "(" + ", ".join(map(_fmt, p)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +136,15 @@ def _fmt(x) -> str:
 
 
 def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
-                circle: CircleEmbedding, chart_vertex: Optional[Sequence[Fraction]] = None,
-                order: int = jets.DEFAULT_ORDER) -> CurveGraph:
-    """Convert the curve near one endpoint into chart-graph form.
+                circle: CircleEmbedding,
+                chart_vertex: Optional[Sequence[Fraction]] = None) -> CurveGraph:
+    """Write the curve near one endpoint as chart polynomials.
 
-    endpoint 0 analyzes s = a, endpoint 1 analyzes s = b; the local
-    parameter runs into the domain.  Raises GraphBuildReject for
-    criterion-level failures (tangent parallel to the face, curve exiting
-    the chart cone) and PolytopeError/ValueError for malformed input.
+    endpoint 0 analyzes s = a, endpoint 1 analyzes s = b; tau runs into
+    the domain.  Raises GraphBuildReject for criterion-level failures
+    (endpoint outside the polytope or interior to it, singular
+    parametrisation, tangent parallel to the face, curve exiting the chart
+    cone) and PolytopeError/ValueError for malformed input.
     """
     a, b = interval
     if not a < b:
@@ -153,15 +152,22 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     e = a if endpoint == 0 else b
     sign = 1 if endpoint == 0 else -1
     v1 = curve_eval(gamma, e)
-    F = minimal_face(P, v1)  # raises if outside the polytope
+    if not P.contains(v1):
+        raise GraphBuildReject("endpoint_outside_polytope",
+                               f"endpoint {_fmt_point(v1)} lies outside the polytope")
+    F = minimal_face(P, v1)
     if not F.active:
-        raise GraphBuildReject("endpoint_interior", f"endpoint {v1} is not on the boundary")
+        raise GraphBuildReject("endpoint_interior",
+                               f"endpoint {_fmt_point(v1)} is not on the boundary")
     if chart_vertex is not None:
         o = tuple(Fraction(x) for x in chart_vertex)
         if o not in F.vertices:
-            raise PolytopeError(f"chart vertex {o} is not a vertex of the endpoint face")
+            raise PolytopeError(f"chart vertex {_fmt_point(o)} is not a vertex of the endpoint face")
     else:
         o = min(F.vertices)
+    if all(poly_eval(poly_deriv(c), e) == 0 for c in gamma):
+        raise GraphBuildReject("singular_parametrisation",
+                               f"the curve has zero velocity at endpoint {_fmt_point(v1)}")
     chart = make_chart(P, o)
     n = P.n
 
@@ -175,46 +181,32 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
             acc = poly_add(acc, poly_scale(diff[j], row[j]))
         x_polys.append(acc)
 
-    if all(poly_eval(poly_deriv(c), Fraction(0)) == 0 for c in x_polys):
-        raise ValueError("build_graph: curve parametrization is singular at the endpoint")
-
     Q0 = q_set(chart, v1)
-    param = None
-    for j in range(n):
-        if j in Q0:
-            continue
-        d1 = x_polys[j][1] if len(x_polys[j]) > 1 else Fraction(0)
-        if d1 != 0:
-            param = j
-            break
+    param = next((j for j in range(n) if j not in Q0 and _coeff(x_polys[j], 1) != 0), None)
     if param is None:
         raise GraphBuildReject(
             "tangent_parallel_to_face",
-            f"no chart coordinate off the face moves to first order at {v1}",
+            f"no chart coordinate off the face moves to first order at {_fmt_point(v1)}",
         )
-    c1 = x_polys[param][1]
-    if c1 < 0:
+    if x_polys[param][1] < 0:
         raise GraphBuildReject(
             "curve_exits_chart_cone",
-            f"parameter coordinate {param + 1} decreases into the domain at {v1}",
+            f"parameter coordinate {param + 1} decreases into the domain at {_fmt_point(v1)}",
         )
 
-    f = Jet.poly(x_polys[param], order)
-    h = jets.reversion(f)
     others = tuple(j for j in range(n) if j != param)
-    g = tuple(jets.compose(Jet.poly(x_polys[j], order), h) for j in others)
+    x = tuple(x_polys[j] for j in (param,) + others)
     kw = local_weights(chart, circle)
-    k = (kw[param],) + tuple(kw[j] for j in others)
+    k = tuple(kw[j] for j in (param,) + others)
     Q = frozenset(pos for pos, j in enumerate(others, start=2) if j in Q0)
+    # the endpoint lies in the relative interior of its face: the face
+    # coordinates are positive there and the rest vanish
+    assert all((_coeff(x[pos - 1], 0) > 0) == (pos in Q) for pos in range(2, n + 1))
+    return CurveGraph(chart, circle, param, others, x, k, Q, b - a)
 
-    for pos, (j, gj) in enumerate(zip(others, g), start=2):
-        if pos in Q:
-            assert gj.coeff(0) > 0
-        else:
-            assert gj.coeff(0) == 0
 
-    x1_max = poly_eval(x_polys[param], b - a)
-    return CurveGraph(chart, circle, param, others, g, k, Q, x1_max)
+def _coeff(p: RatPoly, i: int) -> Fraction:
+    return p[i] if i < len(p) else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,50 +267,68 @@ def check_interior(P: HPolytope, gamma: Curve, interval: Interval) -> Report:
     return Report("interior", tuple(conditions))
 
 
+def valuation(p: RatPoly) -> Optional[int]:
+    """Lowest degree with a nonzero coefficient; None for the zero polynomial."""
+    return next((i for i, c in enumerate(p) if c != 0), None)
+
+
+def divided_smoothness(x: RatPoly, m: int) -> Optional[str]:
+    """Why sqrt(2 x(tau)) / r_1^m fails to be smooth and even at the tip.
+
+    None when it holds.  With x = c_v tau^v + ... and r_1^2/2 = x_p(tau) =
+    c_1 tau + ..., c_1 > 0, the quotient is |r_1|^(v - m) times a smooth
+    positive function of r_1^2 when c_v > 0: it holds iff x is identically
+    zero, or c_v > 0, v >= m and v - m is even.
+    """
+    v = valuation(x)
+    if v is None:
+        return None
+    if x[v] < 0:
+        return "negative_leading"
+    if v < m:
+        return "negative_power"
+    if (v - m) % 2:
+        return "parity"
+    return None
+
+
 def check_endpoint(graph: CurveGraph, name: str = "endpoint") -> Report:
-    """Weight and valuation conditions of the endpoint criterion."""
+    """Weight and valuation conditions of the endpoint criterion.
+
+    A face coordinate needs only a vanishing weight: it is positive at the
+    endpoint, so its radius sqrt(2 x_j) is smooth there.
+    """
     conditions = []
     k1 = graph.k[0]
-    loc0 = "x1"
     conditions.append(Condition(
-        "k1_nonzero", loc0, "holds" if k1 != 0 else "fails", f"k1 = {k1}"))
+        "k1_nonzero", "x1", "holds" if k1 != 0 else "fails", f"k1 = {k1}"))
     for pos in range(2, graph.n + 1):
         ki = graph.k[pos - 1]
-        gi = graph.g[pos - 2]
         loc = f"coordinate {pos}"
         if pos in graph.Q:
             conditions.append(Condition(
                 "face_weight_vanishes", loc, "holds" if ki == 0 else "fails", f"k = {ki}"))
-            sq = jets.sqrt_factor_class(gi)
-            if sq.tag in ("smooth_even", "identically_zero"):
-                out = "holds"
-            elif sq.tag == "unknown":
-                out = "unknown"
-            else:
-                out = "fails"
+            continue
+        if k1 == 0:
             conditions.append(Condition(
-                "sqrt_smooth_on_face", loc, out,
-                f"class {sq.tag}" + (f", valuation {sq.valuation}" if sq.valuation is not None else "")))
-        else:
-            if k1 == 0:
-                conditions.append(Condition(
-                    "weight_ratio_integer", loc, "fails", "k1 = 0: ratio undefined"))
-                continue
-            if ki % k1 != 0:
-                conditions.append(Condition(
-                    "weight_ratio_integer", loc, "fails", f"{ki}/{k1} not an integer"))
-                continue
-            m = ki // k1
+                "weight_ratio_integer", loc, "fails", "k1 = 0: ratio undefined"))
+            continue
+        if ki % k1 != 0:
             conditions.append(Condition(
-                "weight_ratio_integer", loc, "holds", f"m = {m}"))
-            ds = jets.divided_smoothness(gi, m)
-            detail = f"m = {m}"
-            a = jets.valuation(gi)
-            if isinstance(a, int):
-                detail += f", valuation {a}"
-            if ds.status == "fails":
-                detail += f", {ds.reason}"
-            conditions.append(Condition("divided_smoothness", loc, ds.status, detail))
+                "weight_ratio_integer", loc, "fails", f"{ki}/{k1} not an integer"))
+            continue
+        m = ki // k1
+        conditions.append(Condition("weight_ratio_integer", loc, "holds", f"m = {m}"))
+        xi = graph.x[pos - 1]
+        reason = divided_smoothness(xi, m)
+        detail = f"m = {m}"
+        v = valuation(xi)
+        if v is not None:
+            detail += f", valuation {v}"
+        if reason:
+            detail += f", {reason}"
+        conditions.append(Condition("divided_smoothness", loc,
+                                    "fails" if reason else "holds", detail))
     return Report(name, tuple(conditions))
 
 
@@ -327,24 +337,18 @@ def check_endpoint(graph: CurveGraph, name: str = "endpoint") -> Report:
 
 
 def check_lift(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmbedding,
-               chart_vertices: tuple[Optional[Sequence[Fraction]], Optional[Sequence[Fraction]]] = (None, None),
-               order: int = jets.DEFAULT_ORDER) -> LiftVerdict:
+               chart_vertices: tuple[Optional[Sequence[Fraction]], Optional[Sequence[Fraction]]] = (None, None)
+               ) -> LiftVerdict:
     """Full criterion: containment, transversality, both endpoint analyses."""
     gamma = [poly_trim([Fraction(c) for c in coeffs]) for coeffs in gamma]
     reports = [check_interior(P, gamma, interval), check_transversality(gamma, circle, interval)]
     for ep in (0, 1):
         name = f"endpoint {ep + 1}"
         try:
-            graph = build_graph(P, gamma, interval, ep, circle, chart_vertices[ep], order)
+            graph = build_graph(P, gamma, interval, ep, circle, chart_vertices[ep])
         except GraphBuildReject as exc:
             reports.append(Report(name, (Condition(exc.reason, name, "fails", exc.detail),)))
             continue
         reports.append(check_endpoint(graph, name))
-    statuses = [r.status for r in reports]
-    if "fails" in statuses:
-        verdict = "reject"
-    elif "unknown" in statuses:
-        verdict = "inconclusive"
-    else:
-        verdict = "accept"
+    verdict = "reject" if any(r.status == "fails" for r in reports) else "accept"
     return LiftVerdict(verdict, tuple(reports))

@@ -18,9 +18,6 @@ IntMatrix = list[list[int]]
 RatVec = tuple[Fraction, ...]
 RatMatrix = list[list[Fraction]]
 
-#: Sentinel for the valuation of the zero polynomial.
-INFINITE = float("inf")
-
 
 # ---------------------------------------------------------------------------
 # integer vectors

@@ -1,4 +1,4 @@
-"""JSON file formats: polytopes, curves, facet-vector files, jets, verdicts.
+"""JSON file formats: polytopes, curves and facet-vector files.
 
 Rationals serialize as strings "p/q" (or "p" when q = 1); decimal literals
 are rejected so nothing silently loses exactness.
@@ -12,8 +12,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .chart import CircleEmbedding
-from .criterion import LiftVerdict
-from .jets import Jet
 from .polytope import HPolytope
 
 RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -150,22 +148,5 @@ def load_facet_vectors(path) -> list[tuple[int, ...]]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# jets and verdicts
-
-
-def jet_to_dict(j: Jet) -> dict:
-    return {"coeffs": [format_rational(c) for c in j.coeffs], "exact": j.exact}
-
-
-def jet_from_dict(d: dict) -> Jet:
-    coeffs = [parse_rational(c, f"coeffs[{i}]") for i, c in enumerate(d["coeffs"])]
-    return Jet(tuple(coeffs), bool(d.get("exact", False)))
-
-
 def dumps_deterministic(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def verdict_to_json(v: LiftVerdict) -> str:
-    return dumps_deterministic(v.to_dict())

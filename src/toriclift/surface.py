@@ -1,13 +1,14 @@
 """Numeric realization of the rotated surface, used as a cross-check oracle.
 
-This is the only module that touches floating point.  The surface over a
-curve graph (x1, g_2(x1), ...) with circle weights (k_1, ..., k_n) is
+This is the only module that touches floating point.  The surface over
+the chart polynomials x_1(tau), ..., x_n(tau) of an endpoint (parameter
+first) with circle weights (k_1, ..., k_n) is
 
-    F(x1, t) = (r_1 cos k_1 t, r_1 sin k_1 t, ..., r_n cos k_n t, r_n sin k_n t)
+    F(tau, t) = (r_1 cos k_1 t, r_1 sin k_1 t, ..., r_n cos k_n t, r_n sin k_n t)
 
-with r_1 = x1 and r_i = sqrt(2 g_i(x1^2 / 2)).  The planarity probe and
-the pullback-density identity give heuristic confirmations of the exact
-verdicts; `inconclusive` is always an acceptable probe outcome.
+with r_j = sqrt(2 x_j(tau)) for tau in [0, b - a].  The planarity probe
+and the pullback-density identity give heuristic confirmations of the
+exact verdicts; `inconclusive` is always an acceptable probe outcome.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .criterion import CurveGraph
-from .jets import Jet
+from .exactmath import poly_deriv, poly_eval
 
 
 class SamplerError(ValueError):
@@ -28,7 +29,7 @@ class SamplerError(ValueError):
 
 @dataclass
 class SurfaceSample:
-    x1: np.ndarray          # shape (nx,)
+    tau: np.ndarray         # shape (nx,)
     t: np.ndarray           # shape (nt,)
     points: np.ndarray      # shape (nx, nt, 2n)
     weights: tuple[int, ...]
@@ -39,76 +40,62 @@ class SurfaceSample:
         return self.points.shape[0], self.points.shape[1]
 
 
-def _radii(graph: CurveGraph, x1: np.ndarray) -> list[np.ndarray]:
-    """Radii r_1..r_n on a float grid; raises on a negative radicand."""
-    u = x1 * x1 / 2.0
-    radii = [np.asarray(x1, dtype=float)]
-    for pos, g in enumerate(graph.g, start=2):
-        vals = 2.0 * np.polyval([float(c) for c in reversed(g.coeffs)], u)
+def _surface(graph: CurveGraph, tau: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Points F(tau, t) on a tau x t grid, shape (len(tau), len(t), 2n).
+
+    Raises on a negative radicand, that is where the curve leaves the
+    chart's orthant.
+    """
+    pts = np.empty((len(tau), len(t), 2 * graph.n))
+    for i, (x, k) in enumerate(zip(graph.x, graph.k)):
+        vals = 2.0 * np.polyval([float(c) for c in reversed(x)] or [0.0], tau)
         bad = vals < -1e-12
         if np.any(bad):
-            x_bad = float(np.asarray(x1)[bad][0])
-            raise SamplerError(f"negative radicand in coordinate {pos} at x1 = {x_bad}")
-        radii.append(np.sqrt(np.clip(vals, 0.0, None)))
-    return radii
+            raise SamplerError(f"negative radicand in coordinate {i + 1} at tau = {float(tau[bad][0])}")
+        r = np.sqrt(np.clip(vals, 0.0, None))
+        pts[:, :, 2 * i] = r[:, None] * np.cos(k * t)[None, :]
+        pts[:, :, 2 * i + 1] = r[:, None] * np.sin(k * t)[None, :]
+    return pts
 
 
-def sample_surface(graph: CurveGraph, nx: int, nt: int,
-                   x1_max: float | None = None) -> SurfaceSample:
-    """Evaluate the rotated surface on a uniform [0, x1_max] x [0, 2pi) grid."""
+def sample_surface(graph: CurveGraph, nx: int, nt: int) -> SurfaceSample:
+    """Evaluate the rotated surface on a uniform [0, b - a] x [0, 2pi) grid."""
     if nx < 1 or nt < 1:
         raise SamplerError("empty grid")
-    if x1_max is None:
-        x1_max = float(graph.x1_max)
-        if x1_max <= 0:
-            raise SamplerError("graph has nonpositive x1 range; pass x1_max explicitly")
-    x1 = np.linspace(0.0, x1_max, nx)
+    tau = np.linspace(0.0, float(graph.x1_max), nx)
     t = np.linspace(0.0, 2.0 * np.pi, nt, endpoint=False)
-    radii = _radii(graph, x1)
-    n = graph.n
-    pts = np.empty((nx, nt, 2 * n))
-    for i in range(n):
-        k = graph.k[i]
-        pts[:, :, 2 * i] = radii[i][:, None] * np.cos(k * t)[None, :]
-        pts[:, :, 2 * i + 1] = radii[i][:, None] * np.sin(k * t)[None, :]
-    meta = {"k": graph.k, "Q": sorted(graph.Q), "nx": nx, "nt": nt, "x1_max": x1_max}
-    return SurfaceSample(x1, t, pts, graph.k, meta)
+    pts = _surface(graph, tau, t)
+    meta = {"k": graph.k, "Q": sorted(graph.Q), "nx": nx, "nt": nt, "x1_max": float(graph.x1_max)}
+    return SurfaceSample(tau, t, pts, graph.k, meta)
 
 
-def _point(graph: CurveGraph, x1: float, t: float) -> np.ndarray:
-    radii = _radii(graph, np.asarray([x1]))
-    out = np.empty(2 * graph.n)
-    for i in range(graph.n):
-        k = graph.k[i]
-        out[2 * i] = radii[i][0] * np.cos(k * t)
-        out[2 * i + 1] = radii[i][0] * np.sin(k * t)
-    return out
+def pullback_density_exact(graph: CurveGraph, tau: Fraction) -> Fraction:
+    """Exact sum_j k_j x_j'(tau)."""
+    tau = Fraction(tau)
+    return sum((k * poly_eval(poly_deriv(x), tau) for x, k in zip(graph.x, graph.k)), Fraction(0))
 
 
-def pullback_density_exact(graph: CurveGraph, x1: Fraction) -> Fraction:
-    """Exact sum_j k_j d/dx1 [g_j(x1^2/2)], with g_1 the identity."""
-    x1 = Fraction(x1)
-    total = Fraction(graph.k[0]) * x1  # d/dx1 (x1^2/2) = x1
-    for pos, g in enumerate(graph.g, start=2):
-        k = graph.k[pos - 1]
-        if k == 0:
-            continue
-        total += Fraction(k) * g.deriv().eval_exact(x1 * x1 / 2) * x1
-    return total
+# fourth-order central difference: offsets and weights
+_STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+_WEIGHTS = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
 
-def pullback_density(graph: CurveGraph, x1: float, t: float = 0.37,
-                     h: float = 1e-5) -> tuple[float, float]:
-    """(numeric, exact) symplectic density omega(F_x1, F_t) at x1.
+def pullback_density(graph: CurveGraph, tau: float, t: float = 0.37) -> tuple[float, float]:
+    """(numeric, exact) symplectic density omega(F_tau, F_t) at tau > 0.
 
-    Numeric side by central differences of the sampled surface; exact side
-    from the moment-coordinate identity.
+    Numeric side by fourth-order central differences of the sampled
+    surface; the tau step is proportional to tau because the radii grow
+    like sqrt(tau) at the tip.  Exact side from the moment-coordinate
+    identity.
     """
-    fx = (_point(graph, x1 + h, t) - _point(graph, x1 - h, t)) / (2 * h)
-    ft = (_point(graph, x1, t + h) - _point(graph, x1, t - h)) / (2 * h)
-    omega = float(sum(fx[2 * i] * ft[2 * i + 1] - fx[2 * i + 1] * ft[2 * i]
-                      for i in range(graph.n)))
-    exact = float(pullback_density_exact(graph, Fraction(x1)))
+    if not tau > 0:
+        raise SamplerError(f"pullback density needs tau > 0, got {tau}")
+    h, ht = 1e-3 * tau, 1e-3
+    p = _surface(graph, tau + h * _STENCIL, t + ht * _STENCIL)
+    fx = _WEIGHTS @ p[:, 2] / h
+    ft = _WEIGHTS @ p[2, :] / ht
+    omega = float(np.sum(fx[0::2] * ft[1::2] - fx[1::2] * ft[0::2]))
+    exact = float(pullback_density_exact(graph, Fraction(tau)))
     return omega, exact
 
 
@@ -126,6 +113,7 @@ PLANAR_RATIO = 0.6
 CONE_RESIDUAL = 0.15
 CONE_RATIO = 0.9
 MIN_POINTS = 30
+PROBE_TAU = 0.125  # probe window tau <= PROBE_TAU * min(b - a, 1): r_1 <= 1/2 when x_p = tau
 
 
 def _plane_residual(pts: np.ndarray, vertex: np.ndarray) -> float:
@@ -140,28 +128,22 @@ def _plane_residual(pts: np.ndarray, vertex: np.ndarray) -> float:
 
 def smoothness_probe(graph: CurveGraph, eps: float | None = None,
                      nx: int = 400, nt: int = 48) -> ProbeResult:
-    """Second-moment planarity test at the x1 = 0 end of the surface.
+    """Second-moment planarity test at the tau = 0 tip of the surface.
 
     Compares the normalized out-of-plane residual at two scales eps and
     eps/2: a smooth (C^1) surface flattens at a definite rate, a cone is
-    scale-invariant.
+    scale-invariant.  The tau grid is quadratic so that the radius r_1,
+    which grows like sqrt(tau), is spread evenly near the tip.
     """
-    x_cap = float(graph.x1_max) if graph.x1_max > 0 else 1.0
-    x_cap = min(x_cap, 1.0) * 0.5
-    x1 = np.linspace(x_cap / nx, x_cap, nx)
+    tau_cap = PROBE_TAU * min(float(graph.x1_max), 1.0)
+    tau = np.concatenate(([0.0], tau_cap * np.linspace(1.0 / nx, 1.0, nx) ** 2))
     t = np.linspace(0.0, 2.0 * np.pi, nt, endpoint=False)
     try:
-        radii = _radii(graph, x1)
+        grid = _surface(graph, tau, t)
     except SamplerError:
         return ProbeResult("inconclusive", float("nan"), float("nan"), float("nan"))
-    n = graph.n
-    pts = np.empty((nx, nt, 2 * n))
-    for i in range(n):
-        k = graph.k[i]
-        pts[:, :, 2 * i] = radii[i][:, None] * np.cos(k * t)[None, :]
-        pts[:, :, 2 * i + 1] = radii[i][:, None] * np.sin(k * t)[None, :]
-    pts = pts.reshape(-1, 2 * n)
-    vertex = _point(graph, 0.0, 0.0)
+    vertex = grid[0, 0]
+    pts = grid[1:].reshape(-1, 2 * graph.n)
     dist = np.linalg.norm(pts - vertex[None, :], axis=1)
     if eps is None:
         # small enough that curvature of a smooth sheet stays under the
@@ -200,11 +182,11 @@ def export_mesh(sample: SurfaceSample, fmt: str, path,
     dim = sample.points.shape[2]
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
-            header = ["x1", "t"] + [f"p{i + 1}" for i in range(dim)]
+            header = ["tau", "t"] + [f"p{i + 1}" for i in range(dim)]
             fh.write(",".join(header) + "\n")
             for ix in range(nx):
                 for it in range(nt):
-                    row = [sample.x1[ix], sample.t[it], *sample.points[ix, it]]
+                    row = [sample.tau[ix], sample.t[it], *sample.points[ix, it]]
                     fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     elif fmt == "obj":
         if any(i < 0 or i >= dim for i in project) or len(project) != 3:

@@ -5,8 +5,8 @@ lines survive pytest capture).  The suite exercises the full pipeline:
 polytope validation, the lift criterion on a fixed catalog and on a
 randomized corpus cross-checked against the floating-point surface
 sampler, exact/numeric density agreement, chart independence, the
-quotient identification rule, the series kernel against numeric slope
-estimation, and CLI byte determinism.
+quotient identification rule, the closed-form endpoint kernel against
+numeric growth exponents, and CLI byte determinism.
 """
 
 import json
@@ -20,8 +20,7 @@ import numpy as np
 from toriclift import catalog, io
 from toriclift.chart import CircleEmbedding
 from toriclift.cli import main as cli_main
-from toriclift.criterion import build_graph, check_endpoint, check_lift
-from toriclift.jets import Jet, compose, divided_smoothness, reversion, sqrt_factor_class
+from toriclift.criterion import build_graph, check_endpoint, check_lift, divided_smoothness
 from toriclift.polytope import face_lattice, points_equivalent, validate_delzant
 from toriclift.surface import pullback_density, pullback_density_exact, smoothness_probe
 
@@ -268,58 +267,55 @@ def test_acceptance_6_quotient_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# 7. series kernel vs numeric slope estimation
+# 7. closed-form endpoint kernel vs numeric growth exponents
 
 
-def _slope_exponent(fn) -> float:
-    """Least-squares log-log growth exponent of fn(h) for h -> 0+."""
-    hs = np.logspace(-4, -2, 12)
-    ys = np.array([fn(h) for h in hs])
+def _growth_exponent(x_j, m, c) -> float:
+    """Least-squares log-log growth exponent of sqrt(2 x_j(tau)) / r_1^m in
+    r_1 = sqrt(2 x_p(tau)) as tau -> 0+, with x_p = tau + c tau^2."""
+    taus = np.logspace(-8, -4, 12)
+    r1 = np.sqrt(2 * (taus + c * taus**2))
+    ys = np.sqrt(2 * np.polyval([float(v) for v in reversed(x_j)], taus)) / r1**m
     assert np.all(ys > 0)
-    A = np.vstack([np.log(hs), np.ones_like(hs)]).T
+    A = np.vstack([np.log(r1), np.ones_like(r1)]).T
     return float(np.linalg.lstsq(A, np.log(ys), rcond=None)[0][0])
 
 
-def test_acceptance_7_series_kernel():
+def test_acceptance_7_closed_form_kernel():
     def body():
-        # reversion round trip on random jets with invertible linear part
-        rng = random.Random(77)
-        for _ in range(100):
-            coeffs = [F(0), F(rng.choice([1, -1, 2, 3]))]
-            coeffs += [F(rng.randint(-4, 4)) for _ in range(rng.randint(0, 8))]
-            f = Jet.poly(coeffs, 16)
-            h = reversion(f)
-            assert compose(f, h).coeffs == Jet.poly([0, 1], 16).coeffs
-
-        # sqrt/divided classification vs numeric growth exponents on
-        # g = s^a (1 + s)
+        c = F(1, 2)
+        square = catalog.unit_square()
+        # x_j = tau^a (1 + tau) against the parameter map x_p = tau + c tau^2:
+        # the closed form must hold exactly when the numeric exponent a - m
+        # is a nonnegative even integer
         for a in range(0, 7):
-            g_poly = [F(0)] * a + [F(1), F(1)]
-            g = Jet.poly(g_poly, 16)
-
-            sq = sqrt_factor_class(g)
-            # psi(h) = sqrt(g(h^2)) ~ h^a: smooth even iff a even
-            alpha = _slope_exponent(
-                lambda h: math.sqrt(sum(float(c) * (h * h) ** i
-                                        for i, c in enumerate(g_poly))))
-            assert abs(alpha - a) < 0.05
-            expected_tag = "smooth_even" if a % 2 == 0 else "odd_one_sided"
-            assert sq.tag == expected_tag and sq.valuation == a
-
+            x_j = [F(0)] * a + [F(1), F(1)]
             for m in range(-2, 5):
-                ds = divided_smoothness(g, m)
-                # psi(h) = sqrt(g(h^2))/h^m ~ h^(a-m)
-                beta = _slope_exponent(
-                    lambda h: sum(float(c) * (h * h) ** i
-                                  for i, c in enumerate(g_poly)) ** 0.5 / h**m)
-                assert abs(beta - (a - m)) < 0.05
-                want = "holds" if (a - m) >= 0 and (a - m) % 2 == 0 else "fails"
-                assert ds.status == want, (a, m, ds)
+                reason = divided_smoothness(x_j, m)
+                beta = _growth_exponent(x_j, m, float(c))
+                assert abs(beta - (a - m)) < 0.05, (a, m, beta)
+                smooth = round(beta) >= 0 and round(beta) % 2 == 0
+                assert (reason is None) == smooth, (a, m, reason)
+                if a == 0:
+                    continue  # x_j(0) > 0: a face coordinate, not a graph one
+                # the same decision through build_graph and check_endpoint
+                gamma = [[F(0), F(1), c], x_j]
+                graph = build_graph(square, gamma, (F(0), F(1, 4)), 0, CircleEmbedding((1, m)))
+                assert graph.x == ([F(0), F(1), c], x_j)
+                cond = [x for x in check_endpoint(graph).conditions
+                        if x.condition == "divided_smoothness"]
+                assert cond[0].outcome == ("holds" if smooth else "fails"), (a, m)
 
-        # negative leading coefficient is never smooth
-        g_neg = Jet.poly([F(0), F(-1)], 16)
-        assert divided_smoothness(g_neg, 1).status == "fails"
-        assert sqrt_factor_class(g_neg).tag == "negative_leading"
+        # a negative leading coefficient is never smooth: the radicand is
+        # negative next to the tip
+        x_neg = [F(0), F(-1), F(-1)]
+        assert divided_smoothness(x_neg, 1) == "negative_leading"
+        assert np.all(np.polyval([-1.0, -1.0, 0.0], np.logspace(-8, -4, 12)) < 0)
+        graph = build_graph(square, [[F(0), F(1), c], x_neg], (F(0), F(1, 4)), 0,
+                            CircleEmbedding((1, 1)))
+        rep = check_endpoint(graph)
+        assert rep.status == "fails"
+        assert "negative_leading" in rep.conditions[-1].detail
 
     announce(7, body)
 

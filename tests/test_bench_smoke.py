@@ -1,0 +1,34 @@
+"""Smoke test of the benchmark workloads in bench/workloads.py.
+
+Runs each workload's set-up and ops once at seed 1, so a change to the
+package that breaks the benchmark harness (or one of its known answers)
+fails here instead of only in a benchmark run.
+"""
+
+import os
+import sys
+
+import pytest
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH)
+
+import workloads  # noqa: E402
+
+
+# lift-corpus runs its first 50 items (family curves and two of high
+# valuation), which keeps this file near 3 s
+@pytest.mark.parametrize("name,limit", [
+    ("lift-corpus", 50),
+    ("surface-oracle", None),
+    ("polytope-ladder", 3),
+    ("cli-mix", 3),
+])
+def test_workload_pass(name, limit, tmp_path):
+    w = workloads.WORKLOADS[name]()
+    w.setup(1, str(tmp_path))
+    items = w.next_pass()[:limit]
+    assert items
+    for item in items:
+        status, why = w.check(item, w.run(item))
+        assert status == "ok", why

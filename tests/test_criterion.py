@@ -10,6 +10,8 @@ from toriclift.criterion import (
     check_interior,
     check_lift,
     check_transversality,
+    divided_smoothness,
+    valuation,
 )
 from toriclift.polytope import PolytopeError
 
@@ -32,14 +34,14 @@ class TestBuildGraph:
         assert gr.chart.vertex == (F(0), F(0))
         assert gr.k == (1, 1)
         assert gr.Q == frozenset()
-        assert gr.g[0].coeffs[:2] == (F(0), F(1))  # g_2(x1) = x1
+        assert gr.x == ([F(0), F(1)], [F(0), F(1)])  # x_1 = x_2 = tau
         assert gr.x1_max == F(3, 2)
 
     def test_diagonal_at_facet_endpoint(self, cp2):
         gr = build_graph(cp2, DIAG, DIAG_IV, 1, K11, chart_vertex=(F(3), F(0)))
         assert gr.Q == frozenset({2})
         assert gr.k == (-1, 0)
-        assert gr.g[0].coeffs[:2] == (F(3, 2), F(-1, 2))
+        assert gr.x == ([F(0), F(2)], [F(3, 2), F(-1)])
 
     def test_default_chart_is_lex_smallest(self, cp2):
         gr = build_graph(cp2, DIAG, DIAG_IV, 1, K11)
@@ -63,6 +65,12 @@ class TestBuildGraph:
             build_graph(cp2, gamma, (F(0), F(1)), 0, K11)
         assert exc.value.reason == "curve_exits_chart_cone"
 
+    def test_endpoint_outside_polytope_rejected(self, cp2):
+        with pytest.raises(GraphBuildReject) as exc:
+            build_graph(cp2, DIAG, (F(0), F(2)), 1, K11)
+        assert exc.value.reason == "endpoint_outside_polytope"
+        assert "(2, 2)" in exc.value.detail
+
     def test_wrong_chart_vertex_rejected(self, cp2):
         with pytest.raises(PolytopeError):
             build_graph(cp2, DIAG, DIAG_IV, 0, K11, chart_vertex=(F(3), F(0)))
@@ -73,15 +81,38 @@ class TestBuildGraph:
 
     def test_singular_parametrization_rejected(self, cp2):
         gamma = [poly(0, 0, 1), poly(0, 0, 1)]
-        with pytest.raises(ValueError, match="singular"):
+        with pytest.raises(GraphBuildReject) as exc:
             build_graph(cp2, gamma, (F(0), F(1)), 0, K11)
+        assert exc.value.reason == "singular_parametrisation"
 
     def test_parabola_graph(self, cp2):
-        # gamma(s) = (s, s^2) at the origin: g_2(x1) = x1^2
+        # gamma(s) = (s, s^2) at the origin: x_2(tau) = tau^2
         gamma = [poly(0, 1), poly(0, 0, 1)]
         gr = build_graph(cp2, gamma, (F(0), F(1)), 0, CircleEmbedding((1, 2)))
         assert gr.k == (1, 2)
-        assert gr.g[0].coeffs[:3] == (F(0), F(0), F(1))
+        assert gr.x[1] == [F(0), F(0), F(1)]
+
+
+class TestClosedForm:
+    def test_valuation_linear(self):
+        assert valuation(poly(0, 1)) == 1
+
+    def test_valuation_zero_polynomial(self):
+        assert valuation([]) is None
+
+    @pytest.mark.parametrize("coeffs,m,reason", [
+        ((0, 1), 1, None),                   # z2 = c z1, the smooth disc
+        ((0, 1), 0, "parity"),               # the cone
+        ((0, 0, 1), 1, "parity"),
+        ((0, 0, 0, 1), 1, None),
+        ((0, 1), 2, "negative_power"),
+        ((0, -1), 1, "negative_leading"),
+    ])
+    def test_divided_smoothness_table(self, coeffs, m, reason):
+        assert divided_smoothness(poly(*coeffs), m) == reason
+
+    def test_identically_zero_holds(self):
+        assert divided_smoothness([], 3) is None
 
 
 class TestTransversality:
@@ -162,7 +193,7 @@ class TestEndpoint:
         rep = check_endpoint(gr)
         assert rep.status == "holds"
         names = [c.condition for c in rep.conditions]
-        assert "face_weight_vanishes" in names and "sqrt_smooth_on_face" in names
+        assert names == ["k1_nonzero", "face_weight_vanishes"]
 
     def test_nonzero_face_weight_fails(self, cp2):
         gr = build_graph(cp2, DIAG, DIAG_IV, 1, CircleEmbedding((2, 1)),
@@ -196,19 +227,37 @@ class TestCheckLift:
         assert v.verdict == "reject"
         assert v.report("endpoint 1").conditions[0].condition == "tangent_parallel_to_face"
 
-    def test_inconclusive_at_low_order(self, square):
-        # y = (s(1-s))^20 vanishes beyond the default jet window, so the
-        # valuation is unknown at order 16 and resolved at order 41
+    def test_high_valuation_decided(self, square):
+        # y = (s(1-s))^20 has valuation 20 at both endpoints: even, so the
+        # K = (1, 0) surface is smooth
         base = poly(*([0] * 20 + [1]))
         top = poly(1, -1)
         y = base
         for _ in range(20):
             y = _poly_mul(y, top)
         gamma = [poly(0, 1), y]
-        v16 = check_lift(square, gamma, (F(0), F(1)), K10, order=16)
-        assert v16.verdict == "inconclusive"
-        v41 = check_lift(square, gamma, (F(0), F(1)), K10, order=41)
-        assert v41.verdict == "accept"
+        assert check_lift(square, gamma, (F(0), F(1)), K10).verdict == "accept"
+
+    def test_zero_coordinate_nonlinear_parameter(self, square):
+        # (s + 2 s^2, 0) ends at the vertex (1, 0) with x_1 = 3 tau - 2 tau^2
+        # and x_2 identically zero, which holds for every weight ratio
+        gamma = [poly(0, 1, 2), poly(0)]
+        v = check_lift(square, gamma, (F(0), F(1, 2)), K11)
+        assert v.verdict == "accept"
+
+    def test_outside_and_singular_endpoints_are_verdicts(self, cp2):
+        v = check_lift(cp2, DIAG, (F(0), F(2)), K11)
+        assert v.verdict == "reject"
+        assert v.report("endpoint 2").conditions[0].condition == "endpoint_outside_polytope"
+        v = check_lift(cp2, [poly(0, 0, 1), poly(0, 0, 1)], (F(0), F(1)), K11)
+        assert v.verdict == "reject"
+        assert v.report("endpoint 1").conditions[0].condition == "singular_parametrisation"
+
+    def test_malformed_endpoint_input_raises(self, cp2):
+        with pytest.raises(PolytopeError):
+            check_lift(cp2, DIAG, DIAG_IV, K11, chart_vertices=((F(3), F(0)), None))
+        with pytest.raises(ValueError, match="empty"):
+            check_lift(cp2, DIAG, (F(1), F(1)), K11)
 
     def test_verdict_in_dict(self, cp2):
         d = check_lift(cp2, DIAG, DIAG_IV, K11).to_dict()

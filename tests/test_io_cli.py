@@ -5,7 +5,6 @@ import pytest
 
 from toriclift import io
 from toriclift.cli import main
-from toriclift.jets import Jet
 
 F = Fraction
 
@@ -91,16 +90,6 @@ class TestCurveFiles:
             io.curve_from_dict(d)
 
 
-class TestJetSerialization:
-    def test_round_trip(self):
-        j = Jet.poly([F(1, 2), F(0), F(-3)], 8)
-        assert io.jet_from_dict(io.jet_to_dict(j)) == j
-
-    def test_exact_flag_preserved(self):
-        j = Jet((F(0), F(1)), False)
-        assert not io.jet_from_dict(io.jet_to_dict(j)).exact
-
-
 def write_json(tmp_path, name, obj):
     p = tmp_path / name
     p.write_text(json.dumps(obj))
@@ -169,7 +158,7 @@ class TestCli:
         curve = write_json(tmp_path, "cone.json", d)
         assert main(["lift-check", cp2_file, curve]) == 1
 
-    def test_lift_check_inconclusive(self, tmp_path):
+    def test_lift_check_high_valuation(self, tmp_path):
         square = write_json(tmp_path, "sq.json", {
             "n": 2,
             "facets": [
@@ -179,7 +168,7 @@ class TestCli:
                 {"normal": [0, 1], "offset": "1"},
             ],
         })
-        # y = (s(1-s))^20: flat beyond the jet window at order 16
+        # y = (s(1-s))^20: valuation 20 at both endpoints
         y = [F(0)] * 20 + [F(1)]
         for _ in range(20):
             y = _mul(y, [F(1), F(-1)])
@@ -188,8 +177,8 @@ class TestCli:
             "domain": ["0", "1"],
             "circle": [1, 0],
         })
-        assert main(["lift-check", square, curve]) == 2
-        assert main(["lift-check", square, curve, "--max-order", "41"]) == 0
+        assert main(["lift-check", square, curve]) == 0
+        assert main(["lift-check", square, curve, "--max-order", "41"]) == 3
 
     def test_lift_check_json_byte_identical(self, cp2_file, diag_curve_file, capsys):
         main(["lift-check", cp2_file, diag_curve_file, "--json"])
@@ -202,13 +191,34 @@ class TestCli:
         out = tmp_path / "mesh.csv"
         assert main(["sample", cp2_file, diag_curve_file,
                      "--nx", "4", "--nt", "4", "--out", str(out)]) == 0
-        assert out.read_text().startswith("x1,t,")
+        assert out.read_text().startswith("tau,t,")
 
     def test_sample_obj_by_extension(self, cp2_file, diag_curve_file, tmp_path):
         out = tmp_path / "mesh.obj"
         assert main(["sample", cp2_file, diag_curve_file,
                      "--nx", "3", "--nt", "4", "--out", str(out)]) == 0
         assert out.read_text().startswith("v ")
+
+    def test_endpoint_errors_exit_codes(self, cp2_file, tmp_path, capsys):
+        def curve(name, **fields):
+            return write_json(tmp_path, name, dict(TestCurveFiles.GOOD, **fields))
+
+        # a curve the criterion rules out is a reject verdict, exit 1
+        outside = curve("outside.json", domain=["0", "2"])
+        assert main(["lift-check", cp2_file, outside]) == 1
+        assert "endpoint_outside_polytope" in capsys.readouterr().out
+        singular = curve("singular.json", coords=[["0", "0", "1"], ["0", "0", "1"]], domain=["0", "1"])
+        assert main(["lift-check", cp2_file, singular]) == 1
+        assert "singular_parametrisation" in capsys.readouterr().out
+        out = str(tmp_path / "mesh.csv")
+        assert main(["sample", cp2_file, singular, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("reject: singular_parametrisation")
+        # malformed input stays a usage error, exit 3
+        wrong_chart = curve("chart.json", endpoints=[{"chart_vertex": ["3", "0"]}])
+        assert main(["lift-check", cp2_file, wrong_chart]) == 3
+        assert "error: chart vertex (3, 0)" in capsys.readouterr().err
+        empty = curve("empty.json", domain=["1", "1"])
+        assert main(["lift-check", cp2_file, empty]) == 3
 
     def test_missing_file_usage_error(self, capsys):
         assert main(["validate", "/no/such/file.json"]) == 3

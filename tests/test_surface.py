@@ -6,6 +6,7 @@ import pytest
 
 from toriclift.chart import CircleEmbedding
 from toriclift.criterion import build_graph
+from toriclift.exactmath import poly_eval
 from toriclift.surface import (
     SamplerError,
     export_mesh,
@@ -53,28 +54,33 @@ class TestSampling:
     def test_grid_shape(self, disc_graph):
         s = sample_surface(disc_graph, 10, 8)
         assert s.points.shape == (10, 8, 4)
-        assert s.x1.shape == (10,) and s.t.shape == (8,)
+        assert s.tau.shape == (10,) and s.t.shape == (8,)
 
     def test_disc_point_values(self, disc_graph):
-        s = sample_surface(disc_graph, 2, 4, x1_max=1.0)
-        # at x1 = 1, t = 0 the diagonal disc sits at (1, 0, 1, 0)
+        s = sample_surface(disc_graph, 4, 4)
+        # at tau = 1/2, t = 0 the diagonal disc sits at (1, 0, 1, 0)
         np.testing.assert_allclose(s.points[1, 0], [1, 0, 1, 0], atol=1e-15)
         # quarter turn with weights (1, 1)
         np.testing.assert_allclose(s.points[1, 1], [0, 1, 0, 1], atol=1e-15)
 
     def test_moment_consistency(self, disc_graph, paraboloid_graph):
         for graph in (disc_graph, paraboloid_graph):
-            s = sample_surface(graph, 30, 12, x1_max=0.9)
+            s = sample_surface(graph, 30, 12)
             for ix in (5, 17, 29):
-                x1 = s.x1[ix]
-                u = x1 * x1 / 2
-                for pos, g in enumerate(graph.g, start=2):
-                    p = s.points[ix, 0]
-                    rho = (p[2 * (pos - 1)] ** 2 + p[2 * (pos - 1) + 1] ** 2) / 2
-                    assert abs(rho - g.eval_float(u)) <= 1e-12
+                tau = F(s.tau[ix])
+                p = s.points[ix, 0]
+                for i, x in enumerate(graph.x):
+                    rho = (p[2 * i] ** 2 + p[2 * i + 1] ** 2) / 2
+                    assert abs(rho - float(poly_eval(x, tau))) <= 1e-12
+
+    def test_disc_reaches_far_end(self, disc_graph):
+        # the mesh runs over the whole curve, up to moment (3/2, 3/2)
+        s = sample_surface(disc_graph, 9, 4)
+        p = s.points[-1, 0]
+        np.testing.assert_allclose((p[0::2] ** 2 + p[1::2] ** 2) / 2, [1.5, 1.5], rtol=1e-15)
 
     def test_rotation_equivariance(self, disc_graph):
-        s = sample_surface(disc_graph, 5, 16, x1_max=1.0)
+        s = sample_surface(disc_graph, 5, 16)
         # shifting t by one grid step rotates each coordinate pair by k_j dt
         dt = 2 * math.pi / 16
         for j, k in enumerate(disc_graph.k):
@@ -85,10 +91,11 @@ class TestSampling:
             np.testing.assert_allclose(s.points[:, 1:, 2 * j + 1], sn * x + c * y, atol=1e-12)
 
     def test_negative_radicand_reported(self, cp2):
-        graph = build_graph(cp2, DIAG, DIAG_IV, 1, CircleEmbedding((1, 1)),
-                            chart_vertex=(F(3), F(0)))
+        # (s, s - s^2) leaves the chart's orthant for s > 1
+        graph = build_graph(cp2, [poly(0, 1), poly(0, 1, -1)], (F(0), F(2)), 0,
+                            CircleEmbedding((1, 1)))
         with pytest.raises(SamplerError, match="coordinate 2"):
-            sample_surface(graph, 20, 8, x1_max=3.0)
+            sample_surface(graph, 20, 8)
 
     def test_empty_grid_rejected(self, disc_graph):
         with pytest.raises(SamplerError):
@@ -97,8 +104,8 @@ class TestSampling:
 
 class TestPullbackDensity:
     def test_disc_exact_formula(self, disc_graph):
-        # k1 x1 + k2 g2'(x1^2/2) x1 = 2 x1 on the diagonal disc
-        assert pullback_density_exact(disc_graph, F(1, 2)) == F(1)
+        # k1 x1'(tau) + k2 x2'(tau) = 2 on the diagonal disc
+        assert pullback_density_exact(disc_graph, F(1, 2)) == F(2)
 
     def test_numeric_matches_exact(self, disc_graph, paraboloid_graph):
         for graph in (disc_graph, paraboloid_graph):
@@ -111,6 +118,10 @@ class TestPullbackDensity:
         omega, exact = pullback_density(degenerate_graph, 0.5)
         assert exact == 0.0
         assert abs(omega) <= 1e-10
+
+    def test_needs_positive_tau(self, disc_graph):
+        with pytest.raises(SamplerError):
+            pullback_density(disc_graph, 0.0)
 
 
 class TestSmoothnessProbe:
@@ -139,7 +150,7 @@ class TestExport:
         export_mesh(s, "csv", p2)
         assert p1.read_bytes() == p2.read_bytes()
         lines = p1.read_text().splitlines()
-        assert lines[0] == "x1,t,p1,p2,p3,p4"
+        assert lines[0] == "tau,t,p1,p2,p3,p4"
         assert len(lines) == 1 + 6 * 5
 
     def test_obj_topology(self, disc_graph, tmp_path):
