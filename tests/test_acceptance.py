@@ -267,7 +267,8 @@ def test_acceptance_6_quotient_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# 7. closed-form endpoint kernel vs numeric growth exponents
+# 7. endpoint series kernel, read in closed form from the leading terms of
+# the chart polynomials, vs numeric growth exponents
 
 
 def _growth_exponent(x_j, m, c) -> float:
@@ -281,7 +282,7 @@ def _growth_exponent(x_j, m, c) -> float:
     return float(np.linalg.lstsq(A, np.log(ys), rcond=None)[0][0])
 
 
-def test_acceptance_7_closed_form_kernel():
+def test_acceptance_7_series_kernel():
     def body():
         c = F(1, 2)
         square = catalog.unit_square()

@@ -158,7 +158,7 @@ class TestCli:
         curve = write_json(tmp_path, "cone.json", d)
         assert main(["lift-check", cp2_file, curve]) == 1
 
-    def test_lift_check_high_valuation(self, tmp_path):
+    def test_lift_check_inconclusive(self, tmp_path):
         square = write_json(tmp_path, "sq.json", {
             "n": 2,
             "facets": [
@@ -168,7 +168,8 @@ class TestCli:
                 {"normal": [0, 1], "offset": "1"},
             ],
         })
-        # y = (s(1-s))^20: valuation 20 at both endpoints
+        # y = (s(1-s))^20: valuation 20 at both endpoints, once left
+        # inconclusive at a low series order, is decided with exit 0
         y = [F(0)] * 20 + [F(1)]
         for _ in range(20):
             y = _mul(y, [F(1), F(-1)])

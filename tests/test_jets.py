@@ -1,68 +1,38 @@
+"""The endpoint jet data in closed form.
+
+At an endpoint the graph coordinate g_j = x_j o x_p^{-1} has the valuation
+and leading sign of the exact chart polynomial x_j(tau), so these tests
+check the kernel that reads them from the polynomials: the exact
+arithmetic the polynomials are built with, `valuation`, and
+`divided_smoothness` for sqrt(2 x_j) / r_1^m (m = 0 is the radius itself).
+"""
+
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from toriclift.exactmath import INFINITE
-from toriclift.jets import (
-    Jet,
-    compose,
-    compose_square,
-    divided_smoothness,
-    jet_arith,
-    reversion,
-    sqrt_factor_class,
-    valuation,
-)
+from toriclift.criterion import divided_smoothness, valuation
+from toriclift.exactmath import poly_add, poly_mul
+
+F = Fraction
 
 
-def J(*coeffs, order=16, exact=True):
-    j = Jet.poly(list(coeffs), order)
-    return j if exact else Jet(j.coeffs, False)
+def J(*coeffs):
+    return [F(c) for c in coeffs]
 
 
 class TestArith:
     def test_add(self):
-        assert jet_arith(J(1, 1), J(1, -1), "add").coeffs[:2] == (Fraction(2), Fraction(0))
+        # the x terms cancel exactly and are trimmed
+        assert poly_add(J(1, 1), J(1, -1)) == [F(2)]
 
     def test_mul(self):
         x = J(0, 1)
-        assert (x * x).coeffs[2] == 1
-        assert (x * x).coeffs[1] == 0
+        assert poly_mul(x, x) == J(0, 0, 1)
 
     def test_difference_of_squares(self):
-        p = jet_arith(J(1, 1), J(1, -1), "mul")
-        assert p.coeffs[:3] == (Fraction(1), Fraction(0), Fraction(-1))
-
-    def test_exactness_overflow(self):
-        a = Jet.poly([0] * 8 + [1], order=8)  # x^8 at order 8
-        assert a.exact
-        assert not (a * a).exact  # x^16 overflows order 8
-
-    def test_inexact_propagates(self):
-        a = J(1, 1, exact=False)
-        assert not (a + J(1)).exact
-
-
-class TestComposeSquare:
-    def test_linear(self):
-        out = compose_square(J(0, 1, order=4))
-        assert out.coeffs[2] == 1
-        assert out.order == 8
-
-    def test_affine(self):
-        out = compose_square(Jet.poly([Fraction(3, 2), Fraction(-1, 2)], 4))
-        assert out.coeffs[0] == Fraction(3, 2)
-        assert out.coeffs[2] == Fraction(-1, 2)
-
-    def test_square(self):
-        assert compose_square(J(0, 0, 1, order=4)).coeffs[4] == 1
-
-    def test_odd_coefficients_zero(self):
-        out = compose_square(J(1, 2, 3, 4, order=6))
-        assert all(out.coeffs[i] == 0 for i in range(1, out.order + 1, 2))
+        assert poly_mul(J(1, 1), J(1, -1)) == J(1, 0, -1)
 
 
 class TestValuation:
@@ -70,40 +40,35 @@ class TestValuation:
         assert valuation(J(0, 1)) == 1
 
     def test_exact_zero(self):
-        assert valuation(Jet.zero()) is INFINITE
-
-    def test_truncated_zero_unknown(self):
-        z = Jet(tuple(Fraction(0) for _ in range(9)), exact=False)
-        assert valuation(z) is None
+        assert valuation([]) is None
+        assert valuation(J(0, 0)) is None
 
 
 class TestSqrtFactorClass:
+    """Smoothness of the radius sqrt(2 x(tau)) at the tip, tau ~ r_1^2."""
+
     def test_unit(self):
-        c = sqrt_factor_class(J(1, 1))
-        assert c.tag == "smooth_even" and c.valuation == 0
+        x = J(1, 1)
+        assert divided_smoothness(x, 0) is None and valuation(x) == 0
 
     def test_cone(self):
-        c = sqrt_factor_class(J(0, 1))
-        assert c.tag == "odd_one_sided" and c.valuation == 1
+        x = J(0, 1)
+        assert divided_smoothness(x, 0) == "parity" and valuation(x) == 1
 
     def test_square(self):
-        # sqrt(x^4) = x^2 is smooth; numeric cross-check below
-        c = sqrt_factor_class(J(0, 0, 1))
-        assert c.tag == "smooth_even" and c.valuation == 2
-        f = lambda x: math.sqrt((x * x) ** 2)
-        for x in (0.01, 0.1, 0.3):
-            assert f(x) == pytest.approx(x * x, rel=1e-12)
-            assert f(-x) == pytest.approx(f(x), rel=1e-12)
+        # sqrt(x^2) with x = r^2 / 2 is r^2 / 2: smooth and even
+        x = J(0, 0, 1)
+        assert divided_smoothness(x, 0) is None and valuation(x) == 2
+        f = lambda r: math.sqrt(2 * (r * r / 2) ** 2)
+        for r in (0.01, 0.1, 0.3):
+            assert f(r) == pytest.approx(r * r / math.sqrt(2), rel=1e-12)
+            assert f(-r) == pytest.approx(f(r), rel=1e-12)
 
     def test_negative_leading(self):
-        assert sqrt_factor_class(J(-1, 1)).tag == "negative_leading"
+        assert divided_smoothness(J(-1, 1), 0) == "negative_leading"
 
     def test_identically_zero(self):
-        assert sqrt_factor_class(Jet.zero()).tag == "identically_zero"
-
-    def test_unknown(self):
-        z = Jet(tuple(Fraction(0) for _ in range(9)), exact=False)
-        assert sqrt_factor_class(z).tag == "unknown"
+        assert divided_smoothness([], 0) is None
 
 
 class TestDividedSmoothness:
@@ -117,72 +82,19 @@ class TestDividedSmoothness:
     ])
     def test_table(self, coeffs, m, status, reason):
         out = divided_smoothness(J(*coeffs), m)
-        assert out.status == status
-        if reason:
-            assert out.reason == reason
+        assert ("holds" if out is None else "fails") == status
+        assert out == reason
 
     def test_identically_zero_holds(self):
-        assert divided_smoothness(Jet.zero(), 3).status == "holds"
-
-    def test_unknown_propagates(self):
-        z = Jet(tuple(Fraction(0) for _ in range(9)), exact=False)
-        assert divided_smoothness(z, 1).status == "unknown"
+        assert divided_smoothness([], 3) is None
 
     def test_numeric_probe_agrees(self):
-        # holds case: f(x) = sqrt(g(x^2))/x^m extends with finite limit and
-        # even symmetry; parity-fail case: first odd derivative at 0+ stays
-        # bounded away from zero.
-        g_holds = J(0, 1)  # m = 1
-        f = lambda x: math.sqrt(x * x) / x
+        # holds case: x = tau, m = 1 gives sqrt(2 tau) / r_1 = 1 with
+        # r_1 = sqrt(2 tau); parity-fail case: m = 0 gives r_1 itself, the
+        # cone |r|, whose one-sided slope at 0 stays 1
+        f = lambda r: math.sqrt(2 * (r * r / 2)) / abs(r)
         assert f(1e-6) == pytest.approx(1.0, rel=1e-9)
-        g_cone = J(0, 1)  # m = 0: f(x) = |x|, one-sided slope 1
-        slope = (math.sqrt((1e-6) ** 2) - 0.0) / 1e-6
+        slope = (math.sqrt(2 * ((1e-6) ** 2 / 2)) - 0.0) / 1e-6
         assert abs(slope) > 0.5
-        assert divided_smoothness(g_holds, 1).status == "holds"
-        assert divided_smoothness(g_cone, 0).status == "fails"
-
-
-class TestReversion:
-    def test_identity(self):
-        assert reversion(J(0, 1)).coeffs[:2] == (Fraction(0), Fraction(1))
-
-    def test_scaling(self):
-        assert reversion(J(0, 2)).coeffs[1] == Fraction(1, 2)
-
-    def test_catalan_like(self):
-        h = reversion(Jet.poly([0, 1, -1], 4))
-        assert h.coeffs[:5] == (Fraction(0), Fraction(1), Fraction(1), Fraction(2), Fraction(5))
-
-    def test_rejects_nonzero_constant(self):
-        with pytest.raises(ValueError):
-            reversion(J(1, 1))
-
-    def test_rejects_zero_derivative(self):
-        with pytest.raises(ValueError):
-            reversion(J(0, 0, 1))
-
-    @given(st.lists(st.integers(-3, 3), min_size=0, max_size=6),
-           st.integers(1, 3))
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip(self, tail, lead):
-        f = Jet.poly([0, lead] + tail, 12)
-        h = reversion(f)
-        ident = compose(f, h)
-        assert ident.coeffs == Jet.poly([0, 1], 12).coeffs
-
-
-class TestCompose:
-    def test_outer_affine(self):
-        out = compose(J(1, 1), J(0, 0, 1))
-        assert out.coeffs[0] == 1 and out.coeffs[2] == 1
-
-    def test_square_of_shift(self):
-        out = compose(J(0, 0, 1), J(0, 1, 1))
-        assert out.coeffs[:5] == (Fraction(0), Fraction(0), Fraction(1), Fraction(2), Fraction(1))
-
-    def test_zero_inner(self):
-        assert compose(J(7, 3, 2), Jet.zero()).coeffs[0] == 7
-
-    def test_rejects_nonvanishing_inner(self):
-        with pytest.raises(ValueError):
-            compose(J(1, 1), J(1, 1))
+        assert divided_smoothness(J(0, 1), 1) is None
+        assert divided_smoothness(J(0, 1), 0) == "parity"
