@@ -1,5 +1,4 @@
-"""Vertex-centered local models: edge-basis coordinates, circle weights,
-and the local moment image.
+"""Vertex-centered local models: edge-basis coordinates and circle weights.
 
 A chart at a Delzant vertex o uses the primitive edge directions as a
 Z-basis; chart coordinates of a point p are U^{-1}(p - o), so the vertex
@@ -12,14 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import IntVec, dot, int_det, invert_rational, primitive
+from .exactmath import IntVec, dot, hnf, identity_matrix, int_det, primitive
 from .polytope import (
     Face,
     HPolytope,
     Point,
     PolytopeError,
     edge_vectors_at_vertex,
-    minimal_face,
 )
 
 
@@ -41,7 +39,7 @@ class VertexChart:
     polytope: HPolytope
     vertex: Point
     columns: tuple[IntVec, ...]       # edge directions u_1..u_n (isotropy weights)
-    inverse: tuple[tuple[Fraction, ...], ...]  # U^{-1}, rows
+    inverse: tuple[IntVec, ...]       # U^{-1}, integer rows
     active: tuple[int, ...]           # facet indices kept in Lambda_o
 
     @property
@@ -50,15 +48,18 @@ class VertexChart:
 
 
 def make_chart(P: HPolytope, o: Sequence[Fraction]) -> VertexChart:
-    """Chart at a Delzant-valid vertex; rejects |det U| != 1."""
+    """Chart at a Delzant-valid vertex; rejects |det U| != 1.
+
+    The Hermite form U V = H of the edge basis is the identity exactly when
+    U is unimodular, and then V = U^{-1} is the chart's integer inverse.
+    """
     o = tuple(Fraction(x) for x in o)
     cols = edge_vectors_at_vertex(P, o)
     n = P.n
     U = [[cols[j][i] for j in range(n)] for i in range(n)]
-    det = int_det(U)
-    if abs(det) != 1:
-        raise PolytopeError(f"vertex {o} is not Delzant: |det U| = {abs(det)}")
-    inv = invert_rational([[Fraction(x) for x in row] for row in U])
+    H, inv = hnf(U)
+    if H != identity_matrix(n):
+        raise PolytopeError(f"vertex {o} is not Delzant: |det U| = {abs(int_det(U))}")
     active = tuple(sorted(P.tight_facets(o)))
     return VertexChart(P, o, tuple(cols), tuple(tuple(r) for r in inv), active)
 
@@ -83,28 +84,14 @@ def local_weights(chart: VertexChart, rho: CircleEmbedding) -> IntVec:
     return tuple(dot(u, rho.K) for u in chart.columns)
 
 
-def local_moment_image(chart: VertexChart, rho: Sequence[Fraction]) -> Point:
-    """Ambient image of the model moment map at radii^2/2 = rho.
+def q_set(chart: VertexChart, F: Face) -> frozenset[int]:
+    """Indices of edge directions spanning the boundary face F.
 
-    In chart coordinates the image is exactly rho, so this is just
-    from_chart with a nonnegativity guard.
+    Zero-based chart coordinate indices; empty when F is the chart vertex.
+    Requires F to be a proper face with the chart vertex among its vertices.
     """
-    rho = tuple(Fraction(x) for x in rho)
-    if any(r < 0 for r in rho):
-        raise ValueError("moment coordinates must be nonnegative")
-    return from_chart(chart, rho)
-
-
-def q_set(chart: VertexChart, v1: Sequence[Fraction]) -> frozenset[int]:
-    """Indices of edge directions spanning the minimal boundary face of v1.
-
-    Zero-based chart coordinate indices; empty when v1 is the chart vertex.
-    Requires the chart vertex to be a vertex of that face.
-    """
-    v1 = tuple(Fraction(x) for x in v1)
-    F = minimal_face(chart.polytope, v1)
     if not F.active:
-        raise PolytopeError("q_set: point is interior, not on the boundary")
+        raise PolytopeError("q_set: the face is the whole polytope, not on the boundary")
     if chart.vertex not in F.vertices:
         raise PolytopeError(
             "q_set: chart vertex is not a vertex of the endpoint's minimal face; re-chart"

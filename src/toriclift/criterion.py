@@ -181,7 +181,7 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
             acc = poly_add(acc, poly_scale(diff[j], row[j]))
         x_polys.append(acc)
 
-    Q0 = q_set(chart, v1)
+    Q0 = q_set(chart, F)
     param = next((j for j in range(n) if j not in Q0 and _coeff(x_polys[j], 1) != 0), None)
     if param is None:
         raise GraphBuildReject(
@@ -340,6 +340,8 @@ def check_lift(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmb
                chart_vertices: tuple[Optional[Sequence[Fraction]], Optional[Sequence[Fraction]]] = (None, None)
                ) -> LiftVerdict:
     """Full criterion: containment, transversality, both endpoint analyses."""
+    if not interval[0] < interval[1]:
+        raise ValueError("check_lift: empty parameter interval")
     gamma = [poly_trim([Fraction(c) for c in coeffs]) for coeffs in gamma]
     reports = [check_interior(P, gamma, interval), check_transversality(gamma, circle, interval)]
     for ep in (0, 1):

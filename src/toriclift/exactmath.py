@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 IntVec = tuple[int, ...]
 IntMatrix = list[list[int]]
 RatVec = tuple[Fraction, ...]
-RatMatrix = list[list[Fraction]]
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +59,6 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> list[list]:
     ]
 
 
-def mat_vec(A: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(dot(row, v) for row in A)
-
-
-def transpose(A: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*A)]
-
-
 def int_det(A: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     n = len(A)
@@ -94,12 +85,6 @@ def int_det(A: Sequence[Sequence[int]]) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def det_and_unimodular(A: Sequence[Sequence[int]]) -> tuple[int, bool]:
-    """Exact determinant together with the |det| = 1 flag."""
-    d = int_det(A)
-    return d, abs(d) == 1
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) = a*x + b*y and g >= 0."""
     old_r, r = a, b
@@ -116,12 +101,15 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def hnf(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
-    """Column-style Hermite normal form.
+    """Column-style Hermite normal form, the one routine for lattice questions.
 
     Returns (H, U) with H = A @ U, U unimodular.  H is lower triangular in
     the sense that pivot rows descend left to right, pivots are positive,
     and in each pivot row the entries in earlier columns are reduced into
-    [0, pivot).  Rank deficiency shows up as trailing zero columns of H.
+    [0, pivot).  So the first rank(A) columns of H are nonzero and the rest
+    are zero; the columns of U under the zero columns are a Z-basis of the
+    integer kernel of A; and H is the identity exactly when A is square and
+    unimodular, in which case U is the inverse of A.
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
@@ -166,28 +154,18 @@ def hnf(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
 
 
 def rank(A: Sequence[Sequence[int]]) -> int:
-    if not A:
-        return 0
-    H, _ = hnf(transpose(A))  # column rank of A^t = row rank of A
+    H, _ = hnf(A)
     return sum(1 for col in zip(*H) if any(col))
 
 
 def integer_kernel_basis(A: Sequence[Sequence[int]]) -> list[IntVec]:
-    """Primitive integer basis of the rational null space {x : A x = 0}."""
-    if not A:
-        return []
-    n = len(A[0])
-    frac_rows = [[Fraction(x) for x in row] for row in A]
-    res = solve_rational(frac_rows, tuple(Fraction(0) for _ in A))
-    basis = []
-    for v in res.nullspace:
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in v]
-        basis.append(primitive(ints))
-    assert all(len(v) == n for v in basis)
-    return basis
+    """Z-basis of the integer kernel {x in Z^n : A x = 0} of a matrix with rows.
+
+    Each basis vector is primitive and the basis extends to a Z-basis of
+    Z^n (saturation index 1).  A needs at least one row, which fixes n.
+    """
+    H, U = hnf(A)
+    return [tuple(row[j] for row in U) for j in range(len(U)) if not any(row[j] for row in H)]
 
 
 def saturation_index(cols: Sequence[IntVec]) -> int:
@@ -274,19 +252,6 @@ def solve_rational(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> So
     if not free:
         return SolveResult("unique", tuple(sol), [])
     return SolveResult("underdetermined", tuple(sol), null)
-
-
-def invert_rational(A: Sequence[Sequence[Fraction]]) -> RatMatrix:
-    """Exact inverse of a square rational matrix."""
-    n = len(A)
-    cols = []
-    for j in range(n):
-        e = tuple(Fraction(1) if i == j else Fraction(0) for i in range(n))
-        res = solve_rational(A, e)
-        if res.status != "unique":
-            raise ValueError("invert_rational: singular matrix")
-        cols.append(res.solution)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,10 @@ from typing import Optional, Sequence
 
 from .exactmath import (
     IntVec,
-    RatVec,
     dot,
-    hnf,
+    identity_matrix,
     int_det,
     integer_kernel_basis,
-    invert_rational,
     primitive,
     rank,
     saturation_index,
@@ -62,11 +60,8 @@ class HPolytope:
         verts = enumerate_vertices(self)
         if not verts:
             raise PolytopeError("empty polytope")
-        v0 = verts[0][0]
-        diffs = [[p[i] - v0[i] for i in range(self.n)] for p, _ in verts[1:]]
-        # full-dimensional iff the vertex differences span R^n
-        r = _rational_rank(diffs) if diffs else 0
-        if r < self.n:
+        # full-dimensional iff no facet is tight on all of P, i.e. at every vertex
+        if frozenset.intersection(*(active for _, active in verts)):
             raise PolytopeError("polytope is not full-dimensional")
 
     @property
@@ -82,37 +77,25 @@ class HPolytope:
         )
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    r = 0
-    n = len(m[0]) if m else 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
+def _kernel(normals: Sequence[IntVec], n: int) -> list[IntVec]:
+    """Z-basis of the lattice vectors orthogonal to every normal; Z^n when there are none."""
+    if not normals:
+        return [tuple(row) for row in identity_matrix(n)]
+    return integer_kernel_basis(normals)
 
 
 def _check_bounded(normals: Sequence[IntVec], n: int) -> None:
     """The recession cone {x : <x, a_i> <= 0 for all i} must be {0}."""
-    if rank([list(a) for a in normals]) < n:
+    if rank(normals) < n:
         raise PolytopeError("unbounded polytope: normals do not span")
-    for subset in itertools.combinations(range(len(normals)), n - 1):
-        sub = [list(normals[i]) for i in subset]
-        if rank(sub) != n - 1:
+    # every extreme ray of the cone is the kernel line of n - 1 normals
+    for subset in itertools.combinations(normals, n - 1):
+        kern = _kernel(subset, n)
+        if len(kern) != 1:
             continue
-        for ray in integer_kernel_basis(sub) or []:
-            for d in (ray, tuple(-x for x in ray)):
-                if all(dot(d, a) <= 0 for a in normals):
-                    raise PolytopeError(f"unbounded polytope: recession ray {d}")
+        for d in (kern[0], tuple(-x for x in kern[0])):
+            if all(dot(d, a) <= 0 for a in normals):
+                raise PolytopeError(f"unbounded polytope: recession ray {d}")
 
 
 @dataclass(frozen=True)
@@ -183,8 +166,7 @@ def face_lattice(P: HPolytope) -> list[Face]:
     out = []
     for act in faces:
         vlist = tuple(p for p, va in verts if va >= act)
-        sub = [list(P.normals[i]) for i in sorted(act)]
-        dim = P.n - (rank(sub) if sub else 0)
+        dim = P.n - rank([P.normals[i] for i in sorted(act)])
         out.append(Face(act, dim, vlist))
     return sorted(out, key=lambda f: (f.dim, sorted(f.active)))
 
@@ -202,8 +184,7 @@ def edge_vectors_at_vertex(P: HPolytope, v: Sequence[Fraction]) -> list[IntVec]:
         raise PolytopeError(f"vertex {v} is not simple: {len(active)} active facets")
     cols = []
     for j, fj in enumerate(active):
-        others = [list(P.normals[f]) for k, f in enumerate(active) if k != j]
-        kern = integer_kernel_basis(others) if others else [tuple(1 if i == 0 else 0 for i in range(P.n))]
+        kern = _kernel([P.normals[f] for k, f in enumerate(active) if k != j], P.n)
         if len(kern) != 1:
             raise PolytopeError(f"degenerate edge at vertex {v}")
         u = kern[0]
@@ -305,27 +286,12 @@ def characteristic_subtorus(P: HPolytope, F: Face) -> Subtorus:
 def in_subtorus(gens: Sequence[IntVec], delta: Sequence[Fraction], n: int) -> bool:
     """Is delta (mod Z^n) in the subtorus spanned by the generator columns?
 
-    Decides existence of real phi and integer m with delta = G phi + m by
-    eliminating phi: with C an integer basis of the left kernel of G, the
-    condition is C delta in C Z^n, checked by an exact lattice solve.
+    Decides existence of real phi and integer m with delta = G phi + m.
+    The rows of a Z-basis C of the left kernel of G cut out span_R(G), and
+    C extends to a unimodular matrix, so C maps Z^n onto Z^k: the condition
+    is C delta in C Z^n = Z^k, that is, C delta is integral.
     """
-    if not gens:
-        C = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    else:
-        # left kernel of the column matrix G = kernel of the row matrix of generators
-        C = [list(v) for v in integer_kernel_basis([list(g) for g in gens])]
-        if not C:
-            return True  # generators span R^n: full torus
-    e = [sum(Fraction(C[i][j]) * delta[j] for j in range(n)) for i in range(len(C))]
-    # lattice generated by the columns of C (as a map Z^n -> Z^k)
-    H, _ = hnf(C)
-    basis_cols = [col for col in zip(*H) if any(col)]
-    A = [[Fraction(basis_cols[j][i]) for j in range(len(basis_cols))] for i in range(len(C))]
-    res = solve_rational(A, tuple(e))
-    if res.status == "none":
-        return False
-    assert res.status == "unique"
-    return all(x.denominator == 1 for x in res.solution)
+    return all(dot(c, delta).denominator == 1 for c in _kernel(gens, n))
 
 
 def points_equivalent(P: HPolytope, tp1: tuple[Sequence[Fraction], Sequence[Fraction]],

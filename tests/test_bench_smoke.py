@@ -16,19 +16,33 @@ sys.path.insert(0, BENCH)
 import workloads  # noqa: E402
 
 
+def _check_items(w, items):
+    assert items
+    for item in items:
+        status, why = w.check(item, w.run(item))
+        assert status == "ok", why
+
+
 # lift-corpus runs its first 50 items (family curves and two of high
-# valuation), which keeps this file near 3 s
+# valuation), which keeps this file near 4.5 s
 @pytest.mark.parametrize("name,limit", [
     ("lift-corpus", 50),
     ("surface-oracle", None),
-    ("polytope-ladder", 3),
     ("cli-mix", 3),
 ])
 def test_workload_pass(name, limit, tmp_path):
     w = workloads.WORKLOADS[name]()
     w.setup(1, str(tmp_path))
-    items = w.next_pass()[:limit]
-    assert items
-    for item in items:
-        status, why = w.check(item, w.run(item))
-        assert status == "ok", why
+    _check_items(w, w.next_pass()[:limit])
+
+
+def test_ladder_each_dimension(tmp_path):
+    # the first product of each dimension n = 2..5 meets its known vertex,
+    # face and |det| = 2 counts; the whole pass of 40 products takes about 4 s
+    w = workloads.WORKLOADS["polytope-ladder"]()
+    w.setup(1, str(tmp_path))
+    first = {}
+    for item in w.next_pass():
+        first.setdefault(item.n, item)
+    assert sorted(first) == [2, 3, 4, 5]
+    _check_items(w, list(first.values()))

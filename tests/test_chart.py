@@ -3,17 +3,23 @@ from fractions import Fraction
 
 import pytest
 
+from toriclift import catalog
 from toriclift.chart import (
     CircleEmbedding,
     from_chart,
-    local_moment_image,
     local_weights,
     make_chart,
     q_set,
     to_chart,
 )
-from toriclift.exactmath import dot
-from toriclift.polytope import PolytopeError, enumerate_vertices
+from toriclift.exactmath import dot, identity_matrix, mat_mul
+from toriclift.polytope import (
+    PolytopeError,
+    enumerate_vertices,
+    face_lattice,
+    minimal_face,
+    validate_delzant,
+)
 
 F = Fraction
 
@@ -45,8 +51,20 @@ class TestMakeChart:
             make_chart(cp2, (F(1), F(0)))
 
     def test_bad_vertex_rejected(self, bad_triangle):
-        with pytest.raises(PolytopeError, match="det"):
+        with pytest.raises(PolytopeError, match=r"\|det U\| = 2"):
             make_chart(bad_triangle, (F(1), F(0)))
+
+    @pytest.mark.parametrize("P", [
+        *(build() for build in catalog.CATALOG.values()),
+        catalog.box([2, 1, F(3, 2)]),
+    ], ids=[*catalog.CATALOG, "box3"])
+    def test_inverse_exact_at_every_delzant_vertex(self, P):
+        for verdict in validate_delzant(P).verdicts:
+            if not verdict.smooth:
+                continue
+            ch = make_chart(P, verdict.vertex)
+            U = [[ch.columns[j][i] for j in range(P.n)] for i in range(P.n)]
+            assert mat_mul(U, ch.inverse) == identity_matrix(P.n)
 
 
 class TestCoordinateMaps:
@@ -96,64 +114,38 @@ class TestLocalWeights:
                     assert local_weights(ch, rho) == tuple(dot(u, rho.K) for u in ch.columns)
 
 
-class TestLocalMomentImage:
-    def test_origin_identity(self, cp2):
-        ch = make_chart(cp2, (F(0), F(0)))
-        assert local_moment_image(ch, (F(1, 2), F(3, 2))) == (F(1, 2), F(3, 2))
-
-    def test_far_vertex_example(self, cp2):
-        ch = make_chart(cp2, (F(3), F(0)))
-        img = local_moment_image(ch, to_chart(ch, (F(1), F(3, 2))))
-        assert img == (F(1), F(3, 2))
-
-    def test_negative_rejected(self, cp2):
-        ch = make_chart(cp2, (F(0), F(0)))
-        with pytest.raises(ValueError):
-            local_moment_image(ch, (F(-1), F(0)))
-
-
 class TestQSet:
     def test_vertex_itself_empty(self, cp2):
         ch = make_chart(cp2, (F(0), F(0)))
-        assert q_set(ch, (F(0), F(0))) == frozenset()
+        assert q_set(ch, minimal_face(cp2, (F(0), F(0)))) == frozenset()
 
     def test_edge_point(self, cp2):
         # (1, 0) sits on the facet with normal (0, -1); the x-edge spans it
         ch = make_chart(cp2, (F(0), F(0)))
-        assert q_set(ch, (F(1), F(0))) == frozenset({0})
+        assert q_set(ch, minimal_face(cp2, (F(1), F(0)))) == frozenset({0})
 
     def test_other_edge(self, cp2):
         ch = make_chart(cp2, (F(0), F(0)))
-        assert q_set(ch, (F(0), F(2))) == frozenset({1})
+        assert q_set(ch, minimal_face(cp2, (F(0), F(2)))) == frozenset({1})
 
     def test_interior_rejected(self, cp2):
         ch = make_chart(cp2, (F(0), F(0)))
         with pytest.raises(PolytopeError):
-            q_set(ch, (F(1), F(1)))
+            q_set(ch, minimal_face(cp2, (F(1), F(1))))
 
     def test_wrong_chart_rejected(self, cp2):
         # the diagonal facet does not touch the origin vertex
         ch = make_chart(cp2, (F(0), F(0)))
         with pytest.raises(PolytopeError, match="re-chart"):
-            q_set(ch, (F(3, 2), F(3, 2)))
+            q_set(ch, minimal_face(cp2, (F(3, 2), F(3, 2))))
 
     def test_size_matches_face_dimension(self, cp2, hirzebruch):
-        from toriclift.polytope import face_lattice
-
         for P in (cp2, hirzebruch):
             for f in face_lattice(P):
-                if not f.active or not f.vertices:
+                if not f.active:
                     continue
-                # midpoint of the face's vertex barycenter is in its interior
-                # for these simple 2-d examples when dim >= 1
-                v0 = f.vertices[0]
-                ch = make_chart(P, v0)
-                if f.dim == 0:
-                    probe = v0
-                else:
-                    m = len(f.vertices)
-                    probe = tuple(sum(v[i] for v in f.vertices) / m for i in range(P.n))
-                assert len(q_set(ch, probe)) == f.dim
+                ch = make_chart(P, f.vertices[0])
+                assert len(q_set(ch, f)) == f.dim
 
 
 class TestPairingInvariance:

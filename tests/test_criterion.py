@@ -233,7 +233,7 @@ class TestCheckLift:
     def test_malformed_endpoint_input_raises(self, cp2):
         with pytest.raises(PolytopeError):
             check_lift(cp2, DIAG, DIAG_IV, K11, chart_vertices=((F(3), F(0)), None))
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="empty parameter interval"):
             check_lift(cp2, DIAG, (F(1), F(1)), K11)
 
     def test_verdict_in_dict(self, cp2):

@@ -1,20 +1,21 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toriclift.exactmath import (
-    det_and_unimodular,
     hnf,
     int_det,
+    integer_kernel_basis,
     isolate_root,
     mat_mul,
     poly_eval,
     poly_mul,
     primitive,
+    rank,
+    saturation_index,
     solve_rational,
     sturm_count,
 )
@@ -72,13 +73,41 @@ class TestHnf:
         assert [H[0][1], H[1][1]] == [0, 0]
 
 
+class TestRank:
+    def test_full_rank(self):
+        assert rank([[2, 1, 0], [0, 1, 1], [1, 0, 3]]) == 3
+        assert rank([[1, 0, 0], [0, 1, 0]]) == 2
+
+    def test_deficient(self):
+        assert rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+        assert rank([[1, 2], [2, 4], [-3, -6]]) == 1
+
+    def test_zero_matrix(self):
+        assert rank([[0, 0, 0], [0, 0, 0]]) == 0
+
+
+class TestIntegerKernelBasis:
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=1, max_size=3)))
+    @example([[2, 1, 1]])  # scaled rational null vectors span an index-2 sublattice
+    @example([[1, 2, 3], [2, 4, 6]])
+    @example([[0, 0, 0]])
+    @settings(max_examples=100, deadline=None)
+    def test_saturated_basis(self, A):
+        basis = integer_kernel_basis(A)
+        assert len(basis) == len(A[0]) - rank(A)
+        assert all(mat_mul(A, [[x] for x in v]) == [[0]] * len(A) for v in basis)
+        # index 1: a Z-basis of the integer kernel, not scaled null vectors
+        assert saturation_index(basis) == 1
+
+
 class TestDet:
     def test_identity(self):
-        assert det_and_unimodular([[1, 0], [0, 1]]) == (1, True)
+        assert int_det([[1, 0], [0, 1]]) == 1
 
     def test_examples(self):
-        assert det_and_unimodular([[1, 0], [1, 2]]) == (2, False)
-        assert det_and_unimodular([[-1, 1], [-1, 0]]) == (1, True)
+        assert int_det([[1, 0], [1, 2]]) == 2
+        assert int_det([[-1, 1], [-1, 0]]) == 1
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

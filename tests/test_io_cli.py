@@ -221,6 +221,11 @@ class TestCli:
         empty = curve("empty.json", domain=["1", "1"])
         assert main(["lift-check", cp2_file, empty]) == 3
 
+    def test_validate_half_line_unbounded(self, tmp_path, capsys):
+        half_line = write_json(tmp_path, "half.json", {"n": 1, "facets": [{"normal": [1], "offset": "0"}]})
+        assert main(["validate", half_line]) == 3
+        assert capsys.readouterr().err.startswith("error: unbounded polytope")
+
     def test_missing_file_usage_error(self, capsys):
         assert main(["validate", "/no/such/file.json"]) == 3
 

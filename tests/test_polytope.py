@@ -28,6 +28,19 @@ class TestConstruction:
         with pytest.raises(PolytopeError, match="unbounded"):
             HPolytope(2, ((-1, 0), (0, -1)), (F(0), F(0)))
 
+    def test_half_line_unbounded(self):
+        # {x <= 0}: no n - 1 = 0 normals leave all of Z^1 as the kernel
+        with pytest.raises(PolytopeError, match=r"unbounded polytope: recession ray \(-1,\)"):
+            HPolytope(1, ((1,),), (F(0),))
+
+    @pytest.mark.parametrize("normals,offsets", [
+        (((1, 0), (-1, 0), (0, 1), (0, -1)), (1, 0, 0, 0)),  # segment [0, 1] x {0}
+        (((1, 0), (0, 1), (-1, -1)), (0, 0, 0)),  # the single point 0
+    ], ids=["segment", "point"])
+    def test_not_full_dimensional_rejected(self, normals, offsets):
+        with pytest.raises(PolytopeError, match="not full-dimensional"):
+            HPolytope(2, normals, offsets)
+
     def test_non_primitive_normal_rejected(self):
         with pytest.raises(PolytopeError, match="primitive"):
             HPolytope(2, ((-2, 0), (0, -1), (2, 2)), (F(0), F(0), F(3)))
