@@ -149,6 +149,7 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     a, b = interval
     if not a < b:
         raise ValueError("build_graph: empty parameter interval")
+    _check_dimensions(P, gamma, circle, (chart_vertex,))
     e = a if endpoint == 0 else b
     sign = 1 if endpoint == 0 else -1
     v1 = curve_eval(gamma, e)
@@ -203,6 +204,16 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     # coordinates are positive there and the rest vanish
     assert all((_coeff(x[pos - 1], 0) > 0) == (pos in Q) for pos in range(2, n + 1))
     return CurveGraph(chart, circle, param, others, x, k, Q, b - a)
+
+
+def _check_dimensions(P: HPolytope, gamma: Curve, circle: CircleEmbedding,
+                      chart_vertices: Sequence[Optional[Sequence[Fraction]]]) -> None:
+    """Raise ValueError unless the curve, the circle and each given chart vertex have n entries."""
+    sizes = [("the curve", len(gamma)), ("the circle", len(circle.K))]
+    sizes += [(f"chart vertex {_fmt_point(o)}", len(o)) for o in chart_vertices if o is not None]
+    wrong = [f"{name} has length {size}" for name, size in sizes if size != P.n]
+    if wrong:
+        raise ValueError(f"the polytope has dimension {P.n}, but {' and '.join(wrong)}")
 
 
 def _coeff(p: RatPoly, i: int) -> Fraction:
@@ -342,6 +353,7 @@ def check_lift(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmb
     """Full criterion: containment, transversality, both endpoint analyses."""
     if not interval[0] < interval[1]:
         raise ValueError("check_lift: empty parameter interval")
+    _check_dimensions(P, gamma, circle, chart_vertices)
     gamma = [poly_trim([Fraction(c) for c in coeffs]) for coeffs in gamma]
     reports = [check_interior(P, gamma, interval), check_transversality(gamma, circle, interval)]
     for ep in (0, 1):

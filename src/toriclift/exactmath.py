@@ -8,14 +8,12 @@ Integer matrices are lists of rows; where a function speaks of "columns"
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence
+from math import gcd, prod
+from typing import Sequence
 
 IntVec = tuple[int, ...]
 IntMatrix = list[list[int]]
-RatVec = tuple[Fraction, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -172,86 +170,17 @@ def saturation_index(cols: Sequence[IntVec]) -> int:
     """Index of span_Z(cols) inside its real-span lattice.
 
     Equals the gcd of all maximal minors; 1 means the columns extend to a
-    Z-basis of Z^n.  Requires the columns to be linearly independent.
+    Z-basis of Z^n.  Column operations keep that gcd, so it is the product
+    of the pivots of the Hermite form [L | 0] of the matrix whose rows are
+    the columns.  Requires the columns to be linearly independent.
     """
     k = len(cols)
     if k == 0:
         return 1
-    n = len(cols[0])
-    g = 0
-    for rows_idx in itertools.combinations(range(n), k):
-        minor = int_det([[cols[j][i] for j in range(k)] for i in rows_idx])
-        g = gcd(g, abs(minor))
-    if g == 0:
+    H, _ = hnf(cols)
+    if k > len(H[0]) or H[k - 1][k - 1] == 0:
         raise ValueError("saturation_index: columns are linearly dependent")
-    return g
-
-
-# ---------------------------------------------------------------------------
-# rational linear algebra
-
-
-class SolveResult:
-    """Outcome of solving A x = b over the rationals."""
-
-    def __init__(self, status: str, solution: Optional[RatVec], nullspace: list[RatVec]):
-        self.status = status  # 'unique' | 'none' | 'underdetermined'
-        self.solution = solution
-        self.nullspace = nullspace
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SolveResult({self.status}, {self.solution}, {self.nullspace})"
-
-
-def solve_rational(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> SolveResult:
-    """Gaussian elimination over Q with full diagnostics.
-
-    Returns a unique solution, reports inconsistency, or returns a
-    particular solution plus a nullspace basis when underdetermined.
-    """
-    m = len(A)
-    if len(b) != m:
-        raise ValueError("solve_rational: dimension mismatch")
-    n = len(A[0]) if m else 0
-    if any(len(row) != n for row in A):
-        raise ValueError("solve_rational: ragged matrix")
-
-    M = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(A, b)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        pr = next((i for i in range(row, m) if M[i][col] != 0), None)
-        if pr is None:
-            continue
-        M[row], M[pr] = M[pr], M[row]
-        pv = M[row][col]
-        M[row] = [x / pv for x in M[row]]
-        for i in range(m):
-            if i != row and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if M[i][n] != 0:
-            return SolveResult("none", None, [])
-
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        sol[col] = M[r][n]
-    free = [c for c in range(n) if c not in pivots]
-    null = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -M[r][fc]
-        null.append(tuple(v))
-    if not free:
-        return SolveResult("unique", tuple(sol), [])
-    return SolveResult("underdetermined", tuple(sol), null)
+    return prod(H[i][i] for i in range(k))
 
 
 # ---------------------------------------------------------------------------

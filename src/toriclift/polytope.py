@@ -2,9 +2,12 @@
 the characteristic subtorus map, and the quotient identification rule.
 
 A polytope is {x : <x, normal_i> <= offset_i} with primitive integer
-normals and rational offsets.  All enumeration is brute force over facet
-subsets, which is exact and fast at desk scale (n <= 4, a few dozen
-facets).
+normals and rational offsets.  Its combinatorics is read from the vertex
+active sets: the vertices are the points of P where n facets with
+independent normals meet (every n-subset is tried, each solved through
+its Hermite form), and the faces are the intersections of vertex active
+sets.  Vertices, the face lattice and the faces looked up by
+`minimal_face` are computed once per polytope and kept on it.
 """
 
 from __future__ import annotations
@@ -12,19 +15,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exactmath import (
     IntVec,
     dot,
+    hnf,
     identity_matrix,
     int_det,
     integer_kernel_basis,
     primitive,
     rank,
     saturation_index,
-    solve_rational,
 )
 
 Point = tuple[Fraction, ...]
@@ -57,6 +59,10 @@ class HPolytope:
         if len(set(self.normals)) != len(self.normals):
             raise PolytopeError("duplicate facet normal")
         _check_bounded(self.normals, self.n)
+        # memos of enumerate_vertices, face_lattice and _face
+        object.__setattr__(self, "_vertices", None)
+        object.__setattr__(self, "_lattice", None)
+        object.__setattr__(self, "_faces", {})
         verts = enumerate_vertices(self)
         if not verts:
             raise PolytopeError("empty polytope")
@@ -118,57 +124,56 @@ class Subtorus:
         return len(self.generators)
 
 
-@lru_cache(maxsize=None)
 def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
-    """All vertices with their full active facet sets, sorted lexicographically."""
-    seen: dict[Point, frozenset[int]] = {}
-    for subset in itertools.combinations(range(P.d), P.n):
-        A = [[Fraction(x) for x in P.normals[i]] for i in subset]
-        b = tuple(P.offsets[i] for i in subset)
-        res = solve_rational(A, b)
-        if res.status != "unique":
-            continue
-        p = res.solution
-        if not P.contains(p):
-            continue
-        seen.setdefault(p, P.tight_facets(p))
-    return sorted(seen.items())
+    """All vertices with their full active facet sets, sorted lexicographically.
+
+    n facets meet in one point exactly when the Hermite form H = A U of
+    their normals has a nonzero last column; then H is lower triangular
+    with positive pivots, H y = b is solved by forward substitution, and
+    the point is x = U y.
+    """
+    if P._vertices is None:
+        seen: dict[Point, frozenset[int]] = {}
+        for subset in itertools.combinations(range(P.d), P.n):
+            H, U = hnf([P.normals[i] for i in subset])
+            if H[-1][-1] == 0:
+                continue  # dependent normals
+            y: list[Fraction] = []
+            for i, row in zip(subset, H):
+                y.append((P.offsets[i] - sum(h * yj for h, yj in zip(row, y))) / row[len(y)])
+            p = tuple(sum(u * yj for u, yj in zip(urow, y)) for urow in U)
+            if p not in seen and P.contains(p):
+                seen[p] = P.tight_facets(p)
+        object.__setattr__(P, "_vertices", sorted(seen.items()))
+    return P._vertices
 
 
-@lru_cache(maxsize=None)
+def _face(P: HPolytope, active: frozenset[int]) -> Face:
+    """The face whose active facet set is `active`, which must be one."""
+    face = P._faces.get(active)
+    if face is None:
+        dim = P.n - rank([P.normals[i] for i in sorted(active)])
+        vertices = tuple(p for p, va in P._vertices if va >= active)  # set in __post_init__
+        face = P._faces[active] = Face(active, dim, vertices)
+    return face
+
+
 def face_lattice(P: HPolytope) -> list[Face]:
     """Every face of every dimension, including P itself and the vertices.
 
-    Faces are the closures of vertex active-sets under intersection,
-    canonicalized so each face carries the maximal facet set shared by its
-    vertices.
+    The active set of the smallest face containing two faces is the
+    intersection of their active sets, so the faces are exactly the
+    intersections of vertex active sets, simple vertices or not; P itself
+    is the intersection of all of them, which is empty.  One pass over the
+    vertices collects them.
     """
-    verts = enumerate_vertices(P)
-    vsets = [act for _, act in verts]
-
-    def canonical(A: frozenset[int]) -> frozenset[int]:
-        members = [act for act in vsets if act >= A]
-        out = members[0]
-        for m in members[1:]:
-            out &= m
-        return out
-
-    faces: set[frozenset[int]] = {canonical(a) for a in vsets}
-    faces.add(canonical(frozenset()))
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(faces), 2):
-            c = canonical(a & b)
-            if c not in faces:
-                faces.add(c)
-                changed = True
-    out = []
-    for act in faces:
-        vlist = tuple(p for p, va in verts if va >= act)
-        dim = P.n - rank([P.normals[i] for i in sorted(act)])
-        out.append(Face(act, dim, vlist))
-    return sorted(out, key=lambda f: (f.dim, sorted(f.active)))
+    if P._lattice is None:
+        sets: set[frozenset[int]] = set()
+        for _, act in enumerate_vertices(P):
+            sets |= {act & f for f in sets} | {act}
+        faces = sorted((_face(P, act) for act in sets), key=lambda f: (f.dim, sorted(f.active)))
+        object.__setattr__(P, "_lattice", faces)
+    return P._lattice
 
 
 def edge_vectors_at_vertex(P: HPolytope, v: Sequence[Fraction]) -> list[IntVec]:
@@ -260,15 +265,11 @@ def validate_quasitoric(P: HPolytope, facet_vectors: Sequence[Sequence[int]],
 
 
 def minimal_face(P: HPolytope, r: Sequence[Fraction]) -> Face:
-    """The face containing r in its relative interior."""
+    """The face containing r in its relative interior: its active set is the facets tight at r."""
     r = tuple(Fraction(x) for x in r)
     if not P.contains(r):
         raise PolytopeError(f"point {r} outside the polytope")
-    active = P.tight_facets(r)
-    for f in face_lattice(P):
-        if f.active == active:
-            return f
-    raise AssertionError("tight facet set of an interior point must be a face")
+    return _face(P, P.tight_facets(r))
 
 
 def characteristic_subtorus(P: HPolytope, F: Face) -> Subtorus:
@@ -303,6 +304,9 @@ def points_equivalent(P: HPolytope, tp1: tuple[Sequence[Fraction], Sequence[Frac
     """
     t1, r1 = tp1
     t2, r2 = tp2
+    for name, x in (("r1", r1), ("r2", r2), ("t1", t1), ("t2", t2)):
+        if len(x) != P.n:
+            raise PolytopeError(f"{name} has length {len(x)}, the polytope has dimension {P.n}")
     r1 = tuple(Fraction(x) for x in r1)
     r2 = tuple(Fraction(x) for x in r2)
     for r in (r1, r2):
@@ -313,6 +317,4 @@ def points_equivalent(P: HPolytope, tp1: tuple[Sequence[Fraction], Sequence[Frac
     F = minimal_face(P, r1)
     sub = characteristic_subtorus(P, F)
     delta = tuple(Fraction(a) - Fraction(b) for a, b in zip(t1, t2))
-    if len(delta) != P.n:
-        raise PolytopeError("torus point of wrong dimension")
     return in_subtorus(sub.generators, delta, P.n)

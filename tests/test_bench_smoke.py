@@ -37,12 +37,13 @@ def test_workload_pass(name, limit, tmp_path):
 
 
 def test_ladder_each_dimension(tmp_path):
-    # the first product of each dimension n = 2..5 meets its known vertex,
-    # face and |det| = 2 counts; the whole pass of 40 products takes about 4 s
+    # the first product of every rung, P6xP4xI included, meets its known
+    # vertex, face and |det| = 2 counts
     w = workloads.WORKLOADS["polytope-ladder"]()
     w.setup(1, str(tmp_path))
     first = {}
     for item in w.next_pass():
-        first.setdefault(item.n, item)
-    assert sorted(first) == [2, 3, 4, 5]
+        first.setdefault(item.name, item)
+    assert len(first) == 13 and sorted({item.n for item in first.values()}) == [2, 3, 4, 5]
+    assert "P6xP4xI" in first
     _check_items(w, list(first.values()))

@@ -236,6 +236,19 @@ class TestCheckLift:
         with pytest.raises(ValueError, match="empty parameter interval"):
             check_lift(cp2, DIAG, (F(1), F(1)), K11)
 
+    @pytest.mark.parametrize("gamma,K,charts,message", [
+        ([poly(0, 1), poly(0, 1), poly(0, 1)], K11, (None, None), "the curve has length 3"),
+        ([poly(0, 1)], K11, (None, None), "the curve has length 1"),
+        (DIAG, CircleEmbedding((1, 1, 0)), (None, None), "the circle has length 3"),
+        (DIAG, K11, (None, (F(3, 2), F(3, 2), F(0))), r"chart vertex \(3/2, 3/2, 0\) has length 3"),
+    ], ids=["curve-3", "curve-1", "circle-3", "chart-vertex-3"])
+    def test_wrong_dimension_raises(self, cp2, gamma, K, charts, message):
+        # the polytope is a plane one: every size is checked before any work
+        with pytest.raises(ValueError, match="the polytope has dimension 2, but " + message):
+            check_lift(cp2, gamma, DIAG_IV, K, chart_vertices=charts)
+        with pytest.raises(ValueError, match=message):
+            build_graph(cp2, gamma, DIAG_IV, 1, K, charts[1])
+
     def test_verdict_in_dict(self, cp2):
         d = check_lift(cp2, DIAG, DIAG_IV, K11).to_dict()
         assert d["verdict"] == "accept"

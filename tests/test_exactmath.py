@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,6 @@ from toriclift.exactmath import (
     primitive,
     rank,
     saturation_index,
-    solve_rational,
     sturm_count,
 )
 
@@ -101,6 +102,30 @@ class TestIntegerKernelBasis:
         assert saturation_index(basis) == 1
 
 
+class TestSaturationIndex:
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=1, max_size=n)))
+    @example([[2, 1]])  # pivot 2 in the first row, but the minors are 2 and 1
+    @example([[2, 0, 0], [0, 2, 0]])
+    @example([[1, 2, 3], [2, 4, 6]])
+    @settings(max_examples=200, deadline=None)
+    def test_gcd_of_maximal_minors(self, cols):
+        k, n = len(cols), len(cols[0])
+        g = 0
+        for rows in itertools.combinations(range(n), k):
+            g = gcd(g, abs(brute_det([[c[i] for c in cols] for i in rows])))
+        if g == 0:
+            with pytest.raises(ValueError, match="linearly dependent"):
+                saturation_index(cols)
+        else:
+            assert saturation_index(cols) == g
+
+    def test_empty_and_too_many(self):
+        assert saturation_index([]) == 1
+        with pytest.raises(ValueError, match="linearly dependent"):
+            saturation_index([(1, 0), (0, 1), (1, 1)])
+
+
 class TestDet:
     def test_identity(self):
         assert int_det([[1, 0], [0, 1]]) == 1
@@ -146,38 +171,6 @@ class TestPrimitive:
         for x in p:
             g = gcd(g, abs(x))
         assert g == 1
-
-
-class TestSolveRational:
-    def test_identity(self):
-        res = solve_rational([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
-                             (Fraction(3), Fraction(1, 2)))
-        assert res.status == "unique"
-        assert res.solution == (Fraction(3), Fraction(1, 2))
-
-    def test_inconsistent(self):
-        res = solve_rational([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
-                             (Fraction(1), Fraction(2)))
-        assert res.status == "none"
-
-    def test_chart_transform_example(self):
-        A = [[Fraction(-1), Fraction(-1)], [Fraction(0), Fraction(1)]]
-        b = (Fraction(-3, 2), Fraction(3, 2))
-        res = solve_rational(A, b)
-        assert res.status == "unique"
-        # substitute back
-        assert tuple(sum(A[i][j] * res.solution[j] for j in range(2)) for i in range(2)) == b
-
-    def test_underdetermined(self):
-        res = solve_rational([[Fraction(1), Fraction(1)]], (Fraction(2),))
-        assert res.status == "underdetermined"
-        assert len(res.nullspace) == 1
-        v = res.nullspace[0]
-        assert v[0] + v[1] == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_rational([[Fraction(1)]], (Fraction(1), Fraction(2)))
 
 
 class TestSturm:

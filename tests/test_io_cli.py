@@ -148,6 +148,14 @@ class TestCli:
         assert main(["equiv", cp2_file, "--r", "1,0",
                      "--t1", "1/4,7/10", "--t2", "9/10,7/10"]) == 1
 
+    @pytest.mark.parametrize("r,t1,t2,message", [
+        ("1,0", "1/4,7/10,5", "1/4,1/10", "t1 has length 3"),
+        ("1,0,0", "1/4,7/10", "1/4,1/10", "r1 has length 3"),
+    ], ids=["t1-3", "r-3"])
+    def test_equiv_wrong_dimension_usage_error(self, cp2_file, capsys, r, t1, t2, message):
+        assert main(["equiv", cp2_file, "--r", r, "--t1", t1, "--t2", t2]) == 3
+        assert capsys.readouterr().err == f"error: {message}, the polytope has dimension 2\n"
+
     def test_lift_check_accept(self, cp2_file, diag_curve_file, capsys):
         assert main(["lift-check", cp2_file, diag_curve_file]) == 0
         assert "verdict: accept" in capsys.readouterr().out
@@ -220,6 +228,22 @@ class TestCli:
         assert "error: chart vertex (3, 0)" in capsys.readouterr().err
         empty = curve("empty.json", domain=["1", "1"])
         assert main(["lift-check", cp2_file, empty]) == 3
+
+    @pytest.mark.parametrize("command,fields,message", [
+        ("lift-check", {"coords": [["0", "1"], ["0", "1"], ["0", "1"]]}, "the curve has length 3"),
+        ("lift-check", {"coords": [["0", "1"]]}, "the curve has length 1"),
+        ("lift-check", {"circle": [1, 1, 0]}, "the circle has length 3"),
+        ("sample", {"circle": [1, 1, 0]}, "the circle has length 3"),
+        ("sample", {"endpoints": [{"chart_vertex": ["0", "0", "0"]}]},
+         "chart vertex (0, 0, 0) has length 3"),
+    ], ids=["lift-curve-3", "lift-curve-1", "lift-circle-3", "sample-circle-3", "sample-chart-3"])
+    def test_wrong_dimension_usage_error(self, cp2_file, tmp_path, capsys, command, fields, message):
+        curve = write_json(tmp_path, "curve.json", dict(TestCurveFiles.GOOD, **fields))
+        argv = [command, cp2_file, curve]
+        if command == "sample":
+            argv += ["--out", str(tmp_path / "mesh.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: the polytope has dimension 2, but {message}\n"
 
     def test_validate_half_line_unbounded(self, tmp_path, capsys):
         half_line = write_json(tmp_path, "half.json", {"n": 1, "facets": [{"normal": [1], "offset": "0"}]})

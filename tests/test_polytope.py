@@ -1,3 +1,6 @@
+import gc
+import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,50 @@ F = Fraction
 
 def pts(vertex_list):
     return {tuple(map(F, v)) for v in vertex_list}
+
+
+def octahedron():
+    """|x| + |y| + |z| <= 1: every vertex lies on four facets."""
+    normals = list(itertools.product((1, -1), repeat=3))
+    return HPolytope(3, normals, [F(1)] * 8)
+
+
+def square_pyramid():
+    """Apex (0, 0, 1) on four facets over the base [-1, 1]^2 x {0}."""
+    return HPolytope(3, ((0, 0, -1), (1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)),
+                     (F(0), F(1), F(1), F(1), F(1)))
+
+
+NON_SIMPLE = {"octahedron": (octahedron, (6, 12, 8, 1)),
+              "square_pyramid": (square_pyramid, (5, 8, 5, 1))}
+
+
+def affine_dim(points):
+    """Dimension of the affine hull, by elimination over Q (independent of hnf)."""
+    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    r = 0
+    for col in range(len(points[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] / rows[r][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def brute_force_faces(P):
+    """Every facet subset tight at some vertex, made canonical by intersecting
+    the active sets of the vertices it is tight at."""
+    vsets = [act for _, act in enumerate_vertices(P)]
+    out = set()
+    for act in vsets:
+        for k in range(len(act) + 1):
+            for sub in itertools.combinations(sorted(act), k):
+                out.add(frozenset.intersection(*(a for a in vsets if a >= set(sub))))
+    return out
 
 
 class TestConstruction:
@@ -64,6 +111,16 @@ class TestVertices:
     def test_hirzebruch(self, hirzebruch):
         assert {p for p, _ in enumerate_vertices(hirzebruch)} == pts([(0, 0), (2, 0), (0, 1), (1, 1)])
 
+    def test_non_integral_vertex(self):
+        # x + 2y <= 1 and 2x + y <= 1 meet at (1/3, 1/3): the Hermite pivots are 1 and 3
+        P = HPolytope(2, ((1, 2), (2, 1), (-1, 0), (0, -1)), (F(1), F(1), F(0), F(0)))
+        assert dict(enumerate_vertices(P)) == {
+            (F(0), F(0)): frozenset({2, 3}),
+            (F(0), F(1, 2)): frozenset({0, 2}),
+            (F(1, 3), F(1, 3)): frozenset({0, 1}),
+            (F(1, 2), F(0)): frozenset({1, 3}),
+        }
+
     def test_active_sets_exact(self, cp2):
         for p, active in enumerate_vertices(cp2):
             for i, (a, lam) in enumerate(zip(cp2.normals, cp2.offsets)):
@@ -92,6 +149,60 @@ class TestFaceLattice:
         for P in (cp2, hirzebruch, catalog.cp3()):
             total = sum((-1) ** f.dim for f in face_lattice(P))
             assert total == 1
+
+
+class TestNonSimple:
+    @pytest.mark.parametrize("name", sorted(NON_SIMPLE))
+    def test_f_vector_and_euler(self, name):
+        make, f_vector = NON_SIMPLE[name]
+        faces = face_lattice(make())
+        assert tuple(sum(1 for f in faces if f.dim == d) for d in range(4)) == f_vector
+        assert sum((-1) ** f.dim for f in faces) == 1
+        assert len(faces) == sum(f_vector)
+
+    @pytest.mark.parametrize("name", sorted(NON_SIMPLE))
+    def test_delzant_flags_exactly_the_non_simple_vertices(self, name):
+        P = NON_SIMPLE[name][0]()
+        rep = validate_delzant(P)
+        non_simple = {v for v, act in enumerate_vertices(P) if len(act) > P.n}
+        assert {v.vertex for v in rep.verdicts if not v.simple} == non_simple
+        assert non_simple and not rep.ok
+
+    def test_pyramid_apex(self):
+        P = square_pyramid()
+        f = minimal_face(P, (F(0), F(0), F(1)))
+        assert f.active == frozenset({1, 2, 3, 4}) and f.dim == 0
+        assert f.vertices == ((F(0), F(0), F(1)),)
+        rep = validate_delzant(P)
+        assert [v.vertex for v in rep.verdicts if not v.simple] == [(F(0), F(0), F(1))]
+
+    @pytest.mark.parametrize("make", [
+        catalog.unit_square, catalog.hirzebruch, catalog.non_delzant_triangle,
+        lambda: catalog.cp2(3), catalog.cp3, lambda: catalog.box([2, 1, F(3, 2)]),
+        octahedron, square_pyramid,
+    ], ids=["square", "hirzebruch", "bad-triangle", "cp2", "cp3", "box3", "octahedron", "pyramid"])
+    def test_lattice_matches_brute_force(self, make):
+        P = make()
+        faces = face_lattice(P)
+        oracle = brute_force_faces(P)
+        assert {f.active for f in faces} == oracle and len(faces) == len(oracle)
+        for f in faces:
+            assert set(f.vertices) == {p for p, act in enumerate_vertices(P) if act >= f.active}
+            assert f.dim == affine_dim(f.vertices)
+            # the face at its barycentre is itself
+            bary = tuple(sum(v[j] for v in f.vertices) / len(f.vertices) for j in range(P.n))
+            assert minimal_face(P, bary) == f
+
+
+class TestMemo:
+    def test_dropped_polytope_is_freed(self):
+        P = catalog.box([F(5, 3), F(7, 4)])
+        face_lattice(P)
+        minimal_face(P, (F(0), F(1)))
+        ref = weakref.ref(P)
+        del P
+        gc.collect()
+        assert ref() is None
 
 
 class TestEdgeVectors:
@@ -233,6 +344,13 @@ class TestPointsEquivalent:
     def test_different_base_points(self, cp2):
         t = (F(0), F(0))
         assert not points_equivalent(cp2, ((t), (F(1), F(1))), ((t), (F(1), F(2))))
+
+    @pytest.mark.parametrize("which", ["r1", "r2", "t1", "t2"])
+    def test_wrong_dimension_rejected(self, cp2, which):
+        args = {"r1": (F(1), F(0)), "r2": (F(1), F(0)), "t1": (F(1, 4), F(7, 10)), "t2": (F(1, 4), F(1, 10))}
+        args[which] += (F(5),)
+        with pytest.raises(PolytopeError, match=f"{which} has length 3, the polytope has dimension 2"):
+            points_equivalent(cp2, (args["t1"], args["r1"]), (args["t2"], args["r2"]))
 
     def test_equivalence_relation_on_samples(self, cp2, square):
         torus_pts = [(F(a, 5), F(b, 4)) for a in range(3) for b in range(3)][:8]
