@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from . import io, surface
-from .criterion import GraphBuildReject, check_lift
+from . import io
+from .criterion import GraphBuildReject, build_graph, check_lift
 from .polytope import (
     PolytopeError,
     face_lattice,
@@ -141,7 +140,7 @@ def cmd_lift_check(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .criterion import build_graph
+    from . import surface  # the only numpy user, so no other subcommand loads it
 
     P = io.load_polytope(args.polytope)
     spec = io.load_curve(args.curve)

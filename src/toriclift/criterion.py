@@ -153,10 +153,11 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     e = a if endpoint == 0 else b
     sign = 1 if endpoint == 0 else -1
     v1 = curve_eval(gamma, e)
-    if not P.contains(v1):
+    try:
+        F = minimal_face(P, v1)
+    except PolytopeError:  # the only one minimal_face raises: v1 lies outside P
         raise GraphBuildReject("endpoint_outside_polytope",
-                               f"endpoint {_fmt_point(v1)} lies outside the polytope")
-    F = minimal_face(P, v1)
+                               f"endpoint {_fmt_point(v1)} lies outside the polytope") from None
     if not F.active:
         raise GraphBuildReject("endpoint_interior",
                                f"endpoint {_fmt_point(v1)} is not on the boundary")

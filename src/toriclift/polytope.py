@@ -74,13 +74,16 @@ class HPolytope:
     def d(self) -> int:
         return len(self.normals)
 
-    def contains(self, p: Sequence[Fraction]) -> bool:
-        return all(dot(p, a) <= lam for a, lam in zip(self.normals, self.offsets))
-
-    def tight_facets(self, p: Sequence[Fraction]) -> frozenset[int]:
-        return frozenset(
-            i for i, (a, lam) in enumerate(zip(self.normals, self.offsets)) if dot(p, a) == lam
-        )
+    def tight_facets(self, p: Sequence[Fraction]) -> Optional[frozenset[int]]:
+        """The facets tight at p, or None when p lies outside P: one pass of pairings."""
+        tight = []
+        for i, (a, lam) in enumerate(zip(self.normals, self.offsets)):
+            pairing = dot(p, a)
+            if pairing > lam:
+                return None
+            if pairing == lam:
+                tight.append(i)
+        return frozenset(tight)
 
 
 def _kernel(normals: Sequence[IntVec], n: int) -> list[IntVec]:
@@ -142,8 +145,8 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
             for i, row in zip(subset, H):
                 y.append((P.offsets[i] - sum(h * yj for h, yj in zip(row, y))) / row[len(y)])
             p = tuple(sum(u * yj for u, yj in zip(urow, y)) for urow in U)
-            if p not in seen and P.contains(p):
-                seen[p] = P.tight_facets(p)
+            if p not in seen and (active := P.tight_facets(p)) is not None:
+                seen[p] = active
         object.__setattr__(P, "_vertices", sorted(seen.items()))
     return P._vertices
 
@@ -184,7 +187,10 @@ def edge_vectors_at_vertex(P: HPolytope, v: Sequence[Fraction]) -> list[IntVec]:
     relaxed one.
     """
     v = tuple(Fraction(x) for x in v)
-    active = sorted(P.tight_facets(v))
+    tight = P.tight_facets(v)
+    if tight is None:
+        raise PolytopeError(f"point {v} outside the polytope")
+    active = sorted(tight)
     if len(active) != P.n:
         raise PolytopeError(f"vertex {v} is not simple: {len(active)} active facets")
     cols = []
@@ -251,6 +257,9 @@ def validate_quasitoric(P: HPolytope, facet_vectors: Sequence[Sequence[int]],
     if len(facet_vectors) != P.d:
         raise PolytopeError("one facet vector required per facet")
     vecs = [tuple(int(x) for x in v) for v in facet_vectors]
+    wrong = [f"facet vector {i} has length {len(v)}" for i, v in enumerate(vecs) if len(v) != P.n]
+    if wrong:
+        raise PolytopeError(f"the polytope has dimension {P.n}, but {' and '.join(wrong)}")
     dets = []
     ok = True
     for v, active in enumerate_vertices(P):
@@ -267,9 +276,10 @@ def validate_quasitoric(P: HPolytope, facet_vectors: Sequence[Sequence[int]],
 def minimal_face(P: HPolytope, r: Sequence[Fraction]) -> Face:
     """The face containing r in its relative interior: its active set is the facets tight at r."""
     r = tuple(Fraction(x) for x in r)
-    if not P.contains(r):
+    active = P.tight_facets(r)
+    if active is None:
         raise PolytopeError(f"point {r} outside the polytope")
-    return _face(P, P.tight_facets(r))
+    return _face(P, active)
 
 
 def characteristic_subtorus(P: HPolytope, F: Face) -> Subtorus:
@@ -309,12 +319,10 @@ def points_equivalent(P: HPolytope, tp1: tuple[Sequence[Fraction], Sequence[Frac
             raise PolytopeError(f"{name} has length {len(x)}, the polytope has dimension {P.n}")
     r1 = tuple(Fraction(x) for x in r1)
     r2 = tuple(Fraction(x) for x in r2)
-    for r in (r1, r2):
-        if not P.contains(r):
-            raise PolytopeError(f"point {r} outside the polytope")
+    F = minimal_face(P, r1)  # each minimal_face raises PolytopeError for a point outside P
     if r1 != r2:
+        minimal_face(P, r2)
         return False
-    F = minimal_face(P, r1)
     sub = characteristic_subtorus(P, F)
     delta = tuple(Fraction(a) - Fraction(b) for a, b in zip(t1, t2))
     return in_subtorus(sub.generators, delta, P.n)

@@ -174,36 +174,31 @@ def export_mesh(sample: SurfaceSample, fmt: str, path,
                 project: Sequence[int] = (0, 1, 2)) -> None:
     """Write the sample as CSV rows or as an OBJ mesh projected to 3 coords.
 
-    Output is byte-deterministic for identical inputs.
+    Each block of lines is formatted in one pass over the grid's float
+    list and written at once.  Output is byte-deterministic for identical
+    inputs.
     """
     nx, nt = sample.grid_shape
     if nx == 0 or nt == 0:
         raise SamplerError("empty grid")
     dim = sample.points.shape[2]
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            header = ["tau", "t"] + [f"p{i + 1}" for i in range(dim)]
-            fh.write(",".join(header) + "\n")
-            for ix in range(nx):
-                for it in range(nt):
-                    row = [sample.tau[ix], sample.t[it], *sample.points[ix, it]]
-                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        header = ",".join(["tau", "t"] + [f"p{i + 1}" for i in range(dim)]) + "\n"
+        rows = np.column_stack([np.repeat(sample.tau, nt), np.tile(sample.t, nx),
+                                sample.points.reshape(nx * nt, dim)])
+        row = ",".join(["%.17g"] * (dim + 2)) + "\n"
+        blocks = [header, row * (nx * nt) % tuple(rows.ravel().tolist())]
     elif fmt == "obj":
         if any(i < 0 or i >= dim for i in project) or len(project) != 3:
             raise SamplerError(f"projection {project} out of range for dimension {dim}")
-        with open(path, "w", newline="") as fh:
-            for ix in range(nx):
-                for it in range(nt):
-                    p = sample.points[ix, it]
-                    fh.write("v " + " ".join(f"{p[i]:.17g}" for i in project) + "\n")
-            # quad faces with wraparound in t; 1-based OBJ indices
-            for ix in range(nx - 1):
-                for it in range(nt):
-                    jt = (it + 1) % nt
-                    a = ix * nt + it + 1
-                    b = ix * nt + jt + 1
-                    c = (ix + 1) * nt + jt + 1
-                    d = (ix + 1) * nt + it + 1
-                    fh.write(f"f {a} {b} {c} {d}\n")
+        verts = sample.points[:, :, list(project)].ravel().tolist()
+        # quad faces with wraparound in t; 1-based OBJ indices
+        idx = np.arange(1, nx * nt + 1).reshape(nx, nt)
+        nxt = np.roll(idx, -1, axis=1)
+        quads = np.stack([idx[:-1], nxt[:-1], nxt[1:], idx[1:]], axis=-1).ravel().tolist()
+        blocks = ["v %.17g %.17g %.17g\n" * (nx * nt) % tuple(verts),
+                  "f %d %d %d %d\n" * ((nx - 1) * nt) % tuple(quads)]
     else:
         raise SamplerError(f"unknown mesh format {fmt!r}")
+    with open(path, "w", newline="") as fh:
+        fh.writelines(blocks)

@@ -24,7 +24,7 @@ def _check_items(w, items):
 
 
 # lift-corpus runs its first 50 items (family curves and two of high
-# valuation), which keeps this file near 4.5 s
+# valuation), which keeps this file near 3.5 s on a 2-core x86-64 VM
 @pytest.mark.parametrize("name,limit", [
     ("lift-corpus", 50),
     ("surface-oracle", None),

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -137,6 +140,19 @@ class TestCli:
         assert main(["quasitoric", cp2_file, bad]) == 1
         assert main(["quasitoric", cp2_file, bad, "--relax-sign"]) == 0
 
+    @pytest.mark.parametrize("vectors,message", [
+        ([[1, 0, 5], [0, 1, 7], [-1, 1, 9]],
+         "facet vector 0 has length 3 and facet vector 1 has length 3 and facet vector 2 has length 3"),
+        ([[1], [0], [-1]],
+         "facet vector 0 has length 1 and facet vector 1 has length 1 and facet vector 2 has length 1"),
+    ], ids=["too-long", "too-short"])
+    def test_quasitoric_vector_length_usage_error(self, cp2_file, tmp_path, capsys, vectors, message):
+        vecs = write_json(tmp_path, "v.json", {"vectors": vectors})
+        assert main(["quasitoric", cp2_file, vecs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the polytope has dimension 2, but {message}\n"
+
     def test_faces(self, cp2_file, capsys):
         assert main(["faces", cp2_file, "--json"]) == 0
         faces = json.loads(capsys.readouterr().out)["faces"]
@@ -272,3 +288,39 @@ def _mul(p, q):
     from toriclift.exactmath import poly_mul
 
     return poly_mul(p, q)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Runs the exact subcommands in one fresh interpreter, then `sample`, and
+# prints the exit codes and which of numpy and toriclift.surface were loaded
+# after each stage.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from toriclift.cli import main
+
+polytope, curve, vectors, mesh = sys.argv[1:]
+loaded = lambda: [name in sys.modules for name in ("numpy", "toriclift.surface")]
+with contextlib.redirect_stdout(io.StringIO()):
+    exact = [main(["validate", polytope]), main(["faces", polytope]),
+             main(["quasitoric", polytope, vectors]),
+             main(["equiv", polytope, "--r=1,0", "--t1=0,0", "--t2=0,1/2"]),
+             main(["lift-check", polytope, curve])]
+    after_exact = loaded()
+    sample = main(["sample", polytope, curve, "--nx", "3", "--nt", "4", "--out", mesh])
+print(json.dumps({"exact": exact, "after_exact": after_exact, "sample": sample, "after_sample": loaded()}))
+"""
+
+
+def test_only_sample_loads_numpy(cp2_file, diag_curve_file, tmp_path):
+    vecs = write_json(tmp_path, "v.json", {"vectors": [[1, 0], [0, 1], [-1, 1]]})
+    mesh = tmp_path / "mesh.obj"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, cp2_file, diag_curve_file, vecs, str(mesh)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["exact"] == [0, 0, 0, 0, 0]
+    assert got["after_exact"] == [False, False]
+    assert got["sample"] == 0 and got["after_sample"] == [True, True]
+    assert mesh.read_text().count("\nf ") == 2 * 4

@@ -213,6 +213,10 @@ class TestEdgeVectors:
         cols = edge_vectors_at_vertex(cp2, (F(3), F(0)))
         assert set(cols) == {(-1, 0), (-1, 1)}
 
+    def test_outside_point_rejected(self, cp2):
+        with pytest.raises(PolytopeError, match="outside the polytope"):
+            edge_vectors_at_vertex(cp2, (F(4), F(0)))
+
     def test_hirzebruch_top_vertex(self, hirzebruch):
         cols = edge_vectors_at_vertex(hirzebruch, (F(1), F(1)))
         assert set(cols) == {(-1, 0), (1, -1)}
@@ -278,6 +282,16 @@ class TestQuasitoric:
         with pytest.raises(PolytopeError):
             validate_quasitoric(cp2, [(1, 0)])
 
+    @pytest.mark.parametrize("vectors,message", [
+        ([(1, 0, 5), (0, 1, 7), (-1, 1, 9)],
+         "facet vector 0 has length 3 and facet vector 1 has length 3 and facet vector 2 has length 3"),
+        ([(1, 0), (0,), (-1, 1)], "facet vector 1 has length 1"),
+    ], ids=["too-long", "too-short"])
+    def test_vector_length_mismatch(self, cp2, vectors, message):
+        with pytest.raises(PolytopeError) as exc:
+            validate_quasitoric(cp2, vectors)
+        assert str(exc.value) == f"the polytope has dimension 2, but {message}"
+
 
 class TestMinimalFace:
     def test_interior(self, cp2):
@@ -293,8 +307,14 @@ class TestMinimalFace:
         assert f.active == frozenset({0, 1}) and f.dim == 0
 
     def test_outside_rejected(self, cp2):
-        with pytest.raises(PolytopeError):
+        with pytest.raises(PolytopeError, match="outside the polytope"):
             minimal_face(cp2, (F(5), F(5)))
+
+    def test_tight_facets(self, cp2):
+        assert cp2.tight_facets((F(3), F(0))) == frozenset({1, 2})
+        assert cp2.tight_facets((F(1), F(1))) == frozenset()
+        assert cp2.tight_facets((F(-1), F(0))) is None
+        assert cp2.tight_facets((F(0), F(4))) is None  # tight at facet 0, past facet 2
 
 
 class TestCharacteristicSubtorus:
@@ -344,6 +364,12 @@ class TestPointsEquivalent:
     def test_different_base_points(self, cp2):
         t = (F(0), F(0))
         assert not points_equivalent(cp2, ((t), (F(1), F(1))), ((t), (F(1), F(2))))
+
+    @pytest.mark.parametrize("r1,r2", [((5, 5), (1, 0)), ((1, 0), (5, 5)), ((1, 0), (-1, 0))])
+    def test_outside_rejected(self, cp2, r1, r2):
+        t = (F(0), F(0))
+        with pytest.raises(PolytopeError, match="outside the polytope"):
+            points_equivalent(cp2, (t, tuple(map(F, r1))), (t, tuple(map(F, r2))))
 
     @pytest.mark.parametrize("which", ["r1", "r2", "t1", "t2"])
     def test_wrong_dimension_rejected(self, cp2, which):

@@ -9,6 +9,7 @@ from toriclift.criterion import build_graph
 from toriclift.exactmath import poly_eval
 from toriclift.surface import (
     SamplerError,
+    SurfaceSample,
     export_mesh,
     pullback_density,
     pullback_density_exact,
@@ -48,6 +49,72 @@ def degenerate_graph(cp2):
     # (s, 2-s) with K = (1, 1): the pulled-back area form vanishes
     gamma = [poly(0, 1), poly(2, -1)]
     return build_graph(cp2, gamma, (F(0), F(2)), 0, CircleEmbedding((1, 1)))
+
+
+# The exact bytes export_mesh writes for a 3 x 4 grid of values every
+# platform computes alike (sevenths, a signed zero, extreme exponents), so
+# a change of writer cannot drift the formats.
+GOLDEN_CSV = (
+    "tau,t,p1,p2,p3,p4\n"
+    "0,0,-0,1e-300,6.123233995736766e-17,1e+21\n"
+    "0,1.5707963267948966,-2.2857142857142856,-2.1428571428571428,-2,-1.8571428571428572\n"
+    "0,3.1415926535897931,-1.7142857142857142,-1.5714285714285714,-1.4285714285714286,-1.2857142857142858\n"
+    "0,4.7123889803846897,-1.1428571428571428,-1,-0.8571428571428571,-0.7142857142857143\n"
+    "0.10000000000000001,0,-0.5714285714285714,-0.42857142857142855,-0.2857142857142857,-0.14285714285714285\n"
+    "0.10000000000000001,1.5707963267948966,0,0.14285714285714285,0.2857142857142857,0.42857142857142855\n"
+    "0.10000000000000001,3.1415926535897931,0.5714285714285714,0.7142857142857143,0.8571428571428571,1\n"
+    "0.10000000000000001,4.7123889803846897,1.1428571428571428,1.2857142857142858,1.4285714285714286,1.5714285714285714\n"
+    "1.5,0,1.7142857142857142,1.8571428571428572,2,2.1428571428571428\n"
+    "1.5,1.5707963267948966,2.2857142857142856,2.4285714285714284,2.5714285714285716,2.7142857142857144\n"
+    "1.5,3.1415926535897931,2.8571428571428572,3,3.1428571428571428,3.2857142857142856\n"
+    "1.5,4.7123889803846897,3.4285714285714284,3.5714285714285716,3.7142857142857144,3.8571428571428572\n"
+)
+GOLDEN_OBJ_VERTICES = (
+    "v -0 1e-300 6.123233995736766e-17\n"
+    "v -2.2857142857142856 -2.1428571428571428 -2\n"
+    "v -1.7142857142857142 -1.5714285714285714 -1.4285714285714286\n"
+    "v -1.1428571428571428 -1 -0.8571428571428571\n"
+    "v -0.5714285714285714 -0.42857142857142855 -0.2857142857142857\n"
+    "v 0 0.14285714285714285 0.2857142857142857\n"
+    "v 0.5714285714285714 0.7142857142857143 0.8571428571428571\n"
+    "v 1.1428571428571428 1.2857142857142858 1.4285714285714286\n"
+    "v 1.7142857142857142 1.8571428571428572 2\n"
+    "v 2.2857142857142856 2.4285714285714284 2.5714285714285716\n"
+    "v 2.8571428571428572 3 3.1428571428571428\n"
+    "v 3.4285714285714284 3.5714285714285716 3.7142857142857144\n"
+)
+GOLDEN_OBJ_VERTICES_PROJECTED = (
+    "v 1e+21 -0 1e-300\n"
+    "v -1.8571428571428572 -2.2857142857142856 -2.1428571428571428\n"
+    "v -1.2857142857142858 -1.7142857142857142 -1.5714285714285714\n"
+    "v -0.7142857142857143 -1.1428571428571428 -1\n"
+    "v -0.14285714285714285 -0.5714285714285714 -0.42857142857142855\n"
+    "v 0.42857142857142855 0 0.14285714285714285\n"
+    "v 1 0.5714285714285714 0.7142857142857143\n"
+    "v 1.5714285714285714 1.1428571428571428 1.2857142857142858\n"
+    "v 2.1428571428571428 1.7142857142857142 1.8571428571428572\n"
+    "v 2.7142857142857144 2.2857142857142856 2.4285714285714284\n"
+    "v 3.2857142857142856 2.8571428571428572 3\n"
+    "v 3.8571428571428572 3.4285714285714284 3.5714285714285716\n"
+)
+GOLDEN_OBJ_FACES = (
+    "f 1 2 6 5\n"
+    "f 2 3 7 6\n"
+    "f 3 4 8 7\n"
+    "f 4 1 5 8\n"
+    "f 5 6 10 9\n"
+    "f 6 7 11 10\n"
+    "f 7 8 12 11\n"
+    "f 8 5 9 12\n"
+)
+
+
+def golden_sample():
+    tau = np.array([0.0, 0.1, 1.5])
+    t = np.array([0.0, 1.5707963267948966, 3.141592653589793, 4.71238898038469])
+    points = (np.arange(48.0).reshape(3, 4, 4) - 20.0) / 7.0
+    points[0, 0, :] = [-0.0, 1e-300, 6.123233995736766e-17, 1e21]
+    return SurfaceSample(tau, t, points, (1, 1), {})
 
 
 class TestSampling:
@@ -165,6 +232,30 @@ class TestExport:
             if l.startswith("f "):
                 idx = [int(w) for w in l.split()[1:]]
                 assert all(1 <= i <= 30 for i in idx)
+
+    def test_golden_bytes(self, tmp_path):
+        s = golden_sample()
+        export_mesh(s, "csv", tmp_path / "g.csv")
+        export_mesh(s, "obj", tmp_path / "g.obj")
+        export_mesh(s, "obj", tmp_path / "p.obj", project=(3, 0, 1))
+        assert (tmp_path / "g.csv").read_bytes() == GOLDEN_CSV.encode()
+        assert (tmp_path / "g.obj").read_bytes() == (GOLDEN_OBJ_VERTICES + GOLDEN_OBJ_FACES).encode()
+        assert (tmp_path / "p.obj").read_bytes() == (GOLDEN_OBJ_VERTICES_PROJECTED + GOLDEN_OBJ_FACES).encode()
+
+    @pytest.mark.parametrize("nx,nt,faces", [
+        (1, 1, ""),
+        (1, 3, ""),
+        (2, 1, "f 1 1 2 2\n"),
+        (3, 2, "f 1 2 4 3\nf 2 1 3 4\nf 3 4 6 5\nf 4 3 5 6\n"),
+    ])
+    def test_degenerate_grid_faces(self, tmp_path, nx, nt, faces):
+        # one t column wraps onto itself and one tau row has no faces, as before
+        s = golden_sample()
+        s = SurfaceSample(s.tau[:nx], s.t[:nt], s.points[:nx, :nt], s.weights, {})
+        export_mesh(s, "obj", tmp_path / "d.obj")
+        lines = (tmp_path / "d.obj").read_text().splitlines(keepends=True)
+        assert sum(1 for l in lines if l.startswith("v ")) == nx * nt
+        assert "".join(l for l in lines if l.startswith("f ")) == faces
 
     def test_bad_projection_rejected(self, disc_graph, tmp_path):
         s = sample_surface(disc_graph, 3, 3)
