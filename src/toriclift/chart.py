@@ -52,16 +52,20 @@ def make_chart(P: HPolytope, o: Sequence[Fraction]) -> VertexChart:
 
     The Hermite form U V = H of the edge basis is the identity exactly when
     U is unimodular, and then V = U^{-1} is the chart's integer inverse.
+    Charts are kept on P, one per vertex; a rejected vertex is not kept.
     """
     o = tuple(Fraction(x) for x in o)
-    cols = edge_vectors_at_vertex(P, o)
-    n = P.n
-    U = [[cols[j][i] for j in range(n)] for i in range(n)]
-    H, inv = hnf(U)
-    if H != identity_matrix(n):
-        raise PolytopeError(f"vertex {o} is not Delzant: |det U| = {abs(int_det(U))}")
-    active = tuple(sorted(P.tight_facets(o)))
-    return VertexChart(P, o, tuple(cols), tuple(tuple(r) for r in inv), active)
+    chart = P._charts.get(o)
+    if chart is None:
+        cols = edge_vectors_at_vertex(P, o)
+        n = P.n
+        U = [[cols[j][i] for j in range(n)] for i in range(n)]
+        H, inv = hnf(U)
+        if H != identity_matrix(n):
+            raise PolytopeError(f"vertex {o} is not Delzant: |det U| = {abs(int_det(U))}")
+        active = tuple(sorted(P.tight_facets(o)))
+        chart = P._charts[o] = VertexChart(P, o, tuple(cols), tuple(tuple(r) for r in inv), active)
+    return chart
 
 
 def to_chart(chart: VertexChart, p: Sequence[Fraction]) -> Point:

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 from .chart import CircleEmbedding, VertexChart, local_weights, make_chart, q_set
 from .exactmath import (
     RatPoly,
+    count_roots,
     isolate_root,
     poly_add,
     poly_compose_linear,
@@ -30,7 +31,6 @@ from .exactmath import (
     poly_scale,
     poly_sub,
     poly_trim,
-    sturm_count,
 )
 from .polytope import HPolytope, PolytopeError, minimal_face
 
@@ -237,7 +237,7 @@ def check_transversality(gamma: Curve, circle: CircleEmbedding,
         return Report("transversality", (Condition(
             "tangent_circle_pairing", loc, "fails",
             "pairing identically zero (degenerate: orthogonal everywhere)"),))
-    roots = sturm_count(p, a, b)
+    roots = count_roots(p, a, b)
     if roots == 0:
         return Report("transversality", (Condition(
             "tangent_circle_pairing", loc, "holds", "no interior zero of <gamma', K>"),))
@@ -268,7 +268,7 @@ def check_interior(P: HPolytope, gamma: Curve, interval: Interval) -> Report:
         if poly_eval(slack, mid) < 0:
             conditions.append(Condition("facet_slack", loc, "fails", "curve leaves the polytope"))
             continue
-        roots = sturm_count(slack, a, b)
+        roots = count_roots(slack, a, b)
         if roots == 0:
             conditions.append(Condition("facet_slack", loc, "holds", "positive on the interior"))
         else:

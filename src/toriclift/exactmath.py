@@ -9,7 +9,7 @@ Integer matrices are lists of rows; where a function speaks of "columns"
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 IntVec = tuple[int, ...]
@@ -46,15 +46,6 @@ def dot(u: Sequence, v: Sequence):
 
 def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> list[list]:
-    if len(A[0]) != len(B):
-        raise ValueError("mat_mul: dimension mismatch")
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
 
 
 def int_det(A: Sequence[Sequence[int]]) -> int:
@@ -196,11 +187,6 @@ def poly_trim(p: Sequence[Fraction]) -> RatPoly:
     return p
 
 
-def poly_degree(p: Sequence[Fraction]) -> int:
-    p = poly_trim(p)
-    return len(p) - 1 if p else -1
-
-
 def poly_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> RatPoly:
     out = [Fraction(0)] * max(len(p), len(q))
     for i, c in enumerate(p):
@@ -266,60 +252,92 @@ def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> RatPoly:
     return a
 
 
+def _integer_poly(p: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(c, den) with p = c / den, c integer and den > 0 the lcm of the denominators."""
+    den = lcm(*(x.denominator for x in p))
+    return [x.numerator * (den // x.denominator) for x in p], den
+
+
+def _compose_int(c: Sequence[int], shift: Fraction, scale: Fraction) -> tuple[list[int], int]:
+    """(q, D) with q(t) = D^deg c(shift + scale*t) integer, by Horner over the denominator D."""
+    D = lcm(shift.denominator, scale.denominator)
+    a, b = shift.numerator * (D // shift.denominator), scale.numerator * (D // scale.denominator)
+    out, Dk = [c[-1]], 1
+    for ci in reversed(c[:-1]):  # out <- out*(a + b t) + ci*D^k
+        Dk *= D
+        out = [a * x + b * y for x, y in zip(out + [0], [0] + out)]
+        out[0] += ci * Dk
+    return out, Dk
+
+
 def poly_compose_linear(p: Sequence[Fraction], shift: Fraction, scale: Fraction) -> RatPoly:
     """Coefficients of p(shift + scale * t) in t."""
-    out: RatPoly = []
-    lin = [Fraction(shift), Fraction(scale)]
-    for c in reversed(poly_trim(p)):
-        out = poly_add(poly_mul(out, lin), [c])
-    return out
+    p = poly_trim(p)
+    if not p:
+        return []
+    c, den = _integer_poly(p)
+    q, Dk = _compose_int(c, Fraction(shift), Fraction(scale))
+    return poly_trim([Fraction(x, den * Dk) for x in q])
 
 
-def _sign_changes(values: Sequence[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(c: Sequence[int], left: Fraction, right: Fraction) -> int:
+    """Descartes bound on the roots of c in (left, right), with multiplicity.
+
+    The sign variations of (1+x)^d c((right + left x)/(1+x)), which maps
+    x in (0, oo) onto (left, right): 0 means no root, 1 exactly one, and
+    the count exceeds the number of roots by an even number.
+    """
+    r, _ = _compose_int(c, left, right - left)  # r(y) ~ c(left + (right - left) y)
+    q, _ = _compose_int(r[::-1], Fraction(1), Fraction(1))  # (1+x)^d r(1/(1+x))
+    signs = [x > 0 for x in q if x]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def sturm_count(p: Sequence[Fraction], left: Fraction, right: Fraction) -> int:
+def count_roots(p: Sequence[Fraction], left: Fraction, right: Fraction) -> int:
     """Number of distinct real roots of p strictly inside (left, right).
 
-    Multiplicity is removed with a square-free reduction before building
-    the Sturm chain.  The zero polynomial is rejected.
+    Vincent-Collins-Akritas: one Descartes test on the integer form of p
+    settles a count of 0 or 1; otherwise the square-free part is bisected,
+    testing each dyadic midpoint exactly, until every piece has 0 or 1.
+    The zero polynomial is rejected.
     """
     p = poly_trim(p)
     if not p:
-        raise ValueError("sturm_count: zero polynomial")
+        raise ValueError("count_roots: zero polynomial")
+    left, right = Fraction(left), Fraction(right)
     if not left < right:
-        raise ValueError("sturm_count: empty interval")
-    if len(p) == 1:
-        return 0
+        raise ValueError("count_roots: empty interval")
+    count = _variations(_integer_poly(p)[0], left, right)
+    if count < 2:
+        return count
     sf, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
-    if poly_degree(sf) == 0:
-        return 0
-    chain = [sf, poly_deriv(sf)]
-    while poly_trim(chain[-1]):
-        _, r = poly_divmod(chain[-2], chain[-1])
-        r = poly_scale(r, Fraction(-1))
-        if not r:
-            break
-        chain.append(r)
-    va = _sign_changes([poly_eval(q, left) for q in chain])
-    vb = _sign_changes([poly_eval(q, right) for q in chain])
-    count = va - vb  # roots in (left, right]
-    if poly_eval(sf, right) == 0:
-        count -= 1
+    c, _ = _integer_poly(sf)
+    count, pieces = 0, [(left, right)]
+    while pieces:
+        lo, hi = pieces.pop()
+        v = _variations(c, lo, hi)
+        if v < 2:
+            count += v
+            continue
+        mid = (lo + hi) / 2
+        count += poly_eval(sf, mid) == 0
+        pieces += [(lo, mid), (mid, hi)]
     return count
 
 
 def isolate_root(p: Sequence[Fraction], left: Fraction, right: Fraction,
                  width: Fraction = Fraction(1, 1024)) -> tuple[Fraction, Fraction]:
-    """Shrink (left, right), known to contain at least one root, by bisection."""
+    """Shrink (left, right), known to contain at least one root, by bisection.
+
+    The left half is kept whenever it holds a root, so the result brackets
+    the leftmost root, unless a midpoint is itself a root: then (mid, mid).
+    """
     lo, hi = Fraction(left), Fraction(right)
     while hi - lo > width:
         mid = (lo + hi) / 2
         if poly_eval(p, mid) == 0:
             return mid, mid
-        if sturm_count(p, lo, mid) > 0:
+        if count_roots(p, lo, mid) > 0:
             hi = mid
         else:
             lo = mid

@@ -21,8 +21,13 @@ class FormatError(ValueError):
     """Schema violation or non-rational literal in an input file."""
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: true and false are bools, not 1 and 0."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_rational(s, field: str = "value") -> Fraction:
-    if isinstance(s, int):
+    if _is_int(s):
         return Fraction(s)
     if not isinstance(s, str) or not RATIONAL_RE.match(s.strip()):
         raise FormatError(
@@ -47,16 +52,19 @@ def parse_point(obj, field: str) -> tuple[Fraction, ...]:
 
 def polytope_from_dict(d: dict) -> HPolytope:
     try:
-        n = int(d["n"])
-        facets = d["facets"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, facets = d["n"], d["facets"]
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"polytope: missing or malformed field ({exc})") from exc
+    if not _is_int(n):
+        raise FormatError(f"n: expected an integer, got {n!r}")
+    if not isinstance(facets, list):
+        raise FormatError("facets: expected a list of facet objects")
     normals, offsets = [], []
     for i, f in enumerate(facets):
         if not isinstance(f, dict) or "normal" not in f or "offset" not in f:
             raise FormatError(f"facets[{i}]: need 'normal' and 'offset'")
         normal = f["normal"]
-        if not isinstance(normal, list) or not all(isinstance(x, int) for x in normal):
+        if not isinstance(normal, list) or not all(_is_int(x) for x in normal):
             raise FormatError(f"facets[{i}].normal: expected a list of integers")
         normals.append(tuple(normal))
         offsets.append(parse_rational(f["offset"], f"facets[{i}].offset"))
@@ -114,7 +122,7 @@ def curve_from_dict(d: dict) -> CurveSpec:
     b = parse_rational(domain[1], "domain[1]")
     if not a < b:
         raise FormatError("domain: start must be < end")
-    if not isinstance(circle, list) or not all(isinstance(x, int) for x in circle):
+    if not isinstance(circle, list) or not all(_is_int(x) for x in circle):
         raise FormatError("circle: expected a list of integers")
     if not any(circle):
         raise FormatError("circle: direction must be nonzero (effective action)")
@@ -142,7 +150,7 @@ def load_facet_vectors(path) -> list[tuple[int, ...]]:
         raise FormatError("facet vectors: expected {'vectors': [[...], ...]}")
     out = []
     for i, v in enumerate(vecs):
-        if not isinstance(v, list) or not all(isinstance(x, int) for x in v):
+        if not isinstance(v, list) or not all(_is_int(x) for x in v):
             raise FormatError(f"vectors[{i}]: expected a list of integers")
         out.append(tuple(v))
     return out

@@ -59,10 +59,11 @@ class HPolytope:
         if len(set(self.normals)) != len(self.normals):
             raise PolytopeError("duplicate facet normal")
         _check_bounded(self.normals, self.n)
-        # memos of enumerate_vertices, face_lattice and _face
+        # memos of enumerate_vertices, face_lattice, _face and chart.make_chart
         object.__setattr__(self, "_vertices", None)
         object.__setattr__(self, "_lattice", None)
         object.__setattr__(self, "_faces", {})
+        object.__setattr__(self, "_charts", {})
         verts = enumerate_vertices(self)
         if not verts:
             raise PolytopeError("empty polytope")

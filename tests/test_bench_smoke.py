@@ -23,10 +23,11 @@ def _check_items(w, items):
         assert status == "ok", why
 
 
-# lift-corpus runs its first 50 items (family curves and two of high
-# valuation), which keeps this file near 3.5 s on a 2-core x86-64 VM
+# lift-corpus runs its whole pass of 200 curves (family, high-valuation,
+# chord and zero-coordinate) in 0.3-0.5 s; this file takes near 3.8 s on
+# a shared 2-core x86-64 VM
 @pytest.mark.parametrize("name,limit", [
-    ("lift-corpus", 50),
+    ("lift-corpus", None),
     ("surface-oracle", None),
     ("cli-mix", 3),
 ])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from toriclift import catalog
 from toriclift.chart import CircleEmbedding
 from toriclift.criterion import (
     GraphBuildReject,
@@ -40,6 +41,13 @@ class TestBuildGraph:
         assert gr.Q == frozenset({2})
         assert gr.k == (-1, 0)
         assert gr.x == ([F(0), F(2)], [F(3, 2), F(-1)])
+
+    def test_chart_shared_between_calls(self):
+        P = catalog.cp2(3)
+        g1 = build_graph(P, DIAG, DIAG_IV, 0, K11)
+        g2 = build_graph(P, [poly(0, 1), poly(0, 2)], (F(0), F(1)), 0, K10)
+        assert g2.chart.vertex == g1.chart.vertex
+        assert g2.chart is g1.chart
 
     def test_default_chart_is_lex_smallest(self, cp2):
         gr = build_graph(cp2, DIAG, DIAG_IV, 1, K11)
@@ -106,6 +114,12 @@ class TestTransversality:
         assert rep.status == "fails"
         assert "vanishes" in rep.conditions[0].detail
 
+    def test_leftmost_zero_detail(self):
+        # <gamma', K> = (s - 1/5)(s - 3/5): the report brackets the zero at 1/5
+        gamma = [poly(0, F(3, 25), F(-2, 5), F(1, 3)), poly(0, 1)]
+        rep = check_transversality(gamma, K10, (F(0), F(1)))
+        assert rep.conditions[0].detail == "pairing vanishes in (51/256, 205/1024)"
+
     def test_endpoint_zero_allowed(self):
         # <gamma', K> = 1 - s vanishes only at the right endpoint
         gamma = [poly(0, 1), poly(0, 1, F(-1, 2))]
@@ -121,6 +135,17 @@ class TestInterior:
         rep = check_interior(cp2, DIAG, (F(0), F(2)))
         assert rep.status == "fails"
         assert any("boundary contact" in c.detail for c in rep.conditions)
+
+    @pytest.mark.parametrize("gamma,iv,detail", [
+        # y = (s - 1/3)^2 touches the facet y = 0 at s = 1/3
+        ([poly(0, 1), poly(F(1, 9), F(-2, 3), 1)], (F(0), F(1)), "(341/1024, 171/512)"),
+        # y = (s - 1)^2 touches it at the first bisection midpoint
+        ([poly(0, 1), poly(1, -2, 1)], (F(0), F(2)), "(1, 1)"),
+    ])
+    def test_tangent_contact_detail(self, cp2, gamma, iv, detail):
+        rep = check_interior(cp2, gamma, iv)
+        assert [c.detail for c in rep.conditions if c.outcome == "fails"] == [
+            f"interior boundary contact at s in {detail}"]
 
     def test_leaves_polytope(self, cp2):
         rep = check_interior(cp2, DIAG, (F(2), F(3)))

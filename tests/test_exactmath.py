@@ -8,18 +8,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toriclift.exactmath import (
+    count_roots,
     hnf,
     int_det,
     integer_kernel_basis,
     isolate_root,
-    mat_mul,
+    poly_add,
+    poly_compose_linear,
+    poly_deriv,
+    poly_divmod,
     poly_eval,
+    poly_gcd,
     poly_mul,
+    poly_scale,
+    poly_trim,
     primitive,
     rank,
     saturation_index,
-    sturm_count,
 )
+
+
+def mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
 
 def brute_det(A):
@@ -173,27 +183,137 @@ class TestPrimitive:
         assert g == 1
 
 
+def _sign_changes(values):
+    signs = [1 if v > 0 else -1 for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sturm_count(p, left, right):
+    """Distinct real roots of p in the open (left, right) from a Sturm chain of
+    its square-free part: the differential oracle for count_roots."""
+    p = poly_trim(p)
+    if len(p) == 1:
+        return 0
+    sf, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
+    if len(sf) == 1:
+        return 0
+    chain = [sf, poly_deriv(sf)]
+    while True:
+        r = poly_scale(poly_divmod(chain[-2], chain[-1])[1], Fraction(-1))
+        if not r:
+            break
+        chain.append(r)
+    count = (_sign_changes([poly_eval(q, left) for q in chain])
+             - _sign_changes([poly_eval(q, right) for q in chain]))  # roots in (left, right]
+    return count - (poly_eval(sf, right) == 0)
+
+
+def isolate_root_oracle(p, left, right, width=Fraction(1, 1024)):
+    """isolate_root's bisection with the Sturm oracle as its root test."""
+    lo, hi = left, right
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if poly_eval(p, mid) == 0:
+            return mid, mid
+        if sturm_count(p, lo, mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def compose_reference(p, shift, scale):
+    """p(shift + scale t) by Fraction Horner: the oracle for poly_compose_linear."""
+    out = []
+    for c in reversed(poly_trim(p)):
+        out = poly_add(poly_mul(out, [Fraction(shift), Fraction(scale)]), [c])
+    return out
+
+
+small_rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 7, 1024, 10**6 + 3]))
+large_denominators = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(10**9, 10**11))
+
+
+@st.composite
+def roots_problem(draw):
+    """(p, a, b): a product of rational linear factors with multiplicities up to 3,
+    some at the interval ends or at its first bisection midpoint, times a
+    random integer factor that may bring irrational roots."""
+    a, b = sorted(draw(st.lists(st.one_of(small_rationals, large_denominators),
+                                min_size=2, max_size=2, unique=True)))
+    roots = draw(st.lists(st.one_of(small_rationals, st.sampled_from([a, b, (a + b) / 2])), max_size=4))
+    p = [Fraction(draw(st.sampled_from([1, -1, 3, -7])))]
+    for r in roots:
+        for _ in range(draw(st.integers(1, 3))):
+            p = poly_mul(p, [-r, Fraction(1)])
+    extra = draw(st.lists(st.integers(-9, 9), max_size=4))
+    if any(extra):
+        p = poly_mul(p, [Fraction(c) for c in extra])
+    return p, a, b
+
+
+class TestCountRoots:
+    @given(roots_problem())
+    @example(([Fraction(-1), Fraction(0), Fraction(1)], Fraction(-1), Fraction(1)))  # roots at both ends
+    @example(([Fraction(1), Fraction(-2), Fraction(1)], Fraction(0), Fraction(2)))  # double root at the midpoint
+    # roots 1/3 and 1 in (0, 2): the first midpoint is a root, and isolate_root returns (1, 1)
+    @example((poly_mul([Fraction(-1, 3), Fraction(1)], [Fraction(-1), Fraction(1)]), Fraction(0), Fraction(2)))
+    @settings(max_examples=200, deadline=None)
+    def test_against_sturm(self, problem):
+        p, a, b = problem
+        count = count_roots(p, a, b)
+        assert count == sturm_count(p, a, b)
+        if count:
+            assert isolate_root(p, a, b) == isolate_root_oracle(p, a, b)
+
+    def test_close_roots_separated(self):
+        # (s - 1/2)(s - 1/2 - 10^-9): both roots inside (0, 1), far below the first split width
+        r1, r2 = Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**9)
+        p = poly_mul([-r1, Fraction(1)], [-r2, Fraction(1)])
+        assert count_roots(p, Fraction(0), Fraction(1)) == 2
+        assert count_roots(p, r1, r2) == 0
+        assert count_roots(p, Fraction(0), r2) == 1
+
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError, match="empty interval"):
+            count_roots([Fraction(1), Fraction(1)], Fraction(1), Fraction(1))
+
+
+class TestComposeLinear:
+    @given(st.lists(small_rationals, max_size=7), st.one_of(small_rationals, large_denominators),
+           st.one_of(small_rationals, large_denominators, st.just(Fraction(0))))
+    @example([Fraction(0), Fraction(0)], Fraction(1), Fraction(2))
+    @settings(max_examples=100, deadline=None)
+    def test_against_fraction_horner(self, p, shift, scale):
+        assert poly_compose_linear(p, shift, scale) == compose_reference(p, shift, scale)
+
+    def test_integer_arguments(self):
+        # p(s) = s^2 + 1/2 at s = 2 - t
+        assert poly_compose_linear([Fraction(1, 2), 0, Fraction(1)], 2, -1) == [
+            Fraction(9, 2), Fraction(-4), Fraction(1)]
+
+
 class TestSturm:
     def F(self, *cs):
         return [Fraction(c) for c in cs]
 
     def test_no_real_roots(self):
-        assert sturm_count(self.F(1, 0, 1), Fraction(-10), Fraction(10)) == 0
+        assert count_roots(self.F(1, 0, 1), Fraction(-10), Fraction(10)) == 0
 
     def test_open_interval_excludes_endpoint(self):
         # s(s-1): roots 0 and 1, only 1 interior to (0, 2)
-        assert sturm_count(self.F(0, -1, 1), Fraction(0), Fraction(2)) == 1
+        assert count_roots(self.F(0, -1, 1), Fraction(0), Fraction(2)) == 1
 
     def test_sqrt_two(self):
-        assert sturm_count(self.F(-2, 0, 1), Fraction(0), Fraction(2)) == 1
+        assert count_roots(self.F(-2, 0, 1), Fraction(0), Fraction(2)) == 1
 
     def test_multiplicity_counted_once(self):
         # (s-1)^2
-        assert sturm_count(self.F(1, -2, 1), Fraction(0), Fraction(2)) == 1
+        assert count_roots(self.F(1, -2, 1), Fraction(0), Fraction(2)) == 1
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
-            sturm_count([], Fraction(0), Fraction(1))
+            count_roots([], Fraction(0), Fraction(1))
 
     def test_against_numeric_sampling(self):
         rng = random.Random(11)
@@ -205,7 +325,7 @@ class TestSturm:
                 poly = poly_mul(poly, [Fraction(-r), Fraction(1)])
             a, b = Fraction(-21, 2), Fraction(21, 2)
             expected = sum(1 for r in set(roots) if a < r < b)
-            assert sturm_count(poly, a, b) == expected
+            assert count_roots(poly, a, b) == expected
 
     def test_isolate_root(self):
         p = self.F(-2, 0, 1)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,7 +24,7 @@ class TestRationals:
     def test_parse(self, text, value):
         assert io.parse_rational(text) == value
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e3", "1/0", "1 / 2", "", "a", 1.5, None])
+    @pytest.mark.parametrize("bad", ["0.5", "1e3", "1/0", "1 / 2", "", "a", 1.5, None, True, False])
     def test_rejects_non_rational(self, bad):
         with pytest.raises(io.FormatError):
             io.parse_rational(bad)
@@ -52,6 +53,26 @@ class TestPolytopeFiles:
     def test_missing_field_rejected(self):
         with pytest.raises(io.FormatError):
             io.polytope_from_dict({"facets": []})
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"n": 2.5}, "n: expected an integer, got 2.5"),
+        ({"n": True}, "n: expected an integer, got True"),
+        ({"n": "1"}, "n: expected an integer, got '1'"),
+        ({"facets": 5}, "facets: expected a list of facet objects"),
+    ], ids=["float-n", "bool-n", "string-n", "facets-not-list"])
+    def test_malformed_header_rejected(self, fields, message):
+        d = dict({"n": 1, "facets": [{"normal": [1], "offset": "1"}, {"normal": [-1], "offset": "0"}]}, **fields)
+        with pytest.raises(io.FormatError, match=re.escape(message)):
+            io.polytope_from_dict(d)
+
+    @pytest.mark.parametrize("facet,message", [
+        ({"normal": [True], "offset": "1"}, "facets[0].normal: expected a list of integers"),
+        ({"normal": [1], "offset": True}, "facets[0].offset: expected a rational literal"),
+    ], ids=["normal", "offset"])
+    def test_boolean_rejected(self, facet, message):
+        d = {"n": 1, "facets": [facet, {"normal": [-1], "offset": "0"}]}
+        with pytest.raises(io.FormatError, match=re.escape(message)):
+            io.polytope_from_dict(d)
 
 
 class TestCurveFiles:
@@ -91,6 +112,21 @@ class TestCurveFiles:
         d["coords"] = [["0", "0.5"], ["0", "1"]]
         with pytest.raises(io.FormatError):
             io.curve_from_dict(d)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"coords": [["0", True], ["0", "1"]]}, "coords[0][1]: expected a rational literal"),
+        ({"circle": [True, 1]}, "circle: expected a list of integers"),
+    ], ids=["coefficient", "circle"])
+    def test_boolean_rejected(self, fields, message):
+        with pytest.raises(io.FormatError, match=re.escape(message)):
+            io.curve_from_dict(dict(self.GOOD, **fields))
+
+
+def test_facet_vector_boolean_rejected(tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"vectors": [[1, 0], [0, True]]}))
+    with pytest.raises(io.FormatError, match=re.escape("vectors[1]: expected a list of integers")):
+        io.load_facet_vectors(str(path))
 
 
 def write_json(tmp_path, name, obj):
@@ -260,6 +296,41 @@ class TestCli:
             argv += ["--out", str(tmp_path / "mesh.csv")]
         assert main(argv) == 3
         assert capsys.readouterr().err == f"error: the polytope has dimension 2, but {message}\n"
+
+    # each boolean stands where the parser used to read it as 1 or 0, which
+    # gave the same valid input: now exit 3 with one message
+    @pytest.mark.parametrize("target,message", [
+        ("normal", "facets[2].normal: expected a list of integers"),
+        ("offset", "facets[0].offset: expected a rational literal like '3' or '1/2', got False"),
+        ("coefficient", "coords[0][1]: expected a rational literal like '3' or '1/2', got True"),
+        ("circle", "circle: expected a list of integers"),
+        ("vector", "vectors[0]: expected a list of integers"),
+    ], ids=["normal", "offset", "coefficient", "circle", "vector"])
+    def test_json_boolean_usage_error(self, cp2, tmp_path, capsys, target, message):
+        polytope = io.polytope_to_dict(cp2)
+        curve = dict(TestCurveFiles.GOOD)
+        vectors = [[1, 0], [0, 1], [-1, 1]]
+        if target == "normal":
+            polytope["facets"][2]["normal"] = [True, True]
+        elif target == "offset":
+            polytope["facets"][0]["offset"] = False
+        elif target == "coefficient":
+            curve["coords"] = [["0", True], ["0", "1"]]
+        elif target == "circle":
+            curve["circle"] = [True, True]
+        else:
+            vectors[0] = [True, False]
+        P = write_json(tmp_path, "P.json", polytope)
+        if target in ("normal", "offset"):
+            argv = ["validate", P]
+        elif target == "vector":
+            argv = ["quasitoric", P, write_json(tmp_path, "v.json", {"vectors": vectors})]
+        else:
+            argv = ["lift-check", P, write_json(tmp_path, "curve.json", curve)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_validate_half_line_unbounded(self, tmp_path, capsys):
         half_line = write_json(tmp_path, "half.json", {"n": 1, "facets": [{"normal": [1], "offset": "0"}]})

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from toriclift import catalog
+from toriclift.chart import make_chart
 from toriclift.polytope import (
     HPolytope,
     PolytopeError,
@@ -199,6 +200,7 @@ class TestMemo:
         P = catalog.box([F(5, 3), F(7, 4)])
         face_lattice(P)
         minimal_face(P, (F(0), F(1)))
+        make_chart(P, (F(0), F(0)))  # the memoised chart refers back to P
         ref = weakref.ref(P)
         del P
         gc.collect()
