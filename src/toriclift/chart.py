@@ -1,8 +1,11 @@
-"""Vertex-centered local models: edge-basis coordinates and circle weights.
+"""Vertex-centered local models: facet-slack coordinates and circle weights.
 
-A chart at a Delzant vertex o uses the primitive edge directions as a
-Z-basis; chart coordinates of a point p are U^{-1}(p - o), so the vertex
-sits at 0 and the polytope locally fills the nonnegative orthant.
+At a Delzant vertex o with active facets f_1 < ... < f_n, the local model
+is C^n and its moment coordinates are the slacks x_j = lambda_j - <a_j, p>
+of those facets.  The primitive edge directions u_1..u_n (u_j relaxes f_j)
+form a Z-basis U with <u_j, a_{f_k}> = -delta_jk, so U^{-1} has the rows
+-a_{f_j} and p = o + U x: the vertex sits at 0 and the polytope locally
+fills the nonnegative orthant.
 """
 
 from __future__ import annotations
@@ -11,14 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import IntVec, dot, hnf, identity_matrix, int_det, primitive
-from .polytope import (
-    Face,
-    HPolytope,
-    Point,
-    PolytopeError,
-    edge_vectors_at_vertex,
-)
+from .exactmath import IntVec, dot, int_det, primitive
+from .polytope import HPolytope, Point, PolytopeError, edge_vectors_at_vertex
 
 
 @dataclass(frozen=True)
@@ -39,39 +36,40 @@ class VertexChart:
     polytope: HPolytope
     vertex: Point
     columns: tuple[IntVec, ...]       # edge directions u_1..u_n (isotropy weights)
-    inverse: tuple[IntVec, ...]       # U^{-1}, integer rows
-    active: tuple[int, ...]           # facet indices kept in Lambda_o
+    active: tuple[int, ...]           # facets f_1 < ... < f_n through the vertex
 
     @property
     def n(self) -> int:
         return self.polytope.n
 
+    @property
+    def inverse(self) -> tuple[IntVec, ...]:
+        """U^{-1}: its rows are the negated active normals."""
+        return tuple(tuple(-x for x in self.polytope.normals[f]) for f in self.active)
+
 
 def make_chart(P: HPolytope, o: Sequence[Fraction]) -> VertexChart:
     """Chart at a Delzant-valid vertex; rejects |det U| != 1.
 
-    The Hermite form U V = H of the edge basis is the identity exactly when
-    U is unimodular, and then V = U^{-1} is the chart's integer inverse.
+    The edge basis U is checked unimodular; its inverse is then the
+    negated active normals, so chart coordinates are the facet slacks.
     Charts are kept on P, one per vertex; a rejected vertex is not kept.
     """
     o = tuple(Fraction(x) for x in o)
     chart = P._charts.get(o)
     if chart is None:
         cols = edge_vectors_at_vertex(P, o)
-        n = P.n
-        U = [[cols[j][i] for j in range(n)] for i in range(n)]
-        H, inv = hnf(U)
-        if H != identity_matrix(n):
-            raise PolytopeError(f"vertex {o} is not Delzant: |det U| = {abs(int_det(U))}")
-        active = tuple(sorted(P.tight_facets(o)))
-        chart = P._charts[o] = VertexChart(P, o, tuple(cols), tuple(tuple(r) for r in inv), active)
+        det = int_det([[u[i] for u in cols] for i in range(P.n)])
+        if abs(det) != 1:
+            raise PolytopeError(f"vertex {o} is not Delzant: |det U| = {abs(det)}")
+        chart = P._charts[o] = VertexChart(P, o, tuple(cols), tuple(sorted(P.tight_facets(o))))
     return chart
 
 
 def to_chart(chart: VertexChart, p: Sequence[Fraction]) -> Point:
-    """Chart coordinates x = U^{-1}(p - o)."""
-    diff = [Fraction(a) - b for a, b in zip(p, chart.vertex)]
-    return tuple(sum(row[j] * diff[j] for j in range(chart.n)) for row in chart.inverse)
+    """Chart coordinates: the slacks lambda_f - <a_f, p> of the active facets."""
+    P, p = chart.polytope, [Fraction(x) for x in p]
+    return tuple(P.offsets[f] - dot(P.normals[f], p) for f in chart.active)
 
 
 def from_chart(chart: VertexChart, x: Sequence[Fraction]) -> Point:
@@ -86,24 +84,3 @@ def from_chart(chart: VertexChart, x: Sequence[Fraction]) -> Point:
 def local_weights(chart: VertexChart, rho: CircleEmbedding) -> IntVec:
     """Circle weights k_j = <u_j, K> in the chart's edge basis."""
     return tuple(dot(u, rho.K) for u in chart.columns)
-
-
-def q_set(chart: VertexChart, F: Face) -> frozenset[int]:
-    """Indices of edge directions spanning the boundary face F.
-
-    Zero-based chart coordinate indices; empty when F is the chart vertex.
-    Requires F to be a proper face with the chart vertex among its vertices.
-    """
-    if not F.active:
-        raise PolytopeError("q_set: the face is the whole polytope, not on the boundary")
-    if chart.vertex not in F.vertices:
-        raise PolytopeError(
-            "q_set: chart vertex is not a vertex of the endpoint's minimal face; re-chart"
-        )
-    out = frozenset(
-        j
-        for j, u in enumerate(chart.columns)
-        if all(dot(u, chart.polytope.normals[i]) == 0 for i in F.active)
-    )
-    assert len(out) == F.dim
-    return out

@@ -3,7 +3,9 @@ interior transversality and containment, and the combined verdict.
 
 A polynomial curve gamma(s) with endpoints on the boundary is written, at
 each endpoint, in the chart of a vertex of the endpoint's face as chart
-polynomials x_j(tau), where tau runs from the endpoint into the domain.
+polynomials x_j(tau), the slacks of the facets through that vertex, where
+tau runs from the endpoint into the domain; the face coordinates are the
+slacks of the facets that are not tight at the endpoint.
 One coordinate x_p off the face has x_p(0) = 0 and x_p'(0) > 0 and serves
 as the parameter.  The graph g_j = x_j o x_p^{-1} of every other
 coordinate then has exactly the valuation of x_j and the sign of its
@@ -17,19 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 from typing import Optional, Sequence
 
-from .chart import CircleEmbedding, VertexChart, local_weights, make_chart, q_set
+from .chart import CircleEmbedding, VertexChart, local_weights, make_chart
 from .exactmath import (
     RatPoly,
     count_roots,
     isolate_root,
-    poly_add,
     poly_compose_linear,
     poly_deriv,
     poly_eval,
-    poly_scale,
-    poly_sub,
     poly_trim,
 )
 from .polytope import HPolytope, PolytopeError, minimal_face
@@ -173,17 +174,10 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     chart = make_chart(P, o)
     n = P.n
 
-    # gamma(e + sign*tau) componentwise, then chart transform U^{-1}(. - o)
-    gt = [poly_compose_linear(c, e, Fraction(sign)) for c in gamma]
-    diff = [poly_sub(gt[j], [chart.vertex[j]]) for j in range(n)]
-    x_polys: list[RatPoly] = []
-    for row in chart.inverse:
-        acc: RatPoly = []
-        for j in range(n):
-            acc = poly_add(acc, poly_scale(diff[j], row[j]))
-        x_polys.append(acc)
-
-    Q0 = q_set(chart, F)
+    # chart coordinate j is the slack of active facet j along gamma(e + sign*tau);
+    # it vanishes at the endpoint exactly when that facet is tight there
+    x_polys = [poly_compose_linear(_slack(P, f, gamma), e, Fraction(sign)) for f in chart.active]
+    Q0 = {j for j, f in enumerate(chart.active) if f not in F.active}
     param = next((j for j in range(n) if j not in Q0 and _coeff(x_polys[j], 1) != 0), None)
     if param is None:
         raise GraphBuildReject(
@@ -201,9 +195,6 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     kw = local_weights(chart, circle)
     k = tuple(kw[j] for j in (param,) + others)
     Q = frozenset(pos for pos, j in enumerate(others, start=2) if j in Q0)
-    # the endpoint lies in the relative interior of its face: the face
-    # coordinates are positive there and the rest vanish
-    assert all((_coeff(x[pos - 1], 0) > 0) == (pos in Q) for pos in range(2, n + 1))
     return CurveGraph(chart, circle, param, others, x, k, Q, b - a)
 
 
@@ -221,6 +212,18 @@ def _coeff(p: RatPoly, i: int) -> Fraction:
     return p[i] if i < len(p) else Fraction(0)
 
 
+def _pairing(a: Sequence[int], gamma: Curve) -> RatPoly:
+    """<a, gamma(s)>, coefficient by coefficient over the coordinates with a_j != 0 (a is nonzero)."""
+    xs, coords = zip(*[(x, c) for x, c in zip(a, gamma) if x])
+    return poly_trim([sum(map(mul, xs, coeffs)) for coeffs in zip_longest(*coords, fillvalue=0)])
+
+
+def _slack(P: HPolytope, i: int, gamma: Curve) -> RatPoly:
+    """lambda_i - <a_i, gamma(s)>: the slack of facet i along the curve."""
+    p = _pairing([-x for x in P.normals[i]], gamma) or [0]
+    return poly_trim([p[0] + P.offsets[i], *p[1:]])
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -229,9 +232,7 @@ def check_transversality(gamma: Curve, circle: CircleEmbedding,
                          interval: Interval) -> Report:
     """<gamma'(s), K> must not vanish on the open parameter interval."""
     a, b = interval
-    p: RatPoly = []
-    for j, coeffs in enumerate(gamma):
-        p = poly_add(p, poly_scale(poly_deriv(coeffs), Fraction(circle.K[j])))
+    p = poly_deriv(_pairing(circle.K, gamma))
     loc = "interior"
     if not p:
         return Report("transversality", (Condition(
@@ -256,11 +257,8 @@ def check_interior(P: HPolytope, gamma: Curve, interval: Interval) -> Report:
     a, b = interval
     mid = (a + b) / 2
     conditions = []
-    for i, (alpha, lam) in enumerate(zip(P.normals, P.offsets)):
-        inner: RatPoly = []
-        for j, coeffs in enumerate(gamma):
-            inner = poly_add(inner, poly_scale(coeffs, Fraction(alpha[j])))
-        slack = poly_sub([lam], inner)
+    for i in range(P.d):
+        slack = _slack(P, i, gamma)
         loc = f"facet {i + 1}"
         if not slack:
             conditions.append(Condition("facet_slack", loc, "holds", "curve lies inside the facet"))

@@ -57,6 +57,8 @@ def polytope_from_dict(d: dict) -> HPolytope:
         raise FormatError(f"polytope: missing or malformed field ({exc})") from exc
     if not _is_int(n):
         raise FormatError(f"n: expected an integer, got {n!r}")
+    if n < 1:
+        raise FormatError(f"n: the dimension must be at least 1, got {n}")
     if not isinstance(facets, list):
         raise FormatError("facets: expected a list of facet objects")
     normals, offsets = [], []
@@ -112,10 +114,7 @@ def curve_from_dict(d: dict) -> CurveSpec:
         raise FormatError(f"curve: missing field {exc}") from exc
     if not isinstance(coords, list) or not coords:
         raise FormatError("coords: expected a nonempty list of coefficient lists")
-    gamma = [
-        [parse_rational(c, f"coords[{i}][{j}]") for j, c in enumerate(coeffs)]
-        for i, coeffs in enumerate(coords)
-    ]
+    gamma = [list(parse_point(coeffs, f"coords[{i}]")) for i, coeffs in enumerate(coords)]
     if not isinstance(domain, list) or len(domain) != 2:
         raise FormatError("domain: expected [start, end]")
     a = parse_rational(domain[0], "domain[0]")
@@ -127,12 +126,14 @@ def curve_from_dict(d: dict) -> CurveSpec:
     if not any(circle):
         raise FormatError("circle: direction must be nonzero (effective action)")
     charts: list[Optional[tuple[Fraction, ...]]] = [None, None]
-    eps = d.get("endpoints", [])
-    if eps:
+    eps = d.get("endpoints")
+    if eps is not None:
         if not isinstance(eps, list) or len(eps) > 2:
             raise FormatError("endpoints: expected up to two endpoint objects")
         for i, ep in enumerate(eps):
-            if ep and "chart_vertex" in ep and ep["chart_vertex"] is not None:
+            if ep is not None and not isinstance(ep, dict):
+                raise FormatError(f"endpoints[{i}]: expected an endpoint object or null")
+            if ep and ep.get("chart_vertex") is not None:
                 charts[i] = parse_point(ep["chart_vertex"], f"endpoints[{i}].chart_vertex")
     return CurveSpec(gamma, (a, b), CircleEmbedding(tuple(circle)), (charts[0], charts[1]))
 

@@ -45,6 +45,8 @@ class HPolytope:
     offsets: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise PolytopeError(f"n: the dimension must be at least 1, got {self.n}")
         object.__setattr__(self, "normals", tuple(tuple(int(x) for x in a) for a in self.normals))
         object.__setattr__(self, "offsets", tuple(Fraction(o) for o in self.offsets))
         if len(self.normals) != len(self.offsets):

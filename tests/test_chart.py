@@ -9,19 +9,35 @@ from toriclift.chart import (
     from_chart,
     local_weights,
     make_chart,
-    q_set,
     to_chart,
 )
-from toriclift.exactmath import dot, identity_matrix
+from toriclift.criterion import GraphBuildReject, build_graph
+from toriclift.exactmath import dot, identity_matrix, poly_add, poly_compose_linear, poly_scale, poly_sub
 from toriclift.polytope import (
     PolytopeError,
     enumerate_vertices,
     face_lattice,
-    minimal_face,
     validate_delzant,
 )
 
 F = Fraction
+
+POLYTOPES = {**{name: build() for name, build in catalog.CATALOG.items()}, "box3": catalog.box([2, 1, F(3, 2)])}
+DELZANT = [name for name, P in POLYTOPES.items() if validate_delzant(P).ok]
+
+
+def mean(points):
+    return tuple(sum(c) / len(points) for c in zip(*points))
+
+
+def chord(P, face, rng=None):
+    """A curve on [0, 1] from the barycentre of the face into P; with rng, plus random
+    s^2 and s^3 terms, which leave the endpoint at s = 0 and its tangent unchanged."""
+    start, end = mean(face.vertices), mean([v for v, _ in enumerate_vertices(P)])
+    gamma = [[a, b - a] for a, b in zip(start, end)]
+    if rng is not None:
+        gamma = [c + [F(rng.randint(-4, 4), 3), F(rng.randint(-4, 4), 5)] for c in gamma]
+    return gamma
 
 
 class TestCircleEmbedding:
@@ -55,10 +71,7 @@ class TestMakeChart:
             with pytest.raises(PolytopeError, match=r"\|det U\| = 2"):
                 make_chart(bad_triangle, (F(1), F(0)))
 
-    @pytest.mark.parametrize("P", [
-        *(build() for build in catalog.CATALOG.values()),
-        catalog.box([2, 1, F(3, 2)]),
-    ], ids=[*catalog.CATALOG, "box3"])
+    @pytest.mark.parametrize("P", POLYTOPES.values(), ids=POLYTOPES)
     def test_inverse_exact_at_every_delzant_vertex(self, P):
         for verdict in validate_delzant(P).verdicts:
             if not verdict.smooth:
@@ -89,6 +102,17 @@ class TestCoordinateMaps:
                 p = (F(rng.randint(-9, 9), 7), F(rng.randint(-9, 9), 7))
                 assert from_chart(ch, to_chart(ch, p)) == p
 
+    @pytest.mark.parametrize("P", POLYTOPES.values(), ids=POLYTOPES)
+    def test_round_trip_every_delzant_vertex(self, P):
+        rng = random.Random(11)
+        for ch in [make_chart(P, v.vertex) for v in validate_delzant(P).verdicts if v.smooth]:
+            assert to_chart(ch, ch.vertex) == (0,) * P.n
+            for _ in range(10):
+                p = tuple(F(rng.randint(-9, 9), 7) for _ in range(P.n))
+                assert from_chart(ch, to_chart(ch, p)) == p
+                x = tuple(F(rng.randint(-9, 9), 5) for _ in range(P.n))
+                assert to_chart(ch, from_chart(ch, x)) == x
+
     def test_cone_nonnegative_inside(self, cp2):
         # points of the polytope land in the nonnegative orthant of the chart
         ch = make_chart(cp2, (F(3), F(0)))
@@ -117,37 +141,93 @@ class TestLocalWeights:
 
 
 class TestQSet:
+    """The face coordinates Q of an endpoint graph: the positions whose facet is
+    not tight at the endpoint.  In cp2 the chart at the origin has coordinate 0
+    along the x-edge and coordinate 1 along the y-edge."""
+
+    K = CircleEmbedding((1, 1))
+
+    def face_chart_indices(self, P, gamma, chart_vertex=None):
+        graph = build_graph(P, gamma, (F(0), F(1)), 0, self.K, chart_vertex)
+        return {graph.other_chart_indices[pos - 2] for pos in graph.Q}
+
     def test_vertex_itself_empty(self, cp2):
-        ch = make_chart(cp2, (F(0), F(0)))
-        assert q_set(ch, minimal_face(cp2, (F(0), F(0)))) == frozenset()
+        assert self.face_chart_indices(cp2, [[0, 1], [0, 1]]) == set()
 
     def test_edge_point(self, cp2):
         # (1, 0) sits on the facet with normal (0, -1); the x-edge spans it
-        ch = make_chart(cp2, (F(0), F(0)))
-        assert q_set(ch, minimal_face(cp2, (F(1), F(0)))) == frozenset({0})
+        assert self.face_chart_indices(cp2, [[1], [0, 1]]) == {0}
 
     def test_other_edge(self, cp2):
-        ch = make_chart(cp2, (F(0), F(0)))
-        assert q_set(ch, minimal_face(cp2, (F(0), F(2)))) == frozenset({1})
+        assert self.face_chart_indices(cp2, [[0, 1], [2]]) == {1}
 
     def test_interior_rejected(self, cp2):
-        ch = make_chart(cp2, (F(0), F(0)))
-        with pytest.raises(PolytopeError):
-            q_set(ch, minimal_face(cp2, (F(1), F(1))))
+        with pytest.raises(GraphBuildReject, match="endpoint_interior"):
+            self.face_chart_indices(cp2, [[1, 1], [1, 1]])
 
     def test_wrong_chart_rejected(self, cp2):
         # the diagonal facet does not touch the origin vertex
-        ch = make_chart(cp2, (F(0), F(0)))
-        with pytest.raises(PolytopeError, match="re-chart"):
-            q_set(ch, minimal_face(cp2, (F(3, 2), F(3, 2))))
+        with pytest.raises(PolytopeError, match="not a vertex of the endpoint face"):
+            self.face_chart_indices(cp2, [[F(3, 2), -1], [F(3, 2), -1]], (0, 0))
 
     def test_size_matches_face_dimension(self, cp2, hirzebruch):
-        for P in (cp2, hirzebruch):
-            for f in face_lattice(P):
-                if not f.active:
+        # a chord from each proper face's barycentre, in the chart of each vertex of the face
+        for P in (cp2, hirzebruch, POLYTOPES["box3"]):
+            for face in face_lattice(P):
+                if not face.active:
                     continue
-                ch = make_chart(P, f.vertices[0])
-                assert len(q_set(ch, f)) == f.dim
+                for o in face.vertices:
+                    graph = build_graph(P, chord(P, face), (F(0), F(1)), 0, CircleEmbedding((1,) * P.n), o)
+                    assert len(graph.Q) == face.dim
+
+
+def _inverse(M):
+    """Exact inverse of a square integer matrix by Gauss-Jordan elimination."""
+    n = len(M)
+    A = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
+    for c in range(n):
+        r = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[r] = A[r], A[c]
+        A[c] = [x / A[c][c] for x in A[c]]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                A[r] = [x - A[r][c] * y for x, y in zip(A[r], A[c])]
+    return [row[n:] for row in A]
+
+
+class TestGraphAgainstEdgeBasis:
+    """graph.x against U^{-1}(gamma(e + sign*tau) - o), with U^{-1} inverted here from chart.columns."""
+
+    @pytest.mark.parametrize("name", DELZANT)
+    def test_random_chords(self, name):
+        P, rng, checked = POLYTOPES[name], random.Random(7), 0
+        faces = [f for f in face_lattice(P) if f.active]
+        for _ in range(30):
+            face = rng.choice(faces)
+            gamma = chord(P, face, rng)
+            endpoint = rng.randint(0, 1)
+            if endpoint:  # the same chord run backwards, so it ends at s = 1
+                gamma = [poly_compose_linear(c, F(1), F(-1)) for c in gamma]
+            o = rng.choice(face.vertices)
+            try:
+                graph = build_graph(P, gamma, (F(0), F(1)), endpoint, CircleEmbedding((1,) * P.n), o)
+            except GraphBuildReject:
+                continue
+            ch = graph.chart
+            U = [[ch.columns[j][i] for j in range(P.n)] for i in range(P.n)]
+            e, sign = (F(0), F(1)) if endpoint == 0 else (F(1), F(-1))
+            diff = [poly_sub(poly_compose_linear(c, e, sign), [o[j]]) for j, c in enumerate(gamma)]
+            oracle = []
+            for row in _inverse(U):
+                acc = []
+                for j in range(P.n):
+                    acc = poly_add(acc, poly_scale(diff[j], row[j]))
+                oracle.append(acc)
+            order = (graph.param_chart_index,) + graph.other_chart_indices
+            assert list(graph.x) == [oracle[j] for j in order]
+            assert [list(r) for r in ch.inverse] == _inverse(U)
+            checked += 1
+        assert checked >= 20
 
 
 class TestPairingInvariance:

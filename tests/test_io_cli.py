@@ -59,7 +59,9 @@ class TestPolytopeFiles:
         ({"n": True}, "n: expected an integer, got True"),
         ({"n": "1"}, "n: expected an integer, got '1'"),
         ({"facets": 5}, "facets: expected a list of facet objects"),
-    ], ids=["float-n", "bool-n", "string-n", "facets-not-list"])
+        ({"n": 0, "facets": []}, "n: the dimension must be at least 1, got 0"),
+        ({"n": -2}, "n: the dimension must be at least 1, got -2"),
+    ], ids=["float-n", "bool-n", "string-n", "facets-not-list", "zero-n", "negative-n"])
     def test_malformed_header_rejected(self, fields, message):
         d = dict({"n": 1, "facets": [{"normal": [1], "offset": "1"}, {"normal": [-1], "offset": "0"}]}, **fields)
         with pytest.raises(io.FormatError, match=re.escape(message)):
@@ -73,6 +75,18 @@ class TestPolytopeFiles:
         d = {"n": 1, "facets": [facet, {"normal": [-1], "offset": "0"}]}
         with pytest.raises(io.FormatError, match=re.escape(message)):
             io.polytope_from_dict(d)
+
+
+# curve-file fields and entries of the wrong JSON type, each with the one line that
+# names it; a string of digits is not read as a list of one-digit coefficients
+MALFORMED_ENTRIES = {
+    "coords-number": ({"coords": [5, ["0"]]}, "coords[0]: expected a list of rationals"),
+    "coords-string": ({"coords": ["12", ["0"]]}, "coords[0]: expected a list of rationals"),
+    "endpoint-number": ({"endpoints": [5]}, "endpoints[0]: expected an endpoint object or null"),
+    "endpoint-string": ({"endpoints": [None, "chart_vertex"]},
+                        "endpoints[1]: expected an endpoint object or null"),
+    "endpoints-false": ({"endpoints": False}, "endpoints: expected up to two endpoint objects"),
+}
 
 
 class TestCurveFiles:
@@ -112,6 +126,15 @@ class TestCurveFiles:
         d["coords"] = [["0", "0.5"], ["0", "1"]]
         with pytest.raises(io.FormatError):
             io.curve_from_dict(d)
+
+    def test_null_endpoint_entry(self):
+        spec = io.curve_from_dict(dict(self.GOOD, endpoints=[None, {"chart_vertex": ["3", "0"]}]))
+        assert spec.chart_vertices == (None, (F(3), F(0)))
+
+    @pytest.mark.parametrize("fields,message", MALFORMED_ENTRIES.values(), ids=MALFORMED_ENTRIES)
+    def test_malformed_entry_rejected(self, fields, message):
+        with pytest.raises(io.FormatError, match=re.escape(message)):
+            io.curve_from_dict(dict(self.GOOD, **fields))
 
     @pytest.mark.parametrize("fields,message", [
         ({"coords": [["0", True], ["0", "1"]]}, "coords[0][1]: expected a rational literal"),
@@ -331,6 +354,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fields,message", MALFORMED_ENTRIES.values(), ids=MALFORMED_ENTRIES)
+    def test_malformed_curve_entry_usage_error(self, cp2_file, tmp_path, capsys, fields, message):
+        curve = write_json(tmp_path, "curve.json", dict(TestCurveFiles.GOOD, **fields))
+        assert main(["lift-check", cp2_file, curve]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_validate_zero_dimension_usage_error(self, tmp_path, capsys):
+        P = write_json(tmp_path, "P.json", {"n": 0, "facets": []})
+        assert main(["validate", P]) == 3
+        assert capsys.readouterr() == ("", "error: n: the dimension must be at least 1, got 0\n")
 
     def test_validate_half_line_unbounded(self, tmp_path, capsys):
         half_line = write_json(tmp_path, "half.json", {"n": 1, "facets": [{"normal": [1], "offset": "0"}]})

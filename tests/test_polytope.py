@@ -101,6 +101,11 @@ class TestConstruction:
         with pytest.raises(PolytopeError):
             HPolytope(1, ((1,), (-1,)), (F(-2), F(0)))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_dimension_below_one_rejected(self, n):
+        with pytest.raises(PolytopeError, match=rf"^n: the dimension must be at least 1, got {n}$"):
+            HPolytope(n, (), ())
+
 
 class TestVertices:
     def test_cp2(self, cp2):
