@@ -8,6 +8,7 @@ from toriclift.polytope import (
     edge_vectors_at_vertex,
     enumerate_vertices,
     face_lattice,
+    format_point,
     validate_delzant,
 )
 
@@ -24,12 +25,13 @@ def show(name, P):
     print(f"  face counts by dimension: {dict(sorted(by_dim.items()))}")
     rep = validate_delzant(P)
     print(f"  Delzant: {'PASS' if rep.ok else 'FAIL'}")
+    active = dict(verts)  # each vertex's active facets, from which its edges are read
     for v in rep.verdicts:
-        pt = "(" + ", ".join(map(str, v.vertex)) + ")"
+        pt = format_point(v.vertex)
         if v.smooth:
             print(f"    vertex {pt}: edge basis det {v.det}")
         else:
-            cols = edge_vectors_at_vertex(P, v.vertex)
+            cols = edge_vectors_at_vertex(P, active[v.vertex])
             print(f"    vertex {pt}: FAIL, edge directions {cols} have |det| = {abs(v.det)}")
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactmath import IntVec, dot, int_det, primitive
-from .polytope import HPolytope, Point, PolytopeError, edge_vectors_at_vertex
+from .polytope import HPolytope, Point, PolytopeError, edge_vectors_at_vertex, format_point, minimal_face
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class VertexChart:
 
 
 def make_chart(P: HPolytope, o: Sequence[Fraction]) -> VertexChart:
-    """Chart at a Delzant-valid vertex; rejects |det U| != 1.
+    """Chart at a simple Delzant vertex; rejects any other point and |det U| != 1.
 
     The edge basis U is checked unimodular; its inverse is then the
     negated active normals, so chart coordinates are the facet slacks.
@@ -58,11 +58,16 @@ def make_chart(P: HPolytope, o: Sequence[Fraction]) -> VertexChart:
     o = tuple(Fraction(x) for x in o)
     chart = P._charts.get(o)
     if chart is None:
-        cols = edge_vectors_at_vertex(P, o)
-        det = int_det([[u[i] for u in cols] for i in range(P.n)])
+        F = minimal_face(P, o)
+        if F.dim > 0:
+            raise PolytopeError(f"point {format_point(o)} is not a vertex")
+        if len(F.active) != P.n:
+            raise PolytopeError(f"vertex {format_point(o)} is not simple: {len(F.active)} active facets")
+        cols = edge_vectors_at_vertex(P, F.active)
+        det = int_det(cols)
         if abs(det) != 1:
-            raise PolytopeError(f"vertex {o} is not Delzant: |det U| = {abs(det)}")
-        chart = P._charts[o] = VertexChart(P, o, tuple(cols), tuple(sorted(P.tight_facets(o))))
+            raise PolytopeError(f"vertex {format_point(o)} is not Delzant: |det U| = {abs(det)}")
+        chart = P._charts[o] = VertexChart(P, o, tuple(cols), tuple(sorted(F.active)))
     return chart
 
 

@@ -17,6 +17,7 @@ from .criterion import GraphBuildReject, build_graph, check_lift
 from .polytope import (
     PolytopeError,
     face_lattice,
+    format_point,
     points_equivalent,
     validate_delzant,
     validate_quasitoric,
@@ -45,7 +46,7 @@ def cmd_validate(args) -> int:
             {
                 "vertex": [io.format_rational(x) for x in v.vertex],
                 "simple": v.simple,
-                "rational": v.rational,
+                "rational": True,
                 "det": v.det,
                 "smooth": v.smooth,
             }
@@ -54,7 +55,7 @@ def cmd_validate(args) -> int:
     }
     human = [f"Delzant validation: {'PASS' if report.ok else 'FAIL'}"]
     for v in report.verdicts:
-        pt = "(" + ", ".join(io.format_rational(x) for x in v.vertex) + ")"
+        pt = format_point(v.vertex)
         if v.simple and v.smooth:
             human.append(f"  vertex {pt}: ok (det {v.det})")
         elif not v.simple:
@@ -81,8 +82,7 @@ def cmd_quasitoric(args) -> int:
     human = [f"Quasitoric facet-vector check ({'det = +1' if report.strict else '|det| = 1'}): "
              f"{'PASS' if report.ok else 'FAIL'}"]
     for v, d in report.vertex_dets:
-        pt = "(" + ", ".join(io.format_rational(x) for x in v) + ")"
-        human.append(f"  vertex {pt}: det = {d}")
+        human.append(f"  vertex {format_point(v)}: det = {d}")
     _emit(args, machine, human)
     return EXIT_PASS if report.ok else EXIT_FAIL
 
@@ -139,16 +139,27 @@ def cmd_lift_check(args) -> int:
     return EXIT_PASS if verdict.verdict == "accept" else EXIT_FAIL
 
 
+def _parse_project(s: str, n: int) -> tuple[int, int, int]:
+    """--project: three coordinates in 1..2n, returned 0-based."""
+    try:
+        idx = tuple(int(part) for part in s.split(","))
+    except ValueError:
+        idx = ()
+    if len(idx) != 3 or not all(1 <= i <= 2 * n for i in idx):
+        raise io.FormatError(f"--project: expected three integers in 1..{2 * n}, got {s!r}")
+    return tuple(i - 1 for i in idx)
+
+
 def cmd_sample(args) -> int:
     from . import surface  # the only numpy user, so no other subcommand loads it
 
     P = io.load_polytope(args.polytope)
+    project = _parse_project(args.project, P.n)
     spec = io.load_curve(args.curve)
     graph = build_graph(P, spec.gamma, spec.interval, args.endpoint, spec.circle,
                         spec.chart_vertices[args.endpoint])
     sample = surface.sample_surface(graph, args.nx, args.nt)
     fmt = args.format or ("obj" if str(args.out).endswith(".obj") else "csv")
-    project = tuple(int(i) - 1 for i in args.project.split(","))
     surface.export_mesh(sample, fmt, args.out, project=project)
     if not args.json:
         print(f"wrote {args.out} ({args.nx}x{args.nt} grid, format {fmt})")

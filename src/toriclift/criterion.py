@@ -33,7 +33,7 @@ from .exactmath import (
     poly_eval,
     poly_trim,
 )
-from .polytope import HPolytope, PolytopeError, minimal_face
+from .polytope import HPolytope, PolytopeError, format_point, minimal_face
 
 Curve = list[RatPoly]  # one coefficient list per ambient coordinate
 Interval = tuple[Fraction, Fraction]
@@ -124,14 +124,6 @@ def curve_eval(gamma: Curve, s: Fraction) -> tuple[Fraction, ...]:
     return tuple(poly_eval(c, s) for c in gamma)
 
 
-def _fmt(x) -> str:
-    return str(x)
-
-
-def _fmt_point(p: Sequence[Fraction]) -> str:
-    return "(" + ", ".join(map(_fmt, p)) + ")"
-
-
 # ---------------------------------------------------------------------------
 # endpoint graph construction
 
@@ -158,19 +150,19 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
         F = minimal_face(P, v1)
     except PolytopeError:  # the only one minimal_face raises: v1 lies outside P
         raise GraphBuildReject("endpoint_outside_polytope",
-                               f"endpoint {_fmt_point(v1)} lies outside the polytope") from None
+                               f"endpoint {format_point(v1)} lies outside the polytope") from None
     if not F.active:
         raise GraphBuildReject("endpoint_interior",
-                               f"endpoint {_fmt_point(v1)} is not on the boundary")
+                               f"endpoint {format_point(v1)} is not on the boundary")
     if chart_vertex is not None:
         o = tuple(Fraction(x) for x in chart_vertex)
         if o not in F.vertices:
-            raise PolytopeError(f"chart vertex {_fmt_point(o)} is not a vertex of the endpoint face")
+            raise PolytopeError(f"chart vertex {format_point(o)} is not a vertex of the endpoint face")
     else:
         o = min(F.vertices)
     if all(poly_eval(poly_deriv(c), e) == 0 for c in gamma):
         raise GraphBuildReject("singular_parametrisation",
-                               f"the curve has zero velocity at endpoint {_fmt_point(v1)}")
+                               f"the curve has zero velocity at endpoint {format_point(v1)}")
     chart = make_chart(P, o)
     n = P.n
 
@@ -182,12 +174,12 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     if param is None:
         raise GraphBuildReject(
             "tangent_parallel_to_face",
-            f"no chart coordinate off the face moves to first order at {_fmt_point(v1)}",
+            f"no chart coordinate off the face moves to first order at {format_point(v1)}",
         )
     if x_polys[param][1] < 0:
         raise GraphBuildReject(
             "curve_exits_chart_cone",
-            f"parameter coordinate {param + 1} decreases into the domain at {_fmt_point(v1)}",
+            f"parameter coordinate {param + 1} decreases into the domain at {format_point(v1)}",
         )
 
     others = tuple(j for j in range(n) if j != param)
@@ -202,7 +194,7 @@ def _check_dimensions(P: HPolytope, gamma: Curve, circle: CircleEmbedding,
                       chart_vertices: Sequence[Optional[Sequence[Fraction]]]) -> None:
     """Raise ValueError unless the curve, the circle and each given chart vertex have n entries."""
     sizes = [("the curve", len(gamma)), ("the circle", len(circle.K))]
-    sizes += [(f"chart vertex {_fmt_point(o)}", len(o)) for o in chart_vertices if o is not None]
+    sizes += [(f"chart vertex {format_point(o)}", len(o)) for o in chart_vertices if o is not None]
     wrong = [f"{name} has length {size}" for name, size in sizes if size != P.n]
     if wrong:
         raise ValueError(f"the polytope has dimension {P.n}, but {' and '.join(wrong)}")
@@ -245,7 +237,7 @@ def check_transversality(gamma: Curve, circle: CircleEmbedding,
     lo, hi = isolate_root(p, a, b)
     return Report("transversality", (Condition(
         "tangent_circle_pairing", loc, "fails",
-        f"pairing vanishes in ({_fmt(lo)}, {_fmt(hi)})"),))
+        f"pairing vanishes in ({lo}, {hi})"),))
 
 
 def check_interior(P: HPolytope, gamma: Curve, interval: Interval) -> Report:
@@ -273,7 +265,7 @@ def check_interior(P: HPolytope, gamma: Curve, interval: Interval) -> Report:
             lo, hi = isolate_root(slack, a, b)
             conditions.append(Condition(
                 "facet_slack", loc, "fails",
-                f"interior boundary contact at s in ({_fmt(lo)}, {_fmt(hi)})"))
+                f"interior boundary contact at s in ({lo}, {hi})"))
     return Report("interior", tuple(conditions))
 
 

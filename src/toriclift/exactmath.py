@@ -3,7 +3,9 @@
 Everything in this module is exact: integers are arbitrary precision,
 rationals are `fractions.Fraction`, and no floating point appears anywhere.
 Integer matrices are lists of rows; where a function speaks of "columns"
-(HNF, edge bases) the data is still stored row-major.
+(HNF, edge bases) the data is still stored row-major.  `hnf` is the one
+elimination routine: the rank, the integer kernel, the saturation index
+and the determinant are all read from its triangular form.
 """
 
 from __future__ import annotations
@@ -48,32 +50,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def int_det(A: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("int_det: matrix not square")
-    if n == 0:
-        return 1
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) = a*x + b*y and g >= 0."""
     old_r, r = a, b
@@ -90,56 +66,46 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def hnf(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
-    """Column-style Hermite normal form, the one routine for lattice questions.
+    """Column-style Hermite form, the one elimination routine.
 
-    Returns (H, U) with H = A @ U, U unimodular.  H is lower triangular in
-    the sense that pivot rows descend left to right, pivots are positive,
-    and in each pivot row the entries in earlier columns are reduced into
-    [0, pivot).  So the first rank(A) columns of H are nonzero and the rest
-    are zero; the columns of U under the zero columns are a Z-basis of the
-    integer kernel of A; and H is the identity exactly when A is square and
-    unimodular, in which case U is the inverse of A.
+    Returns (H, U) with H = A @ U and det U = +1: each step is an
+    extended-gcd column combination of determinant (x*a + y*b)/g = 1.  In H
+    the pivot rows descend left to right, so the first rank(A) columns are
+    nonzero and the columns of U under the zero ones are a Z-basis of the
+    integer kernel of A; for square A, det A is the diagonal product of H.
+    Pivots keep their sign and entries left of a pivot are not reduced.
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
     H = [list(row) for row in A]
     U = identity_matrix(cols)
-
-    def combine(p: int, c: int, m11: int, m12: int, m21: int, m22: int) -> None:
-        # (col_p, col_c) <- (m11*col_p + m21*col_c, m12*col_p + m22*col_c)
-        for M in (H, U):
-            for i in range(len(M)):
-                vp, vc = M[i][p], M[i][c]
-                M[i][p] = m11 * vp + m21 * vc
-                M[i][c] = m12 * vp + m22 * vc
-
     pivot = 0
     for r in range(rows):
         if pivot >= cols:
             break
-        # zero out row r to the right of the pivot column
+        # zero out row r to the right of the pivot column:
+        # (col_p, col_c) <- (x*col_p + y*col_c, (a*col_c - b*col_p)/g)
         for c in range(pivot + 1, cols):
             a, b = H[r][pivot], H[r][c]
             if b == 0:
                 continue
             g, x, y = _ext_gcd(a, b)
-            combine(pivot, c, x, -(b // g), y, a // g)
-        if H[r][pivot] == 0:
-            continue  # no pivot in this row
-        if H[r][pivot] < 0:
+            a, b = a // g, b // g
             for M in (H, U):
-                for i in range(len(M)):
-                    M[i][pivot] = -M[i][pivot]
-        # reduce earlier columns against the pivot
-        p = H[r][pivot]
-        for c in range(pivot):
-            q = H[r][c] // p
-            if q:
-                for M in (H, U):
-                    for i in range(len(M)):
-                        M[i][c] -= q * M[i][pivot]
-        pivot += 1
+                for row in M:
+                    vp, vc = row[pivot], row[c]
+                    row[pivot], row[c] = x * vp + y * vc, a * vc - b * vp
+        if H[r][pivot] != 0:
+            pivot += 1
     return H, U
+
+
+def int_det(A: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix: the diagonal product of its Hermite form."""
+    if any(len(row) != len(A) for row in A):
+        raise ValueError("int_det: matrix not square")
+    H, _ = hnf(A)
+    return prod(H[i][i] for i in range(len(A)))
 
 
 def rank(A: Sequence[Sequence[int]]) -> int:
@@ -161,9 +127,10 @@ def saturation_index(cols: Sequence[IntVec]) -> int:
     """Index of span_Z(cols) inside its real-span lattice.
 
     Equals the gcd of all maximal minors; 1 means the columns extend to a
-    Z-basis of Z^n.  Column operations keep that gcd, so it is the product
-    of the pivots of the Hermite form [L | 0] of the matrix whose rows are
-    the columns.  Requires the columns to be linearly independent.
+    Z-basis of Z^n.  Unimodular column operations keep that gcd, so it is
+    the absolute value of the product of the pivots of the Hermite form
+    [L | 0] of the matrix whose rows are the columns.  Requires the columns
+    to be linearly independent.
     """
     k = len(cols)
     if k == 0:
@@ -171,7 +138,7 @@ def saturation_index(cols: Sequence[IntVec]) -> int:
     H, _ = hnf(cols)
     if k > len(H[0]) or H[k - 1][k - 1] == 0:
         raise ValueError("saturation_index: columns are linearly dependent")
-    return prod(H[i][i] for i in range(k))
+    return abs(prod(H[i][i] for i in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +292,17 @@ def count_roots(p: Sequence[Fraction], left: Fraction, right: Fraction) -> int:
     return count
 
 
-def isolate_root(p: Sequence[Fraction], left: Fraction, right: Fraction,
-                 width: Fraction = Fraction(1, 1024)) -> tuple[Fraction, Fraction]:
-    """Shrink (left, right), known to contain at least one root, by bisection.
+ISOLATE_WIDTH = Fraction(1, 1024)
+
+
+def isolate_root(p: Sequence[Fraction], left: Fraction, right: Fraction) -> tuple[Fraction, Fraction]:
+    """Shrink (left, right), known to contain at least one root, by bisection to ISOLATE_WIDTH.
 
     The left half is kept whenever it holds a root, so the result brackets
     the leftmost root, unless a midpoint is itself a root: then (mid, mid).
     """
     lo, hi = Fraction(left), Fraction(right)
-    while hi - lo > width:
+    while hi - lo > ISOLATE_WIDTH:
         mid = (lo + hi) / 2
         if poly_eval(p, mid) == 0:
             return mid, mid

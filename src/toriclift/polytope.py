@@ -6,8 +6,9 @@ normals and rational offsets.  Its combinatorics is read from the vertex
 active sets: the vertices are the points of P where n facets with
 independent normals meet (every n-subset is tried, each solved through
 its Hermite form), and the faces are the intersections of vertex active
-sets.  Vertices, the face lattice and the faces looked up by
-`minimal_face` are computed once per polytope and kept on it.
+sets; edge bases are read from those sets too.  Vertices, the face
+lattice and the faces looked up by `minimal_face` are computed once per
+polytope and kept on it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactmath import (
     IntVec,
@@ -34,6 +35,11 @@ Point = tuple[Fraction, ...]
 
 class PolytopeError(ValueError):
     """Invalid polytope data (unbounded, degenerate, malformed)."""
+
+
+def format_point(p: Sequence[Fraction]) -> str:
+    """A point for messages: (5, 0), (1/2, 3)."""
+    return "(" + ", ".join(map(str, p)) + ")"
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,7 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
 
     n facets meet in one point exactly when the Hermite form H = A U of
     their normals has a nonzero last column; then H is lower triangular
-    with positive pivots, H y = b is solved by forward substitution, and
+    with nonzero pivots, H y = b is solved by forward substitution, and
     the point is x = U y.
     """
     if P._vertices is None:
@@ -182,32 +188,19 @@ def face_lattice(P: HPolytope) -> list[Face]:
     return P._lattice
 
 
-def edge_vectors_at_vertex(P: HPolytope, v: Sequence[Fraction]) -> list[IntVec]:
+def edge_vectors_at_vertex(P: HPolytope, active: Iterable[int]) -> list[IntVec]:
     """Primitive edge directions at a simple vertex, as columns.
 
-    Column j relaxes the j-th active facet (sorted by facet index): it is
-    orthogonal to every other active normal and pairs negatively with the
-    relaxed one.
+`active` holds the n facets through the vertex, as `enumerate_vertices`
+    gives them; their normals are independent.  Column j relaxes the j-th
+    active facet (sorted by facet index): it spans the kernel line of the
+    other active normals and pairs negatively with the relaxed one.
     """
-    v = tuple(Fraction(x) for x in v)
-    tight = P.tight_facets(v)
-    if tight is None:
-        raise PolytopeError(f"point {v} outside the polytope")
-    active = sorted(tight)
-    if len(active) != P.n:
-        raise PolytopeError(f"vertex {v} is not simple: {len(active)} active facets")
+    active = sorted(active)
     cols = []
-    for j, fj in enumerate(active):
-        kern = _kernel([P.normals[f] for k, f in enumerate(active) if k != j], P.n)
-        if len(kern) != 1:
-            raise PolytopeError(f"degenerate edge at vertex {v}")
-        u = kern[0]
-        pairing = dot(u, P.normals[fj])
-        if pairing == 0:
-            raise PolytopeError(f"degenerate normals at vertex {v}")
-        if pairing > 0:
-            u = tuple(-x for x in u)
-        cols.append(u)
+    for fj in active:
+        u = _kernel([P.normals[f] for f in active if f != fj], P.n)[0]
+        cols.append(tuple(-x for x in u) if dot(u, P.normals[fj]) > 0 else u)
     return cols
 
 
@@ -215,7 +208,6 @@ def edge_vectors_at_vertex(P: HPolytope, v: Sequence[Fraction]) -> list[IntVec]:
 class VertexVerdict:
     vertex: Point
     simple: bool
-    rational: bool
     det: Optional[int]
     smooth: bool
 
@@ -226,21 +218,19 @@ class DelzantReport:
     verdicts: tuple[VertexVerdict, ...]
 
     def failures(self) -> list[VertexVerdict]:
-        return [v for v in self.verdicts if not (v.simple and v.rational and v.smooth)]
+        return [v for v in self.verdicts if not v.smooth]
 
 
 def validate_delzant(P: HPolytope) -> DelzantReport:
-    """Per-vertex simple/rational/smooth verdicts; pass iff all pass."""
+    """Per-vertex simple/smooth verdicts (integer normals make P rational); pass iff all pass."""
     verdicts = []
     for v, active in enumerate_vertices(P):
-        simple = len(active) == P.n
-        if not simple:
-            verdicts.append(VertexVerdict(v, False, True, None, False))
+        if len(active) != P.n:
+            verdicts.append(VertexVerdict(v, False, None, False))
             continue
-        U = edge_vectors_at_vertex(P, v)
-        det = int_det([[U[j][i] for j in range(P.n)] for i in range(P.n)])
-        verdicts.append(VertexVerdict(v, True, True, det, abs(det) == 1))
-    return DelzantReport(all(v.simple and v.rational and v.smooth for v in verdicts), tuple(verdicts))
+        det = int_det(edge_vectors_at_vertex(P, active))
+        verdicts.append(VertexVerdict(v, True, det, abs(det) == 1))
+    return DelzantReport(all(v.smooth for v in verdicts), tuple(verdicts))
 
 
 @dataclass(frozen=True)
@@ -268,8 +258,7 @@ def validate_quasitoric(P: HPolytope, facet_vectors: Sequence[Sequence[int]],
     for v, active in enumerate_vertices(P):
         if len(active) != P.n:
             raise PolytopeError("quasitoric validation needs a simple polytope")
-        cols = [vecs[i] for i in sorted(active)]
-        det = int_det([[cols[j][i] for j in range(P.n)] for i in range(P.n)])
+        det = int_det([vecs[i] for i in sorted(active)])
         dets.append((v, det))
         if (det != 1) if strict else (abs(det) != 1):
             ok = False
@@ -281,7 +270,7 @@ def minimal_face(P: HPolytope, r: Sequence[Fraction]) -> Face:
     r = tuple(Fraction(x) for x in r)
     active = P.tight_facets(r)
     if active is None:
-        raise PolytopeError(f"point {r} outside the polytope")
+        raise PolytopeError(f"point {format_point(r)} outside the polytope")
     return _face(P, active)
 
 

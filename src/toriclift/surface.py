@@ -126,8 +126,7 @@ def _plane_residual(pts: np.ndarray, vertex: np.ndarray) -> float:
     return float(np.sqrt(np.sum(sv[2:] ** 2))) / total
 
 
-def smoothness_probe(graph: CurveGraph, eps: float | None = None,
-                     nx: int = 400, nt: int = 48) -> ProbeResult:
+def smoothness_probe(graph: CurveGraph, nx: int = 400, nt: int = 48) -> ProbeResult:
     """Second-moment planarity test at the tau = 0 tip of the surface.
 
     Compares the normalized out-of-plane residual at two scales eps and
@@ -145,10 +144,9 @@ def smoothness_probe(graph: CurveGraph, eps: float | None = None,
     vertex = grid[0, 0]
     pts = grid[1:].reshape(-1, 2 * graph.n)
     dist = np.linalg.norm(pts - vertex[None, :], axis=1)
-    if eps is None:
-        # small enough that curvature of a smooth sheet stays under the
-        # planar threshold, large enough to keep the point count up
-        eps = 0.15 * float(np.max(dist))
+    # small enough that curvature of a smooth sheet stays under the
+    # planar threshold, large enough to keep the point count up
+    eps = 0.15 * float(np.max(dist))
     res = []
     for scale in (eps, eps / 2):
         sel = pts[(dist > 0) & (dist <= scale)]

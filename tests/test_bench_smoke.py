@@ -1,18 +1,26 @@
-"""Smoke test of the benchmark workloads in bench/workloads.py.
+"""Smoke test of the benchmark workloads in bench/workloads.py, of the
+chord-pool generator bench/make_chords.py, and of the demos.
 
 Runs each workload's set-up and ops once at seed 1, so a change to the
 package that breaks the benchmark harness (or one of its known answers)
-fails here instead of only in a benchmark run.
+fails here instead of only in a benchmark run.  The chord generator's
+closed form is checked on stored chords, and the demos are run, so a
+package name either of them uses cannot disappear unnoticed.
 """
 
 import os
+import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
 sys.path.insert(0, BENCH)
 
+import corpus  # noqa: E402
+import make_chords  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -48,3 +56,36 @@ def test_ladder_each_dimension(tmp_path):
     assert len(first) == 13 and sorted({item.n for item in first.values()}) == [2, 3, 4, 5]
     assert "P6xP4xI" in first
     _check_items(w, list(first.values()))
+
+
+def test_make_chords_closed_form_agrees_with_check_lift():
+    # the first few stored chords of every polytope, through the generator's
+    # own closed form (chart polynomials from VertexChart.inverse)
+    from toriclift import catalog
+    from toriclift.chart import CircleEmbedding
+    from toriclift.criterion import check_lift
+
+    polytopes = corpus.build_polytopes(catalog)
+    chords = corpus.load_chords()
+    picked = [c for name in polytopes for c in [c for c in chords if c.polytope == name][:4]]
+    assert len(picked) == 4 * len(polytopes)
+    interval = (Fraction(0), Fraction(1))
+    holds = set()
+    for c in picked:
+        P, circle = polytopes[c.polytope], CircleEmbedding(c.circle)
+        verdict = check_lift(P, c.coords, interval, circle)
+        assert verdict.verdict == c.expected, c.label()
+        for ep in (0, 1):
+            ok = make_chords.endpoint_holds(P, c.coords, interval, ep, circle)
+            assert ok == (verdict.report(f"endpoint {ep + 1}").status != "fails"), (ep, c.label())
+            holds.add(ok)
+    assert holds == {True, False}
+
+
+@pytest.mark.parametrize("demo", ["delzant_validation.py", "lift_criterion.py"])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout and not os.listdir(tmp_path)

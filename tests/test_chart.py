@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from toriclift.chart import (
 from toriclift.criterion import GraphBuildReject, build_graph
 from toriclift.exactmath import dot, identity_matrix, poly_add, poly_compose_linear, poly_scale, poly_sub
 from toriclift.polytope import (
+    HPolytope,
     PolytopeError,
     enumerate_vertices,
     face_lattice,
@@ -63,12 +66,23 @@ class TestMakeChart:
         assert set(ch.columns) == {(-1, 1), (-1, 0)}
 
     def test_non_vertex_rejected(self, cp2):
-        with pytest.raises(PolytopeError):
+        with pytest.raises(PolytopeError, match=re.escape("point (1, 0) is not a vertex")):
             make_chart(cp2, (F(1), F(0)))
+
+    def test_outside_point_rejected(self, cp2):
+        with pytest.raises(PolytopeError, match=re.escape("point (4, 0) outside the polytope")):
+            make_chart(cp2, (F(4), F(0)))
+
+    def test_non_simple_vertex_rejected(self):
+        # |x| + |y| + |z| <= 1: four facets meet at every vertex
+        octahedron = HPolytope(3, list(itertools.product((1, -1), repeat=3)), [1] * 8)
+        with pytest.raises(PolytopeError,
+                           match=re.escape("vertex (1, 0, 0) is not simple: 4 active facets")):
+            make_chart(octahedron, (F(1), F(0), F(0)))
 
     def test_bad_vertex_rejected(self, bad_triangle):
         for _ in range(2):  # a rejected vertex is not memoised
-            with pytest.raises(PolytopeError, match=r"\|det U\| = 2"):
+            with pytest.raises(PolytopeError, match=re.escape("vertex (1, 0) is not Delzant: |det U| = 2")):
                 make_chart(bad_triangle, (F(1), F(0)))
 
     @pytest.mark.parametrize("P", POLYTOPES.values(), ids=POLYTOPES)

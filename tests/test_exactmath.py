@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toriclift.exactmath import (
+    ISOLATE_WIDTH,
     count_roots,
     hnf,
     int_det,
@@ -51,11 +52,15 @@ class TestHnf:
         assert U == [[1, 0], [0, 1]]
 
     def test_swap(self):
+        # no sign normalisation: H is triangular, U has det exactly +1, and
+        # the pivots carry det A = -1
         A = [[0, 1], [1, 0]]
         H, U = hnf(A)
-        assert H == [[1, 0], [0, 1]]
         assert mat_mul(A, U) == H
-        assert abs(int_det(U)) == 1
+        assert H[0][1] == 0
+        assert brute_det(U) == 1
+        assert abs(H[0][0]) == 1
+        assert H[0][0] * H[1][1] == brute_det(A)
 
     def test_det_preserved(self):
         A = [[2, 4], [1, 3]]
@@ -78,6 +83,23 @@ class TestHnf:
             for j in range(i + 1, 3):
                 if int_det(A) != 0:
                     assert H[i][j] == 0
+
+    @given(st.integers(1, 5).flatmap(lambda r: st.integers(1, 5).flatmap(lambda c: st.lists(
+        st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=r, max_size=r))))
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 0], [0, 0, 0]])
+    @example([[-3, 0], [5, -2]])  # negative pivot with nothing to its right
+    @settings(max_examples=200, deadline=None)
+    def test_column_echelon_with_det_one(self, A):
+        H, U = hnf(A)
+        assert mat_mul(A, U) == H
+        assert brute_det(U) == 1
+        # column echelon: the nonzero columns come first, and each starts in
+        # a later row than the one before
+        tops = [next((i for i, row in enumerate(H) if row[j]), None) for j in range(len(U))]
+        r = rank(A)
+        assert all(t is None for t in tops[r:]) and None not in tops[:r]
+        assert tops[:r] == sorted(set(tops[:r]))
 
     def test_rank_deficient_zero_columns(self):
         H, _ = hnf([[1, 2], [2, 4]])
@@ -148,6 +170,18 @@ class TestDet:
         with pytest.raises(ValueError):
             int_det([[1, 2, 3], [4, 5, 6]])
 
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0], [0, 1]])
+    @example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    @settings(max_examples=200, deadline=None)
+    def test_diagonal_product_matches_minor_expansion(self, A):
+        assert int_det(A) == brute_det(A)
+
+    def test_empty_matrix(self):
+        assert int_det([]) == 1
+
     def test_against_minor_expansion(self):
         rng = random.Random(7)
         for n in (2, 3, 4):
@@ -208,10 +242,10 @@ def sturm_count(p, left, right):
     return count - (poly_eval(sf, right) == 0)
 
 
-def isolate_root_oracle(p, left, right, width=Fraction(1, 1024)):
+def isolate_root_oracle(p, left, right):
     """isolate_root's bisection with the Sturm oracle as its root test."""
     lo, hi = left, right
-    while hi - lo > width:
+    while hi - lo > ISOLATE_WIDTH:
         mid = (lo + hi) / 2
         if poly_eval(p, mid) == 0:
             return mid, mid

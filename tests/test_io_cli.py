@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -387,6 +388,42 @@ class TestCli:
         d["coords"] = [["0", "0.5"], ["0", "1"]]
         curve = write_json(tmp_path, "bad.json", d)
         assert main(["lift-check", cp2_file, curve]) == 3
+
+    # points in messages read as the user wrote them, not as Fraction reprs
+    def test_equiv_outside_point_message(self, cp2_file, capsys):
+        assert main(["equiv", cp2_file, "--r", "5,0", "--t1", "0,0", "--t2", "0,0"]) == 3
+        assert capsys.readouterr() == ("", "error: point (5, 0) outside the polytope\n")
+
+    def test_lift_check_non_delzant_vertex_message(self, bad_triangle_file, tmp_path, capsys):
+        # starts at the vertex (1, 0) of conv{(0,0), (1,0), (0,2)}, where |det U| = 2
+        curve = write_json(tmp_path, "curve.json", {"coords": [["1", "-1"], ["0", "1"]],
+                                                    "domain": ["0", "1/2"], "circle": [1, 1]})
+        assert main(["lift-check", bad_triangle_file, curve]) == 3
+        assert capsys.readouterr() == ("", "error: vertex (1, 0) is not Delzant: |det U| = 2\n")
+
+    def test_lift_check_non_simple_vertex_message(self, tmp_path, capsys):
+        octahedron = write_json(tmp_path, "octahedron.json", {"n": 3, "facets": [
+            {"normal": list(a), "offset": "1"} for a in itertools.product((1, -1), repeat=3)]})
+        curve = write_json(tmp_path, "curve.json", {"coords": [["1", "-1"], ["0"], ["0"]],
+                                                    "domain": ["0", "1/2"], "circle": [1, 0, 0]})
+        assert main(["lift-check", octahedron, curve]) == 3
+        assert capsys.readouterr() == ("", "error: vertex (1, 0, 0) is not simple: 4 active facets\n")
+
+    @pytest.mark.parametrize("project", ["0,1,2", "1,2", "a,b,c", "1,2,5", "1,2,3,4", ""],
+                             ids=["zero", "two", "letters", "above-2n", "four", "empty"])
+    def test_sample_project_usage_error(self, cp2_file, diag_curve_file, tmp_path, capsys, project):
+        out = tmp_path / "mesh.obj"
+        assert main(["sample", cp2_file, diag_curve_file, "--out", str(out),
+                     f"--project={project}"]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: --project: expected three integers in 1..4, got {project!r}\n")
+        assert not out.exists()
+
+    def test_sample_project_last_coordinates(self, cp2_file, diag_curve_file, tmp_path):
+        out = tmp_path / "mesh.obj"
+        assert main(["sample", cp2_file, diag_curve_file, "--nx", "3", "--nt", "4",
+                     "--out", str(out), "--project", "4,3,2"]) == 0
+        assert out.read_text().startswith("v ")
 
 
 def _mul(p, q):

@@ -212,28 +212,34 @@ class TestMemo:
         assert ref() is None
 
 
+def active_at(P, v):
+    """The active facet set that enumerate_vertices stores for vertex v."""
+    return dict(enumerate_vertices(P))[tuple(map(F, v))]
+
+
 class TestEdgeVectors:
     def test_cp2_origin(self, cp2):
-        assert edge_vectors_at_vertex(cp2, (F(0), F(0))) == [(1, 0), (0, 1)]
+        assert active_at(cp2, (0, 0)) == frozenset({0, 1})
+        assert edge_vectors_at_vertex(cp2, frozenset({0, 1})) == [(1, 0), (0, 1)]
 
     def test_cp2_far_vertex(self, cp2):
-        cols = edge_vectors_at_vertex(cp2, (F(3), F(0)))
+        cols = edge_vectors_at_vertex(cp2, active_at(cp2, (3, 0)))
         assert set(cols) == {(-1, 0), (-1, 1)}
 
-    def test_outside_point_rejected(self, cp2):
-        with pytest.raises(PolytopeError, match="outside the polytope"):
-            edge_vectors_at_vertex(cp2, (F(4), F(0)))
+    def test_columns_follow_sorted_facet_order(self, cp2):
+        # any iterable of the active facets gives the columns in facet order
+        assert edge_vectors_at_vertex(cp2, [2, 1]) == edge_vectors_at_vertex(cp2, frozenset({1, 2}))
 
     def test_hirzebruch_top_vertex(self, hirzebruch):
-        cols = edge_vectors_at_vertex(hirzebruch, (F(1), F(1)))
+        cols = edge_vectors_at_vertex(hirzebruch, active_at(hirzebruch, (1, 1)))
         assert set(cols) == {(-1, 0), (1, -1)}
 
     def test_pairing_signs(self, cp2, hirzebruch):
         # each column pairs to zero with every active normal except the one
         # it relaxes, where the pairing is negative
-        for P in (cp2, hirzebruch):
+        for P in (cp2, hirzebruch, catalog.cp3(), catalog.non_delzant_triangle()):
             for v, active in enumerate_vertices(P):
-                cols = edge_vectors_at_vertex(P, v)
+                cols = edge_vectors_at_vertex(P, active)
                 act = sorted(active)
                 for j, u in enumerate(cols):
                     for k, fi in enumerate(act):
