@@ -10,29 +10,27 @@ fills the nonnegative orthant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactmath import IntVec, dot, int_det, primitive
 from .polytope import HPolytope, Point, PolytopeError, edge_vectors_at_vertex, format_point, minimal_face
 
 
-@dataclass(frozen=True)
 class CircleEmbedding:
-    """Circle direction in the torus Lie-algebra lattice, stored primitive."""
+    """Circle direction in the torus Lie-algebra lattice, stored primitive as K."""
 
-    K: IntVec
-
-    def __post_init__(self):
-        k = tuple(int(x) for x in self.K)
+    def __init__(self, K: Sequence[int]):
+        k = tuple(int(x) for x in K)
         if not any(k):
             raise ValueError("circle direction must be nonzero (effective action)")
-        object.__setattr__(self, "K", primitive(k))
+        self.K: IntVec = primitive(k)
+
+    def __repr__(self):
+        return f"CircleEmbedding({self.K})"
 
 
-@dataclass(frozen=True)
-class VertexChart:
+class VertexChart(NamedTuple):
     polytope: HPolytope
     vertex: Point
     columns: tuple[IntVec, ...]       # edge directions u_1..u_n (isotropy weights)

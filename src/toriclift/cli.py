@@ -69,17 +69,18 @@ def cmd_validate(args) -> int:
 def cmd_quasitoric(args) -> int:
     P = io.load_polytope(args.polytope)
     vectors = io.load_facet_vectors(args.vectors)
-    report = validate_quasitoric(P, vectors, strict=not args.relax_sign)
+    strict = not args.relax_sign
+    report = validate_quasitoric(P, vectors, strict=strict)
     machine = {
         "command": "quasitoric",
         "ok": report.ok,
-        "strict": report.strict,
+        "strict": strict,
         "vertices": [
             {"vertex": [io.format_rational(x) for x in v], "det": d}
             for v, d in report.vertex_dets
         ],
     }
-    human = [f"Quasitoric facet-vector check ({'det = +1' if report.strict else '|det| = 1'}): "
+    human = [f"Quasitoric facet-vector check ({'det = +1' if strict else '|det| = 1'}): "
              f"{'PASS' if report.ok else 'FAIL'}"]
     for v, d in report.vertex_dets:
         human.append(f"  vertex {format_point(v)}: det = {d}")
@@ -153,13 +154,13 @@ def _parse_project(s: str, n: int) -> tuple[int, int, int]:
 def cmd_sample(args) -> int:
     from . import surface  # the only numpy user, so no other subcommand loads it
 
+    fmt = args.format or ("obj" if str(args.out).endswith(".obj") else "csv")
     P = io.load_polytope(args.polytope)
-    project = _parse_project(args.project, P.n)
+    project = _parse_project(args.project, P.n) if fmt == "obj" else ()  # CSV writes every coordinate
     spec = io.load_curve(args.curve)
     graph = build_graph(P, spec.gamma, spec.interval, args.endpoint, spec.circle,
                         spec.chart_vertices[args.endpoint])
     sample = surface.sample_surface(graph, args.nx, args.nt)
-    fmt = args.format or ("obj" if str(args.out).endswith(".obj") else "csv")
     surface.export_mesh(sample, fmt, args.out, project=project)
     if not args.json:
         print(f"wrote {args.out} ({args.nx}x{args.nt} grid, format {fmt})")

@@ -17,11 +17,10 @@ exception; exceptions are reserved for malformed input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .chart import CircleEmbedding, VertexChart, local_weights, make_chart
 from .exactmath import (
@@ -48,8 +47,7 @@ class GraphBuildReject(Exception):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class CurveGraph:
+class CurveGraph(NamedTuple):
     """Per-endpoint chart data: coordinates re-indexed so the parameter is 1.
 
     Positions are 1-based in reports (parameter = 1); `x[i]` is the chart
@@ -59,7 +57,6 @@ class CurveGraph:
     """
 
     chart: VertexChart
-    circle: CircleEmbedding
     param_chart_index: int          # chart coordinate serving as the parameter
     other_chart_indices: tuple[int, ...]
     x: tuple[RatPoly, ...]          # x_p, then the other chart coordinates, in tau
@@ -72,16 +69,14 @@ class CurveGraph:
         return self.chart.n
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     condition: str
     location: str
     outcome: str  # holds | fails
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     name: str
     conditions: tuple[Condition, ...]
 
@@ -90,8 +85,7 @@ class Report:
         return "fails" if any(c.outcome == "fails" for c in self.conditions) else "holds"
 
 
-@dataclass(frozen=True)
-class LiftVerdict:
+class LiftVerdict(NamedTuple):
     verdict: str  # accept | reject
     reports: tuple[Report, ...]
 
@@ -105,15 +99,7 @@ class LiftVerdict:
                 {
                     "name": r.name,
                     "status": r.status,
-                    "conditions": [
-                        {
-                            "condition": c.condition,
-                            "location": c.location,
-                            "outcome": c.outcome,
-                            "detail": c.detail,
-                        }
-                        for c in r.conditions
-                    ],
+                    "conditions": [c._asdict() for c in r.conditions],
                 }
                 for r in self.reports
             ],
@@ -187,7 +173,7 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     kw = local_weights(chart, circle)
     k = tuple(kw[j] for j in (param,) + others)
     Q = frozenset(pos for pos, j in enumerate(others, start=2) if j in Q0)
-    return CurveGraph(chart, circle, param, others, x, k, Q, b - a)
+    return CurveGraph(chart, param, others, x, k, Q, b - a)
 
 
 def _check_dimensions(P: HPolytope, gamma: Curve, circle: CircleEmbedding,

@@ -171,17 +171,6 @@ def poly_sub(p: Sequence[Fraction], q: Sequence[Fraction]) -> RatPoly:
     return poly_add(p, poly_scale(q, Fraction(-1)))
 
 
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> RatPoly:
-    p, q = poly_trim(p), poly_trim(q)
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
-
-
 def poly_deriv(p: Sequence[Fraction]) -> RatPoly:
     return poly_trim([i * c for i, c in enumerate(p)][1:])
 

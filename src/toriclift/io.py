@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .chart import CircleEmbedding
 from .polytope import HPolytope
@@ -24,6 +24,15 @@ class FormatError(ValueError):
 def _is_int(x) -> bool:
     """A JSON integer: true and false are bools, not 1 and 0."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _read_json(path):
+    """The JSON document in a file; one that does not decode is a FormatError naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path}: not a JSON file: {exc}") from None
 
 
 def parse_rational(s, field: str = "value") -> Fraction:
@@ -84,23 +93,20 @@ def polytope_to_dict(P: HPolytope) -> dict:
 
 
 def load_polytope(path) -> HPolytope:
-    with open(path) as fh:
-        return polytope_from_dict(json.load(fh))
+    return polytope_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
 # curves
 
 
-class CurveSpec:
+class CurveSpec(NamedTuple):
     """Parsed curve file: polynomial coordinates, domain, circle, charts."""
 
-    def __init__(self, gamma: list[list[Fraction]], interval, circle: CircleEmbedding,
-                 chart_vertices: tuple[Optional[tuple[Fraction, ...]], Optional[tuple[Fraction, ...]]]):
-        self.gamma = gamma
-        self.interval = interval
-        self.circle = circle
-        self.chart_vertices = chart_vertices
+    gamma: list[list[Fraction]]
+    interval: tuple[Fraction, Fraction]
+    circle: CircleEmbedding
+    chart_vertices: tuple[Optional[tuple[Fraction, ...]], Optional[tuple[Fraction, ...]]]
 
 
 def curve_from_dict(d: dict) -> CurveSpec:
@@ -139,13 +145,11 @@ def curve_from_dict(d: dict) -> CurveSpec:
 
 
 def load_curve(path) -> CurveSpec:
-    with open(path) as fh:
-        return curve_from_dict(json.load(fh))
+    return curve_from_dict(_read_json(path))
 
 
 def load_facet_vectors(path) -> list[tuple[int, ...]]:
-    with open(path) as fh:
-        d = json.load(fh)
+    d = _read_json(path)
     vecs = d.get("vectors") if isinstance(d, dict) else None
     if not isinstance(vecs, list):
         raise FormatError("facet vectors: expected {'vectors': [[...], ...]}")

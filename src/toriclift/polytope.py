@@ -14,9 +14,8 @@ polytope and kept on it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactmath import (
     IntVec,
@@ -42,23 +41,23 @@ def format_point(p: Sequence[Fraction]) -> str:
     return "(" + ", ".join(map(str, p)) + ")"
 
 
-@dataclass(frozen=True)
 class HPolytope:
-    """Bounded full-dimensional polytope in H-representation."""
+    """Bounded full-dimensional polytope in H-representation.
 
-    n: int
-    normals: tuple[IntVec, ...]
-    offsets: tuple[Fraction, ...]
+    Equal and hashed by (n, normals, offsets).  Vertices, the face
+    lattice, faces and charts are memoised on it as they are computed.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise PolytopeError(f"n: the dimension must be at least 1, got {self.n}")
-        object.__setattr__(self, "normals", tuple(tuple(int(x) for x in a) for a in self.normals))
-        object.__setattr__(self, "offsets", tuple(Fraction(o) for o in self.offsets))
+    def __init__(self, n: int, normals: Iterable[Sequence[int]], offsets: Iterable[Fraction]):
+        if n < 1:
+            raise PolytopeError(f"n: the dimension must be at least 1, got {n}")
+        self.n = n
+        self.normals = tuple(tuple(int(x) for x in a) for a in normals)
+        self.offsets = tuple(Fraction(o) for o in offsets)
         if len(self.normals) != len(self.offsets):
             raise PolytopeError("normal/offset count mismatch")
         for a in self.normals:
-            if len(a) != self.n:
+            if len(a) != n:
                 raise PolytopeError("normal of wrong dimension")
             if not any(a):
                 raise PolytopeError("zero facet normal")
@@ -66,18 +65,30 @@ class HPolytope:
                 raise PolytopeError(f"facet normal {a} is not primitive")
         if len(set(self.normals)) != len(self.normals):
             raise PolytopeError("duplicate facet normal")
-        _check_bounded(self.normals, self.n)
+        _check_bounded(self.normals, n)
         # memos of enumerate_vertices, face_lattice, _face and chart.make_chart
-        object.__setattr__(self, "_vertices", None)
-        object.__setattr__(self, "_lattice", None)
-        object.__setattr__(self, "_faces", {})
-        object.__setattr__(self, "_charts", {})
+        self._vertices = None
+        self._lattice = None
+        self._faces = {}
+        self._charts = {}
         verts = enumerate_vertices(self)
         if not verts:
             raise PolytopeError("empty polytope")
         # full-dimensional iff no facet is tight on all of P, i.e. at every vertex
         if frozenset.intersection(*(active for _, active in verts)):
             raise PolytopeError("polytope is not full-dimensional")
+
+    def _key(self):
+        return self.n, self.normals, self.offsets
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, HPolytope) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"HPolytope(n={self.n}, normals={self.normals}, offsets={self.offsets})"
 
     @property
     def d(self) -> int:
@@ -116,8 +127,7 @@ def _check_bounded(normals: Sequence[IntVec], n: int) -> None:
                 raise PolytopeError(f"unbounded polytope: recession ray {d}")
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """Face as its canonical active facet set plus vertex data."""
 
     active: frozenset[int]
@@ -125,15 +135,10 @@ class Face:
     vertices: tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class Subtorus:
+class Subtorus(NamedTuple):
     """Subtorus of T^n given by generator columns in the Lie-algebra lattice."""
 
     generators: tuple[IntVec, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
 
 
 def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
@@ -156,7 +161,7 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
             p = tuple(sum(u * yj for u, yj in zip(urow, y)) for urow in U)
             if p not in seen and (active := P.tight_facets(p)) is not None:
                 seen[p] = active
-        object.__setattr__(P, "_vertices", sorted(seen.items()))
+        P._vertices = sorted(seen.items())
     return P._vertices
 
 
@@ -165,7 +170,7 @@ def _face(P: HPolytope, active: frozenset[int]) -> Face:
     face = P._faces.get(active)
     if face is None:
         dim = P.n - rank([P.normals[i] for i in sorted(active)])
-        vertices = tuple(p for p, va in P._vertices if va >= active)  # set in __post_init__
+        vertices = tuple(p for p, va in P._vertices if va >= active)  # set in __init__
         face = P._faces[active] = Face(active, dim, vertices)
     return face
 
@@ -184,7 +189,7 @@ def face_lattice(P: HPolytope) -> list[Face]:
         for _, act in enumerate_vertices(P):
             sets |= {act & f for f in sets} | {act}
         faces = sorted((_face(P, act) for act in sets), key=lambda f: (f.dim, sorted(f.active)))
-        object.__setattr__(P, "_lattice", faces)
+        P._lattice = faces
     return P._lattice
 
 
@@ -204,16 +209,14 @@ def edge_vectors_at_vertex(P: HPolytope, active: Iterable[int]) -> list[IntVec]:
     return cols
 
 
-@dataclass(frozen=True)
-class VertexVerdict:
+class VertexVerdict(NamedTuple):
     vertex: Point
     simple: bool
     det: Optional[int]
     smooth: bool
 
 
-@dataclass(frozen=True)
-class DelzantReport:
+class DelzantReport(NamedTuple):
     ok: bool
     verdicts: tuple[VertexVerdict, ...]
 
@@ -233,11 +236,9 @@ def validate_delzant(P: HPolytope) -> DelzantReport:
     return DelzantReport(all(v.smooth for v in verdicts), tuple(verdicts))
 
 
-@dataclass(frozen=True)
-class QuasitoricReport:
+class QuasitoricReport(NamedTuple):
     ok: bool
     vertex_dets: tuple[tuple[Point, int], ...]
-    strict: bool
 
 
 def validate_quasitoric(P: HPolytope, facet_vectors: Sequence[Sequence[int]],
@@ -262,7 +263,7 @@ def validate_quasitoric(P: HPolytope, facet_vectors: Sequence[Sequence[int]],
         dets.append((v, det))
         if (det != 1) if strict else (abs(det) != 1):
             ok = False
-    return QuasitoricReport(ok, tuple(dets), strict)
+    return QuasitoricReport(ok, tuple(dets))
 
 
 def minimal_face(P: HPolytope, r: Sequence[Fraction]) -> Face:

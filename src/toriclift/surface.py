@@ -13,9 +13,8 @@ exact verdicts; `inconclusive` is always an acceptable probe outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,13 +26,10 @@ class SamplerError(ValueError):
     pass
 
 
-@dataclass
-class SurfaceSample:
+class SurfaceSample(NamedTuple):
     tau: np.ndarray         # shape (nx,)
     t: np.ndarray           # shape (nt,)
     points: np.ndarray      # shape (nx, nt, 2n)
-    weights: tuple[int, ...]
-    metadata: dict
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -64,9 +60,7 @@ def sample_surface(graph: CurveGraph, nx: int, nt: int) -> SurfaceSample:
         raise SamplerError("empty grid")
     tau = np.linspace(0.0, float(graph.x1_max), nx)
     t = np.linspace(0.0, 2.0 * np.pi, nt, endpoint=False)
-    pts = _surface(graph, tau, t)
-    meta = {"k": graph.k, "Q": sorted(graph.Q), "nx": nx, "nt": nt, "x1_max": float(graph.x1_max)}
-    return SurfaceSample(tau, t, pts, graph.k, meta)
+    return SurfaceSample(tau, t, _surface(graph, tau, t))
 
 
 def pullback_density_exact(graph: CurveGraph, tau: Fraction) -> Fraction:
@@ -99,8 +93,7 @@ def pullback_density(graph: CurveGraph, tau: float, t: float = 0.37) -> tuple[fl
     return omega, exact
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     kind: str  # planar | conelike | inconclusive
     residual_coarse: float
     residual_fine: float

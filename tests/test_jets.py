@@ -2,8 +2,7 @@
 
 At an endpoint the graph coordinate g_j = x_j o x_p^{-1} has the valuation
 and leading sign of the exact chart polynomial x_j(tau), so these tests
-check the kernel that reads them from the polynomials: the exact
-arithmetic the polynomials are built with, `valuation`, and
+check the kernel that reads them from the polynomials: `valuation`, and
 `divided_smoothness` for sqrt(2 x_j) / r_1^m (m = 0 is the radius itself).
 """
 
@@ -13,26 +12,12 @@ from fractions import Fraction
 import pytest
 
 from toriclift.criterion import divided_smoothness, valuation
-from toriclift.exactmath import poly_add, poly_mul
 
 F = Fraction
 
 
 def J(*coeffs):
     return [F(c) for c in coeffs]
-
-
-class TestArith:
-    def test_add(self):
-        # the x terms cancel exactly and are trimmed
-        assert poly_add(J(1, 1), J(1, -1)) == [F(2)]
-
-    def test_mul(self):
-        x = J(0, 1)
-        assert poly_mul(x, x) == J(0, 0, 1)
-
-    def test_difference_of_squares(self):
-        assert poly_mul(J(1, 1), J(1, -1)) == J(1, 0, -1)
 
 
 class TestValuation:

@@ -114,7 +114,7 @@ def golden_sample():
     t = np.array([0.0, 1.5707963267948966, 3.141592653589793, 4.71238898038469])
     points = (np.arange(48.0).reshape(3, 4, 4) - 20.0) / 7.0
     points[0, 0, :] = [-0.0, 1e-300, 6.123233995736766e-17, 1e21]
-    return SurfaceSample(tau, t, points, (1, 1), {})
+    return SurfaceSample(tau, t, points)
 
 
 class TestSampling:
@@ -251,7 +251,7 @@ class TestExport:
     def test_degenerate_grid_faces(self, tmp_path, nx, nt, faces):
         # one t column wraps onto itself and one tau row has no faces, as before
         s = golden_sample()
-        s = SurfaceSample(s.tau[:nx], s.t[:nt], s.points[:nx, :nt], s.weights, {})
+        s = SurfaceSample(s.tau[:nx], s.t[:nt], s.points[:nx, :nt])
         export_mesh(s, "obj", tmp_path / "d.obj")
         lines = (tmp_path / "d.obj").read_text().splitlines(keepends=True)
         assert sum(1 for l in lines if l.startswith("v ")) == nx * nt
