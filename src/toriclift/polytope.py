@@ -3,12 +3,13 @@ the characteristic subtorus map, and the quotient identification rule.
 
 A polytope is {x : <x, normal_i> <= offset_i} with primitive integer
 normals and rational offsets.  Its combinatorics is read from the vertex
-active sets: the vertices are the points of P where n facets with
-independent normals meet (every n-subset is tried, each solved through
-its Hermite form), and the faces are the intersections of vertex active
-sets; edge bases are read from those sets too.  Vertices, the face
-lattice and the faces looked up by `minimal_face` are computed once per
-polytope and kept on it.
+active sets.  The vertices are found by walking the edge graph from one
+start vertex, which an exact dual simplex finds, so the work grows with
+the number of vertices rather than with the number of n-subsets of
+facets; an edge that no facet blocks shows that P is unbounded.  The faces
+are the intersections of vertex active sets, and edge bases are read from
+those sets too.  Vertices, the face lattice, edge bases and the faces
+looked up by `minimal_face` are computed once per polytope and kept on it.
 """
 
 from __future__ import annotations
@@ -44,8 +45,12 @@ def format_point(p: Sequence[Fraction]) -> str:
 class HPolytope:
     """Bounded full-dimensional polytope in H-representation.
 
+    Construction checks the data, then walks the vertices with
+    `enumerate_vertices`: normals that do not span, an empty system, a
+    recession ray and a facet tight on all of P are each a PolytopeError.
     Equal and hashed by (n, normals, offsets).  Vertices, the face
-    lattice, faces and charts are memoised on it as they are computed.
+    lattice, faces, edge bases and charts are memoised on it as they are
+    computed.
     """
 
     def __init__(self, n: int, normals: Iterable[Sequence[int]], offsets: Iterable[Fraction]):
@@ -65,15 +70,16 @@ class HPolytope:
                 raise PolytopeError(f"facet normal {a} is not primitive")
         if len(set(self.normals)) != len(self.normals):
             raise PolytopeError("duplicate facet normal")
-        _check_bounded(self.normals, n)
-        # memos of enumerate_vertices, face_lattice, _face and chart.make_chart
+        if rank(self.normals) < n:
+            raise PolytopeError("unbounded polytope: normals do not span")
+        # memos of enumerate_vertices, face_lattice, _face, edge_vectors_at_vertex
+        # and chart.make_chart
         self._vertices = None
         self._lattice = None
         self._faces = {}
+        self._edges = {}
         self._charts = {}
-        verts = enumerate_vertices(self)
-        if not verts:
-            raise PolytopeError("empty polytope")
+        verts = enumerate_vertices(self)  # raises for an empty or unbounded system
         # full-dimensional iff no facet is tight on all of P, i.e. at every vertex
         if frozenset.intersection(*(active for _, active in verts)):
             raise PolytopeError("polytope is not full-dimensional")
@@ -113,20 +119,6 @@ def _kernel(normals: Sequence[IntVec], n: int) -> list[IntVec]:
     return integer_kernel_basis(normals)
 
 
-def _check_bounded(normals: Sequence[IntVec], n: int) -> None:
-    """The recession cone {x : <x, a_i> <= 0 for all i} must be {0}."""
-    if rank(normals) < n:
-        raise PolytopeError("unbounded polytope: normals do not span")
-    # every extreme ray of the cone is the kernel line of n - 1 normals
-    for subset in itertools.combinations(normals, n - 1):
-        kern = _kernel(subset, n)
-        if len(kern) != 1:
-            continue
-        for d in (kern[0], tuple(-x for x in kern[0])):
-            if all(dot(d, a) <= 0 for a in normals):
-                raise PolytopeError(f"unbounded polytope: recession ray {d}")
-
-
 class Face(NamedTuple):
     """Face as its canonical active facet set plus vertex data."""
 
@@ -141,27 +133,77 @@ class Subtorus(NamedTuple):
     generators: tuple[IntVec, ...]
 
 
+def _start_vertex(P: HPolytope) -> Point:
+    """One vertex of P, by the exact dual simplex with Bland's rule.
+
+    The pivot rows of the Hermite form of all normals are n facets B with
+    independent normals.  With c their normal sum, y = 1 on B is feasible
+    for the dual of max <c, x> over P: min <b, y> with A^T y = c, y >= 0.
+    Each step solves A_B x = b_B through H, U = hnf(A_B).  When x lies in
+    P it is the vertex.  Otherwise the smallest violated facet i enters:
+    A_B^T w = a_i is solved as H^T w = U^T a_i by back substitution, and
+    the basis facet minimising y_j / w_j over w_j > 0 (smallest index on
+    ties) leaves.  No w_j > 0 means the dual is unbounded, so P is empty.
+    """
+    n = P.n
+    H, _ = hnf(P.normals)
+    basis = [next(i for i, row in enumerate(H) if row[k]) for k in range(n)]
+    y = [Fraction(1)] * n
+    while True:
+        H, U = hnf([P.normals[i] for i in basis])
+        z: list[Fraction] = []
+        for i, row in zip(basis, H):
+            z.append((P.offsets[i] - sum(h * zj for h, zj in zip(row, z))) / row[len(z)])
+        x = tuple(sum(u * zj for u, zj in zip(urow, z)) for urow in U)
+        enter = next((i for i, (a, lam) in enumerate(zip(P.normals, P.offsets)) if dot(a, x) > lam), None)
+        if enter is None:
+            return x
+        v = [dot(ucol, P.normals[enter]) for ucol in zip(*U)]
+        w = [Fraction(0)] * n
+        for k in reversed(range(n)):
+            w[k] = Fraction(v[k] - sum(H[j][k] * w[j] for j in range(k + 1, n)), H[k][k])
+        ratios = [(y[j] / w[j], basis[j], j) for j in range(n) if w[j] > 0]
+        if not ratios:
+            raise PolytopeError("empty polytope")
+        theta, _, out = min(ratios)
+        y = [yj - theta * wj for yj, wj in zip(y, w)]
+        y[out], basis[out] = theta, enter
+
+
 def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
     """All vertices with their full active facet sets, sorted lexicographically.
 
-    n facets meet in one point exactly when the Hermite form H = A U of
-    their normals has a nonzero last column; then H is lower triangular
-    with nonzero pivots, H y = b is solved by forward substitution, and
-    the point is x = U y.
+    The edge graph of a polytope is connected, so a walk over it from
+    `_start_vertex` finds every vertex (Avis and Fukuda, "A pivoting
+    algorithm for convex hulls and vertex enumeration of arrangements and
+    polyhedra", DCG 1992).  Each vertex carries its exact facet slacks;
+    its active set is where they vanish, and its edges are the
+    `edge_vectors_at_vertex` of that set.  Along an edge u the neighbour
+    lies at step t = min slack_i / <a_i, u> over the facets with
+    <a_i, u> > 0; an edge that no facet blocks is a recession ray of an
+    unbounded P.
     """
     if P._vertices is None:
-        seen: dict[Point, frozenset[int]] = {}
-        for subset in itertools.combinations(range(P.d), P.n):
-            H, U = hnf([P.normals[i] for i in subset])
-            if H[-1][-1] == 0:
-                continue  # dependent normals
-            y: list[Fraction] = []
-            for i, row in zip(subset, H):
-                y.append((P.offsets[i] - sum(h * yj for h, yj in zip(row, y))) / row[len(y)])
-            p = tuple(sum(u * yj for u, yj in zip(urow, y)) for urow in U)
-            if p not in seen and (active := P.tight_facets(p)) is not None:
-                seen[p] = active
-        P._vertices = sorted(seen.items())
+        x = _start_vertex(P)
+        slacks = tuple(lam - dot(a, x) for a, lam in zip(P.normals, P.offsets))
+        active = frozenset(i for i, s in enumerate(slacks) if s == 0)
+        found = {active: x}
+        todo = [(active, x, slacks)]
+        while todo:
+            active, x, slacks = todo.pop()
+            for u in edge_vectors_at_vertex(P, active):
+                pairings = [dot(a, u) for a in P.normals]
+                ratios = [(s / p, i) for i, (s, p) in enumerate(zip(slacks, pairings)) if p > 0]
+                if not ratios:
+                    raise PolytopeError(f"unbounded polytope: recession ray {u}")
+                t = min(ratios)[0]
+                blocking = {i for r, i in ratios if r == t}
+                # the active facets the edge lies in stay tight; the ones blocking it become tight
+                nxt = frozenset(i for i, p in enumerate(pairings) if i in blocking or p == 0 and i in active)
+                if nxt not in found:
+                    y = found[nxt] = tuple(xk + t * uk for xk, uk in zip(x, u))
+                    todo.append((nxt, y, tuple(s - t * p for s, p in zip(slacks, pairings))))
+        P._vertices = sorted((x, active) for active, x in found.items())
     return P._vertices
 
 
@@ -194,19 +236,34 @@ def face_lattice(P: HPolytope) -> list[Face]:
 
 
 def edge_vectors_at_vertex(P: HPolytope, active: Iterable[int]) -> list[IntVec]:
-    """Primitive edge directions at a simple vertex, as columns.
+    """Primitive edge directions at a vertex, as columns.
 
-`active` holds the n facets through the vertex, as `enumerate_vertices`
-    gives them; their normals are independent.  Column j relaxes the j-th
-    active facet (sorted by facet index): it spans the kernel line of the
-    other active normals and pairs negatively with the relaxed one.
+    `active` holds the facets through the vertex, as `enumerate_vertices`
+    gives them.  An edge direction spans the kernel line of n - 1 active
+    normals of rank n - 1 and pairs to <= 0 with every active normal.  At
+    a simple vertex there are n of them: column j relaxes the j-th active
+    facet (sorted by facet index), pairing negatively with it and to zero
+    with the others.  The edges are kept on P, one list per active set.
     """
-    active = sorted(active)
-    cols = []
-    for fj in active:
-        u = _kernel([P.normals[f] for f in active if f != fj], P.n)[0]
-        cols.append(tuple(-x for x in u) if dot(u, P.normals[fj]) > 0 else u)
-    return cols
+    key = tuple(sorted(active))
+    cols = P._edges.get(key)
+    if cols is None:
+        cols = []
+        # reversed, so that at a simple vertex the j-th subset leaves out the j-th facet
+        for rest in itertools.combinations(key[::-1], P.n - 1):
+            kern = _kernel([P.normals[f] for f in rest], P.n)
+            if len(kern) != 1:
+                continue
+            u = kern[0]
+            pairs = [dot(u, P.normals[f]) for f in key]
+            if max(pairs) > 0:
+                if min(pairs) < 0:
+                    continue  # neither half of the line stays in P near the vertex
+                u = tuple(-x for x in u)
+            if u not in cols:
+                cols.append(u)
+        cols = P._edges[key] = tuple(cols)
+    return list(cols)
 
 
 class VertexVerdict(NamedTuple):

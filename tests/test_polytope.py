@@ -1,12 +1,16 @@
 import gc
 import itertools
+import math
+import random
+import re
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from toriclift import catalog
+from toriclift import catalog, exactmath, polytope
 from toriclift.chart import make_chart
+from toriclift.exactmath import dot, hnf, int_det, integer_kernel_basis, primitive, rank
 from toriclift.polytope import (
     HPolytope,
     PolytopeError,
@@ -59,16 +63,183 @@ def affine_dim(points):
     return r
 
 
-def brute_force_faces(P):
+def brute_force_faces(vsets):
     """Every facet subset tight at some vertex, made canonical by intersecting
     the active sets of the vertices it is tight at."""
-    vsets = [act for _, act in enumerate_vertices(P)]
     out = set()
     for act in vsets:
         for k in range(len(act) + 1):
             for sub in itertools.combinations(sorted(act), k):
                 out.add(frozenset.intersection(*(a for a in vsets if a >= set(sub))))
     return out
+
+
+def brute_force_vertices(n, normals, offsets):
+    """Every n-subset of facets with independent normals, solved and kept when
+    the point lies in P: the oracle for the edge walk.
+
+    Integer arithmetic throughout: with L clearing the offset denominators
+    and H = A_B U the Hermite form of the subset, D = det H makes Y = D y
+    integral in H y = L b_B, and the point is U Y / (D L).
+    """
+    L = math.lcm(*(F(o).denominator for o in offsets))
+    b = [int(o * L) for o in offsets]
+    seen = {}
+    for subset in itertools.combinations(range(len(normals)), n):
+        H, U = hnf([normals[i] for i in subset])
+        D = math.prod(H[k][k] for k in range(n))
+        if D == 0:
+            continue
+        Y = []
+        for i, row in zip(subset, H):
+            Y.append((D * b[i] - sum(h * yj for h, yj in zip(row, Y))) // row[len(Y)])
+        X = [sum(u * yj for u, yj in zip(urow, Y)) for urow in U]
+        sign = 1 if D > 0 else -1
+        pairings = [sign * (dot(a, X) - D * lam) for a, lam in zip(normals, b)]
+        if max(pairings) <= 0:
+            p = tuple(F(x, D * L) for x in X)
+            seen[p] = frozenset(i for i, v in enumerate(pairings) if v == 0)
+    return sorted(seen.items())
+
+
+def brute_force_ray(n, normals):
+    """A recession ray, as the kernel line of some n - 1 normals, or None."""
+    for subset in itertools.combinations(normals, n - 1):
+        kern = integer_kernel_basis(subset) if subset else [(1,)]
+        if len(kern) == 1:
+            for d in (kern[0], tuple(-x for x in kern[0])):
+                if all(dot(d, a) <= 0 for a in normals):
+                    return d
+    return None
+
+
+def brute_force_delzant(n, normals, verts):
+    """(vertex, simple, det, smooth) per vertex, each edge solved on its own."""
+    out = []
+    for v, act in verts:
+        if len(act) != n:
+            out.append((v, False, None, False))
+            continue
+        cols = []
+        for fj in sorted(act):
+            u = integer_kernel_basis([normals[f] for f in sorted(act) if f != fj]) if n > 1 else [(1,)]
+            cols.append(tuple(-x for x in u[0]) if dot(u[0], normals[fj]) > 0 else u[0])
+        det = int_det(cols)
+        out.append((v, True, det, abs(det) == 1))
+    return out
+
+
+def assert_matches_oracle(P, verts):
+    """Vertices, faces and Delzant verdicts of P are the oracle's, given its vertices."""
+    assert enumerate_vertices(P) == verts
+    faces = face_lattice(P)
+    oracle = brute_force_faces([act for _, act in verts])
+    assert {f.active for f in faces} == oracle and len(faces) == len(oracle)
+    assert list(validate_delzant(P).verdicts) == brute_force_delzant(P.n, P.normals, verts)
+
+
+def check_against_oracle(n, normals, offsets):
+    """Construct P and hold every answer to the brute-force oracle; returns the case."""
+    verts = brute_force_vertices(n, normals, offsets)
+    if rank(normals) < n:
+        case, message = "no-span", "unbounded polytope: normals do not span"
+    elif not verts:
+        case, message = "empty", "empty polytope"
+    elif brute_force_ray(n, normals) is not None:
+        case, message = "unbounded", None
+    elif frozenset.intersection(*(act for _, act in verts)):
+        case, message = "flat", "polytope is not full-dimensional"
+    else:
+        assert_matches_oracle(HPolytope(n, normals, offsets), verts)
+        return "bounded"
+    with pytest.raises(PolytopeError) as exc:
+        HPolytope(n, normals, offsets)
+    if message is not None:
+        assert str(exc.value) == message
+    else:
+        # the walk may name another ray than the oracle: any recession ray will do
+        m = re.fullmatch(r"unbounded polytope: recession ray \((.*?),?\)", str(exc.value))
+        assert m, str(exc.value)
+        ray = tuple(int(x) for x in m.group(1).split(", "))
+        assert len(ray) == n and any(ray) and all(dot(ray, a) <= 0 for a in normals)
+    return case
+
+
+def random_system(rng):
+    """n <= 4, n < d <= 8 (d = 2 for n = 1), normal entries in -2..2, offsets p/q."""
+    n = rng.randint(1, 4)
+    d = rng.randint(n + 1, 8) if n > 1 else 2
+    normals = []
+    while len(normals) < d:
+        a = tuple(rng.randint(-2, 2) for _ in range(n))
+        if any(a) and primitive(a) == a and a not in normals:
+            normals.append(a)
+    return n, normals, [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d)]
+
+
+# The products of the benchmark's polytope ladder, drawn as bench/corpus.py
+# draws them (same random stream, so seed s gives that seed's products):
+# "P<k>" a Delzant k-gon cut from a triangle or rectangle, "I" an interval,
+# "T" the triangle with one |det| = 2 vertex; each factor scaled and moved.
+LADDER = (
+    ("P4",), ("P6",), ("T",),
+    ("P5", "I"), ("P6", "I"), ("T", "I"),
+    ("P4", "P5"), ("P5", "I", "I"), ("T", "P4"),
+    ("P5", "P4", "I"), ("P4", "P5", "I"), ("T", "P4", "I"), ("P6", "P4", "I"),
+)
+
+
+def ladder_factor(rng, code):
+    if code == "I":
+        return [(-1,), (1,)], [F(0), F(rng.randint(1, 5), rng.randint(1, 3))]
+    if code == "T":
+        return [(-1, 0), (0, -1), (2, 1)], [F(0), F(0), F(2)]
+    k = int(code[1:])
+    if k >= 4 and rng.random() < 0.5:
+        a, b = F(rng.randint(3, 6)), F(rng.randint(3, 6))
+        fac = [[(-1, 0), F(0), b], [(0, -1), F(0), a], [(1, 0), a, b], [(0, 1), b, a]]
+    else:
+        L = F(rng.randint(3, 6))
+        fac = [[(-1, 0), F(0), L], [(0, -1), F(0), L], [(1, 1), L, L]]
+    while len(fac) < k:  # cut the corner between sides i and j (normal, offset, length)
+        i = rng.randrange(len(fac))
+        j = (i + 1) % len(fac)
+        eps = min(fac[i][2], fac[j][2]) * F(rng.randint(1, 3), 4)
+        fac[i][2] -= eps
+        fac[j][2] -= eps
+        normal = (fac[i][0][0] + fac[j][0][0], fac[i][0][1] + fac[j][0][1])
+        fac.insert(i + 1, [normal, fac[i][1] + fac[j][1] - eps, eps])
+    return [f[0] for f in fac], [f[1] for f in fac]
+
+
+def product(factors):
+    """(n, normals, offsets) of the product of (normals, offsets) factors."""
+    n = sum(len(fn[0]) for fn, _ in factors)
+    normals, offsets, col = [], [], 0
+    for fn, fo in factors:
+        m = len(fn[0])
+        normals += [(0,) * col + a + (0,) * (n - col - m) for a in fn]
+        offsets += fo
+        col += m
+    return n, normals, offsets
+
+
+def ladder_products(seed):
+    rng = random.Random(seed)
+    out = []
+    for codes in LADDER:
+        for _ in range(4 if codes == LADDER[-1] else 3):
+            factors = []
+            for fn, fo in [ladder_factor(rng, c) for c in codes]:
+                scale = F(rng.randint(7, 29), 6)
+                shift = [F(rng.randint(-50, 50), 7) for _ in fn[0]]
+                factors.append((fn, [scale * lam + dot(a, shift) for a, lam in zip(fn, fo)]))
+            out.append(product(factors))
+    return out
+
+
+OCTAGON = ([(-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1)],
+           [F(0), F(-1), F(0), F(2), F(3), F(5), F(3), F(2)])
 
 
 class TestConstruction:
@@ -135,6 +306,58 @@ class TestVertices:
                 assert (val == lam) == (i in active)
 
 
+class TestEdgeWalk:
+    """The edge walk against the n-subset oracle, and the work it may do."""
+
+    def test_random_systems_match_brute_force(self):
+        rng = random.Random(20251018)
+        cases = [check_against_oracle(*random_system(rng)) for _ in range(2000)]
+        counts = {c: cases.count(c) for c in set(cases)}
+        assert set(counts) == {"no-span", "empty", "unbounded", "flat", "bounded"}
+        assert counts["bounded"] >= 300 and counts["empty"] >= 300 and counts["flat"] >= 20, counts
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_ladder_products_match_brute_force(self, seed):
+        products = ladder_products(seed)
+        assert len(products) == 40
+        for n, normals, offsets in products:
+            assert_matches_oracle(HPolytope(n, normals, offsets), brute_force_vertices(n, normals, offsets))
+
+    def test_empty_with_recession_directions(self):
+        # (-1, 2) pairs to <= 0 with every normal, but no point meets all four
+        # facets: an empty system, which an unbounded direction does not make
+        # unbounded
+        with pytest.raises(PolytopeError, match="^empty polytope$"):
+            HPolytope(2, ((-2, -1), (0, -1), (2, -1), (2, 1)), (-1, 2, -2, 0))
+
+    def test_empty_exact_pivots(self):
+        # the second dual-simplex pivot solves for a non-integral
+        # w = (0, -1/3, -2/3); no entry is positive, so the system is empty
+        with pytest.raises(PolytopeError, match="^empty polytope$"):
+            HPolytope(3, ((-2, -1, 1), (-2, 1, 2), (-1, -1, 0), (-1, 1, 1), (0, -1, 0), (1, 1, -1)),
+                      (-3, F(1, 3), F(-2, 3), 4, F(1, 2), -4))
+
+    def test_hnf_work_guard(self, monkeypatch):
+        # P8 x P8: n = 4, d = 16, V = 64.  Every n-subset would be C(16, 4)
+        # = 1820 solves; the walk takes n kernels per vertex and a few pivots.
+        calls = []
+        orig = exactmath.hnf
+
+        def counting(A):
+            calls.append(len(A))
+            return orig(A)
+
+        monkeypatch.setattr(exactmath, "hnf", counting)
+        monkeypatch.setattr(polytope, "hnf", counting)
+        n, normals, offsets = product([OCTAGON, OCTAGON])
+        P = HPolytope(n, normals, offsets)
+        assert len(enumerate_vertices(P)) == 64
+        assert len(calls) <= 64 * 4 + 4 * 16
+        calls.clear()
+        assert validate_delzant(P).ok
+        assert len(calls) == 64  # one int_det per vertex; the edge bases are the walk's
+
+
 class TestFaceLattice:
     def test_cp2_counts(self, cp2):
         faces = face_lattice(cp2)
@@ -190,7 +413,7 @@ class TestNonSimple:
     def test_lattice_matches_brute_force(self, make):
         P = make()
         faces = face_lattice(P)
-        oracle = brute_force_faces(P)
+        oracle = brute_force_faces([act for _, act in enumerate_vertices(P)])
         assert {f.active for f in faces} == oracle and len(faces) == len(oracle)
         for f in faces:
             assert set(f.vertices) == {p for p, act in enumerate_vertices(P) if act >= f.active}
@@ -225,6 +448,12 @@ class TestEdgeVectors:
     def test_cp2_far_vertex(self, cp2):
         cols = edge_vectors_at_vertex(cp2, active_at(cp2, (3, 0)))
         assert set(cols) == {(-1, 0), (-1, 1)}
+
+    def test_non_simple_vertex_edges(self):
+        # the apex of the square pyramid has four edges, one per base corner
+        P = square_pyramid()
+        assert sorted(edge_vectors_at_vertex(P, active_at(P, (0, 0, 1)))) == [
+            (-1, -1, -1), (-1, 1, -1), (1, -1, -1), (1, 1, -1)]
 
     def test_columns_follow_sorted_facet_order(self, cp2):
         # any iterable of the active facets gives the columns in facet order
