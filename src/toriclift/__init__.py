@@ -6,7 +6,7 @@ chart polynomials; the floating-point surface oracle in `surface`;
 file formats in `io`; standard polytopes in `catalog`.
 """
 
-from .chart import CircleEmbedding, VertexChart, make_chart, to_chart, from_chart
+from .chart import CircleEmbedding, VertexChart, make_chart, from_chart
 from .criterion import CurveGraph, LiftVerdict, build_graph, check_lift
 from .polytope import Face, HPolytope, Subtorus, validate_delzant
 
@@ -22,7 +22,6 @@ __all__ = [
     "check_lift",
     "from_chart",
     "make_chart",
-    "to_chart",
     "validate_delzant",
 ]
 

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
 
-from .io import polytope_to_dict
 from .polytope import HPolytope
 
 
@@ -59,25 +56,3 @@ def non_delzant_triangle() -> HPolytope:
         ((-1, 0), (0, -1), (2, 1)),
         (Fraction(0), Fraction(0), Fraction(2)),
     )
-
-
-CATALOG = {
-    "cp2_3": cp2,
-    "cp3": cp3,
-    "unit_square": unit_square,
-    "hirzebruch": hirzebruch,
-    "non_delzant_triangle": non_delzant_triangle,
-}
-
-
-def write_catalog(dirpath) -> list[str]:
-    """Write every catalog polytope as a JSON file; returns the paths."""
-    os.makedirs(dirpath, exist_ok=True)
-    paths = []
-    for name, builder in sorted(CATALOG.items()):
-        path = os.path.join(dirpath, f"{name}.json")
-        with open(path, "w") as fh:
-            json.dump(polytope_to_dict(builder()), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths.append(path)
-    return paths

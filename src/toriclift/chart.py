@@ -69,14 +69,8 @@ def make_chart(P: HPolytope, o: Sequence[Fraction]) -> VertexChart:
     return chart
 
 
-def to_chart(chart: VertexChart, p: Sequence[Fraction]) -> Point:
-    """Chart coordinates: the slacks lambda_f - <a_f, p> of the active facets."""
-    P, p = chart.polytope, [Fraction(x) for x in p]
-    return tuple(P.offsets[f] - dot(P.normals[f], p) for f in chart.active)
-
-
 def from_chart(chart: VertexChart, x: Sequence[Fraction]) -> Point:
-    """Ambient point o + U x; exact inverse of to_chart."""
+    """Ambient point o + U x for chart coordinates x, the active facet slacks at that point."""
     n = chart.n
     return tuple(
         chart.vertex[i] + sum(Fraction(x[j]) * chart.columns[j][i] for j in range(n))

@@ -13,26 +13,33 @@ leading coefficient, so the weight and valuation conditions that decide
 smoothness are read off the polynomials themselves, in closed form.
 Every mathematical failure is a verdict with diagnostics, never an
 exception; exceptions are reserved for malformed input.
+
+The checks read only signs, roots and valuations of the facet slacks
+lambda_i - <a_i, gamma(s)> and of <gamma', K>, which a factor D > 0 keeps.
+So `check_lift` clears denominators once, D the lcm of those of gamma and
+the offsets, and every check runs on integer lists: D*slack_i, D*gamma.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
+from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .chart import CircleEmbedding, VertexChart, local_weights, make_chart
 from .exactmath import (
     RatPoly,
+    _compose_int,
+    _eval_int,
     count_roots,
     isolate_root,
-    poly_compose_linear,
     poly_deriv,
     poly_eval,
     poly_trim,
 )
-from .polytope import HPolytope, PolytopeError, format_point, minimal_face
+from .polytope import HPolytope, PolytopeError, _face, format_point
 
 Curve = list[RatPoly]  # one coefficient list per ambient coordinate
 Interval = tuple[Fraction, Fraction]
@@ -106,8 +113,29 @@ class LiftVerdict(NamedTuple):
         }
 
 
-def curve_eval(gamma: Curve, s: Fraction) -> tuple[Fraction, ...]:
-    return tuple(poly_eval(c, s) for c in gamma)
+# ---------------------------------------------------------------------------
+# facet slacks with the denominators cleared
+
+
+def _integer_curve(gamma: Curve, offsets: Sequence[Fraction] = ()) -> tuple[int, list[list[int]]]:
+    """(D, D*gamma) in integers, D > 0 the lcm of the denominators of gamma and of `offsets`."""
+    gamma = [[Fraction(c) for c in coeffs] for coeffs in gamma]
+    D = lcm(*(c.denominator for coeffs in gamma for c in coeffs), *(o.denominator for o in offsets))
+    return D, [poly_trim([c.numerator * (D // c.denominator) for c in coeffs]) for coeffs in gamma]
+
+
+def _pairing(a: Sequence[int], G: Sequence[Sequence[int]], const: int = 0) -> list[int]:
+    """const + <a, G(s)>, summed over the coordinates with a_j != 0 (a is nonzero)."""
+    xs, coords = zip(*[(x, c) for x, c in zip(a, G) if x])
+    p = [sum(map(mul, xs, coeffs)) for coeffs in zip_longest(*coords, fillvalue=0)] or [0]
+    p[0] += const
+    return poly_trim(p)
+
+
+def _slacks(P: HPolytope, gamma: Curve) -> tuple[int, list[list[int]], list[list[int]]]:
+    """(D, G, S): G = D*gamma and S[i] = D*(lambda_i - <a_i, gamma(s)>) for every facet i."""
+    D, G = _integer_curve(gamma, P.offsets)
+    return D, G, [_pairing([-x for x in a], G, int(D * lam)) for a, lam in zip(P.normals, P.offsets)]
 
 
 # ---------------------------------------------------------------------------
@@ -125,55 +153,67 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     parametrisation, tangent parallel to the face, curve exiting the chart
     cone) and PolytopeError/ValueError for malformed input.
     """
-    a, b = interval
-    if not a < b:
+    if not interval[0] < interval[1]:
         raise ValueError("build_graph: empty parameter interval")
     _check_dimensions(P, gamma, circle, (chart_vertex,))
-    e = a if endpoint == 0 else b
+    return _graph(P, *_slacks(P, gamma), interval, endpoint, circle, chart_vertex)
+
+
+def _graph(P: HPolytope, D: int, G: list[list[int]], S: list[list[int]], interval: Interval,
+           endpoint: int, circle: CircleEmbedding, chart_vertex: Optional[Sequence[Fraction]]) -> CurveGraph:
+    """build_graph on the scaled curve G = D*gamma and the scaled facet slacks S."""
+    a, b = interval
+    e = Fraction(a if endpoint == 0 else b)
     sign = 1 if endpoint == 0 else -1
-    v1 = curve_eval(gamma, e)
-    try:
-        F = minimal_face(P, v1)
-    except PolytopeError:  # the only one minimal_face raises: v1 lies outside P
+    at_e = [_eval_int(s, e) for s in S]  # each with the sign of slack_i(e)
+    if any(v < 0 for v in at_e):
         raise GraphBuildReject("endpoint_outside_polytope",
-                               f"endpoint {format_point(v1)} lies outside the polytope") from None
-    if not F.active:
+                               f"endpoint {_point(D, G, e)} lies outside the polytope")
+    tight = frozenset(i for i, v in enumerate(at_e) if v == 0)
+    if not tight:
         raise GraphBuildReject("endpoint_interior",
-                               f"endpoint {format_point(v1)} is not on the boundary")
+                               f"endpoint {_point(D, G, e)} is not on the boundary")
+    F = _face(P, tight)  # the endpoint's minimal face
     if chart_vertex is not None:
         o = tuple(Fraction(x) for x in chart_vertex)
         if o not in F.vertices:
             raise PolytopeError(f"chart vertex {format_point(o)} is not a vertex of the endpoint face")
     else:
         o = min(F.vertices)
-    if all(poly_eval(poly_deriv(c), e) == 0 for c in gamma):
+    if not any(_eval_int(poly_deriv(g), e) for g in G):
         raise GraphBuildReject("singular_parametrisation",
-                               f"the curve has zero velocity at endpoint {format_point(v1)}")
+                               f"the curve has zero velocity at endpoint {_point(D, G, e)}")
     chart = make_chart(P, o)
     n = P.n
 
-    # chart coordinate j is the slack of active facet j along gamma(e + sign*tau);
-    # it vanishes at the endpoint exactly when that facet is tight there
-    x_polys = [poly_compose_linear(_slack(P, f, gamma), e, Fraction(sign)) for f in chart.active]
-    Q0 = {j for j, f in enumerate(chart.active) if f not in F.active}
-    param = next((j for j in range(n) if j not in Q0 and _coeff(x_polys[j], 1) != 0), None)
+    # chart coordinate j is the slack of active facet j along gamma(e + sign*tau), here
+    # times D*Dk > 0; it vanishes at the endpoint exactly when that facet is tight there
+    x_int = [_compose_int(S[f], e, sign) for f in chart.active]
+    slope = [q[1] if len(q) > 1 else 0 for q, _ in x_int]  # signs of x_j'(0)
+    Q0 = {j for j, f in enumerate(chart.active) if f not in tight}
+    param = next((j for j in range(n) if j not in Q0 and slope[j]), None)
     if param is None:
         raise GraphBuildReject(
             "tangent_parallel_to_face",
-            f"no chart coordinate off the face moves to first order at {format_point(v1)}",
+            f"no chart coordinate off the face moves to first order at {_point(D, G, e)}",
         )
-    if x_polys[param][1] < 0:
+    if slope[param] < 0:
         raise GraphBuildReject(
             "curve_exits_chart_cone",
-            f"parameter coordinate {param + 1} decreases into the domain at {format_point(v1)}",
+            f"parameter coordinate {param + 1} decreases into the domain at {_point(D, G, e)}",
         )
 
     others = tuple(j for j in range(n) if j != param)
-    x = tuple(x_polys[j] for j in (param,) + others)
+    x = tuple([Fraction(c, D * x_int[j][1]) for c in x_int[j][0]] for j in (param,) + others)
     kw = local_weights(chart, circle)
     k = tuple(kw[j] for j in (param,) + others)
     Q = frozenset(pos for pos, j in enumerate(others, start=2) if j in Q0)
     return CurveGraph(chart, param, others, x, k, Q, b - a)
+
+
+def _point(D: int, G: list[list[int]], e: Fraction) -> str:
+    """The curve point gamma(e) for a reject message."""
+    return format_point([poly_eval(g, e) / D for g in G])
 
 
 def _check_dimensions(P: HPolytope, gamma: Curve, circle: CircleEmbedding,
@@ -186,22 +226,6 @@ def _check_dimensions(P: HPolytope, gamma: Curve, circle: CircleEmbedding,
         raise ValueError(f"the polytope has dimension {P.n}, but {' and '.join(wrong)}")
 
 
-def _coeff(p: RatPoly, i: int) -> Fraction:
-    return p[i] if i < len(p) else Fraction(0)
-
-
-def _pairing(a: Sequence[int], gamma: Curve) -> RatPoly:
-    """<a, gamma(s)>, coefficient by coefficient over the coordinates with a_j != 0 (a is nonzero)."""
-    xs, coords = zip(*[(x, c) for x, c in zip(a, gamma) if x])
-    return poly_trim([sum(map(mul, xs, coeffs)) for coeffs in zip_longest(*coords, fillvalue=0)])
-
-
-def _slack(P: HPolytope, i: int, gamma: Curve) -> RatPoly:
-    """lambda_i - <a_i, gamma(s)>: the slack of facet i along the curve."""
-    p = _pairing([-x for x in P.normals[i]], gamma) or [0]
-    return poly_trim([p[0] + P.offsets[i], *p[1:]])
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -210,7 +234,7 @@ def check_transversality(gamma: Curve, circle: CircleEmbedding,
                          interval: Interval) -> Report:
     """<gamma'(s), K> must not vanish on the open parameter interval."""
     a, b = interval
-    p = poly_deriv(_pairing(circle.K, gamma))
+    p = poly_deriv(_pairing(circle.K, _integer_curve(gamma)[1]))
     loc = "interior"
     if not p:
         return Report("transversality", (Condition(
@@ -232,16 +256,20 @@ def check_interior(P: HPolytope, gamma: Curve, interval: Interval) -> Report:
     A facet slack that is identically zero means the curve runs inside that
     facet; by the z_i = 0 convention this is allowed and noted.
     """
+    return _interior(_slacks(P, gamma)[2], interval)
+
+
+def _interior(S: list[list[int]], interval: Interval) -> Report:
+    """check_interior on the scaled facet slacks S."""
     a, b = interval
-    mid = (a + b) / 2
+    mid = (Fraction(a) + Fraction(b)) / 2
     conditions = []
-    for i in range(P.d):
-        slack = _slack(P, i, gamma)
+    for i, slack in enumerate(S):
         loc = f"facet {i + 1}"
         if not slack:
             conditions.append(Condition("facet_slack", loc, "holds", "curve lies inside the facet"))
             continue
-        if poly_eval(slack, mid) < 0:
+        if _eval_int(slack, mid) < 0:
             conditions.append(Condition("facet_slack", loc, "fails", "curve leaves the polytope"))
             continue
         roots = count_roots(slack, a, b)
@@ -331,12 +359,12 @@ def check_lift(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmb
     if not interval[0] < interval[1]:
         raise ValueError("check_lift: empty parameter interval")
     _check_dimensions(P, gamma, circle, chart_vertices)
-    gamma = [poly_trim([Fraction(c) for c in coeffs]) for coeffs in gamma]
-    reports = [check_interior(P, gamma, interval), check_transversality(gamma, circle, interval)]
+    D, G, S = _slacks(P, gamma)  # G = D*gamma is transversal exactly where gamma is
+    reports = [_interior(S, interval), check_transversality(G, circle, interval)]
     for ep in (0, 1):
         name = f"endpoint {ep + 1}"
         try:
-            graph = build_graph(P, gamma, interval, ep, circle, chart_vertices[ep])
+            graph = _graph(P, D, G, S, interval, ep, circle, chart_vertices[ep])
         except GraphBuildReject as exc:
             reports.append(Report(name, (Condition(exc.reason, name, "fails", exc.detail),)))
             continue

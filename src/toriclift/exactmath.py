@@ -189,7 +189,7 @@ def poly_divmod(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[RatPoly, 
     quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
     rem = list(p)
     while len(rem) >= len(q) and rem:
-        f = rem[-1] / q[-1]
+        f = Fraction(rem[-1]) / q[-1]  # exact for integer lists too
         d = len(rem) - len(q)
         quot[d] = f
         for i, c in enumerate(q):
@@ -204,7 +204,7 @@ def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> RatPoly:
         _, r = poly_divmod(a, b)
         a, b = b, r
     if a:
-        a = poly_scale(a, 1 / a[-1])  # monic
+        a = poly_scale(a, 1 / Fraction(a[-1]))  # monic
     return a
 
 
@@ -216,6 +216,8 @@ def _integer_poly(p: Sequence[Fraction]) -> tuple[list[int], int]:
 
 def _compose_int(c: Sequence[int], shift: Fraction, scale: Fraction) -> tuple[list[int], int]:
     """(q, D) with q(t) = D^deg c(shift + scale*t) integer, by Horner over the denominator D."""
+    if not c:
+        return [], 1
     D = lcm(shift.denominator, scale.denominator)
     a, b = shift.numerator * (D // shift.denominator), scale.numerator * (D // scale.denominator)
     out, Dk = [c[-1]], 1
@@ -228,10 +230,7 @@ def _compose_int(c: Sequence[int], shift: Fraction, scale: Fraction) -> tuple[li
 
 def poly_compose_linear(p: Sequence[Fraction], shift: Fraction, scale: Fraction) -> RatPoly:
     """Coefficients of p(shift + scale * t) in t."""
-    p = poly_trim(p)
-    if not p:
-        return []
-    c, den = _integer_poly(p)
+    c, den = _integer_poly(poly_trim(p))
     q, Dk = _compose_int(c, Fraction(shift), Fraction(scale))
     return poly_trim([Fraction(x, den * Dk) for x in q])
 
@@ -244,39 +243,50 @@ def _variations(c: Sequence[int], left: Fraction, right: Fraction) -> int:
     the count exceeds the number of roots by an even number.
     """
     r, _ = _compose_int(c, left, right - left)  # r(y) ~ c(left + (right - left) y)
-    q, _ = _compose_int(r[::-1], Fraction(1), Fraction(1))  # (1+x)^d r(1/(1+x))
+    q, _ = _compose_int(r[::-1], 1, 1)  # (1+x)^d r(1/(1+x))
     signs = [x > 0 for x in q if x]
     return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _eval_int(c: Sequence[int], x: Fraction) -> int:
+    """den^deg c(num/den) for x = num/den: an integer with the sign of c(x), by Horner."""
+    num, den = x.numerator, x.denominator
+    acc, dk = 0, 1
+    for ci in reversed(c):
+        acc = acc * num + ci * dk
+        dk *= den
+    return acc
 
 
 def count_roots(p: Sequence[Fraction], left: Fraction, right: Fraction) -> int:
     """Number of distinct real roots of p strictly inside (left, right).
 
-    Vincent-Collins-Akritas: one Descartes test on the integer form of p
+    p holds Fractions or ints; a factor D > 0 changes no root, so p is
+    scaled to integers (the criterion passes its slacks already scaled).
+    Vincent-Collins-Akritas: one Descartes test on that integer list
     settles a count of 0 or 1; otherwise the square-free part is bisected,
     testing each dyadic midpoint exactly, until every piece has 0 or 1.
     The zero polynomial is rejected.
     """
-    p = poly_trim(p)
-    if not p:
+    c, _ = _integer_poly(poly_trim(p))
+    if not c:
         raise ValueError("count_roots: zero polynomial")
     left, right = Fraction(left), Fraction(right)
     if not left < right:
         raise ValueError("count_roots: empty interval")
-    count = _variations(_integer_poly(p)[0], left, right)
+    count = _variations(c, left, right)
     if count < 2:
         return count
-    sf, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
-    c, _ = _integer_poly(sf)
+    sf, _ = _integer_poly(poly_divmod(c, poly_gcd(c, poly_deriv(c)))[0])
     count, pieces = 0, [(left, right)]
     while pieces:
         lo, hi = pieces.pop()
-        v = _variations(c, lo, hi)
+        v = _variations(sf, lo, hi)
         if v < 2:
             count += v
             continue
         mid = (lo + hi) / 2
-        count += poly_eval(sf, mid) == 0
+        count += _eval_int(sf, mid) == 0
         pieces += [(lo, mid), (mid, hi)]
     return count
 
@@ -289,13 +299,15 @@ def isolate_root(p: Sequence[Fraction], left: Fraction, right: Fraction) -> tupl
 
     The left half is kept whenever it holds a root, so the result brackets
     the leftmost root, unless a midpoint is itself a root: then (mid, mid).
+    The brackets depend only on the roots, so p and D*p (D > 0) give the same.
     """
+    c, _ = _integer_poly(p)
     lo, hi = Fraction(left), Fraction(right)
     while hi - lo > ISOLATE_WIDTH:
         mid = (lo + hi) / 2
-        if poly_eval(p, mid) == 0:
+        if _eval_int(c, mid) == 0:
             return mid, mid
-        if count_roots(p, lo, mid) > 0:
+        if count_roots(c, lo, mid) > 0:
             hi = mid
         else:
             lo = mid

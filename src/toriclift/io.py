@@ -82,16 +82,6 @@ def polytope_from_dict(d: dict) -> HPolytope:
     return HPolytope(n, tuple(normals), tuple(offsets))
 
 
-def polytope_to_dict(P: HPolytope) -> dict:
-    return {
-        "n": P.n,
-        "facets": [
-            {"normal": list(a), "offset": format_rational(lam)}
-            for a, lam in zip(P.normals, P.offsets)
-        ],
-    }
-
-
 def load_polytope(path) -> HPolytope:
     return polytope_from_dict(_read_json(path))
 

@@ -2,7 +2,28 @@ from fractions import Fraction
 
 import pytest
 
-from toriclift import catalog
+from toriclift import catalog, io
+from toriclift.exactmath import poly_deriv, poly_divmod, poly_eval, poly_gcd, poly_scale, poly_trim
+
+# the catalog polytopes, by the names of their files in data/
+CATALOG = {
+    "cp2_3": catalog.cp2,
+    "cp3": catalog.cp3,
+    "unit_square": catalog.unit_square,
+    "hirzebruch": catalog.hirzebruch,
+    "non_delzant_triangle": catalog.non_delzant_triangle,
+}
+
+
+def polytope_to_dict(P):
+    """P in the polytope file format read by `io.polytope_from_dict`."""
+    return {
+        "n": P.n,
+        "facets": [
+            {"normal": list(a), "offset": io.format_rational(lam)}
+            for a, lam in zip(P.normals, P.offsets)
+        ],
+    }
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +48,28 @@ def bad_triangle():
 
 def frac_pt(*xs):
     return tuple(Fraction(x) for x in xs)
+
+
+def _sign_changes(values):
+    signs = [1 if v > 0 else -1 for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sturm_count(p, left, right):
+    """Distinct real roots of p in the open (left, right) from a Sturm chain of
+    its square-free part: the differential oracle for count_roots."""
+    p = poly_trim(p)
+    if len(p) == 1:
+        return 0
+    sf, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
+    if len(sf) == 1:
+        return 0
+    chain = [sf, poly_deriv(sf)]
+    while True:
+        r = poly_scale(poly_divmod(chain[-2], chain[-1])[1], Fraction(-1))
+        if not r:
+            break
+        chain.append(r)
+    count = (_sign_changes([poly_eval(q, left) for q in chain])
+             - _sign_changes([poly_eval(q, right) for q in chain]))  # roots in (left, right]
+    return count - (poly_eval(sf, right) == 0)

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from toriclift import catalog, io
+from conftest import polytope_to_dict
+from toriclift import catalog
 from toriclift.chart import CircleEmbedding
 from toriclift.cli import main as cli_main
 from toriclift.criterion import build_graph, check_endpoint, check_lift, divided_smoothness
@@ -328,7 +329,7 @@ def test_acceptance_7_series_kernel():
 def test_acceptance_8_cli_determinism(tmp_path, capsys):
     def body():
         cp2_file = tmp_path / "cp2.json"
-        cp2_file.write_text(json.dumps(io.polytope_to_dict(CP2)))
+        cp2_file.write_text(json.dumps(polytope_to_dict(CP2)))
         vec_file = tmp_path / "vectors.json"
         vec_file.write_text(json.dumps({"vectors": [[1, 0], [0, 1], [-1, 1]]}))
         curve_file = tmp_path / "curve.json"

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import CATALOG
 from toriclift import catalog
 from toriclift.chart import (
     CircleEmbedding,
     from_chart,
     local_weights,
     make_chart,
-    to_chart,
 )
 from toriclift.criterion import GraphBuildReject, build_graph
 from toriclift.exactmath import dot, identity_matrix, poly_add, poly_compose_linear, poly_scale, poly_sub
@@ -25,8 +25,14 @@ from toriclift.polytope import (
 
 F = Fraction
 
-POLYTOPES = {**{name: build() for name, build in catalog.CATALOG.items()}, "box3": catalog.box([2, 1, F(3, 2)])}
+POLYTOPES = {**{name: build() for name, build in CATALOG.items()}, "box3": catalog.box([2, 1, F(3, 2)])}
 DELZANT = [name for name, P in POLYTOPES.items() if validate_delzant(P).ok]
+
+
+def to_chart(chart, p):
+    """Chart coordinates: the slacks lambda_f - <a_f, p> of the active facets."""
+    P, p = chart.polytope, [F(x) for x in p]
+    return tuple(P.offsets[f] - dot(P.normals[f], p) for f in chart.active)
 
 
 def mean(points):

@@ -1,9 +1,14 @@
+import os
+import random
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
+from operator import mul
 
 import pytest
 
-from toriclift import catalog
+from conftest import sturm_count
+from toriclift import catalog, criterion, io
 from toriclift.chart import CircleEmbedding
 from toriclift.criterion import (
     GraphBuildReject,
@@ -13,7 +18,8 @@ from toriclift.criterion import (
     check_lift,
     check_transversality,
 )
-from toriclift.polytope import PolytopeError
+from toriclift.exactmath import poly_compose_linear, poly_deriv, poly_eval, poly_trim
+from toriclift.polytope import HPolytope, PolytopeError, face_lattice
 
 F = Fraction
 
@@ -310,3 +316,177 @@ class TestInvariances:
             v1 = check_lift(square, gamma, iv, CircleEmbedding(K))
             v2 = check_lift(square, swapped, iv, CircleEmbedding((K[1], K[0])))
             assert v1.verdict == v2.verdict
+
+
+class TestIntegerInput:
+    """A curve given with int coefficients reports exactly what its Fraction form does."""
+
+    def test_transversality_two_roots(self):
+        # <gamma', K> = 3s^2 - 6s + 2 has two roots in (0, 2), so count_roots takes its
+        # square-free step, which must stay exact on integer lists
+        gamma = [[0, 2, -3, 1], [0]]
+        for g in (gamma, [poly(*c) for c in gamma]):
+            rep = check_transversality(g, K10, (F(0), F(2)))
+            assert rep.conditions[0].detail == "pairing vanishes in (27/64, 433/1024)"
+
+    def test_interior_two_contacts(self, cp2):
+        # y = (3s - 1)(4s - 1) touches y = 0 twice; x + y = 3 is crossed once
+        gamma = [[0, 1], [1, -7, 12]]
+        want = [("holds", "positive on the interior"),
+                ("fails", "interior boundary contact at s in (1/4, 1/4)"),
+                ("fails", "interior boundary contact at s in (373/512, 747/1024)")]
+        for g in (gamma, [poly(*c) for c in gamma]):
+            rep = check_interior(cp2, g, (F(0), F(1)))
+            assert [(c.outcome, c.detail) for c in rep.conditions] == want
+
+
+# ---------------------------------------------------------------------------
+# the integer slacks against the Fraction slacks they replace
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+
+
+def data_polytope(name):
+    return io.load_polytope(os.path.join(DATA, f"{name}.json"))
+
+
+def pairing_oracle(a, gamma):
+    """<a, gamma(s)> in Fractions."""
+    xs, coords = zip(*[(x, c) for x, c in zip(a, gamma) if x])
+    return poly_trim([sum(map(mul, xs, coeffs)) for coeffs in zip_longest(*coords, fillvalue=0)])
+
+
+def slack_oracle(P, i, gamma):
+    """lambda_i - <a_i, gamma(s)> in Fractions, as the criterion formed each slack before
+    it cleared denominators."""
+    p = pairing_oracle([-x for x in P.normals[i]], gamma) or [0]
+    return poly_trim([p[0] + P.offsets[i], *p[1:]])
+
+
+def small_rational(rng):
+    """A rational in [-1, 1] with a denominator up to 10^4."""
+    q = rng.randint(1, 10**4)
+    return F(rng.randint(-q, q), q)
+
+
+def random_curve(rng, P):
+    """A chord between points of two proper faces with a random bump, on a random
+    rational interval: both ends lie on the boundary, and the coefficients carry
+    denominators up to 10^4 and beyond."""
+    faces = [f for f in face_lattice(P) if f.active]
+    ends = []
+    for face in rng.sample(faces, 2):
+        w = [rng.randint(1, 9) for _ in face.vertices]
+        ends.append([sum(wi * v[j] for wi, v in zip(w, face.vertices)) / sum(w) for j in range(P.n)])
+    (A, B), w = ends, [small_rational(rng) for _ in range(P.n)]
+    bumped = [F(0)] * 5  # s(1 - s) bump(s), bump of degree < 3
+    for i in range(rng.randint(0, 3)):
+        c = small_rational(rng)
+        bumped[i + 1] += c
+        bumped[i + 2] -= c
+    # A + s(B - A) + s(1 - s) bump(s) w on [0, 1], then s = (t - lo)/(hi - lo)
+    gamma = [poly_trim([x + c * wj for x, c in zip([a, b - a, 0, 0, 0], bumped)]) for a, b, wj in zip(A, B, w)]
+    lo = F(rng.randint(-20, 20), rng.randint(1, 50))
+    hi = lo + F(rng.randint(1, 40), rng.randint(1, 30))
+    return [poly_compose_linear(c, -lo / (hi - lo), 1 / (hi - lo)) for c in gamma], (lo, hi)
+
+
+def translate(rng, P):
+    """P moved by a vector with denominators up to 10^4."""
+    t = [small_rational(rng) for _ in range(P.n)]
+    return HPolytope(P.n, P.normals, [lam + sum(map(mul, a, t)) for a, lam in zip(P.normals, P.offsets)])
+
+
+def random_circle(rng, n):
+    K = [0] * n
+    while not any(K):
+        K = [rng.randint(-3, 3) for _ in range(n)]
+    return CircleEmbedding(K)
+
+
+class TestIntegerSlacksDifferential:
+    NAMES = ["cp2_3", "cp3", "hirzebruch", "unit_square", "non_delzant_triangle"]
+
+    def expected_slack_condition(self, slack, iv):
+        """(outcome, whether the detail brackets a root) for one facet, from the Sturm oracle."""
+        a, b = iv
+        if not slack:
+            return "holds", False
+        if poly_eval(slack, (a + b) / 2) < 0:
+            return "fails", False
+        return ("holds", False) if sturm_count(slack, a, b) == 0 else ("fails", True)
+
+    def check_bracket(self, p, detail):
+        """The bracket printed at the end of a detail holds a root of p."""
+        lo, hi = (F(x) for x in detail[detail.rindex("(") + 1:-1].split(", "))
+        assert poly_eval(p, lo) == 0 if lo == hi else sturm_count(p, lo, hi) > 0
+
+    def test_random_rational_curves(self):
+        rng = random.Random(2025)
+        base = {name: data_polytope(name) for name in self.NAMES}
+        built = rejected = 0
+        for i in range(300):
+            P = base[self.NAMES[i % 5]]
+            if i % 2:
+                P = translate(rng, P)
+            gamma, iv = random_curve(rng, P)
+            K = random_circle(rng, P.n)
+            try:
+                verdict = check_lift(P, gamma, iv, K)
+            except PolytopeError:  # a chart at the triangle's non-Delzant vertex
+                verdict = None
+
+            interior = check_interior(P, gamma, iv)
+            assert verdict is None or verdict.report("interior") == interior
+            for i_f, cond in enumerate(interior.conditions):
+                slack = slack_oracle(P, i_f, gamma)
+                outcome, bracketed = self.expected_slack_condition(slack, iv)
+                assert cond.outcome == outcome
+                if bracketed:
+                    self.check_bracket(slack, cond.detail)
+
+            trans = check_transversality(gamma, K, iv)
+            assert verdict is None or verdict.report("transversality") == trans
+            p = poly_deriv(pairing_oracle(K.K, gamma))
+            holds = bool(p) and sturm_count(p, *iv) == 0
+            assert trans.conditions[0].outcome == ("holds" if holds else "fails")
+            if p and not holds:
+                self.check_bracket(p, trans.conditions[0].detail)
+
+            for ep in (0, 1):
+                try:
+                    graph = build_graph(P, gamma, iv, ep, K)
+                except (GraphBuildReject, PolytopeError):
+                    rejected += 1
+                    continue
+                built += 1
+                e, sign = (iv[0], F(1)) if ep == 0 else (iv[1], F(-1))
+                order = (graph.param_chart_index,) + graph.other_chart_indices
+                active = graph.chart.active
+                assert list(graph.x) == [poly_compose_linear(slack_oracle(P, active[j], gamma), e, sign)
+                                         for j in order]
+                assert all(type(c) is F for x in graph.x for c in x)
+                if verdict is not None:
+                    assert verdict.report(f"endpoint {ep + 1}") == check_endpoint(graph, f"endpoint {ep + 1}")
+        assert built >= 300 and rejected >= 50
+
+
+class TestWorkGuard:
+    """check_lift hands the root finders integer lists only: the scaled slacks."""
+
+    def test_root_finders_see_integer_lists(self, monkeypatch):
+        seen = {"count_roots": [], "isolate_root": []}
+        for name, calls in seen.items():
+            def spy(p, left, right, real=getattr(criterion, name), calls=calls):
+                calls.append(p)
+                return real(p, left, right)
+            monkeypatch.setattr(criterion, name, spy)
+        rng = random.Random(11)
+        for name in ("cp2_3", "cp3", "hirzebruch", "unit_square"):
+            P = data_polytope(name)
+            for _ in range(15):
+                gamma, iv = random_curve(rng, P)
+                check_lift(P, gamma, iv, random_circle(rng, P.n))
+        assert len(seen["count_roots"]) > 100 and len(seen["isolate_root"]) > 10
+        for name, calls in seen.items():
+            assert all(type(p) is list and all(type(c) is int for c in p) for p in calls), name

@@ -1,12 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import sturm_count
 from toriclift.exactmath import (
     ISOLATE_WIDTH,
     count_roots,
@@ -16,11 +17,7 @@ from toriclift.exactmath import (
     isolate_root,
     poly_add,
     poly_compose_linear,
-    poly_deriv,
-    poly_divmod,
     poly_eval,
-    poly_gcd,
-    poly_scale,
     poly_trim,
     primitive,
     rank,
@@ -238,31 +235,6 @@ class TestArith:
         assert poly_mul([Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]) == [1, 0, -1]
 
 
-def _sign_changes(values):
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sturm_count(p, left, right):
-    """Distinct real roots of p in the open (left, right) from a Sturm chain of
-    its square-free part: the differential oracle for count_roots."""
-    p = poly_trim(p)
-    if len(p) == 1:
-        return 0
-    sf, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
-    if len(sf) == 1:
-        return 0
-    chain = [sf, poly_deriv(sf)]
-    while True:
-        r = poly_scale(poly_divmod(chain[-2], chain[-1])[1], Fraction(-1))
-        if not r:
-            break
-        chain.append(r)
-    count = (_sign_changes([poly_eval(q, left) for q in chain])
-             - _sign_changes([poly_eval(q, right) for q in chain]))  # roots in (left, right]
-    return count - (poly_eval(sf, right) == 0)
-
-
 def isolate_root_oracle(p, left, right):
     """isolate_root's bisection with the Sturm oracle as its root test."""
     lo, hi = left, right
@@ -313,13 +285,19 @@ class TestCountRoots:
     @example(([Fraction(1), Fraction(-2), Fraction(1)], Fraction(0), Fraction(2)))  # double root at the midpoint
     # roots 1/3 and 1 in (0, 2): the first midpoint is a root, and isolate_root returns (1, 1)
     @example((poly_mul([Fraction(-1, 3), Fraction(1)], [Fraction(-1), Fraction(1)]), Fraction(0), Fraction(2)))
+    # plain ints with two roots, 1 +- 1/sqrt(3), in (0, 2): the square-free step must stay exact
+    @example(([2, -6, 3], Fraction(0), Fraction(2)))
     @settings(max_examples=200, deadline=None)
     def test_against_sturm(self, problem):
         p, a, b = problem
         count = count_roots(p, a, b)
         assert count == sturm_count(p, a, b)
+        # the same polynomial times the lcm of its denominators, as the criterion passes its slacks
+        den = lcm(*(Fraction(c).denominator for c in p))
+        scaled = [int(c * den) for c in p]
+        assert count_roots(scaled, a, b) == count
         if count:
-            assert isolate_root(p, a, b) == isolate_root_oracle(p, a, b)
+            assert isolate_root(p, a, b) == isolate_root_oracle(p, a, b) == isolate_root(scaled, a, b)
 
     def test_close_roots_separated(self):
         # (s - 1/2)(s - 1/2 - 10^-9): both roots inside (0, 1), far below the first split width

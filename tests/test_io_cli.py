@@ -9,6 +9,7 @@ from math import comb
 
 import pytest
 
+from conftest import CATALOG, polytope_to_dict
 from toriclift import io
 from toriclift.cli import main
 
@@ -38,7 +39,13 @@ class TestRationals:
 
 class TestPolytopeFiles:
     def test_round_trip(self, cp2):
-        assert io.polytope_from_dict(io.polytope_to_dict(cp2)) == cp2
+        assert io.polytope_from_dict(polytope_to_dict(cp2)) == cp2
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_data_file_is_the_catalog_polytope(self, name):
+        path = os.path.join(os.path.dirname(__file__), "..", "data", f"{name}.json")
+        with open(path) as fh:
+            assert json.load(fh) == polytope_to_dict(CATALOG[name]())
 
     def test_decimal_offset_rejected(self):
         d = {"n": 1, "facets": [{"normal": [1], "offset": "0.5"},
@@ -162,12 +169,12 @@ def write_json(tmp_path, name, obj):
 
 @pytest.fixture
 def cp2_file(tmp_path, cp2):
-    return write_json(tmp_path, "cp2.json", io.polytope_to_dict(cp2))
+    return write_json(tmp_path, "cp2.json", polytope_to_dict(cp2))
 
 
 @pytest.fixture
 def bad_triangle_file(tmp_path, bad_triangle):
-    return write_json(tmp_path, "tri.json", io.polytope_to_dict(bad_triangle))
+    return write_json(tmp_path, "tri.json", polytope_to_dict(bad_triangle))
 
 
 @pytest.fixture
@@ -330,7 +337,7 @@ class TestCli:
         ("vector", "vectors[0]: expected a list of integers"),
     ], ids=["normal", "offset", "coefficient", "circle", "vector"])
     def test_json_boolean_usage_error(self, cp2, tmp_path, capsys, target, message):
-        polytope = io.polytope_to_dict(cp2)
+        polytope = polytope_to_dict(cp2)
         curve = dict(TestCurveFiles.GOOD)
         vectors = [[1, 0], [0, 1], [-1, 1]]
         if target == "normal":
