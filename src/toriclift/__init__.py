@@ -8,7 +8,7 @@ file formats in `io`; standard polytopes in `catalog`.
 
 from .chart import CircleEmbedding, VertexChart, make_chart, from_chart
 from .criterion import CurveGraph, LiftVerdict, build_graph, check_lift
-from .polytope import Face, HPolytope, Subtorus, validate_delzant
+from .polytope import Face, HPolytope, validate_delzant
 
 __all__ = [
     "CircleEmbedding",
@@ -16,7 +16,6 @@ __all__ = [
     "Face",
     "HPolytope",
     "LiftVerdict",
-    "Subtorus",
     "VertexChart",
     "build_graph",
     "check_lift",

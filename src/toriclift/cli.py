@@ -44,7 +44,7 @@ def cmd_validate(args) -> int:
         "ok": report.ok,
         "vertices": [
             {
-                "vertex": [io.format_rational(x) for x in v.vertex],
+                "vertex": list(map(str, v.vertex)),
                 "simple": v.simple,
                 "rational": True,
                 "det": v.det,
@@ -76,7 +76,7 @@ def cmd_quasitoric(args) -> int:
         "ok": report.ok,
         "strict": strict,
         "vertices": [
-            {"vertex": [io.format_rational(x) for x in v], "det": d}
+            {"vertex": list(map(str, v)), "det": d}
             for v, d in report.vertex_dets
         ],
     }
@@ -97,7 +97,7 @@ def cmd_faces(args) -> int:
             {
                 "active": sorted(f.active),
                 "dim": f.dim,
-                "vertices": [[io.format_rational(x) for x in v] for v in f.vertices],
+                "vertices": [list(map(str, v)) for v in f.vertices],
             }
             for f in faces
         ],

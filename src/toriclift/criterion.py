@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -33,6 +32,7 @@ from .exactmath import (
     RatPoly,
     _compose_int,
     _eval_int,
+    _integer_polys,
     count_roots,
     isolate_root,
     poly_deriv,
@@ -117,13 +117,6 @@ class LiftVerdict(NamedTuple):
 # facet slacks with the denominators cleared
 
 
-def _integer_curve(gamma: Curve, offsets: Sequence[Fraction] = ()) -> tuple[int, list[list[int]]]:
-    """(D, D*gamma) in integers, D > 0 the lcm of the denominators of gamma and of `offsets`."""
-    gamma = [[Fraction(c) for c in coeffs] for coeffs in gamma]
-    D = lcm(*(c.denominator for coeffs in gamma for c in coeffs), *(o.denominator for o in offsets))
-    return D, [poly_trim([c.numerator * (D // c.denominator) for c in coeffs]) for coeffs in gamma]
-
-
 def _pairing(a: Sequence[int], G: Sequence[Sequence[int]], const: int = 0) -> list[int]:
     """const + <a, G(s)>, summed over the coordinates with a_j != 0 (a is nonzero)."""
     xs, coords = zip(*[(x, c) for x, c in zip(a, G) if x])
@@ -133,9 +126,12 @@ def _pairing(a: Sequence[int], G: Sequence[Sequence[int]], const: int = 0) -> li
 
 
 def _slacks(P: HPolytope, gamma: Curve) -> tuple[int, list[list[int]], list[list[int]]]:
-    """(D, G, S): G = D*gamma and S[i] = D*(lambda_i - <a_i, gamma(s)>) for every facet i."""
-    D, G = _integer_curve(gamma, P.offsets)
-    return D, G, [_pairing([-x for x in a], G, int(D * lam)) for a, lam in zip(P.normals, P.offsets)]
+    """(D, G, S): G = D*gamma and S[i] = D*(lambda_i - <a_i, gamma(s)>) for every facet i.
+
+    D > 0 is the lcm of the denominators of gamma and of the offsets.
+    """
+    D, (*G, offsets) = _integer_polys(*gamma, P.offsets)
+    return D, G, [_pairing([-x for x in a], G, lam) for a, lam in zip(P.normals, offsets)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +149,8 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     parametrisation, tangent parallel to the face, curve exiting the chart
     cone) and PolytopeError/ValueError for malformed input.
     """
+    if endpoint not in (0, 1):
+        raise ValueError(f"build_graph: endpoint must be 0 or 1, got {endpoint!r}")
     if not interval[0] < interval[1]:
         raise ValueError("build_graph: empty parameter interval")
     _check_dimensions(P, gamma, circle, (chart_vertex,))
@@ -232,9 +230,12 @@ def _check_dimensions(P: HPolytope, gamma: Curve, circle: CircleEmbedding,
 
 def check_transversality(gamma: Curve, circle: CircleEmbedding,
                          interval: Interval) -> Report:
-    """<gamma'(s), K> must not vanish on the open parameter interval."""
+    """<gamma'(s), K> must not vanish on the open parameter interval.
+
+    A factor D > 0 on gamma changes no root, so `check_lift` passes D*gamma.
+    """
     a, b = interval
-    p = poly_deriv(_pairing(circle.K, _integer_curve(gamma)[1]))
+    p = poly_deriv(_pairing(circle.K, gamma))
     loc = "interior"
     if not p:
         return Report("transversality", (Condition(
@@ -250,17 +251,12 @@ def check_transversality(gamma: Curve, circle: CircleEmbedding,
         f"pairing vanishes in ({lo}, {hi})"),))
 
 
-def check_interior(P: HPolytope, gamma: Curve, interval: Interval) -> Report:
-    """The open curve must stay strictly inside the polytope.
+def _interior(S: list[list[int]], interval: Interval) -> Report:
+    """The open curve must stay strictly inside the polytope: a check on the scaled facet slacks S.
 
     A facet slack that is identically zero means the curve runs inside that
     facet; by the z_i = 0 convention this is allowed and noted.
     """
-    return _interior(_slacks(P, gamma)[2], interval)
-
-
-def _interior(S: list[list[int]], interval: Interval) -> Report:
-    """check_interior on the scaled facet slacks S."""
     a, b = interval
     mid = (Fraction(a) + Fraction(b)) / 2
     conditions = []

@@ -208,10 +208,13 @@ def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> RatPoly:
     return a
 
 
-def _integer_poly(p: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(c, den) with p = c / den, c integer and den > 0 the lcm of the denominators."""
-    den = lcm(*(x.denominator for x in p))
-    return [x.numerator * (den // x.denominator) for x in p], den
+def _integer_polys(*polys: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
+    """(D, [D*p for each p]) as integer lists, D > 0 the lcm of every denominator.
+
+    Entries may be Fractions or ints; an int is read as it is, not wrapped.
+    """
+    D = lcm(*(x.denominator for p in polys for x in p))
+    return D, [[x.numerator * (D // x.denominator) for x in p] for p in polys]
 
 
 def _compose_int(c: Sequence[int], shift: Fraction, scale: Fraction) -> tuple[list[int], int]:
@@ -230,7 +233,7 @@ def _compose_int(c: Sequence[int], shift: Fraction, scale: Fraction) -> tuple[li
 
 def poly_compose_linear(p: Sequence[Fraction], shift: Fraction, scale: Fraction) -> RatPoly:
     """Coefficients of p(shift + scale * t) in t."""
-    c, den = _integer_poly(poly_trim(p))
+    den, (c,) = _integer_polys(poly_trim(p))
     q, Dk = _compose_int(c, Fraction(shift), Fraction(scale))
     return poly_trim([Fraction(x, den * Dk) for x in q])
 
@@ -268,7 +271,7 @@ def count_roots(p: Sequence[Fraction], left: Fraction, right: Fraction) -> int:
     testing each dyadic midpoint exactly, until every piece has 0 or 1.
     The zero polynomial is rejected.
     """
-    c, _ = _integer_poly(poly_trim(p))
+    _, (c,) = _integer_polys(poly_trim(p))
     if not c:
         raise ValueError("count_roots: zero polynomial")
     left, right = Fraction(left), Fraction(right)
@@ -277,7 +280,7 @@ def count_roots(p: Sequence[Fraction], left: Fraction, right: Fraction) -> int:
     count = _variations(c, left, right)
     if count < 2:
         return count
-    sf, _ = _integer_poly(poly_divmod(c, poly_gcd(c, poly_deriv(c)))[0])
+    _, (sf,) = _integer_polys(poly_divmod(c, poly_gcd(c, poly_deriv(c)))[0])
     count, pieces = 0, [(left, right)]
     while pieces:
         lo, hi = pieces.pop()
@@ -301,7 +304,7 @@ def isolate_root(p: Sequence[Fraction], left: Fraction, right: Fraction) -> tupl
     the leftmost root, unless a midpoint is itself a root: then (mid, mid).
     The brackets depend only on the roots, so p and D*p (D > 0) give the same.
     """
-    c, _ = _integer_poly(p)
+    _, (c,) = _integer_polys(p)
     lo, hi = Fraction(left), Fraction(right)
     while hi - lo > ISOLATE_WIDTH:
         mid = (lo + hi) / 2

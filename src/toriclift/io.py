@@ -44,11 +44,6 @@ def parse_rational(s, field: str = "value") -> Fraction:
     return Fraction(s.strip())
 
 
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def parse_point(obj, field: str) -> tuple[Fraction, ...]:
     if not isinstance(obj, (list, tuple)):
         raise FormatError(f"{field}: expected a list of rationals")

@@ -8,8 +8,9 @@ start vertex, which an exact dual simplex finds, so the work grows with
 the number of vertices rather than with the number of n-subsets of
 facets; an edge that no facet blocks shows that P is unbounded.  The faces
 are the intersections of vertex active sets, and edge bases are read from
-those sets too.  Vertices, the face lattice, edge bases and the faces
-looked up by `minimal_face` are computed once per polytope and kept on it.
+those sets too.  Vertices, edge bases and faces are computed once per
+polytope and kept on it; `face_lattice` collects the faces afresh on each
+call.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ class HPolytope:
     Construction checks the data, then walks the vertices with
     `enumerate_vertices`: normals that do not span, an empty system, a
     recession ray and a facet tight on all of P are each a PolytopeError.
-    Equal and hashed by (n, normals, offsets).  Vertices, the face
-    lattice, faces, edge bases and charts are memoised on it as they are
-    computed.
+    Equal and hashed by (n, normals, offsets).  Vertices, faces, edge
+    bases and charts are memoised on it as they are computed.
     """
 
     def __init__(self, n: int, normals: Iterable[Sequence[int]], offsets: Iterable[Fraction]):
@@ -70,12 +70,8 @@ class HPolytope:
                 raise PolytopeError(f"facet normal {a} is not primitive")
         if len(set(self.normals)) != len(self.normals):
             raise PolytopeError("duplicate facet normal")
-        if rank(self.normals) < n:
-            raise PolytopeError("unbounded polytope: normals do not span")
-        # memos of enumerate_vertices, face_lattice, _face, edge_vectors_at_vertex
-        # and chart.make_chart
+        # memos of enumerate_vertices, _face, edge_vectors_at_vertex and chart.make_chart
         self._vertices = None
-        self._lattice = None
         self._faces = {}
         self._edges = {}
         self._charts = {}
@@ -100,17 +96,6 @@ class HPolytope:
     def d(self) -> int:
         return len(self.normals)
 
-    def tight_facets(self, p: Sequence[Fraction]) -> Optional[frozenset[int]]:
-        """The facets tight at p, or None when p lies outside P: one pass of pairings."""
-        tight = []
-        for i, (a, lam) in enumerate(zip(self.normals, self.offsets)):
-            pairing = dot(p, a)
-            if pairing > lam:
-                return None
-            if pairing == lam:
-                tight.append(i)
-        return frozenset(tight)
-
 
 def _kernel(normals: Sequence[IntVec], n: int) -> list[IntVec]:
     """Z-basis of the lattice vectors orthogonal to every normal; Z^n when there are none."""
@@ -127,17 +112,12 @@ class Face(NamedTuple):
     vertices: tuple[Point, ...]
 
 
-class Subtorus(NamedTuple):
-    """Subtorus of T^n given by generator columns in the Lie-algebra lattice."""
-
-    generators: tuple[IntVec, ...]
-
-
 def _start_vertex(P: HPolytope) -> Point:
     """One vertex of P, by the exact dual simplex with Bland's rule.
 
     The pivot rows of the Hermite form of all normals are n facets B with
-    independent normals.  With c their normal sum, y = 1 on B is feasible
+    independent normals; fewer than n pivots mean the normals do not span,
+    so P is unbounded.  With c their normal sum, y = 1 on B is feasible
     for the dual of max <c, x> over P: min <b, y> with A^T y = c, y >= 0.
     Each step solves A_B x = b_B through H, U = hnf(A_B).  When x lies in
     P it is the vertex.  Otherwise the smallest violated facet i enters:
@@ -147,6 +127,8 @@ def _start_vertex(P: HPolytope) -> Point:
     """
     n = P.n
     H, _ = hnf(P.normals)
+    if not any(row[-1] for row in H):  # the last column of H is zero iff rank < n
+        raise PolytopeError("unbounded polytope: normals do not span")
     basis = [next(i for i, row in enumerate(H) if row[k]) for k in range(n)]
     y = [Fraction(1)] * n
     while True:
@@ -224,15 +206,12 @@ def face_lattice(P: HPolytope) -> list[Face]:
     intersection of their active sets, so the faces are exactly the
     intersections of vertex active sets, simple vertices or not; P itself
     is the intersection of all of them, which is empty.  One pass over the
-    vertices collects them.
+    vertices collects them; the faces are kept on P, the list is not.
     """
-    if P._lattice is None:
-        sets: set[frozenset[int]] = set()
-        for _, act in enumerate_vertices(P):
-            sets |= {act & f for f in sets} | {act}
-        faces = sorted((_face(P, act) for act in sets), key=lambda f: (f.dim, sorted(f.active)))
-        P._lattice = faces
-    return P._lattice
+    sets: set[frozenset[int]] = set()
+    for _, act in enumerate_vertices(P):
+        sets |= {act & f for f in sets} | {act}
+    return sorted((_face(P, act) for act in sets), key=lambda f: (f.dim, sorted(f.active)))
 
 
 def edge_vectors_at_vertex(P: HPolytope, active: Iterable[int]) -> list[IntVec]:
@@ -326,22 +305,28 @@ def validate_quasitoric(P: HPolytope, facet_vectors: Sequence[Sequence[int]],
 def minimal_face(P: HPolytope, r: Sequence[Fraction]) -> Face:
     """The face containing r in its relative interior: its active set is the facets tight at r."""
     r = tuple(Fraction(x) for x in r)
-    active = P.tight_facets(r)
-    if active is None:
+    slacks = [lam - dot(r, a) for a, lam in zip(P.normals, P.offsets)]
+    if any(s < 0 for s in slacks):
         raise PolytopeError(f"point {format_point(r)} outside the polytope")
-    return _face(P, active)
+    return _face(P, frozenset(i for i, s in enumerate(slacks) if s == 0))
 
 
-def characteristic_subtorus(P: HPolytope, F: Face) -> Subtorus:
-    """Generators of the isotropy subtorus of a face: the active normals."""
+def characteristic_subtorus(P: HPolytope, F: Face) -> tuple[IntVec, ...]:
+    """Generators of the isotropy subtorus of a face, as columns: the active normals.
+
+    They are independent exactly when there are codim F = n - dim F of them.
+    """
     gens = tuple(P.normals[i] for i in sorted(F.active))
+    if len(gens) != P.n - F.dim:
+        raise PolytopeError(f"subtorus generators of face {sorted(F.active)} are linearly dependent: "
+                            f"{len(gens)} facets meet in codimension {P.n - F.dim}")
     if gens:
         idx = saturation_index(gens)
         if idx != 1:
             raise PolytopeError(
                 f"subtorus generators of face {sorted(F.active)} are not saturated (index {idx})"
             )
-    return Subtorus(gens)
+    return gens
 
 
 def in_subtorus(gens: Sequence[IntVec], delta: Sequence[Fraction], n: int) -> bool:
@@ -373,6 +358,5 @@ def points_equivalent(P: HPolytope, tp1: tuple[Sequence[Fraction], Sequence[Frac
     if r1 != r2:
         minimal_face(P, r2)
         return False
-    sub = characteristic_subtorus(P, F)
     delta = tuple(Fraction(a) - Fraction(b) for a, b in zip(t1, t2))
-    return in_subtorus(sub.generators, delta, P.n)
+    return in_subtorus(characteristic_subtorus(P, F), delta, P.n)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from toriclift import catalog, io
+from toriclift import catalog
 from toriclift.exactmath import poly_deriv, poly_divmod, poly_eval, poly_gcd, poly_scale, poly_trim
 
 # the catalog polytopes, by the names of their files in data/
@@ -20,7 +20,7 @@ def polytope_to_dict(P):
     return {
         "n": P.n,
         "facets": [
-            {"normal": list(a), "offset": io.format_rational(lam)}
+            {"normal": list(a), "offset": str(lam)}
             for a, lam in zip(P.normals, P.offsets)
         ],
     }

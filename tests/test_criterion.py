@@ -14,9 +14,9 @@ from toriclift.criterion import (
     GraphBuildReject,
     build_graph,
     check_endpoint,
-    check_interior,
     check_lift,
     check_transversality,
+    valuation,
 )
 from toriclift.exactmath import poly_compose_linear, poly_deriv, poly_eval, poly_trim
 from toriclift.polytope import HPolytope, PolytopeError, face_lattice
@@ -32,6 +32,11 @@ DIAG = [poly(0, 1), poly(0, 1)]          # gamma(s) = (s, s)
 DIAG_IV = (F(0), F(3, 2))
 K11 = CircleEmbedding((1, 1))
 K10 = CircleEmbedding((1, 0))
+
+
+def check_interior(P, gamma, interval):
+    """The interior report `check_lift` makes, from the scaled facet slacks."""
+    return criterion._interior(criterion._slacks(P, gamma)[2], interval)
 
 
 class TestBuildGraph:
@@ -91,6 +96,11 @@ class TestBuildGraph:
     def test_empty_interval_rejected(self, cp2):
         with pytest.raises(ValueError):
             build_graph(cp2, DIAG, (F(1), F(1)), 0, K11)
+
+    @pytest.mark.parametrize("endpoint", [-1, 2, 5])
+    def test_endpoint_index_rejected(self, cp2, endpoint):
+        with pytest.raises(ValueError, match=f"^build_graph: endpoint must be 0 or 1, got {endpoint}$"):
+            build_graph(cp2, DIAG, DIAG_IV, endpoint, K11)
 
     def test_singular_parametrization_rejected(self, cp2):
         gamma = [poly(0, 0, 1), poly(0, 0, 1)]
@@ -209,6 +219,19 @@ class TestEndpoint:
         rep = check_endpoint(gr)
         assert any(c.condition == "face_weight_vanishes" and c.outcome == "fails"
                    for c in rep.conditions)
+
+
+# ---------------------------------------------------------------------------
+# the valuation the endpoint conditions read from a chart polynomial
+
+
+class TestValuation:
+    def test_linear(self):
+        assert valuation(poly(0, 1)) == 1
+
+    def test_exact_zero(self):
+        assert valuation([]) is None
+        assert valuation(poly(0, 0)) is None
 
 
 class TestCheckLift:

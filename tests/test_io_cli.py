@@ -34,7 +34,7 @@ class TestRationals:
 
     def test_format_round_trip(self):
         for x in (F(3), F(-1, 2), F(22, 7), F(0)):
-            assert io.parse_rational(io.format_rational(x)) == x
+            assert io.parse_rational(str(x)) == x
 
 
 class TestPolytopeFiles:
@@ -264,7 +264,7 @@ class TestCli:
         # inconclusive at a low series order, is decided with exit 0
         y = [F(0)] * 20 + [F((-1) ** i * comb(20, i)) for i in range(21)]
         curve = write_json(tmp_path, "flat.json", {
-            "coords": [["0", "1"], [io.format_rational(c) for c in y]],
+            "coords": [["0", "1"], list(map(str, y))],
             "domain": ["0", "1"],
             "circle": [1, 0],
         })
@@ -422,6 +422,13 @@ class TestCli:
                                                     "domain": ["0", "1/2"], "circle": [1, 0, 0]})
         assert main(["lift-check", octahedron, curve]) == 3
         assert capsys.readouterr() == ("", "error: vertex (1, 0, 0) is not simple: 4 active facets\n")
+
+    def test_equiv_non_simple_vertex_message(self, tmp_path, capsys):
+        octahedron = write_json(tmp_path, "octahedron.json", {"n": 3, "facets": [
+            {"normal": list(a), "offset": "1"} for a in itertools.product((1, -1), repeat=3)]})
+        assert main(["equiv", octahedron, "--r", "1,0,0", "--t1", "0,0,0", "--t2", "0,0,1/2"]) == 3
+        assert capsys.readouterr() == ("", "error: subtorus generators of face [0, 1, 2, 3] are linearly "
+                                           "dependent: 4 facets meet in codimension 3\n")
 
     @pytest.mark.parametrize("project", ["0,1,2", "1,2", "a,b,c", "1,2,5", "1,2,3,4", ""],
                              ids=["zero", "two", "letters", "above-2n", "four", "empty"])

@@ -2,8 +2,9 @@
 
 At an endpoint the graph coordinate g_j = x_j o x_p^{-1} has the valuation
 and leading sign of the exact chart polynomial x_j(tau), so these tests
-check the kernel that reads them from the polynomials: `valuation`, and
-`divided_smoothness` for sqrt(2 x_j) / r_1^m (m = 0 is the radius itself).
+check the kernel that reads them from the polynomials: `divided_smoothness`
+for sqrt(2 x_j) / r_1^m (m = 0 is the radius itself).  `valuation` has its
+own tests in test_criterion.py.
 """
 
 import math
@@ -18,15 +19,6 @@ F = Fraction
 
 def J(*coeffs):
     return [F(c) for c in coeffs]
-
-
-class TestValuation:
-    def test_linear(self):
-        assert valuation(J(0, 1)) == 1
-
-    def test_exact_zero(self):
-        assert valuation([]) is None
-        assert valuation(J(0, 0)) is None
 
 
 class TestSqrtFactorClass:

@@ -340,7 +340,9 @@ class TestEdgeWalk:
     def test_hnf_work_guard(self, monkeypatch):
         # P8 x P8: n = 4, d = 16, V = 64.  Every n-subset would be C(16, 4)
         # = 1820 solves; the walk takes n kernels per vertex and a few pivots.
-        calls = []
+        # The start vertex's Hermite form of all the normals also shows that they
+        # span, so construction eliminates them once and calls no rank.
+        calls, ranks = [], []
         orig = exactmath.hnf
 
         def counting(A):
@@ -349,10 +351,12 @@ class TestEdgeWalk:
 
         monkeypatch.setattr(exactmath, "hnf", counting)
         monkeypatch.setattr(polytope, "hnf", counting)
+        monkeypatch.setattr(polytope, "rank", lambda A: ranks.append(A) or exactmath.rank(A))
         n, normals, offsets = product([OCTAGON, OCTAGON])
         P = HPolytope(n, normals, offsets)
         assert len(enumerate_vertices(P)) == 64
         assert len(calls) <= 64 * 4 + 4 * 16
+        assert ranks == [] and calls.count(16) == 1
         calls.clear()
         assert validate_delzant(P).ok
         assert len(calls) == 64  # one int_det per vertex; the edge bases are the walk's
@@ -553,32 +557,38 @@ class TestMinimalFace:
             minimal_face(cp2, (F(5), F(5)))
 
     def test_tight_facets(self, cp2):
-        assert cp2.tight_facets((F(3), F(0))) == frozenset({1, 2})
-        assert cp2.tight_facets((F(1), F(1))) == frozenset()
-        assert cp2.tight_facets((F(-1), F(0))) is None
-        assert cp2.tight_facets((F(0), F(4))) is None  # tight at facet 0, past facet 2
+        assert minimal_face(cp2, (F(3), F(0))).active == frozenset({1, 2})
+        assert minimal_face(cp2, (F(1), F(1))).active == frozenset()
+        with pytest.raises(PolytopeError, match="outside the polytope"):
+            minimal_face(cp2, (F(-1), F(0)))
+        with pytest.raises(PolytopeError, match="outside the polytope"):
+            minimal_face(cp2, (F(0), F(4)))  # tight at facet 0, past facet 2
 
 
 class TestCharacteristicSubtorus:
     def test_facet_circle(self, cp2):
         f = minimal_face(cp2, (F(3, 2), F(3, 2)))  # facet with normal (1,1)
-        sub = characteristic_subtorus(cp2, f)
-        assert sub.generators == ((1, 1),)
+        assert characteristic_subtorus(cp2, f) == ((1, 1),)
 
     def test_vertex_full_torus(self, cp2):
         f = minimal_face(cp2, (F(0), F(0)))
-        sub = characteristic_subtorus(cp2, f)
-        assert len(sub.generators) == 2
+        assert len(characteristic_subtorus(cp2, f)) == 2
 
     def test_whole_polytope_trivial(self, cp2):
         f = minimal_face(cp2, (F(1), F(1)))
-        assert len(characteristic_subtorus(cp2, f).generators) == 0
+        assert len(characteristic_subtorus(cp2, f)) == 0
 
     def test_codimension_matches_rank(self, cp2, hirzebruch):
         for P in (cp2, hirzebruch, catalog.cp3()):
             for f in face_lattice(P):
-                sub = characteristic_subtorus(P, f)
-                assert len(sub.generators) == P.n - f.dim
+                assert len(characteristic_subtorus(P, f)) == P.n - f.dim
+
+    def test_dependent_generators_name_the_face(self):
+        # four facets meet at each vertex of the octahedron, one too many for a 3-torus
+        f = minimal_face(octahedron(), (F(1), F(0), F(0)))
+        with pytest.raises(PolytopeError, match=r"^subtorus generators of face \[0, 1, 2, 3\] are linearly "
+                                                r"dependent: 4 facets meet in codimension 3$"):
+            characteristic_subtorus(octahedron(), f)
 
 
 class TestPointsEquivalent:
