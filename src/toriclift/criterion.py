@@ -125,11 +125,21 @@ def _pairing(a: Sequence[int], G: Sequence[Sequence[int]], const: int = 0) -> li
     return poly_trim(p)
 
 
+def _check_coefficients(gamma: Curve) -> None:
+    """Raise ValueError unless every curve coefficient is an int or a Fraction."""
+    for j, coeffs in enumerate(gamma):
+        for k, c in enumerate(coeffs):
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"curve coordinate {j + 1}, coefficient of s^{k}: "
+                                 f"expected an int or a Fraction, got {c!r}")
+
+
 def _slacks(P: HPolytope, gamma: Curve) -> tuple[int, list[list[int]], list[list[int]]]:
     """(D, G, S): G = D*gamma and S[i] = D*(lambda_i - <a_i, gamma(s)>) for every facet i.
 
     D > 0 is the lcm of the denominators of gamma and of the offsets.
     """
+    _check_coefficients(gamma)
     D, (*G, offsets) = _integer_polys(*gamma, P.offsets)
     return D, G, [_pairing([-x for x in a], G, lam) for a, lam in zip(P.normals, offsets)]
 
@@ -234,6 +244,7 @@ def check_transversality(gamma: Curve, circle: CircleEmbedding,
 
     A factor D > 0 on gamma changes no root, so `check_lift` passes D*gamma.
     """
+    _check_coefficients(gamma)
     a, b = interval
     p = poly_deriv(_pairing(circle.K, gamma))
     loc = "interior"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Sequence
 
 IntVec = tuple[int, ...]
@@ -39,7 +40,7 @@ def primitive(v: Sequence[int]) -> IntVec:
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError("dot: dimension mismatch")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 # ---------------------------------------------------------------------------

@@ -6,21 +6,27 @@ normals and rational offsets.  Its combinatorics is read from the vertex
 active sets.  The vertices are found by walking the edge graph from one
 start vertex, which an exact dual simplex finds, so the work grows with
 the number of vertices rather than with the number of n-subsets of
-facets; an edge that no facet blocks shows that P is unbounded.  The faces
-are the intersections of vertex active sets, and edge bases are read from
-those sets too.  Vertices, edge bases and faces are computed once per
-polytope and kept on it; `face_lattice` collects the faces afresh on each
-call.
+facets; an edge that no facet blocks shows that P is unbounded.  The walk
+carries each vertex's facet slacks as integers over one denominator.  At
+a simple vertex one Hermite form of the n active normals gives the edges
+and their determinant in integers; only a non-simple vertex takes a
+kernel per (n-1)-subset of its facets.  The faces are the intersections
+of vertex active sets; when every vertex is simple a face's dimension is
+n minus its number of facets, with no rank computed.  Vertices, edge
+bases and faces are computed once per polytope and kept on it;
+`face_lattice` collects the faces afresh on each call.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactmath import (
     IntVec,
+    _integer_polys,
     dot,
     hnf,
     identity_matrix,
@@ -70,8 +76,9 @@ class HPolytope:
                 raise PolytopeError(f"facet normal {a} is not primitive")
         if len(set(self.normals)) != len(self.normals):
             raise PolytopeError("duplicate facet normal")
-        # memos of enumerate_vertices, _face, edge_vectors_at_vertex and chart.make_chart
+        # memos of enumerate_vertices, _face, _vertex_edges and chart.make_chart
         self._vertices = None
+        self._simple = False  # every vertex simple: set by the walk, read by _face
         self._faces = {}
         self._edges = {}
         self._charts = {}
@@ -158,34 +165,44 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
     The edge graph of a polytope is connected, so a walk over it from
     `_start_vertex` finds every vertex (Avis and Fukuda, "A pivoting
     algorithm for convex hulls and vertex enumeration of arrangements and
-    polyhedra", DCG 1992).  Each vertex carries its exact facet slacks;
-    its active set is where they vanish, and its edges are the
-    `edge_vectors_at_vertex` of that set.  Along an edge u the neighbour
-    lies at step t = min slack_i / <a_i, u> over the facets with
-    <a_i, u> > 0; an edge that no facet blocks is a recession ray of an
-    unbounded P.
+    polyhedra", DCG 1992).  Each vertex carries its facet slacks as an
+    integer list S over one denominator q > 0, slack_i = S_i / q; its
+    active set is where they vanish, and its edges are the
+    `edge_vectors_at_vertex` of that set.  Along an edge u, with integer
+    pairings p_i = <a_i, u>, the neighbour lies at step t = min S_i / (q p_i)
+    over p_i > 0, found by cross-multiplying; an edge that no facet blocks
+    is a recession ray of an unbounded P.  At the neighbour the slacks are
+    S p_b - S_b p over q p_b, b a blocking facet, reduced by their gcd.
     """
     if P._vertices is None:
         x = _start_vertex(P)
-        slacks = tuple(lam - dot(a, x) for a, lam in zip(P.normals, P.offsets))
-        active = frozenset(i for i, s in enumerate(slacks) if s == 0)
+        q, (S,) = _integer_polys([lam - dot(a, x) for a, lam in zip(P.normals, P.offsets)])
+        active = frozenset(i for i, s in enumerate(S) if s == 0)
         found = {active: x}
-        todo = [(active, x, slacks)]
+        todo = [(active, x, S, q)]
         while todo:
-            active, x, slacks = todo.pop()
-            for u in edge_vectors_at_vertex(P, active):
-                pairings = [dot(a, u) for a in P.normals]
-                ratios = [(s / p, i) for i, (s, p) in enumerate(zip(slacks, pairings)) if p > 0]
-                if not ratios:
+            active, x, S, q = todo.pop()
+            for u in _vertex_edges(P, tuple(sorted(active)))[0]:
+                p = [dot(a, u) for a in P.normals]
+                b, blocking = None, []
+                for i, pi in enumerate(p):
+                    if pi > 0:
+                        if b is None or S[i] * p[b] < S[b] * pi:  # S_i / p_i < S_b / p_b
+                            b, blocking = i, [i]
+                        elif S[i] * p[b] == S[b] * pi:
+                            blocking.append(i)
+                if b is None:
                     raise PolytopeError(f"unbounded polytope: recession ray {u}")
-                t = min(ratios)[0]
-                blocking = {i for r, i in ratios if r == t}
                 # the active facets the edge lies in stay tight; the ones blocking it become tight
-                nxt = frozenset(i for i, p in enumerate(pairings) if i in blocking or p == 0 and i in active)
+                nxt = frozenset(i for i, pi in enumerate(p) if i in blocking or pi == 0 and i in active)
                 if nxt not in found:
-                    y = found[nxt] = tuple(xk + t * uk for xk, uk in zip(x, u))
-                    todo.append((nxt, y, tuple(s - t * p for s, p in zip(slacks, pairings))))
+                    t = Fraction(S[b], q * p[b])
+                    found[nxt] = y = tuple(xk + t * uk for xk, uk in zip(x, u))
+                    S2 = [s * p[b] - S[b] * pi for s, pi in zip(S, p)]
+                    g = gcd(q * p[b], *S2)
+                    todo.append((nxt, y, [s // g for s in S2], q * p[b] // g))
         P._vertices = sorted((x, active) for active, x in found.items())
+        P._simple = all(len(active) == P.n for active in found)
     return P._vertices
 
 
@@ -193,7 +210,7 @@ def _face(P: HPolytope, active: frozenset[int]) -> Face:
     """The face whose active facet set is `active`, which must be one."""
     face = P._faces.get(active)
     if face is None:
-        dim = P.n - rank([P.normals[i] for i in sorted(active)])
+        dim = P.n - (len(active) if P._simple else rank([P.normals[i] for i in sorted(active)]))
         vertices = tuple(p for p, va in P._vertices if va >= active)  # set in __init__
         face = P._faces[active] = Face(active, dim, vertices)
     return face
@@ -222,27 +239,68 @@ def edge_vectors_at_vertex(P: HPolytope, active: Iterable[int]) -> list[IntVec]:
     normals of rank n - 1 and pairs to <= 0 with every active normal.  At
     a simple vertex there are n of them: column j relaxes the j-th active
     facet (sorted by facet index), pairing negatively with it and to zero
-    with the others.  The edges are kept on P, one list per active set.
+    with the others, so it is column j of -A_S^-1 made primitive, which
+    one Hermite form of the active normals A_S gives (`_simple_edges`).
+    The edges are kept on P, one list per active set.
     """
-    key = tuple(sorted(active))
-    cols = P._edges.get(key)
-    if cols is None:
-        cols = []
-        # reversed, so that at a simple vertex the j-th subset leaves out the j-th facet
-        for rest in itertools.combinations(key[::-1], P.n - 1):
-            kern = _kernel([P.normals[f] for f in rest], P.n)
-            if len(kern) != 1:
-                continue
-            u = kern[0]
-            pairs = [dot(u, P.normals[f]) for f in key]
-            if max(pairs) > 0:
-                if min(pairs) < 0:
-                    continue  # neither half of the line stays in P near the vertex
-                u = tuple(-x for x in u)
-            if u not in cols:
-                cols.append(u)
-        cols = P._edges[key] = tuple(cols)
-    return list(cols)
+    return list(_vertex_edges(P, tuple(sorted(active)))[0])
+
+
+def _vertex_edges(P: HPolytope, key: tuple[int, ...]) -> tuple[tuple[IntVec, ...], Optional[int]]:
+    """(edges, D) at the vertex with the sorted active facets `key`, memoised on P.
+
+    D = det A_S when the active normals are n independent ones, else None.
+    """
+    entry = P._edges.get(key)
+    if entry is None:
+        entry = P._edges[key] = _simple_edges(P, key) or (_kernel_edges(P, key), None)
+    return entry
+
+
+def _simple_edges(P: HPolytope, key: tuple[int, ...]) -> Optional[tuple[tuple[IntVec, ...], int]]:
+    """(edges, det A_S) from one Hermite form when the active normals A_S are n independent ones.
+
+    H, U = hnf(A_S) has H = A_S U lower triangular and det U = +1, so
+    D = det A_S is the diagonal product of H and -A_S^-1 = -U H^-1.  As
+    D H^-1 = adj H is integral, column j of D H^-1 is found by forward
+    substitution with exact integer division, and edge j is the primitive
+    vector along -sign(D) U times it.  None when A_S is not square or singular.
+    """
+    n = P.n
+    if len(key) != n:
+        return None
+    H, U = hnf([P.normals[f] for f in key])
+    D = prod(H[i][i] for i in range(n))
+    if D == 0:
+        return None
+    s = -1 if D > 0 else 1
+    cols = []
+    for j in range(n):
+        y = [0] * n  # column j of D H^-1: zero above row j, as H is lower triangular
+        y[j] = D // H[j][j]
+        for k in range(j + 1, n):
+            y[k] = -sum(H[k][i] * y[i] for i in range(j, k)) // H[k][k]  # exact
+        cols.append(primitive([s * dot(urow, y) for urow in U]))
+    return tuple(cols), D
+
+
+def _kernel_edges(P: HPolytope, key: tuple[int, ...]) -> tuple[IntVec, ...]:
+    """The edges at a non-simple vertex: one kernel line per (n-1)-subset of rank n - 1."""
+    cols = []
+    # reversed, so that the j-th subset leaves out the j-th facet, as in the order at a simple vertex
+    for rest in itertools.combinations(key[::-1], P.n - 1):
+        kern = _kernel([P.normals[f] for f in rest], P.n)
+        if len(kern) != 1:
+            continue
+        u = kern[0]
+        pairs = [dot(u, P.normals[f]) for f in key]
+        if max(pairs) > 0:
+            if min(pairs) < 0:
+                continue  # neither half of the line stays in P near the vertex
+            u = tuple(-x for x in u)
+        if u not in cols:
+            cols.append(u)
+    return tuple(cols)
 
 
 class VertexVerdict(NamedTuple):
@@ -261,13 +319,20 @@ class DelzantReport(NamedTuple):
 
 
 def validate_delzant(P: HPolytope) -> DelzantReport:
-    """Per-vertex simple/smooth verdicts (integer normals make P rational); pass iff all pass."""
+    """Per-vertex simple/smooth verdicts (integer normals make P rational); pass iff all pass.
+
+    A simple vertex is smooth iff its edge matrix has |det| = 1.  The walk's
+    Hermite form of the active normals A_S already gave D = det A_S: when
+    |D| = 1 the edge matrix is exactly -A_S^-1, of determinant (-1)^n D, and
+    only when |D| != 1 is the determinant of the edges computed.
+    """
     verdicts = []
     for v, active in enumerate_vertices(P):
         if len(active) != P.n:
             verdicts.append(VertexVerdict(v, False, None, False))
             continue
-        det = int_det(edge_vectors_at_vertex(P, active))
+        edges, D = _vertex_edges(P, tuple(sorted(active)))
+        det = (-1) ** P.n * D if abs(D) == 1 else int_det(edges)
         verdicts.append(VertexVerdict(v, True, det, abs(det) == 1))
     return DelzantReport(all(v.smooth for v in verdicts), tuple(verdicts))
 

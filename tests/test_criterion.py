@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from toriclift.criterion import (
     check_endpoint,
     check_lift,
     check_transversality,
+    divided_smoothness,
     valuation,
 )
 from toriclift.exactmath import poly_compose_linear, poly_deriv, poly_eval, poly_trim
@@ -234,6 +236,33 @@ class TestValuation:
         assert valuation(poly(0, 0)) is None
 
 
+class TestSqrtFactorClass:
+    """Smoothness of the radius sqrt(2 x(tau)) at the tip, tau ~ r_1^2."""
+
+    def test_unit(self):
+        x = poly(1, 1)
+        assert divided_smoothness(x, 0) is None and valuation(x) == 0
+
+    def test_cone(self):
+        x = poly(0, 1)
+        assert divided_smoothness(x, 0) == "parity" and valuation(x) == 1
+
+    def test_square(self):
+        # sqrt(x^2) with x = r^2 / 2 is r^2 / 2: smooth and even
+        x = poly(0, 0, 1)
+        assert divided_smoothness(x, 0) is None and valuation(x) == 2
+        f = lambda r: math.sqrt(2 * (r * r / 2) ** 2)
+        for r in (0.01, 0.1, 0.3):
+            assert f(r) == pytest.approx(r * r / math.sqrt(2), rel=1e-12)
+            assert f(-r) == pytest.approx(f(r), rel=1e-12)
+
+    def test_negative_leading(self):
+        assert divided_smoothness(poly(-1, 1), 0) == "negative_leading"
+
+    def test_identically_zero(self):
+        assert divided_smoothness([], 0) is None
+
+
 class TestCheckLift:
     def test_diagonal_accept(self, cp2):
         v = check_lift(cp2, DIAG, DIAG_IV, K11)
@@ -361,6 +390,29 @@ class TestIntegerInput:
         for g in (gamma, [poly(*c) for c in gamma]):
             rep = check_interior(cp2, g, (F(0), F(1)))
             assert [(c.outcome, c.detail) for c in rep.conditions] == want
+
+
+class TestCoefficientTypes:
+    """A float coefficient is malformed input: a ValueError naming it, at every entry point."""
+
+    MESSAGE = r"^curve coordinate 1, coefficient of s\^1: expected an int or a Fraction, got 0\.5$"
+    GAMMA = [[0, 0.5], [0, 1]]
+
+    def test_check_lift(self, cp2):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            check_lift(cp2, self.GAMMA, (F(0), F(1)), K11)
+
+    def test_build_graph(self, cp2):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            build_graph(cp2, self.GAMMA, (F(0), F(1)), 0, K11)
+
+    def test_check_transversality(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            check_transversality(self.GAMMA, K11, (F(0), F(1)))
+
+    def test_names_the_coordinate(self):
+        with pytest.raises(ValueError, match=r"^curve coordinate 2, coefficient of s\^0: .* got 0\.25$"):
+            check_transversality([[0, 1], [0.25]], K11, (F(0), F(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 At an endpoint the graph coordinate g_j = x_j o x_p^{-1} has the valuation
 and leading sign of the exact chart polynomial x_j(tau), so these tests
 check the kernel that reads them from the polynomials: `divided_smoothness`
-for sqrt(2 x_j) / r_1^m (m = 0 is the radius itself).  `valuation` has its
-own tests in test_criterion.py.
+for sqrt(2 x_j) / r_1^m.  `valuation` and the radius itself (m = 0, the
+`TestSqrtFactorClass` cases) have their tests in test_criterion.py.
 """
 
 import math
@@ -12,40 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from toriclift.criterion import divided_smoothness, valuation
+from toriclift.criterion import divided_smoothness
 
 F = Fraction
 
 
 def J(*coeffs):
     return [F(c) for c in coeffs]
-
-
-class TestSqrtFactorClass:
-    """Smoothness of the radius sqrt(2 x(tau)) at the tip, tau ~ r_1^2."""
-
-    def test_unit(self):
-        x = J(1, 1)
-        assert divided_smoothness(x, 0) is None and valuation(x) == 0
-
-    def test_cone(self):
-        x = J(0, 1)
-        assert divided_smoothness(x, 0) == "parity" and valuation(x) == 1
-
-    def test_square(self):
-        # sqrt(x^2) with x = r^2 / 2 is r^2 / 2: smooth and even
-        x = J(0, 0, 1)
-        assert divided_smoothness(x, 0) is None and valuation(x) == 2
-        f = lambda r: math.sqrt(2 * (r * r / 2) ** 2)
-        for r in (0.01, 0.1, 0.3):
-            assert f(r) == pytest.approx(r * r / math.sqrt(2), rel=1e-12)
-            assert f(-r) == pytest.approx(f(r), rel=1e-12)
-
-    def test_negative_leading(self):
-        assert divided_smoothness(J(-1, 1), 0) == "negative_leading"
-
-    def test_identically_zero(self):
-        assert divided_smoothness([], 0) is None
 
 
 class TestDividedSmoothness:

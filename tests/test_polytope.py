@@ -10,7 +10,7 @@ import pytest
 
 from toriclift import catalog, exactmath, polytope
 from toriclift.chart import make_chart
-from toriclift.exactmath import dot, hnf, int_det, integer_kernel_basis, primitive, rank
+from toriclift.exactmath import dot, hnf, identity_matrix, int_det, integer_kernel_basis, primitive, rank
 from toriclift.polytope import (
     HPolytope,
     PolytopeError,
@@ -238,6 +238,12 @@ def ladder_products(seed):
     return out
 
 
+def awkward_translate(rng, n, normals, offsets):
+    """The offsets of the system moved by a vector with denominators up to 10^4."""
+    t = [F(rng.randint(-10 ** 4, 10 ** 4), rng.randint(1, 10 ** 4)) for _ in range(n)]
+    return [F(lam) + dot(a, t) for a, lam in zip(normals, offsets)]
+
+
 OCTAGON = ([(-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1)],
            [F(0), F(-1), F(0), F(2), F(3), F(5), F(3), F(2)])
 
@@ -337,11 +343,56 @@ class TestEdgeWalk:
             HPolytope(3, ((-2, -1, 1), (-2, 1, 2), (-1, -1, 0), (-1, 1, 1), (0, -1, 0), (1, 1, -1)),
                       (-3, F(1, 3), F(-2, 3), 4, F(1, 2), -4))
 
+    def test_awkward_offsets_match_brute_force(self):
+        # moved by vectors with denominators up to 10^4, the walk's integer slacks
+        # carry large denominators that the gcd must reduce; the combinatorics, the
+        # ties of the ratio test at non-simple vertices and the messages stay
+        rng = random.Random(20261018)
+        cases = []
+        for _ in range(400):
+            n, normals, offsets = random_system(rng)
+            cases.append(check_against_oracle(n, normals, awkward_translate(rng, n, normals, offsets)))
+        counts = {c: cases.count(c) for c in set(cases)}
+        assert set(counts) == {"no-span", "empty", "unbounded", "flat", "bounded"}, counts
+        for make in (octahedron, square_pyramid):
+            P = make()
+            for _ in range(5):
+                offsets = awkward_translate(rng, 3, P.normals, P.offsets)
+                assert check_against_oracle(3, P.normals, offsets) == "bounded"
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_translated_ladder_products_match_brute_force(self, seed):
+        rng = random.Random(seed)
+        for n, normals, offsets in ladder_products(seed):
+            offsets = awkward_translate(rng, n, normals, offsets)
+            assert max(o.denominator for o in offsets) > 1000
+            assert_matches_oracle(HPolytope(n, normals, offsets), brute_force_vertices(n, normals, offsets))
+
+    @pytest.mark.parametrize("n,normals,offsets,message", [
+        (2, ((-1, 0), (0, -1)), (0, 0), "unbounded polytope: recession ray (1, 0)"),
+        (1, ((1,),), (0,), "unbounded polytope: recession ray (-1,)"),
+        (3, ((0, 0, -1), (1, 0, 1), (-1, 0, 1), (0, 1, 1)), (0, 1, 1, 1),
+         "unbounded polytope: recession ray (0, -1, 0)"),
+        (2, ((-2, -1), (0, -1), (2, -1), (2, 1)), (-1, 2, -2, 0), "empty polytope"),
+        (1, ((1,), (-1,)), (-2, 0), "empty polytope"),
+    ], ids=["quadrant", "half-line", "open-pyramid", "empty-with-rays", "empty-interval"])
+    def test_messages_pinned_under_awkward_translation(self, n, normals, offsets, message):
+        # a translation changes neither the dual simplex's pivots nor the walk's
+        # edges, so the system and its translate fail with the same message
+        rng = random.Random(n)
+        for offs in (offsets, awkward_translate(rng, n, normals, offsets)):
+            with pytest.raises(PolytopeError) as exc:
+                HPolytope(n, normals, offs)
+            assert str(exc.value) == message
+
     def test_hnf_work_guard(self, monkeypatch):
         # P8 x P8: n = 4, d = 16, V = 64.  Every n-subset would be C(16, 4)
-        # = 1820 solves; the walk takes n kernels per vertex and a few pivots.
-        # The start vertex's Hermite form of all the normals also shows that they
-        # span, so construction eliminates them once and calls no rank.
+        # = 1820 solves; the walk takes one Hermite form per simple vertex and a
+        # few pivots.  The start vertex's Hermite form of all the normals also
+        # shows that they span, so construction eliminates them once and calls
+        # no rank.  Every vertex is smooth, so the Delzant check reads each
+        # determinant off the walk's Hermite form, and every vertex is simple,
+        # so the face lattice reads each dimension off the facet count.
         calls, ranks = [], []
         orig = exactmath.hnf
 
@@ -357,9 +408,12 @@ class TestEdgeWalk:
         assert len(enumerate_vertices(P)) == 64
         assert len(calls) <= 64 * 4 + 4 * 16
         assert ranks == [] and calls.count(16) == 1
+        assert len(calls) == 66  # the full normals, one start pivot, one per vertex
         calls.clear()
         assert validate_delzant(P).ok
-        assert len(calls) == 64  # one int_det per vertex; the edge bases are the walk's
+        assert calls == []
+        assert len(face_lattice(P)) == 17 * 17
+        assert calls == [] and ranks == []
 
 
 class TestFaceLattice:
@@ -414,9 +468,15 @@ class TestNonSimple:
         lambda: catalog.cp2(3), catalog.cp3, lambda: catalog.box([2, 1, F(3, 2)]),
         octahedron, square_pyramid,
     ], ids=["square", "hirzebruch", "bad-triangle", "cp2", "cp3", "box3", "octahedron", "pyramid"])
-    def test_lattice_matches_brute_force(self, make):
+    def test_lattice_matches_brute_force(self, make, monkeypatch):
+        ranks = []
+        monkeypatch.setattr(polytope, "rank", lambda A: ranks.append(A) or exactmath.rank(A))
         P = make()
         faces = face_lattice(P)
+        # a face's dimension is n minus its facet count on a simple polytope; a
+        # non-simple vertex makes every face take a rank
+        simple = all(len(act) == P.n for _, act in enumerate_vertices(P))
+        assert len(ranks) == (0 if simple else len(faces))
         oracle = brute_force_faces([act for _, act in enumerate_vertices(P)])
         assert {f.active for f in faces} == oracle and len(faces) == len(oracle)
         for f in faces:
@@ -481,6 +541,90 @@ class TestEdgeVectors:
                             assert pair < 0
                         else:
                             assert pair == 0
+
+
+def kernel_edges_oracle(normals, n, key):
+    """Edges at a vertex with the sorted active facets `key`, one integer kernel per
+    (n-1)-subset of them: the computation the Hermite form replaces at simple vertices."""
+    cols = []
+    for rest in itertools.combinations(key[::-1], n - 1):
+        sub = [normals[f] for f in rest]
+        kern = integer_kernel_basis(sub) if sub else [tuple(row) for row in identity_matrix(n)]
+        if len(kern) != 1:
+            continue
+        u = kern[0]
+        pairs = [dot(u, normals[f]) for f in key]
+        if max(pairs) > 0:
+            if min(pairs) < 0:
+                continue
+            u = tuple(-x for x in u)
+        if u not in cols:
+            cols.append(u)
+    return cols
+
+
+def random_simplex(rng):
+    """A simplex with a random simple vertex: n <= 5 independent primitive normals
+    A_S (entries -3..3) through a rational point, cut off by -sum(A_S)."""
+    n = rng.randint(1, 5)
+    while True:
+        normals = []
+        while len(normals) < n:
+            a = tuple(rng.randint(-3, 3) for _ in range(n))
+            if any(a) and primitive(a) == a and a not in normals:
+                normals.append(a)
+        if int_det(normals):
+            cut = primitive([-sum(col) for col in zip(*normals)])
+            if cut not in normals:
+                break
+    v = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+    offsets = [dot(a, v) for a in normals] + [dot(cut, v) + F(rng.randint(1, 9), rng.randint(1, 5))]
+    return HPolytope(n, normals + [cut], offsets)
+
+
+def assert_edges_match_kernels(P):
+    """Every vertex's edges are the kernel oracle's, in order and sign, and each
+    reported determinant is that of the edges."""
+    verdicts = validate_delzant(P).verdicts
+    for (v, act), verdict in zip(enumerate_vertices(P), verdicts):
+        edges = edge_vectors_at_vertex(P, act)
+        assert edges == kernel_edges_oracle(P.normals, P.n, sorted(act)), v
+        assert verdict.vertex == v
+        if verdict.simple:
+            assert verdict.det == int_det(edges) and verdict.smooth == (abs(verdict.det) == 1)
+
+
+class TestOneHermiteForm:
+    """Simple-vertex edges and determinants from one Hermite form, against a kernel per facet."""
+
+    def test_random_simple_vertices(self):
+        rng = random.Random(1318)
+        dets = set()
+        for _ in range(300):
+            P = random_simplex(rng)
+            assert_edges_match_kernels(P)
+            dets.add(abs(int_det(P.normals[:P.n])))
+        assert {1, 2, 3} <= dets and max(dets) > 3, sorted(dets)
+
+    @pytest.mark.parametrize("make", [
+        catalog.unit_square, catalog.hirzebruch, catalog.non_delzant_triangle,
+        lambda: catalog.cp2(3), catalog.cp3, lambda: catalog.box([2, 1, F(3, 2)]),
+        lambda: HPolytope(2, ((1, 2), (2, 1), (-1, 0), (0, -1)), (F(1), F(1), F(0), F(0))),
+        octahedron, square_pyramid,
+    ], ids=["square", "hirzebruch", "bad-triangle", "cp2", "cp3", "box3", "det-3", "octahedron", "pyramid"])
+    def test_catalog(self, make):
+        # the octahedron's vertices and the pyramid's apex are not simple: they keep
+        # a kernel per subset, while the pyramid's base corners are simple
+        assert_edges_match_kernels(make())
+
+    def test_ladder_products(self):
+        # the T rungs have a vertex with |det A_S| = 2, and so a reported |det| = 2
+        bad = []
+        for n, normals, offsets in ladder_products(8):
+            P = HPolytope(n, normals, offsets)
+            assert_edges_match_kernels(P)
+            bad += [v.det for v in validate_delzant(P).failures()]
+        assert bad and {abs(d) for d in bad} == {2}
 
 
 class TestDelzant:
