@@ -52,10 +52,12 @@ def make_chart(P: HPolytope, o: Sequence[Fraction]) -> VertexChart:
     The edge basis U is checked unimodular; its inverse is then the
     negated active normals, so chart coordinates are the facet slacks.
     Charts are kept on P, one per vertex; a rejected vertex is not kept.
+    The memo is read before `o` is made Fractions: an int hashes and
+    compares as the equal Fraction.
     """
-    o = tuple(Fraction(x) for x in o)
-    chart = P._charts.get(o)
+    chart = P._charts.get(tuple(o))
     if chart is None:
+        o = tuple(Fraction(x) for x in o)
         F = minimal_face(P, o)
         if F.dim > 0:
             raise PolytopeError(f"point {format_point(o)} is not a vertex")

@@ -7,21 +7,23 @@ active sets.  The vertices are found by walking the edge graph from one
 start vertex, which an exact dual simplex finds, so the work grows with
 the number of vertices rather than with the number of n-subsets of
 facets; an edge that no facet blocks shows that P is unbounded.  The walk
-carries each vertex's facet slacks as integers over one denominator.  At
-a simple vertex one Hermite form of the n active normals gives the edges
-and their determinant in integers; only a non-simple vertex takes a
-kernel per (n-1)-subset of its facets.  The faces are the intersections
-of vertex active sets; when every vertex is simple a face's dimension is
-n minus its number of facets, with no rank computed.  Vertices, edge
-bases and faces are computed once per polytope and kept on it;
-`face_lattice` collects the faces afresh on each call.
+carries each vertex's point and facet slacks as integer vectors over one
+denominator, and walks each edge once, knowing it by the facets it lies
+in.  At a simple vertex one Hermite form of the n active normals gives
+the edges and their determinant in integers; only a non-simple vertex
+takes a kernel per (n-1)-subset of its facets.  The faces of a simple
+polytope are the subsets of its vertex active sets, a face with k facets
+of dimension n - k; a polytope with a non-simple vertex takes its faces
+as the intersections of vertex active sets and a rank for each.
+Vertices, edge bases and the faces are computed once per polytope and
+kept on it; `face_lattice` sorts the kept faces on each call.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactmath import (
@@ -76,9 +78,9 @@ class HPolytope:
                 raise PolytopeError(f"facet normal {a} is not primitive")
         if len(set(self.normals)) != len(self.normals):
             raise PolytopeError("duplicate facet normal")
-        # memos of enumerate_vertices, _face, _vertex_edges and chart.make_chart
+        # memos of enumerate_vertices, _faces, _vertex_edges and chart.make_chart
         self._vertices = None
-        self._simple = False  # every vertex simple: set by the walk, read by _face
+        self._simple = False  # every vertex simple: set by the walk, read by _faces
         self._faces = {}
         self._edges = {}
         self._charts = {}
@@ -165,25 +167,41 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
     The edge graph of a polytope is connected, so a walk over it from
     `_start_vertex` finds every vertex (Avis and Fukuda, "A pivoting
     algorithm for convex hulls and vertex enumeration of arrangements and
-    polyhedra", DCG 1992).  Each vertex carries its facet slacks as an
-    integer list S over one denominator q > 0, slack_i = S_i / q; its
-    active set is where they vanish, and its edges are the
-    `edge_vectors_at_vertex` of that set.  Along an edge u, with integer
-    pairings p_i = <a_i, u>, the neighbour lies at step t = min S_i / (q p_i)
-    over p_i > 0, found by cross-multiplying; an edge that no facet blocks
-    is a recession ray of an unbounded P.  At the neighbour the slacks are
-    S p_b - S_b p over q p_b, b a blocking facet, reduced by their gcd.
+    polyhedra", DCG 1992).  Each vertex carries its point and its facet
+    slacks as integer lists X and S over one denominator q > 0, x = X / q
+    and slack_i = S_i / q; its active set is where the slacks vanish, and
+    its edges are the `edge_vectors_at_vertex` of that set.  Along an edge
+    u, with integer pairings p_i = <a_i, u>, the neighbour lies at step
+    t = min S_i / (q p_i) over p_i > 0, found by cross-multiplying; an edge
+    that no facet blocks is a recession ray of an unbounded P.  At the
+    neighbour X' = X p_b + S_b u and S' = S p_b - S_b p over q' = q p_b,
+    b a blocking facet, all three divided by their gcd.  An edge is known
+    by the facets it lies in, at a simple vertex the active set less the
+    facet it relaxes, so each edge is walked once, from the end reached
+    first; an edge walked is blocked, so no recession ray is skipped.  The
+    points are sorted on integer keys over the lcm of the denominators.
     """
     if P._vertices is None:
         x = _start_vertex(P)
-        q, (S,) = _integer_polys([lam - dot(a, x) for a, lam in zip(P.normals, P.offsets)])
+        q, (S, X) = _integer_polys([lam - dot(a, x) for a, lam in zip(P.normals, P.offsets)], x)
         active = frozenset(i for i, s in enumerate(S) if s == 0)
-        found = {active: x}
-        todo = [(active, x, S, q)]
+        found = {active: (X, q)}
+        walked: set[frozenset[int]] = set()  # the facet sets of the edges walked
+        todo = [(active, X, S, q)]
         while todo:
-            active, x, S, q = todo.pop()
-            for u in _vertex_edges(P, tuple(sorted(active)))[0]:
+            active, X, S, q = todo.pop()
+            key = tuple(sorted(active))
+            simple = len(key) == P.n
+            for j, u in enumerate(_vertex_edges(P, key)[0]):
+                if simple:  # edge j lies in every active facet but the j-th
+                    edge = frozenset(key[:j] + key[j + 1:])
+                    if edge in walked:
+                        continue
                 p = [dot(a, u) for a in P.normals]
+                if not simple:
+                    edge = frozenset(i for i in key if p[i] == 0)
+                    if edge in walked:
+                        continue
                 b, blocking = None, []
                 for i, pi in enumerate(p):
                     if pi > 0:
@@ -193,42 +211,75 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
                             blocking.append(i)
                 if b is None:
                     raise PolytopeError(f"unbounded polytope: recession ray {u}")
-                # the active facets the edge lies in stay tight; the ones blocking it become tight
-                nxt = frozenset(i for i, pi in enumerate(p) if i in blocking or pi == 0 and i in active)
+                walked.add(edge)
+                # the facets the edge lies in stay tight, the ones blocking it become tight;
+                # built in facet order, so that the set's iteration order and repr do not
+                # depend on the path the walk took to the vertex
+                nxt = frozenset(sorted(edge.union(blocking)))
                 if nxt not in found:
-                    t = Fraction(S[b], q * p[b])
-                    found[nxt] = y = tuple(xk + t * uk for xk, uk in zip(x, u))
-                    S2 = [s * p[b] - S[b] * pi for s, pi in zip(S, p)]
-                    g = gcd(q * p[b], *S2)
-                    todo.append((nxt, y, [s // g for s in S2], q * p[b] // g))
-        P._vertices = sorted((x, active) for active, x in found.items())
+                    pb, Sb = p[b], S[b]
+                    X2 = [xk * pb + Sb * uk for xk, uk in zip(X, u)]
+                    S2 = [s * pb - Sb * pi for s, pi in zip(S, p)]
+                    g = gcd(q * pb, *S2, *X2)
+                    X2, q2 = [xk // g for xk in X2], q * pb // g
+                    found[nxt] = (X2, q2)
+                    todo.append((nxt, X2, [s // g for s in S2], q2))
+        L = lcm(*(q for _, q in found.values()))
+        walk = sorted(found.items(), key=lambda item: [xk * (L // item[1][1]) for xk in item[1][0]])
+        P._vertices = [(tuple(Fraction(xk, q) for xk in X), active) for active, (X, q) in walk]
         P._simple = all(len(active) == P.n for active in found)
     return P._vertices
 
 
 def _face(P: HPolytope, active: frozenset[int]) -> Face:
-    """The face whose active facet set is `active`, which must be one."""
-    face = P._faces.get(active)
-    if face is None:
-        dim = P.n - (len(active) if P._simple else rank([P.normals[i] for i in sorted(active)]))
-        vertices = tuple(p for p, va in P._vertices if va >= active)  # set in __init__
-        face = P._faces[active] = Face(active, dim, vertices)
-    return face
+    """The face whose active facet set is `active`, which must be one: a lookup in `_faces`."""
+    return _faces(P)[active]
+
+
+def _faces(P: HPolytope) -> dict[frozenset[int], Face]:
+    """Every face of P by its active set, each with its vertices in vertex order; kept on P.
+
+    On a simple polytope the faces through a vertex with active facets S
+    are exactly those whose active sets are the subsets of S, of dimension
+    n minus the subset's size, so each vertex is filed under every subset
+    of its active set, and the first face asked for collects them all.  A
+    polytope with a non-simple vertex takes its faces as the intersections
+    of vertex active sets, which are all of them, as the active set of the
+    smallest face containing two faces is the intersection of theirs; each
+    then scans the vertices and takes a rank for its dimension.
+    """
+    if P._faces:
+        return P._faces
+    n, verts = P.n, enumerate_vertices(P)
+    if P._simple:
+        members: dict[tuple[int, ...], list[Point]] = {}
+        for v, act in verts:
+            key = sorted(act)
+            for k in range(n + 1):
+                for sub in itertools.combinations(key, k):
+                    members.setdefault(sub, []).append(v)
+        for sub, vs in members.items():
+            active = frozenset(sub)
+            P._faces[active] = Face(active, n - len(sub), tuple(vs))
+    else:
+        sets: set[frozenset[int]] = set()
+        for _, act in verts:
+            sets |= {act & f for f in sets} | {act}
+        for active in sets:
+            dim = n - rank([P.normals[i] for i in sorted(active)])
+            P._faces[active] = Face(active, dim, tuple(p for p, va in verts if va >= active))
+    return P._faces
 
 
 def face_lattice(P: HPolytope) -> list[Face]:
     """Every face of every dimension, including P itself and the vertices.
 
-    The active set of the smallest face containing two faces is the
-    intersection of their active sets, so the faces are exactly the
-    intersections of vertex active sets, simple vertices or not; P itself
-    is the intersection of all of them, which is empty.  One pass over the
-    vertices collects them; the faces are kept on P, the list is not.
+    The faces of a simple polytope are the subsets of its vertex active
+    sets, and those of any polytope the intersections of vertex active
+    sets (`_faces`); P itself has the empty active set.  The faces are
+    collected once and kept on P; the sorted list is made on each call.
     """
-    sets: set[frozenset[int]] = set()
-    for _, act in enumerate_vertices(P):
-        sets |= {act & f for f in sets} | {act}
-    return sorted((_face(P, act) for act in sets), key=lambda f: (f.dim, sorted(f.active)))
+    return sorted(_faces(P).values(), key=lambda f: (f.dim, sorted(f.active)))
 
 
 def edge_vectors_at_vertex(P: HPolytope, active: Iterable[int]) -> list[IntVec]:

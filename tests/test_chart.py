@@ -86,6 +86,16 @@ class TestMakeChart:
                            match=re.escape("vertex (1, 0, 0) is not simple: 4 active facets")):
             make_chart(octahedron, (F(1), F(0), F(0)))
 
+    def test_memo_read_with_int_coordinates(self):
+        # ints hash and compare as the equal Fractions, so either finds the
+        # chart the other made; the chart keeps its vertex as Fractions
+        P = catalog.cp2(3)
+        ch = make_chart(P, (F(3), F(0)))
+        assert make_chart(P, (3, 0)) is ch
+        ch = make_chart(P, [0, 3])
+        assert ch.vertex == (F(0), F(3)) and all(type(x) is F for x in ch.vertex)
+        assert make_chart(P, (F(0), F(3))) is ch
+
     def test_bad_vertex_rejected(self, bad_triangle):
         for _ in range(2):  # a rejected vertex is not memoised
             with pytest.raises(PolytopeError, match=re.escape("vertex (1, 0) is not Delzant: |det U| = 2")):

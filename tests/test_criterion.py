@@ -224,7 +224,7 @@ class TestEndpoint:
 
 
 # ---------------------------------------------------------------------------
-# the valuation the endpoint conditions read from a chart polynomial
+# the valuation and divided smoothness the endpoint conditions read from a chart polynomial
 
 
 class TestValuation:
@@ -261,6 +261,38 @@ class TestSqrtFactorClass:
 
     def test_identically_zero(self):
         assert divided_smoothness([], 0) is None
+
+
+class TestDividedSmoothness:
+    """sqrt(2 x(tau)) / r_1^m: the graph coordinate g_j = x_j o x_p^{-1} has the
+    valuation and leading sign of the chart polynomial x_j, which it reads."""
+
+    @pytest.mark.parametrize("coeffs,m,status,reason", [
+        ((0, 1), 1, "holds", None),          # z2 = c z1, the smooth disc
+        ((0, 1), 0, "fails", "parity"),      # the cone
+        ((0, 0, 1), 1, "fails", "parity"),
+        ((0, 0, 0, 1), 1, "holds", None),
+        ((0, 1), 2, "fails", "negative_power"),
+        ((0, -1), 1, "fails", "negative_leading"),
+    ])
+    def test_table(self, coeffs, m, status, reason):
+        out = divided_smoothness(poly(*coeffs), m)
+        assert ("holds" if out is None else "fails") == status
+        assert out == reason
+
+    def test_identically_zero_holds(self):
+        assert divided_smoothness([], 3) is None
+
+    def test_numeric_probe_agrees(self):
+        # holds case: x = tau, m = 1 gives sqrt(2 tau) / r_1 = 1 with
+        # r_1 = sqrt(2 tau); parity-fail case: m = 0 gives r_1 itself, the
+        # cone |r|, whose one-sided slope at 0 stays 1
+        f = lambda r: math.sqrt(2 * (r * r / 2)) / abs(r)
+        assert f(1e-6) == pytest.approx(1.0, rel=1e-9)
+        slope = (math.sqrt(2 * ((1e-6) ** 2 / 2)) - 0.0) / 1e-6
+        assert abs(slope) > 0.5
+        assert divided_smoothness(poly(0, 1), 1) is None
+        assert divided_smoothness(poly(0, 1), 0) == "parity"
 
 
 class TestCheckLift:

@@ -130,11 +130,18 @@ def brute_force_delzant(n, normals, verts):
 
 
 def assert_matches_oracle(P, verts):
-    """Vertices, faces and Delzant verdicts of P are the oracle's, given its vertices."""
+    """Vertices, faces and Delzant verdicts of P are the oracle's, given its vertices.
+
+    A face's dimension is n minus the rank of its active normals, and its
+    vertices are the vertices whose active sets contain its own, in vertex order.
+    """
     assert enumerate_vertices(P) == verts
     faces = face_lattice(P)
     oracle = brute_force_faces([act for _, act in verts])
     assert {f.active for f in faces} == oracle and len(faces) == len(oracle)
+    for f in faces:
+        assert f.dim == P.n - rank([P.normals[i] for i in sorted(f.active)])
+        assert f.vertices == tuple(v for v, act in verts if act >= f.active)
     assert list(validate_delzant(P).verdicts) == brute_force_delzant(P.n, P.normals, verts)
 
 
@@ -415,6 +422,20 @@ class TestEdgeWalk:
         assert len(face_lattice(P)) == 17 * 17
         assert calls == [] and ranks == []
 
+    def test_walk_work_guard(self, monkeypatch):
+        # P8 x P8: V = 64 vertices, each simple with n = 4 edges, so E = 128.
+        # An edge is known by the facets it lies in and is walked once, from
+        # the end reached first, so the walk makes one ratio test per edge,
+        # each pairing the edge with every normal, where walking each edge
+        # from both ends would make 2E.  The dual simplex pairs normals with
+        # points, not with integer edges, so those pairings are not counted.
+        calls = []
+        monkeypatch.setattr(polytope, "dot", lambda a, b: calls.append((a, b)) or exactmath.dot(a, b))
+        P = HPolytope(*product([OCTAGON, OCTAGON]))
+        assert len(enumerate_vertices(P)) == 64
+        ratio_tests = [u for a, u in calls if a is P.normals[0] and all(type(x) is int for x in u)]
+        assert len(ratio_tests) == 128
+
 
 class TestFaceLattice:
     def test_cp2_counts(self, cp2):
@@ -436,6 +457,24 @@ class TestFaceLattice:
         for P in (cp2, hirzebruch, catalog.cp3()):
             total = sum((-1) ** f.dim for f in face_lattice(P))
             assert total == 1
+
+    @pytest.mark.parametrize("make", [
+        catalog.unit_square, catalog.non_delzant_triangle, catalog.cp3,
+        lambda: HPolytope(*product([OCTAGON, OCTAGON])), octahedron, square_pyramid,
+    ], ids=["square", "bad-triangle", "cp3", "P8xP8", "octahedron", "pyramid"])
+    def test_minimal_face_before_lattice(self, make):
+        # the criterion asks a fresh polytope for the minimal faces of its
+        # endpoints before, if ever, the lattice: the faces it gets, and the
+        # lattice after them, are those of a polytope asked for the lattice first
+        lattice = face_lattice(make())
+        P = make()
+        for f in reversed(lattice):
+            bary = tuple(sum(v[j] for v in f.vertices) / len(f.vertices) for j in range(P.n))
+            assert minimal_face(P, bary) == f
+        assert face_lattice(P) == lattice
+        Q = make()
+        assert minimal_face(Q, lattice[0].vertices[0]) == lattice[0]
+        assert face_lattice(Q) == lattice
 
 
 class TestNonSimple:
