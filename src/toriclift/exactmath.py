@@ -29,11 +29,9 @@ def primitive(v: Sequence[int]) -> IntVec:
     The sign of the first nonzero entry is preserved.  Rejects the zero
     vector.
     """
-    if not any(v):
+    g = gcd(*v)
+    if g == 0:
         raise ValueError("primitive: zero vector")
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
     return tuple(x // g for x in v)
 
 

@@ -4,17 +4,22 @@ the characteristic subtorus map, and the quotient identification rule.
 A polytope is {x : <x, normal_i> <= offset_i} with primitive integer
 normals and rational offsets.  Its combinatorics is read from the vertex
 active sets.  The vertices are found by walking the edge graph from one
-start vertex, which an exact dual simplex finds, so the work grows with
-the number of vertices rather than with the number of n-subsets of
-facets; an edge that no facet blocks shows that P is unbounded.  The walk
-carries each vertex's point and facet slacks as integer vectors over one
-denominator, and walks each edge once, knowing it by the facets it lies
-in.  At a simple vertex one Hermite form of the n active normals gives
-the edges and their determinant in integers; only a non-simple vertex
-takes a kernel per (n-1)-subset of its facets.  The faces of a simple
-polytope are the subsets of its vertex active sets, a face with k facets
-of dimension n - k; a polytope with a non-simple vertex takes its faces
-as the intersections of vertex active sets and a rank for each.
+start vertex, which an exact dual simplex finds in integers, so the work
+grows with the number of vertices rather than with the number of
+n-subsets of facets; an edge that no facet blocks shows that P is
+unbounded.  The walk carries each vertex's point and facet slacks as
+integer vectors over one denominator, and walks each edge once, knowing
+it by the facets it lies in.  A simple vertex reached from a simple one
+along an edge that one facet blocks gets its edges and their
+determinant by a pivot of that vertex's, as in reverse search (Avis,
+"lrs: a revised implementation of the reverse search vertex enumeration
+algorithm", 2000); the start vertex and a simple vertex reached
+otherwise take one Hermite form of their n active normals, and only a
+non-simple vertex takes a kernel per (n-1)-subset of its facets.  The
+faces of a simple polytope are the subsets of its vertex active sets, a
+face with k facets of dimension n - k; a polytope with a non-simple
+vertex takes its faces as the intersections of vertex active sets and a
+rank for each.
 Vertices, edge bases and the faces are computed once per polytope and
 kept on it; `face_lattice` sorts the kept faces on each call.
 """
@@ -121,34 +126,46 @@ class Face(NamedTuple):
     vertices: tuple[Point, ...]
 
 
-def _start_vertex(P: HPolytope) -> Point:
-    """One vertex of P, by the exact dual simplex with Bland's rule.
+def _start_vertex(P: HPolytope) -> tuple[list[int], list[int], int]:
+    """One vertex of P as the walk's integer state (X, S, q), by the exact dual simplex
+    with Bland's rule: x = X / q, the facet slacks are S / q, q > 0 and
+    gcd(q, *S, *X) = 1.
 
     The pivot rows of the Hermite form of all normals are n facets B with
     independent normals; fewer than n pivots mean the normals do not span,
     so P is unbounded.  With c their normal sum, y = 1 on B is feasible
     for the dual of max <c, x> over P: min <b, y> with A^T y = c, y >= 0.
-    Each step solves A_B x = b_B through H, U = hnf(A_B).  When x lies in
-    P it is the vertex.  Otherwise the smallest violated facet i enters:
-    A_B^T w = a_i is solved as H^T w = U^T a_i by back substitution, and
-    the basis facet minimising y_j / w_j over w_j > 0 (smallest index on
-    ties) leaves.  No w_j > 0 means the dual is unbounded, so P is empty.
+    The offsets are cleared once to integers lam over their lcm L.  Each
+    step solves A_B x = lam_B through H, U = hnf(A_B): H z = lam_B by
+    forward substitution over q = det H, whose every division is exact as
+    q H^-1 is integral, and X = U q z, signed so that q > 0; the slacks
+    q lam_i - <a_i, X> are then over q L.  When none is negative X is the
+    vertex.  Otherwise the smallest violated facet i enters: A_B^T w = a_i
+    is solved as H^T w = U^T a_i by back substitution, and the basis facet
+    minimising y_j / w_j over w_j > 0 (smallest index on ties) leaves.  No
+    w_j > 0 means the dual is unbounded, so P is empty.
     """
     n = P.n
     H, _ = hnf(P.normals)
     if not any(row[-1] for row in H):  # the last column of H is zero iff rank < n
         raise PolytopeError("unbounded polytope: normals do not span")
     basis = [next(i for i, row in enumerate(H) if row[k]) for k in range(n)]
+    L, (lam,) = _integer_polys(P.offsets)
     y = [Fraction(1)] * n
     while True:
         H, U = hnf([P.normals[i] for i in basis])
-        z: list[Fraction] = []
+        q = prod(H[k][k] for k in range(n))
+        Z: list[int] = []
         for i, row in zip(basis, H):
-            z.append((P.offsets[i] - sum(h * zj for h, zj in zip(row, z))) / row[len(z)])
-        x = tuple(sum(u * zj for u, zj in zip(urow, z)) for urow in U)
-        enter = next((i for i, (a, lam) in enumerate(zip(P.normals, P.offsets)) if dot(a, x) > lam), None)
+            Z.append((q * lam[i] - sum(h * zj for h, zj in zip(row, Z))) // row[len(Z)])  # exact
+        if q < 0:
+            q, Z = -q, [-zj for zj in Z]
+        X = [dot(urow, Z) for urow in U]
+        S = [q * li - dot(a, X) for a, li in zip(P.normals, lam)]
+        enter = next((i for i, s in enumerate(S) if s < 0), None)
         if enter is None:
-            return x
+            g = gcd(q * L, *S, *X)
+            return [xk // g for xk in X], [s // g for s in S], q * L // g
         v = [dot(ucol, P.normals[enter]) for ucol in zip(*U)]
         w = [Fraction(0)] * n
         for k in reversed(range(n)):
@@ -169,21 +186,25 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
     algorithm for convex hulls and vertex enumeration of arrangements and
     polyhedra", DCG 1992).  Each vertex carries its point and its facet
     slacks as integer lists X and S over one denominator q > 0, x = X / q
-    and slack_i = S_i / q; its active set is where the slacks vanish, and
-    its edges are the `edge_vectors_at_vertex` of that set.  Along an edge
-    u, with integer pairings p_i = <a_i, u>, the neighbour lies at step
-    t = min S_i / (q p_i) over p_i > 0, found by cross-multiplying; an edge
-    that no facet blocks is a recession ray of an unbounded P.  At the
-    neighbour X' = X p_b + S_b u and S' = S p_b - S_b p over q' = q p_b,
-    b a blocking facet, all three divided by their gcd.  An edge is known
+    and slack_i = S_i / q, the start vertex as `_start_vertex` returns it;
+    its active set is where the slacks vanish, and its edges are the
+    `edge_vectors_at_vertex` of that set.  Along an edge u, with integer
+    pairings p_i = <a_i, u>, the neighbour lies at step t = min S_i / (q p_i)
+    over p_i > 0, found by cross-multiplying; an edge that no facet blocks
+    is a recession ray of an unbounded P.  At the neighbour
+    X' = X p_b + S_b u and S' = S p_b - S_b p over q' = q p_b, b a blocking
+    facet, all three divided by their gcd.  When the vertex left is simple
+    and b alone blocks, the neighbour is simple too, and its edges and
+    determinant are pivoted from those of the vertex left (`_pivot_edges`)
+    and kept on P; any other vertex's are computed when the walk leaves
+    it, by `_vertex_edges`.  An edge is known
     by the facets it lies in, at a simple vertex the active set less the
     facet it relaxes, so each edge is walked once, from the end reached
     first; an edge walked is blocked, so no recession ray is skipped.  The
     points are sorted on integer keys over the lcm of the denominators.
     """
     if P._vertices is None:
-        x = _start_vertex(P)
-        q, (S, X) = _integer_polys([lam - dot(a, x) for a, lam in zip(P.normals, P.offsets)], x)
+        X, S, q = _start_vertex(P)
         active = frozenset(i for i, s in enumerate(S) if s == 0)
         found = {active: (X, q)}
         walked: set[frozenset[int]] = set()  # the facet sets of the edges walked
@@ -192,7 +213,8 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
             active, X, S, q = todo.pop()
             key = tuple(sorted(active))
             simple = len(key) == P.n
-            for j, u in enumerate(_vertex_edges(P, key)[0]):
+            edges, D = _vertex_edges(P, key)
+            for j, u in enumerate(edges):
                 if simple:  # edge j lies in every active facet but the j-th
                     edge = frozenset(key[:j] + key[j + 1:])
                     if edge in walked:
@@ -224,6 +246,8 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
                     X2, q2 = [xk // g for xk in X2], q * pb // g
                     found[nxt] = (X2, q2)
                     todo.append((nxt, X2, [s // g for s in S2], q2))
+                    if simple and len(blocking) == 1:  # then the neighbour is simple too
+                        P._edges[tuple(sorted(nxt))] = _pivot_edges(P, key, edges, D, j, b, p)
         L = lcm(*(q for _, q in found.values()))
         walk = sorted(found.items(), key=lambda item: [xk * (L // item[1][1]) for xk in item[1][0]])
         P._vertices = [(tuple(Fraction(xk, q) for xk in X), active) for active, (X, q) in walk]
@@ -290,9 +314,10 @@ def edge_vectors_at_vertex(P: HPolytope, active: Iterable[int]) -> list[IntVec]:
     normals of rank n - 1 and pairs to <= 0 with every active normal.  At
     a simple vertex there are n of them: column j relaxes the j-th active
     facet (sorted by facet index), pairing negatively with it and to zero
-    with the others, so it is column j of -A_S^-1 made primitive, which
-    one Hermite form of the active normals A_S gives (`_simple_edges`).
-    The edges are kept on P, one list per active set.
+    with the others, so it is column j of -A_S^-1 made primitive.  They
+    are read from P's memo (`_vertex_edges`): pivoted from the vertex the
+    walk came from, or from one Hermite form of the active normals A_S,
+    or, at a non-simple vertex, one kernel line per n - 1 active facets.
     """
     return list(_vertex_edges(P, tuple(sorted(active)))[0])
 
@@ -301,6 +326,10 @@ def _vertex_edges(P: HPolytope, key: tuple[int, ...]) -> tuple[tuple[IntVec, ...
     """(edges, D) at the vertex with the sorted active facets `key`, memoised on P.
 
     D = det A_S when the active normals are n independent ones, else None.
+    The walk fills the memo: with `_pivot_edges` for a simple vertex it
+    reaches from a simple one along an edge one facet blocks, and here,
+    when it leaves any other vertex, with one Hermite form (`_simple_edges`)
+    at a simple vertex or a kernel per (n-1)-subset (`_kernel_edges`).
     """
     entry = P._edges.get(key)
     if entry is None:
@@ -333,6 +362,32 @@ def _simple_edges(P: HPolytope, key: tuple[int, ...]) -> Optional[tuple[tuple[In
             y[k] = -sum(H[k][i] * y[i] for i in range(j, k)) // H[k][k]  # exact
         cols.append(primitive([s * dot(urow, y) for urow in U]))
     return tuple(cols), D
+
+
+def _pivot_edges(P: HPolytope, key: tuple[int, ...], edges: tuple[IntVec, ...], D: int,
+                 j: int, b: int, p: list[int]) -> tuple[tuple[IntVec, ...], int]:
+    """(edges, det A_S') at the simple neighbour reached from the simple vertex with the
+    sorted active facets `key`, edges `edges` and D = det A_S along edge j, which the
+    facet b alone blocks; p holds the pairings <a_i, u_j> of that edge.
+
+    The neighbour's active set S' is S less f_j = key[j], plus b.  Its edge
+    relaxing b is -u_j, and for k != j its edge relaxing f_k is
+    p_b u_k - <a_b, u_k> u_j made primitive: that vector pairs to zero with
+    a_b and with every other facet of S' but f_k, and p_b <a_f_k, u_k> < 0
+    with f_k.  Each edge goes to the place of its facet in sorted S'.  With
+    a_b in row j, A_S' has det D <a_b, A_S^-1 e_j> = D p_b / p_f_j, exact
+    as u_j is -|D| A_S^-1 e_j over the gcd of that column, and moving a_b
+    to its sorted place |pos - j| rows away multiplies it by (-1)^|pos - j|.
+    """
+    u, pb, ab = edges[j], p[b], P.normals[b]
+    cols = []
+    for k, uk in enumerate(edges):
+        if k != j:
+            r = dot(uk, ab)
+            cols.append(primitive([pb * x - r * y for x, y in zip(uk, u)]))
+    pos = sum(1 for k, f in enumerate(key) if k != j and f < b)
+    cols.insert(pos, tuple(-x for x in u))
+    return tuple(cols), D * pb // p[key[j]] * (-1) ** abs(pos - j)
 
 
 def _kernel_edges(P: HPolytope, key: tuple[int, ...]) -> tuple[IntVec, ...]:
@@ -372,8 +427,9 @@ class DelzantReport(NamedTuple):
 def validate_delzant(P: HPolytope) -> DelzantReport:
     """Per-vertex simple/smooth verdicts (integer normals make P rational); pass iff all pass.
 
-    A simple vertex is smooth iff its edge matrix has |det| = 1.  The walk's
-    Hermite form of the active normals A_S already gave D = det A_S: when
+    A simple vertex is smooth iff its edge matrix has |det| = 1.  The walk
+    already gave D = det A_S of the active normals, by a pivot or a Hermite
+    form, with the edges (`_vertex_edges`): when
     |D| = 1 the edge matrix is exactly -A_S^-1, of determinant (-1)^n D, and
     only when |D| != 1 is the determinant of the edges computed.
     """

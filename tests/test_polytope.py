@@ -130,11 +130,13 @@ def brute_force_delzant(n, normals, verts):
 
 
 def assert_matches_oracle(P, verts):
-    """Vertices, faces and Delzant verdicts of P are the oracle's, given its vertices.
+    """Vertices, faces and Delzant verdicts of a freshly built P are the oracle's,
+    given its vertices, and its walk state holds (`assert_walk_state`).
 
     A face's dimension is n minus the rank of its active normals, and its
     vertices are the vertices whose active sets contain its own, in vertex order.
     """
+    assert_walk_state(P)
     assert enumerate_vertices(P) == verts
     faces = face_lattice(P)
     oracle = brute_force_faces([act for _, act in verts])
@@ -394,12 +396,15 @@ class TestEdgeWalk:
 
     def test_hnf_work_guard(self, monkeypatch):
         # P8 x P8: n = 4, d = 16, V = 64.  Every n-subset would be C(16, 4)
-        # = 1820 solves; the walk takes one Hermite form per simple vertex and a
-        # few pivots.  The start vertex's Hermite form of all the normals also
-        # shows that they span, so construction eliminates them once and calls
-        # no rank.  Every vertex is smooth, so the Delzant check reads each
-        # determinant off the walk's Hermite form, and every vertex is simple,
-        # so the face lattice reads each dimension off the facet count.
+        # = 1820 solves.  The Hermite form of all the normals shows that they
+        # span and gives the dual simplex its first basis, so construction calls
+        # no rank; one dual-simplex pivot finds the start vertex, and one Hermite
+        # form of its active normals gives its edges.  Every other vertex is
+        # simple and reached from a simple vertex along an edge one facet blocks,
+        # so its edges and determinant are pivoted from that vertex's, with no
+        # Hermite form.  Every vertex is smooth, so the Delzant check reads each
+        # determinant off the walk, and every vertex is simple, so the face
+        # lattice reads each dimension off the facet count.
         calls, ranks = [], []
         orig = exactmath.hnf
 
@@ -415,7 +420,7 @@ class TestEdgeWalk:
         assert len(enumerate_vertices(P)) == 64
         assert len(calls) <= 64 * 4 + 4 * 16
         assert ranks == [] and calls.count(16) == 1
-        assert len(calls) == 66  # the full normals, one start pivot, one per vertex
+        assert len(calls) == 3  # the full normals, one start pivot, the start vertex's edges
         calls.clear()
         assert validate_delzant(P).ok
         assert calls == []
@@ -427,13 +432,16 @@ class TestEdgeWalk:
         # An edge is known by the facets it lies in and is walked once, from
         # the end reached first, so the walk makes one ratio test per edge,
         # each pairing the edge with every normal, where walking each edge
-        # from both ends would make 2E.  The dual simplex pairs normals with
-        # points, not with integer edges, so those pairings are not counted.
+        # from both ends would make 2E.  Only the walk's edge pairings are
+        # counted: the first normal paired with an edge tuple the walk kept.  The
+        # dual simplex pairs the normals with its integer point, a list, and the
+        # pivot pairs each edge with the blocking normal edge first.
         calls = []
         monkeypatch.setattr(polytope, "dot", lambda a, b: calls.append((a, b)) or exactmath.dot(a, b))
         P = HPolytope(*product([OCTAGON, OCTAGON]))
         assert len(enumerate_vertices(P)) == 64
-        ratio_tests = [u for a, u in calls if a is P.normals[0] and all(type(x) is int for x in u)]
+        edges = {u for us, _ in P._edges.values() for u in us}
+        ratio_tests = [u for a, u in calls if a is P.normals[0] and type(u) is tuple and u in edges]
         assert len(ratio_tests) == 128
 
 
@@ -634,7 +642,8 @@ def assert_edges_match_kernels(P):
 
 
 class TestOneHermiteForm:
-    """Simple-vertex edges and determinants from one Hermite form, against a kernel per facet."""
+    """Simple-vertex edges and determinants, pivoted or from one Hermite form, against a
+    kernel per facet."""
 
     def test_random_simple_vertices(self):
         rng = random.Random(1318)
@@ -664,6 +673,128 @@ class TestOneHermiteForm:
             assert_edges_match_kernels(P)
             bad += [v.det for v in validate_delzant(P).failures()]
         assert bad and {abs(d) for d in bad} == {2}
+
+
+def fraction_start_vertex(P):
+    """The dual simplex of `_start_vertex` in Fractions, on a bounded P: the
+    reference for its integer state."""
+    n = P.n
+    H, _ = hnf(P.normals)
+    basis = [next(i for i, row in enumerate(H) if row[k]) for k in range(n)]
+    y = [F(1)] * n
+    while True:
+        H, U = hnf([P.normals[i] for i in basis])
+        z = []
+        for i, row in zip(basis, H):
+            z.append((P.offsets[i] - sum(h * zj for h, zj in zip(row, z))) / row[len(z)])
+        x = tuple(sum(u * zj for u, zj in zip(urow, z)) for urow in U)
+        enter = next((i for i, (a, lam) in enumerate(zip(P.normals, P.offsets)) if dot(a, x) > lam), None)
+        if enter is None:
+            return x
+        v = [dot(ucol, P.normals[enter]) for ucol in zip(*U)]
+        w = [F(0)] * n
+        for k in reversed(range(n)):
+            w[k] = F(v[k] - sum(H[j][k] * w[j] for j in range(k + 1, n)), H[k][k])
+        theta, _, out = min((y[j] / w[j], basis[j], j) for j in range(n) if w[j] > 0)
+        y = [yj - theta * wj for yj, wj in zip(y, w)]
+        y[out], basis[out] = theta, enter
+
+
+def assert_walk_state(P):
+    """Every simple vertex's kept (edges, D), pivoted or not, is a fresh Hermite
+    form's, in order and sign, and the start state (X, S, q) is the Fraction dual
+    simplex's vertex X / q with its slacks S / q, reduced.  Called on a P fresh
+    from construction, whose walk has kept the edges of every vertex."""
+    verts = enumerate_vertices(P)
+    assert set(P._edges) == {tuple(sorted(act)) for _, act in verts}
+    for key, entry in P._edges.items():
+        if len(key) == P.n:
+            assert entry == polytope._simple_edges(P, key), key
+    X, S, q = polytope._start_vertex(P)
+    x = fraction_start_vertex(P)
+    assert q > 0 and math.gcd(q, *S, *X) == 1
+    assert [F(xk, q) for xk in X] == list(x)
+    assert [F(s, q) for s in S] == [lam - dot(a, x) for a, lam in zip(P.normals, P.offsets)]
+    assert (x, frozenset(i for i, s in enumerate(S) if s == 0)) in verts
+
+
+def build_and_check_pivots(monkeypatch, n, normals, offsets):
+    """Construct P and `assert_walk_state`; returns (P, the simple vertices whose
+    edges a Hermite form gave during construction, the number pivoted)."""
+    hermite = []
+    orig = polytope._simple_edges
+    monkeypatch.setattr(polytope, "_simple_edges", lambda P, key: hermite.append(key) or orig(P, key))
+    P = HPolytope(n, normals, offsets)
+    monkeypatch.setattr(polytope, "_simple_edges", orig)
+    assert_walk_state(P)
+    made = [key for key in hermite if len(key) == n]
+    return P, made, sum(1 for key in P._edges if len(key) == n) - len(made)
+
+
+def through_vertices(rng, P, k):
+    """(n, normals, offsets) of P with a facet added through k of its vertices, its
+    normal a positive combination of their active normals: those vertices become
+    non-simple, the others stay as they were."""
+    verts = enumerate_vertices(P)
+    normals, offsets = list(P.normals), list(P.offsets)
+    for v, act in rng.sample(verts, min(k, len(verts))):
+        a = [sum(rng.randint(1, 3) * P.normals[i][m] for i in sorted(act)) for m in range(P.n)]
+        if any(a) and primitive(a) not in normals:
+            a = primitive(a)
+            normals.append(a)
+            offsets.append(dot(a, v))
+    return P.n, normals, offsets
+
+
+def polygon_product(k, copies):
+    """The product of copies of one Delzant k-gon, cut as the ladder cuts its factors."""
+    rng = random.Random(k)
+    return product([ladder_factor(rng, f"P{k}")] * copies)
+
+
+class TestPivotedEdges:
+    """Edges and determinants pivoted from the vertex the walk came from, and the
+    integer start state, against a fresh Hermite form and the Fraction dual simplex."""
+
+    def test_random_systems(self, monkeypatch):
+        # every other system is moved by a vector with denominators up to 10^4,
+        # and every other bounded one gets facets through two of its vertices;
+        # a simple vertex first reached from a non-simple one, or by a step that
+        # several facets block, takes a Hermite form of its own
+        rng = random.Random(1515)
+        pivoted = later_hermite = mixed = 0
+        for i in range(1200):
+            n, normals, offsets = random_system(rng)
+            try:
+                if i % 4 >= 2:
+                    n, normals, offsets = through_vertices(rng, HPolytope(n, normals, offsets), 2)
+                if i % 2:
+                    offsets = awkward_translate(rng, n, normals, offsets)
+                P, made, piv = build_and_check_pivots(monkeypatch, n, normals, offsets)
+            except PolytopeError:
+                continue
+            pivoted += piv
+            later_hermite += len(made) - (len(made) > 0)  # beyond the start vertex's
+            sizes = {len(act) for _, act in enumerate_vertices(P)}
+            mixed += n in sizes and len(sizes) > 1
+        assert pivoted > 400 and later_hermite > 20 and mixed > 20, (pivoted, later_hermite, mixed)
+
+    @pytest.mark.parametrize("make", [octahedron, square_pyramid])
+    def test_non_simple(self, make, monkeypatch):
+        # the pyramid's base corners are simple, its apex is not
+        P = make()
+        rng = random.Random(3)
+        for offsets in (P.offsets, awkward_translate(rng, 3, P.normals, P.offsets)):
+            build_and_check_pivots(monkeypatch, 3, P.normals, offsets)
+
+    @pytest.mark.parametrize("system", [
+        product([OCTAGON, OCTAGON]), polygon_product(10, 2),
+        product([OCTAGON, OCTAGON, ([(-1,), (1,)], [F(0), F(1)])]), polygon_product(12, 2),
+    ], ids=["P8xP8", "P10xP10", "P8xP8xI", "P12xP12"])
+    def test_large_products(self, system, monkeypatch):
+        # every vertex is simple, so only the start vertex takes a Hermite form
+        P, made, pivoted = build_and_check_pivots(monkeypatch, *system)
+        assert len(made) == 1 and pivoted == len(P._edges) - 1
 
 
 class TestDelzant:
