@@ -3,12 +3,11 @@ them numerically.
 
 For each case this script builds the endpoint graph, runs the
 floating-point planarity probe at the tau = 0 tip, verifies the pullback
-density identity, and writes an OBJ mesh next to this script.
+density identity, and writes an OBJ mesh into the current directory.
 
 Run:  python3 demos/surface_sampler.py
 """
 
-import os
 from fractions import Fraction as F
 
 from toriclift import catalog
@@ -20,8 +19,6 @@ from toriclift.surface import (
     sample_surface,
     smoothness_probe,
 )
-
-HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def show(name, P, gamma, interval, K):
@@ -35,7 +32,7 @@ def show(name, P, gamma, interval, K):
     omega, exact = pullback_density(graph, 0.5)
     print(f"  pullback density at tau = 0.5: numeric {omega:.10f}, exact {exact:.10f}")
     sample = sample_surface(graph, 80, 64)
-    out = os.path.join(HERE, f"{name}.obj")
+    out = f"{name}.obj"
     export_mesh(sample, "obj", out)
     print(f"  wrote {out}")
 

@@ -33,13 +33,12 @@ from .exactmath import (
     _compose_int,
     _eval_int,
     _integer_polys,
-    count_roots,
     isolate_root,
     poly_deriv,
     poly_eval,
     poly_trim,
 )
-from .polytope import HPolytope, PolytopeError, _face, format_point
+from .polytope import HPolytope, PolytopeError, _faces, format_point
 
 Curve = list[RatPoly]  # one coefficient list per ambient coordinate
 Interval = tuple[Fraction, Fraction]
@@ -181,7 +180,7 @@ def _graph(P: HPolytope, D: int, G: list[list[int]], S: list[list[int]], interva
     if not tight:
         raise GraphBuildReject("endpoint_interior",
                                f"endpoint {_point(D, G, e)} is not on the boundary")
-    F = _face(P, tight)  # the endpoint's minimal face
+    F = _faces(P)[tight]  # the endpoint's minimal face
     if chart_vertex is not None:
         o = tuple(Fraction(x) for x in chart_vertex)
         if o not in F.vertices:
@@ -242,7 +241,9 @@ def check_transversality(gamma: Curve, circle: CircleEmbedding,
                          interval: Interval) -> Report:
     """<gamma'(s), K> must not vanish on the open parameter interval.
 
-    A factor D > 0 on gamma changes no root, so `check_lift` passes D*gamma.
+    One `isolate_root` call decides it and brackets the leftmost zero for
+    the report.  A factor D > 0 on gamma changes no root, so `check_lift`
+    passes D*gamma.
     """
     _check_coefficients(gamma)
     a, b = interval
@@ -252,11 +253,11 @@ def check_transversality(gamma: Curve, circle: CircleEmbedding,
         return Report("transversality", (Condition(
             "tangent_circle_pairing", loc, "fails",
             "pairing identically zero (degenerate: orthogonal everywhere)"),))
-    roots = count_roots(p, a, b)
-    if roots == 0:
+    root = isolate_root(p, a, b)
+    if root is None:
         return Report("transversality", (Condition(
             "tangent_circle_pairing", loc, "holds", "no interior zero of <gamma', K>"),))
-    lo, hi = isolate_root(p, a, b)
+    lo, hi = root
     return Report("transversality", (Condition(
         "tangent_circle_pairing", loc, "fails",
         f"pairing vanishes in ({lo}, {hi})"),))
@@ -265,8 +266,11 @@ def check_transversality(gamma: Curve, circle: CircleEmbedding,
 def _interior(S: list[list[int]], interval: Interval) -> Report:
     """The open curve must stay strictly inside the polytope: a check on the scaled facet slacks S.
 
-    A facet slack that is identically zero means the curve runs inside that
-    facet; by the z_i = 0 convention this is allowed and noted.
+    A slack negative at the midpoint fails; otherwise one `isolate_root`
+    call per slack decides whether it vanishes inside and brackets the
+    leftmost contact.  A facet slack that is identically zero means the
+    curve runs inside that facet; by the z_i = 0 convention this is
+    allowed and noted.
     """
     a, b = interval
     mid = (Fraction(a) + Fraction(b)) / 2
@@ -279,11 +283,11 @@ def _interior(S: list[list[int]], interval: Interval) -> Report:
         if _eval_int(slack, mid) < 0:
             conditions.append(Condition("facet_slack", loc, "fails", "curve leaves the polytope"))
             continue
-        roots = count_roots(slack, a, b)
-        if roots == 0:
+        root = isolate_root(slack, a, b)
+        if root is None:
             conditions.append(Condition("facet_slack", loc, "holds", "positive on the interior"))
         else:
-            lo, hi = isolate_root(slack, a, b)
+            lo, hi = root
             conditions.append(Condition(
                 "facet_slack", loc, "fails",
                 f"interior boundary contact at s in ({lo}, {hi})"))
@@ -296,19 +300,23 @@ def valuation(p: RatPoly) -> Optional[int]:
 
 
 def divided_smoothness(x: RatPoly, m: int) -> Optional[str]:
-    """Why sqrt(2 x(tau)) / r_1^m fails to be smooth and even at the tip.
+    """Why sqrt(2 x(tau)) / r_1^|m| fails to be smooth and even at the tip.
 
-    None when it holds.  With x = c_v tau^v + ... and r_1^2/2 = x_p(tau) =
-    c_1 tau + ..., c_1 > 0, the quotient is |r_1|^(v - m) times a smooth
-    positive function of r_1^2 when c_v > 0: it holds iff x is identically
-    zero, or c_v > 0, v >= m and v - m is even.
+    None when it holds.  Near the tip the surface is z_j = f z_p^m for
+    m >= 0 and z_j = f conj(z_p)^|m| for m < 0, with f = r_j / r_1^|m| a
+    function of |z_p|^2 = r_1^2; every monomial z_p^a conj(z_p)^b of a
+    smooth equivariant z_j has a - b = m, so r_j is at least of order
+    r_1^|m|.  With x = c_v tau^v + ... and r_1^2/2 = x_p(tau) = c_1 tau + ...,
+    c_1 > 0, the quotient is |r_1|^(v - |m|) times a smooth positive
+    function of r_1^2 when c_v > 0: it holds iff x is identically zero, or
+    c_v > 0, v >= |m| and v - m is even.
     """
     v = valuation(x)
     if v is None:
         return None
     if x[v] < 0:
         return "negative_leading"
-    if v < m:
+    if v < abs(m):
         return "negative_power"
     if (v - m) % 2:
         return "parity"

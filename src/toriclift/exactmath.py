@@ -1,4 +1,4 @@
-"""Exact rational arithmetic, integer lattice algebra, and real-root counting.
+"""Exact rational arithmetic, integer lattice algebra, and real-root isolation.
 
 Everything in this module is exact: integers are arbitrary precision,
 rationals are `fractions.Fraction`, and no floating point appears anywhere.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 IntVec = tuple[int, ...]
 IntMatrix = list[list[int]]
@@ -260,57 +260,44 @@ def _eval_int(c: Sequence[int], x: Fraction) -> int:
     return acc
 
 
-def count_roots(p: Sequence[Fraction], left: Fraction, right: Fraction) -> int:
-    """Number of distinct real roots of p strictly inside (left, right).
-
-    p holds Fractions or ints; a factor D > 0 changes no root, so p is
-    scaled to integers (the criterion passes its slacks already scaled).
-    Vincent-Collins-Akritas: one Descartes test on that integer list
-    settles a count of 0 or 1; otherwise the square-free part is bisected,
-    testing each dyadic midpoint exactly, until every piece has 0 or 1.
-    The zero polynomial is rejected.
-    """
-    _, (c,) = _integer_polys(poly_trim(p))
-    if not c:
-        raise ValueError("count_roots: zero polynomial")
-    left, right = Fraction(left), Fraction(right)
-    if not left < right:
-        raise ValueError("count_roots: empty interval")
-    count = _variations(c, left, right)
-    if count < 2:
-        return count
-    _, (sf,) = _integer_polys(poly_divmod(c, poly_gcd(c, poly_deriv(c)))[0])
-    count, pieces = 0, [(left, right)]
-    while pieces:
-        lo, hi = pieces.pop()
-        v = _variations(sf, lo, hi)
-        if v < 2:
-            count += v
-            continue
-        mid = (lo + hi) / 2
-        count += _eval_int(sf, mid) == 0
-        pieces += [(lo, mid), (mid, hi)]
-    return count
-
-
 ISOLATE_WIDTH = Fraction(1, 1024)
 
 
-def isolate_root(p: Sequence[Fraction], left: Fraction, right: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink (left, right), known to contain at least one root, by bisection to ISOLATE_WIDTH.
+def isolate_root(p: Sequence[Fraction], left: Fraction, right: Fraction) -> Optional[tuple[Fraction, Fraction]]:
+    """None if p has no real root strictly inside (left, right), else a bracket of one.
 
-    The left half is kept whenever it holds a root, so the result brackets
-    the leftmost root, unless a midpoint is itself a root: then (mid, mid).
-    The brackets depend only on the roots, so p and D*p (D > 0) give the same.
+    Bisection keeps the left half whenever it holds a root; the bracket is
+    the first piece no wider than ISOLATE_WIDTH, or (mid, mid) when a wider
+    piece's midpoint is a root.  It depends only on the roots, so p and D*p
+    (D > 0) give the same; p holds Fractions or ints.  One left-first
+    Vincent-Collins-Akritas search decides each piece: Descartes count 0 is
+    no root, 1 exactly one, so a right half then counts 1 minus its left
+    half; the square-free part replaces p once, if the first count is 2 or
+    more.  Below ISOLATE_WIDTH a piece is split only to learn whether it
+    holds a root.  The zero polynomial is rejected.
     """
-    _, (c,) = _integer_polys(p)
-    lo, hi = Fraction(left), Fraction(right)
-    while hi - lo > ISOLATE_WIDTH:
+    _, (c,) = _integer_polys(poly_trim(p))
+    if not c:
+        raise ValueError("isolate_root: zero polynomial")
+    left, right = Fraction(left), Fraction(right)
+    if not left < right:
+        raise ValueError("isolate_root: empty interval")
+    count = _variations(c, left, right)
+    if count > 1:
+        _, (c,) = _integer_polys(poly_divmod(c, poly_gcd(c, poly_deriv(c)))[0])
+    pieces = [(left, right, count, None)]  # (lo, hi, Descartes count, bracket it lies in)
+    while pieces:
+        lo, hi, count, bracket = pieces.pop()
+        if count == 0:
+            continue
+        if bracket is None and hi - lo <= ISOLATE_WIDTH:
+            bracket = (lo, hi)
+        if count == 1 and bracket:
+            return bracket
         mid = (lo + hi) / 2
         if _eval_int(c, mid) == 0:
-            return mid, mid
-        if count_roots(c, lo, mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+            return bracket or (mid, mid)
+        low = _variations(c, lo, mid)
+        high = 1 - low if count == 1 else _variations(c, mid, hi)
+        pieces += [(mid, hi, high, bracket), (lo, mid, low, bracket)]
+    return None

@@ -255,11 +255,6 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
     return P._vertices
 
 
-def _face(P: HPolytope, active: frozenset[int]) -> Face:
-    """The face whose active facet set is `active`, which must be one: a lookup in `_faces`."""
-    return _faces(P)[active]
-
-
 def _faces(P: HPolytope) -> dict[frozenset[int], Face]:
     """Every face of P by its active set, each with its vertices in vertex order; kept on P.
 
@@ -480,7 +475,7 @@ def minimal_face(P: HPolytope, r: Sequence[Fraction]) -> Face:
     slacks = [lam - dot(r, a) for a, lam in zip(P.normals, P.offsets)]
     if any(s < 0 for s in slacks):
         raise PolytopeError(f"point {format_point(r)} outside the polytope")
-    return _face(P, frozenset(i for i, s in enumerate(slacks) if s == 0))
+    return _faces(P)[frozenset(i for i, s in enumerate(slacks) if s == 0)]
 
 
 def characteristic_subtorus(P: HPolytope, F: Face) -> tuple[IntVec, ...]:

@@ -57,7 +57,7 @@ def _sign_changes(values):
 
 def sturm_count(p, left, right):
     """Distinct real roots of p in the open (left, right) from a Sturm chain of
-    its square-free part: the differential oracle for count_roots."""
+    its square-free part: the differential oracle for isolate_root's root test."""
     p = poly_trim(p)
     if len(p) == 1:
         return 0

@@ -82,10 +82,17 @@ def test_make_chords_closed_form_agrees_with_check_lift():
     assert holds == {True, False}
 
 
-@pytest.mark.parametrize("demo", ["delzant_validation.py", "lift_criterion.py"])
+DEMO_OUTPUTS = {  # the files each demo writes into its working directory
+    "delzant_validation.py": set(),
+    "lift_criterion.py": set(),
+    "surface_sampler.py": {"disc.obj", "cone.obj", "paraboloid.obj"},
+}
+
+
+@pytest.mark.parametrize("demo", list(DEMO_OUTPUTS))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout and not os.listdir(tmp_path)
+    assert proc.stdout and set(os.listdir(tmp_path)) == DEMO_OUTPUTS[demo]

@@ -264,7 +264,7 @@ class TestSqrtFactorClass:
 
 
 class TestDividedSmoothness:
-    """sqrt(2 x(tau)) / r_1^m: the graph coordinate g_j = x_j o x_p^{-1} has the
+    """sqrt(2 x(tau)) / r_1^|m|: the graph coordinate g_j = x_j o x_p^{-1} has the
     valuation and leading sign of the chart polynomial x_j, which it reads."""
 
     @pytest.mark.parametrize("coeffs,m,status,reason", [
@@ -274,6 +274,9 @@ class TestDividedSmoothness:
         ((0, 0, 0, 1), 1, "holds", None),
         ((0, 1), 2, "fails", "negative_power"),
         ((0, -1), 1, "fails", "negative_leading"),
+        ((0, 1), -1, "holds", None),         # z2 = c conj(z1)
+        ((0, 1), -3, "fails", "negative_power"),
+        ((0, 0, 0, 1), -3, "holds", None),   # z2 = c conj(z1)^3
     ])
     def test_table(self, coeffs, m, status, reason):
         out = divided_smoothness(poly(*coeffs), m)
@@ -318,6 +321,14 @@ class TestCheckLift:
         v = check_lift(cp2, gamma, (F(0), F(1)), K11)
         assert v.verdict == "reject"
         assert v.report("endpoint 1").conditions[0].condition == "tangent_parallel_to_face"
+
+    def test_negative_ratio_needs_valuation_abs_m(self, square):
+        # (s, s) with K = (1, -3): z2 = conj(z1)^3 / |z1|^2 at each tip, whose
+        # ratio z2/z1 depends on the direction of approach, so S is not C^1 there
+        v = check_lift(square, DIAG, (F(0), F(1)), CircleEmbedding((1, -3)))
+        assert v.verdict == "reject"
+        for name in ("endpoint 1", "endpoint 2"):
+            assert v.report(name).conditions[-1].detail == "m = -3, valuation 1, negative_power"
 
     def test_inconclusive_at_low_order(self, square):
         # y = (s(1-s))^20 has valuation 20 at both endpoints, past any low
@@ -406,7 +417,7 @@ class TestIntegerInput:
     """A curve given with int coefficients reports exactly what its Fraction form does."""
 
     def test_transversality_two_roots(self):
-        # <gamma', K> = 3s^2 - 6s + 2 has two roots in (0, 2), so count_roots takes its
+        # <gamma', K> = 3s^2 - 6s + 2 has two roots in (0, 2), so isolate_root takes its
         # square-free step, which must stay exact on integer lists
         gamma = [[0, 2, -3, 1], [0]]
         for g in (gamma, [poly(*c) for c in gamma]):
@@ -579,21 +590,23 @@ class TestIntegerSlacksDifferential:
 
 
 class TestWorkGuard:
-    """check_lift hands the root finders integer lists only: the scaled slacks."""
+    """check_lift hands the root finder integer lists only: the scaled slacks."""
 
     def test_root_finders_see_integer_lists(self, monkeypatch):
-        seen = {"count_roots": [], "isolate_root": []}
-        for name, calls in seen.items():
-            def spy(p, left, right, real=getattr(criterion, name), calls=calls):
-                calls.append(p)
-                return real(p, left, right)
-            monkeypatch.setattr(criterion, name, spy)
+        calls, found = [], []
+        real = criterion.isolate_root
+
+        def spy(p, left, right):
+            calls.append(p)
+            root = real(p, left, right)
+            found.append(root is not None)
+            return root
+        monkeypatch.setattr(criterion, "isolate_root", spy)
         rng = random.Random(11)
         for name in ("cp2_3", "cp3", "hirzebruch", "unit_square"):
             P = data_polytope(name)
             for _ in range(15):
                 gamma, iv = random_curve(rng, P)
                 check_lift(P, gamma, iv, random_circle(rng, P.n))
-        assert len(seen["count_roots"]) > 100 and len(seen["isolate_root"]) > 10
-        for name, calls in seen.items():
-            assert all(type(p) is list and all(type(c) is int for c in p) for p in calls), name
+        assert len(calls) > 100 and sum(found) > 10
+        assert all(type(p) is list and all(type(c) is int for c in p) for p in calls)

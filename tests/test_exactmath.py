@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sturm_count
+from toriclift import exactmath
 from toriclift.exactmath import (
     ISOLATE_WIDTH,
-    count_roots,
     hnf,
     int_det,
     integer_kernel_basis,
@@ -235,14 +235,15 @@ class TestArith:
         assert poly_mul([Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]) == [1, 0, -1]
 
 
-def isolate_root_oracle(p, left, right):
-    """isolate_root's bisection with the Sturm oracle as its root test."""
+def isolate_root_oracle(p, left, right, count=sturm_count):
+    """isolate_root's bisection of an interval holding a root, with count(p, lo, hi),
+    by default the Sturm oracle, as its root test."""
     lo, hi = left, right
     while hi - lo > ISOLATE_WIDTH:
         mid = (lo + hi) / 2
         if poly_eval(p, mid) == 0:
             return mid, mid
-        if sturm_count(p, lo, mid) > 0:
+        if count(p, lo, mid) > 0:
             hi = mid
         else:
             lo = mid
@@ -279,7 +280,7 @@ def roots_problem(draw):
     return p, a, b
 
 
-class TestCountRoots:
+class TestIsolateRoot:
     @given(roots_problem())
     @example(([Fraction(-1), Fraction(0), Fraction(1)], Fraction(-1), Fraction(1)))  # roots at both ends
     @example(([Fraction(1), Fraction(-2), Fraction(1)], Fraction(0), Fraction(2)))  # double root at the midpoint
@@ -290,26 +291,44 @@ class TestCountRoots:
     @settings(max_examples=200, deadline=None)
     def test_against_sturm(self, problem):
         p, a, b = problem
-        count = count_roots(p, a, b)
-        assert count == sturm_count(p, a, b)
+        want = isolate_root_oracle(p, a, b) if sturm_count(p, a, b) else None
+        assert isolate_root(p, a, b) == want
         # the same polynomial times the lcm of its denominators, as the criterion passes its slacks
         den = lcm(*(Fraction(c).denominator for c in p))
-        scaled = [int(c * den) for c in p]
-        assert count_roots(scaled, a, b) == count
-        if count:
-            assert isolate_root(p, a, b) == isolate_root_oracle(p, a, b) == isolate_root(scaled, a, b)
+        assert isolate_root([int(c * den) for c in p], a, b) == want
+
+    @staticmethod
+    def close_roots():
+        """(s - 3/10)(s - 3/10 - 10^-9): two roots far closer than ISOLATE_WIDTH."""
+        r1, r2 = Fraction(3, 10), Fraction(3, 10) + Fraction(1, 10**9)
+        return poly_mul([-r1, Fraction(1)], [-r2, Fraction(1)]), r1, r2
 
     def test_close_roots_separated(self):
-        # (s - 1/2)(s - 1/2 - 10^-9): both roots inside (0, 1), far below the first split width
-        r1, r2 = Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**9)
-        p = poly_mul([-r1, Fraction(1)], [-r2, Fraction(1)])
-        assert count_roots(p, Fraction(0), Fraction(1)) == 2
-        assert count_roots(p, r1, r2) == 0
-        assert count_roots(p, Fraction(0), r2) == 1
+        p, r1, r2 = self.close_roots()
+        # the first piece no wider than ISOLATE_WIDTH holds both roots
+        assert isolate_root(p, Fraction(0), Fraction(1)) == (Fraction(307, 1024), Fraction(308, 1024))
+        assert isolate_root(p, r1, r2) is None
+        assert isolate_root(p, Fraction(0), r2) == isolate_root_oracle(p, Fraction(0), r2)
+        # narrower than ISOLATE_WIDTH from the start: the interval itself is the bracket,
+        # and the search below that width only decides whether there is a root
+        d = Fraction(1, 10**12)
+        assert isolate_root(p, r1 - d, r2 + d) == (r1 - d, r2 + d)
+        assert isolate_root(p, r1 + d, r2 - d) is None
+
+    def test_square_free_part_taken_once(self, monkeypatch):
+        p, r1, r2 = self.close_roots()
+        calls = []
+        real = exactmath.poly_gcd
+        monkeypatch.setattr(exactmath, "poly_gcd", lambda *a: calls.append(a) or real(*a))
+        d = Fraction(1, 10**12)
+        for a, b in ((Fraction(0), Fraction(1)), (r1 - d, r2 + d)):
+            calls.clear()
+            assert isolate_root(p, a, b) is not None
+            assert len(calls) == 1, (a, b)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError, match="empty interval"):
-            count_roots([Fraction(1), Fraction(1)], Fraction(1), Fraction(1))
+            isolate_root([Fraction(1), Fraction(1)], Fraction(1), Fraction(1))
 
 
 class TestComposeLinear:
@@ -331,22 +350,29 @@ class TestSturm:
         return [Fraction(c) for c in cs]
 
     def test_no_real_roots(self):
-        assert count_roots(self.F(1, 0, 1), Fraction(-10), Fraction(10)) == 0
+        assert isolate_root(self.F(1, 0, 1), Fraction(-10), Fraction(10)) is None
 
     def test_open_interval_excludes_endpoint(self):
-        # s(s-1): roots 0 and 1, only 1 interior to (0, 2)
-        assert count_roots(self.F(0, -1, 1), Fraction(0), Fraction(2)) == 1
+        # s(s-1): roots 0 and 1; only 1 is inside (0, 2), and it is the first midpoint
+        p = self.F(0, -1, 1)
+        assert isolate_root(p, Fraction(0), Fraction(2)) == (Fraction(1), Fraction(1))
+        assert isolate_root(p, Fraction(0), Fraction(1)) is None
 
     def test_sqrt_two(self):
-        assert count_roots(self.F(-2, 0, 1), Fraction(0), Fraction(2)) == 1
+        p = self.F(-2, 0, 1)
+        assert isolate_root(p, Fraction(0), Fraction(2)) == (Fraction(1448, 1024), Fraction(1449, 1024))
+        assert isolate_root(p, Fraction(0), Fraction(1)) is None
 
     def test_multiplicity_counted_once(self):
-        # (s-1)^2
-        assert count_roots(self.F(1, -2, 1), Fraction(0), Fraction(2)) == 1
+        # (s-1)^2: Descartes counts 2 on (0, 3); the square-free part s - 1 has the one root
+        p = self.F(1, -2, 1)
+        lo, hi = isolate_root(p, Fraction(0), Fraction(3))
+        assert lo < 1 < hi and hi - lo <= ISOLATE_WIDTH
+        assert isolate_root(p, Fraction(1), Fraction(3)) is None
 
     def test_zero_poly_rejected(self):
-        with pytest.raises(ValueError):
-            count_roots([], Fraction(0), Fraction(1))
+        with pytest.raises(ValueError, match="zero polynomial"):
+            isolate_root([], Fraction(0), Fraction(1))
 
     def test_against_numeric_sampling(self):
         rng = random.Random(11)
@@ -357,8 +383,11 @@ class TestSturm:
             for r in roots:
                 poly = poly_mul(poly, [Fraction(-r), Fraction(1)])
             a, b = Fraction(-21, 2), Fraction(21, 2)
-            expected = sum(1 for r in set(roots) if a < r < b)
-            assert count_roots(poly, a, b) == expected
+
+            def count(p, lo, hi):
+                return sum(1 for r in roots if lo < r < hi)
+            assert isolate_root(poly, a, b) == isolate_root_oracle(poly, a, b, count)
+            assert isolate_root(poly, b, Fraction(12)) is None
 
     def test_isolate_root(self):
         p = self.F(-2, 0, 1)
