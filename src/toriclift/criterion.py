@@ -35,7 +35,6 @@ from .exactmath import (
     _integer_polys,
     isolate_root,
     poly_deriv,
-    poly_eval,
     poly_trim,
 )
 from .polytope import HPolytope, PolytopeError, _faces, format_point
@@ -220,7 +219,7 @@ def _graph(P: HPolytope, D: int, G: list[list[int]], S: list[list[int]], interva
 
 def _point(D: int, G: list[list[int]], e: Fraction) -> str:
     """The curve point gamma(e) for a reject message."""
-    return format_point([poly_eval(g, e) / D for g in G])
+    return format_point([Fraction(_eval_int(g, e), D * e.denominator ** max(len(g) - 1, 0)) for g in G])
 
 
 def _check_dimensions(P: HPolytope, gamma: Curve, circle: CircleEmbedding,

@@ -5,14 +5,18 @@ rationals are `fractions.Fraction`, and no floating point appears anywhere.
 Integer matrices are lists of rows; where a function speaks of "columns"
 (HNF, edge bases) the data is still stored row-major.  `hnf` is the one
 elimination routine: the rank, the integer kernel, the saturation index
-and the determinant are all read from its triangular form.
+and the determinant are all read from its triangular form.  Real roots
+are isolated on dyadic integer pieces: the interval is mapped onto (0, 1)
+once, then halved by bit shifts and Taylor shifts by 1, with Fractions
+only in the bracket returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mul, ne
 from typing import Optional, Sequence
 
 IntVec = tuple[int, ...]
@@ -45,10 +49,6 @@ def dot(u: Sequence, v: Sequence):
 # integer matrices
 
 
-def identity_matrix(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) = a*x + b*y and g >= 0."""
     old_r, r = a, b
@@ -77,7 +77,7 @@ def hnf(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
     rows = len(A)
     cols = len(A[0]) if rows else 0
     H = [list(row) for row in A]
-    U = identity_matrix(cols)
+    U = [[int(i == j) for j in range(cols)] for i in range(cols)]
     pivot = 0
     for r in range(rows):
         if pivot >= cols:
@@ -237,19 +237,6 @@ def poly_compose_linear(p: Sequence[Fraction], shift: Fraction, scale: Fraction)
     return poly_trim([Fraction(x, den * Dk) for x in q])
 
 
-def _variations(c: Sequence[int], left: Fraction, right: Fraction) -> int:
-    """Descartes bound on the roots of c in (left, right), with multiplicity.
-
-    The sign variations of (1+x)^d c((right + left x)/(1+x)), which maps
-    x in (0, oo) onto (left, right): 0 means no root, 1 exactly one, and
-    the count exceeds the number of roots by an even number.
-    """
-    r, _ = _compose_int(c, left, right - left)  # r(y) ~ c(left + (right - left) y)
-    q, _ = _compose_int(r[::-1], 1, 1)  # (1+x)^d r(1/(1+x))
-    signs = [x > 0 for x in q if x]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
 def _eval_int(c: Sequence[int], x: Fraction) -> int:
     """den^deg c(num/den) for x = num/den: an integer with the sign of c(x), by Horner."""
     num, den = x.numerator, x.denominator
@@ -258,6 +245,25 @@ def _eval_int(c: Sequence[int], x: Fraction) -> int:
         acc = acc * num + ci * dk
         dk *= den
     return acc
+
+
+def _shift1(b: Sequence[int]) -> list[int]:
+    """p(x + 1), for p given and returned highest degree first: one prefix sum per degree."""
+    b = list(b)
+    for n in range(len(b), 1, -1):
+        b[:n] = accumulate(b[:n])
+    return b
+
+
+def _descartes(c: Sequence[int]) -> int:
+    """Descartes bound on the roots of c in (0, 1), with multiplicity, for c lowest degree first.
+
+    The sign variations of (1+x)^d c(1/(1+x)), which maps x in (0, oo)
+    onto (0, 1): 0 means no root, 1 exactly one, and the count exceeds the
+    number of roots by an even number.
+    """
+    signs = [x > 0 for x in _shift1(c) if x]  # c highest degree first is x^d c(1/x)
+    return sum(map(ne, signs, signs[1:]))
 
 
 ISOLATE_WIDTH = Fraction(1, 1024)
@@ -269,35 +275,58 @@ def isolate_root(p: Sequence[Fraction], left: Fraction, right: Fraction) -> Opti
     Bisection keeps the left half whenever it holds a root; the bracket is
     the first piece no wider than ISOLATE_WIDTH, or (mid, mid) when a wider
     piece's midpoint is a root.  It depends only on the roots, so p and D*p
-    (D > 0) give the same; p holds Fractions or ints.  One left-first
-    Vincent-Collins-Akritas search decides each piece: Descartes count 0 is
-    no root, 1 exactly one, so a right half then counts 1 minus its left
-    half; the square-free part replaces p once, if the first count is 2 or
-    more.  Below ISOLATE_WIDTH a piece is split only to learn whether it
-    holds a root.  The zero polynomial is rejected.
+    (D > 0) give the same; p holds Fractions or ints, as do left and right.
+    One left-first Vincent-Collins-Akritas search decides each piece:
+    Descartes count 0 is no root, 1 exactly one, which then lies in the
+    left half or else the right; the square-free part replaces p once, if
+    the first count is 2 or more.  Below ISOLATE_WIDTH a piece is split
+    only to learn whether it holds a root.  The zero polynomial is rejected.
+
+    The pieces are dyadic and integer (Rouillier and Zimmermann, J. Comput.
+    Appl. Math. 2004): (left, right) is mapped onto (0, 1) once, and piece
+    (k, j) holds Q(t) ~ p(left + (right - left)(j + t)/2^k).  Its left half
+    2^d Q(t/2) shifts each coefficient by bits, its right half is that at
+    t + 1, and the left half's coefficient sum has the sign of p at the
+    midpoint.  Pieces are no wider than ISOLATE_WIDTH from a level k0 found
+    once; Fractions appear only in the bracket returned.
     """
     _, (c,) = _integer_polys(poly_trim(p))
     if not c:
         raise ValueError("isolate_root: zero polynomial")
-    left, right = Fraction(left), Fraction(right)
-    if not left < right:
+    ln, ld, rn, rd = left.numerator, left.denominator, right.numerator, right.denominator
+    if not ln * rd < rn * ld:
         raise ValueError("isolate_root: empty interval")
-    count = _variations(c, left, right)
+    width = Fraction(rn * ld - ln * rd, ld * rd)
+    q, _ = _compose_int(c, left, width)
+    count = _descartes(q)
     if count > 1:
         _, (c,) = _integer_polys(poly_divmod(c, poly_gcd(c, poly_deriv(c)))[0])
-    pieces = [(left, right, count, None)]  # (lo, hi, Descartes count, bracket it lies in)
+        q, _ = _compose_int(c, left, width)
+    # level k0: the least k with width/2^k <= ISOLATE_WIDTH
+    k0 = (-(-width.numerator * ISOLATE_WIDTH.denominator
+            // (width.denominator * ISOLATE_WIDTH.numerator)) - 1).bit_length()
+
+    def at(j: int, k: int) -> Fraction:
+        return left + width * Fraction(j, 1 << k)
+
+    def bracket(k: int, j: int) -> tuple[Fraction, Fraction]:
+        j >>= k - k0
+        return at(j, k0), at(j + 1, k0)
+
+    pieces = [(0, 0, q[::-1], count)]  # (k, j, Q highest degree first, Descartes count)
     while pieces:
-        lo, hi, count, bracket = pieces.pop()
+        k, j, Q, count = pieces.pop()
         if count == 0:
             continue
-        if bracket is None and hi - lo <= ISOLATE_WIDTH:
-            bracket = (lo, hi)
-        if count == 1 and bracket:
-            return bracket
-        mid = (lo + hi) / 2
-        if _eval_int(c, mid) == 0:
-            return bracket or (mid, mid)
-        low = _variations(c, lo, mid)
-        high = 1 - low if count == 1 else _variations(c, mid, hi)
-        pieces += [(mid, hi, high, bracket), (lo, mid, low, bracket)]
+        if count == 1 and k >= k0:
+            return bracket(k, j)
+        Q = [x << i for i, x in enumerate(Q)]  # the left half, 2^d Q(t/2)
+        if sum(Q) == 0:  # Q(1/2) at the midpoint
+            return bracket(k, j) if k >= k0 else (at(2 * j + 1, k + 1),) * 2
+        low = _descartes(Q[::-1])
+        if count == 1:  # the one root lies in the left half or else in the right
+            pieces.append((k + 1, 2 * j, Q, 1) if low else (k + 1, 2 * j + 1, _shift1(Q), 1))
+        else:
+            right_half = _shift1(Q)
+            pieces += [(k + 1, 2 * j + 1, right_half, _descartes(right_half[::-1])), (k + 1, 2 * j, Q, low)]
     return None

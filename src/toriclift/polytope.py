@@ -36,7 +36,6 @@ from .exactmath import (
     _integer_polys,
     dot,
     hnf,
-    identity_matrix,
     int_det,
     integer_kernel_basis,
     primitive,
@@ -114,7 +113,7 @@ class HPolytope:
 def _kernel(normals: Sequence[IntVec], n: int) -> list[IntVec]:
     """Z-basis of the lattice vectors orthogonal to every normal; Z^n when there are none."""
     if not normals:
-        return [tuple(row) for row in identity_matrix(n)]
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return integer_kernel_basis(normals)
 
 

@@ -14,7 +14,7 @@ from toriclift.chart import (
     make_chart,
 )
 from toriclift.criterion import GraphBuildReject, build_graph
-from toriclift.exactmath import dot, identity_matrix, poly_add, poly_compose_linear, poly_scale, poly_sub
+from toriclift.exactmath import dot, poly_add, poly_compose_linear, poly_scale, poly_sub
 from toriclift.polytope import (
     HPolytope,
     PolytopeError,
@@ -24,6 +24,11 @@ from toriclift.polytope import (
 )
 
 F = Fraction
+
+
+def identity_matrix(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
 
 POLYTOPES = {**{name: build() for name, build in CATALOG.items()}, "box3": catalog.box([2, 1, F(3, 2)])}
 DELZANT = [name for name, P in POLYTOPES.items() if validate_delzant(P).ok]

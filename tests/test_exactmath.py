@@ -238,7 +238,7 @@ class TestArith:
 def isolate_root_oracle(p, left, right, count=sturm_count):
     """isolate_root's bisection of an interval holding a root, with count(p, lo, hi),
     by default the Sturm oracle, as its root test."""
-    lo, hi = left, right
+    lo, hi = Fraction(left), Fraction(right)
     while hi - lo > ISOLATE_WIDTH:
         mid = (lo + hi) / 2
         if poly_eval(p, mid) == 0:
@@ -288,6 +288,17 @@ class TestIsolateRoot:
     @example((poly_mul([Fraction(-1, 3), Fraction(1)], [Fraction(-1), Fraction(1)]), Fraction(0), Fraction(2)))
     # plain ints with two roots, 1 +- 1/sqrt(3), in (0, 2): the square-free step must stay exact
     @example(([2, -6, 3], Fraction(0), Fraction(2)))
+    # widths of exactly ISOLATE_WIDTH * 2^k, k = 0, 1, 10, where the bracket is found at level k,
+    # and just above them, one level deeper
+    @example(([Fraction(-1, 3000), Fraction(1)], Fraction(0), ISOLATE_WIDTH))
+    @example(([Fraction(-1, 3000), Fraction(1)], Fraction(0), ISOLATE_WIDTH + Fraction(1, 10**9)))
+    @example(([Fraction(-1, 1500), Fraction(1)], Fraction(0), 2 * ISOLATE_WIDTH))
+    @example(([Fraction(-1, 1500), Fraction(1)], Fraction(0), 2 * ISOLATE_WIDTH + Fraction(1, 10**9)))
+    @example(([Fraction(-1, 3), Fraction(1)], Fraction(1, 7), Fraction(1, 7) + 1024 * ISOLATE_WIDTH))
+    @example(([Fraction(-1, 3), Fraction(1)], Fraction(1, 7), Fraction(1, 7) + 1024 * ISOLATE_WIDTH + Fraction(1, 10**9)))
+    # int endpoints, as well as int coefficients
+    @example(([-1, 0, 3], 0, 1))
+    @example(([Fraction(-1, 4), Fraction(0), Fraction(1)], -1, 3))
     @settings(max_examples=200, deadline=None)
     def test_against_sturm(self, problem):
         p, a, b = problem
@@ -325,6 +336,40 @@ class TestIsolateRoot:
             calls.clear()
             assert isolate_root(p, a, b) is not None
             assert len(calls) == 1, (a, b)
+
+    def test_int_endpoints(self):
+        # ints and Fractions give one bracket, always of Fractions
+        p = [Fraction(-2), Fraction(0), Fraction(1)]
+        got = isolate_root(p, 1, 2)
+        assert got == isolate_root(p, Fraction(1), Fraction(2)) == (Fraction(1448, 1024), Fraction(1449, 1024))
+        assert all(type(x) is Fraction for x in got)
+        assert isolate_root([-1, 2], 0, 1) == (Fraction(1, 2), Fraction(1, 2))  # the first midpoint
+        assert isolate_root([-1, 1], 0, 1) is None
+
+    def test_dyadic_midpoint_roots(self):
+        # 3/8 is the midpoint of the level-2 piece (1/4, 1/2), far wider than ISOLATE_WIDTH
+        assert isolate_root(poly_mul([Fraction(-3, 8), Fraction(1)], [Fraction(1), Fraction(1)]),
+                            Fraction(0), Fraction(1)) == (Fraction(3, 8), Fraction(3, 8))
+        # 3/4096 and 7/8192 share the bracket (0, 1/1024); the search splits it to find the
+        # leftmost root, and meets 3/4096 as the midpoint of a level-11 piece: the bracket stands
+        p = poly_mul([Fraction(-3, 4096), Fraction(1)], [Fraction(-7, 8192), Fraction(1)])
+        assert isolate_root(p, Fraction(0), Fraction(1)) == (Fraction(0), Fraction(1, 1024))
+        assert isolate_root(p, 0, 1) == isolate_root_oracle(p, 0, 1)
+
+    def test_interval_composed_once(self, monkeypatch):
+        # the interval is mapped onto (0, 1) once per call, and once more if the square-free part is taken
+        calls = []
+        real = exactmath._compose_int
+        monkeypatch.setattr(exactmath, "_compose_int", lambda *a: calls.append(a) or real(*a))
+        p, _, _ = self.close_roots()
+        for q, a, b, composed in (([Fraction(-2), Fraction(0), Fraction(1)], Fraction(0), Fraction(2), 1),
+                                  ([Fraction(1), Fraction(0), Fraction(1)], Fraction(0), Fraction(5), 1),
+                                  # no real root, but a Descartes count of 2: the square-free step runs
+                                  ([Fraction(1), Fraction(0), Fraction(1)], Fraction(-5), Fraction(5), 2),
+                                  (poly_mul(p, p), Fraction(0), Fraction(1), 2)):
+            calls.clear()
+            isolate_root(q, a, b)
+            assert len(calls) == composed, (q, a, b)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError, match="empty interval"):

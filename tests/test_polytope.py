@@ -10,7 +10,7 @@ import pytest
 
 from toriclift import catalog, exactmath, polytope
 from toriclift.chart import make_chart
-from toriclift.exactmath import dot, hnf, identity_matrix, int_det, integer_kernel_basis, primitive, rank
+from toriclift.exactmath import dot, hnf, int_det, integer_kernel_basis, primitive, rank
 from toriclift.polytope import (
     HPolytope,
     PolytopeError,
@@ -29,6 +29,10 @@ F = Fraction
 
 def pts(vertex_list):
     return {tuple(map(F, v)) for v in vertex_list}
+
+
+def identity_matrix(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def octahedron():
