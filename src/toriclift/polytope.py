@@ -10,23 +10,24 @@ n-subsets of facets; an edge that no facet blocks shows that P is
 unbounded.  The walk carries each vertex's point and facet slacks as
 integer vectors over one denominator, and walks each edge once, knowing
 it by the facets it lies in.  A simple vertex reached from a simple one
-along an edge that one facet blocks gets its edges and their
-determinant by a pivot of that vertex's, as in reverse search (Avis,
-"lrs: a revised implementation of the reverse search vertex enumeration
-algorithm", 2000); the start vertex and a simple vertex reached
-otherwise take one Hermite form of their n active normals, and only a
-non-simple vertex takes a kernel per (n-1)-subset of its facets.  The
-faces of a simple polytope are the subsets of its vertex active sets, a
-face with k facets of dimension n - k; a polytope with a non-simple
-vertex takes its faces as the intersections of vertex active sets and a
-rank for each.
-Vertices, edge bases and the faces are computed once per polytope and
-kept on it; `face_lattice` sorts the kept faces on each call.
+along an edge that one facet blocks gets its edges, their pairings with
+every normal and their determinant by a pivot of that vertex's, as lrs
+updates its dictionary (Avis, "lrs: a revised implementation of the
+reverse search vertex enumeration algorithm", 2000); only the start
+vertex and a simple vertex reached otherwise, which take one Hermite
+form of their n active normals, and a non-simple vertex, which takes a
+kernel per (n-1)-subset of its facets, pair their edges by products.
+The faces of a simple polytope are the subsets of its vertex active
+sets, a face with k facets of dimension n - k; a polytope with a
+non-simple vertex takes its faces as the intersections of vertex active
+sets and a rank for each.  Vertices, edge bases and the faces, in
+lattice order, are computed once per polytope and kept on it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -82,7 +83,7 @@ class HPolytope:
                 raise PolytopeError(f"facet normal {a} is not primitive")
         if len(set(self.normals)) != len(self.normals):
             raise PolytopeError("duplicate facet normal")
-        # memos of enumerate_vertices, _faces, _vertex_edges and chart.make_chart
+        # memos of enumerate_vertices, its edges by sorted active set, _faces and chart.make_chart
         self._vertices = None
         self._simple = False  # every vertex simple: set by the walk, read by _faces
         self._faces = {}
@@ -189,47 +190,43 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
     its active set is where the slacks vanish, and its edges are the
     `edge_vectors_at_vertex` of that set.  Along an edge u, with integer
     pairings p_i = <a_i, u>, the neighbour lies at step t = min S_i / (q p_i)
-    over p_i > 0, found by cross-multiplying; an edge that no facet blocks
-    is a recession ray of an unbounded P.  At the neighbour
+    over p_i > 0, found by cross-multiplying (`_blocking`); an edge that no
+    facet blocks is a recession ray of an unbounded P.  At the neighbour
     X' = X p_b + S_b u and S' = S p_b - S_b p over q' = q p_b, b a blocking
     facet, all three divided by their gcd.  When the vertex left is simple
-    and b alone blocks, the neighbour is simple too, and its edges and
-    determinant are pivoted from those of the vertex left (`_pivot_edges`)
-    and kept on P; any other vertex's are computed when the walk leaves
-    it, by `_vertex_edges`.  An edge is known
-    by the facets it lies in, at a simple vertex the active set less the
-    facet it relaxes, so each edge is walked once, from the end reached
-    first; an edge walked is blocked, so no recession ray is skipped.  The
-    points are sorted on integer keys over the lcm of the denominators.
+    and b alone blocks, the neighbour is simple too, and its edges, their
+    pairings and its determinant are pivoted from those of the vertex left
+    (`_pivot_edges`), the pairings kept until the walk leaves it.  Any other
+    vertex's edges come from one Hermite form (`_simple_edges`) at a simple
+    vertex or a kernel per (n-1)-subset (`_kernel_edges`) when the walk
+    leaves it, and are paired with every normal then.  P keeps (edges, D) by
+    sorted active set for every vertex, D = det A_S, or None when not simple.
+    An edge is known by the facets it lies in, at a simple vertex the active
+    set less the facet it relaxes, so each edge is walked once, from the end
+    reached first; an edge walked is blocked, so no recession ray is
+    skipped.  The points are sorted on integer keys over the lcm of the q.
     """
     if P._vertices is None:
         X, S, q = _start_vertex(P)
         active = frozenset(i for i, s in enumerate(S) if s == 0)
         found = {active: (X, q)}
         walked: set[frozenset[int]] = set()  # the facet sets of the edges walked
+        carried = {}  # sorted active set -> its edges' pairings, from the pivot that reached it
         todo = [(active, X, S, q)]
         while todo:
             active, X, S, q = todo.pop()
             key = tuple(sorted(active))
             simple = len(key) == P.n
-            edges, D = _vertex_edges(P, key)
-            for j, u in enumerate(edges):
-                if simple:  # edge j lies in every active facet but the j-th
-                    edge = frozenset(key[:j] + key[j + 1:])
-                    if edge in walked:
-                        continue
-                p = [dot(a, u) for a in P.normals]
-                if not simple:
-                    edge = frozenset(i for i in key if p[i] == 0)
-                    if edge in walked:
-                        continue
-                b, blocking = None, []
-                for i, pi in enumerate(p):
-                    if pi > 0:
-                        if b is None or S[i] * p[b] < S[b] * pi:  # S_i / p_i < S_b / p_b
-                            b, blocking = i, [i]
-                        elif S[i] * p[b] == S[b] * pi:
-                            blocking.append(i)
+            if key not in P._edges:
+                P._edges[key] = _simple_edges(P, key) or (_kernel_edges(P, key), None)
+            edges, D = P._edges[key]
+            pairs = carried.pop(key, None) or [[dot(a, u) for a in P.normals] for u in edges]
+            for j, (u, p) in enumerate(zip(edges, pairs)):
+                # edge j lies in every active facet but the j-th at a simple vertex
+                edge = frozenset(key[:j] + key[j + 1:] if simple else (i for i in key if p[i] == 0))
+                if edge in walked:
+                    continue
+                b, blocking = _blocking(S, p)
                 if b is None:
                     raise PolytopeError(f"unbounded polytope: recession ray {u}")
                 walked.add(edge)
@@ -246,7 +243,8 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
                     found[nxt] = (X2, q2)
                     todo.append((nxt, X2, [s // g for s in S2], q2))
                     if simple and len(blocking) == 1:  # then the neighbour is simple too
-                        P._edges[tuple(sorted(nxt))] = _pivot_edges(P, key, edges, D, j, b, p)
+                        nkey = tuple(sorted(nxt))
+                        P._edges[nkey], carried[nkey] = _pivot_edges(P, key, edges, D, pairs, j, b)
         L = lcm(*(q for _, q in found.values()))
         walk = sorted(found.items(), key=lambda item: [xk * (L // item[1][1]) for xk in item[1][0]])
         P._vertices = [(tuple(Fraction(xk, q) for xk in X), active) for active, (X, q) in walk]
@@ -255,7 +253,8 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
 
 
 def _faces(P: HPolytope) -> dict[frozenset[int], Face]:
-    """Every face of P by its active set, each with its vertices in vertex order; kept on P.
+    """Every face of P by its active set, each with its vertices in vertex order; kept on P,
+    filed in `face_lattice` order: by dimension, then by sorted active set.
 
     On a simple polytope the faces through a vertex with active facets S
     are exactly those whose active sets are the subsets of S, of dimension
@@ -270,22 +269,23 @@ def _faces(P: HPolytope) -> dict[frozenset[int], Face]:
         return P._faces
     n, verts = P.n, enumerate_vertices(P)
     if P._simple:
-        members: dict[tuple[int, ...], list[Point]] = {}
+        members: defaultdict[tuple[int, ...], list[Point]] = defaultdict(list)
         for v, act in verts:
             key = sorted(act)
             for k in range(n + 1):
                 for sub in itertools.combinations(key, k):
-                    members.setdefault(sub, []).append(v)
-        for sub, vs in members.items():
+                    members[sub].append(v)
+        # by facet tuple, then stably by size, largest first: the (dim, sorted active) order
+        for sub in sorted(sorted(members), key=len, reverse=True):
             active = frozenset(sub)
-            P._faces[active] = Face(active, n - len(sub), tuple(vs))
+            P._faces[active] = Face(active, n - len(sub), tuple(members[sub]))
     else:
         sets: set[frozenset[int]] = set()
         for _, act in verts:
             sets |= {act & f for f in sets} | {act}
-        for active in sets:
-            dim = n - rank([P.normals[i] for i in sorted(active)])
-            P._faces[active] = Face(active, dim, tuple(p for p, va in verts if va >= active))
+        faces = (Face(active, n - rank([P.normals[i] for i in sorted(active)]),
+                      tuple(p for p, va in verts if va >= active)) for active in sets)
+        P._faces.update((f.active, f) for f in sorted(faces, key=lambda f: (f.dim, sorted(f.active))))
     return P._faces
 
 
@@ -295,9 +295,10 @@ def face_lattice(P: HPolytope) -> list[Face]:
     The faces of a simple polytope are the subsets of its vertex active
     sets, and those of any polytope the intersections of vertex active
     sets (`_faces`); P itself has the empty active set.  The faces are
-    collected once and kept on P; the sorted list is made on each call.
+    collected once and kept on P in this order: by dimension, then by
+    sorted active set.
     """
-    return sorted(_faces(P).values(), key=lambda f: (f.dim, sorted(f.active)))
+    return list(_faces(P).values())
 
 
 def edge_vectors_at_vertex(P: HPolytope, active: Iterable[int]) -> list[IntVec]:
@@ -309,26 +310,15 @@ def edge_vectors_at_vertex(P: HPolytope, active: Iterable[int]) -> list[IntVec]:
     a simple vertex there are n of them: column j relaxes the j-th active
     facet (sorted by facet index), pairing negatively with it and to zero
     with the others, so it is column j of -A_S^-1 made primitive.  They
-    are read from P's memo (`_vertex_edges`): pivoted from the vertex the
-    walk came from, or from one Hermite form of the active normals A_S,
-    or, at a non-simple vertex, one kernel line per n - 1 active facets.
+    are read from the memo the walk filled for every vertex: pivoted from
+    the vertex the walk came from, or from one Hermite form of the active
+    normals A_S, or, at a non-simple vertex, one kernel line per n - 1
+    active facets.  A set that is not a vertex's active set is an error.
     """
-    return list(_vertex_edges(P, tuple(sorted(active)))[0])
-
-
-def _vertex_edges(P: HPolytope, key: tuple[int, ...]) -> tuple[tuple[IntVec, ...], Optional[int]]:
-    """(edges, D) at the vertex with the sorted active facets `key`, memoised on P.
-
-    D = det A_S when the active normals are n independent ones, else None.
-    The walk fills the memo: with `_pivot_edges` for a simple vertex it
-    reaches from a simple one along an edge one facet blocks, and here,
-    when it leaves any other vertex, with one Hermite form (`_simple_edges`)
-    at a simple vertex or a kernel per (n-1)-subset (`_kernel_edges`).
-    """
-    entry = P._edges.get(key)
-    if entry is None:
-        entry = P._edges[key] = _simple_edges(P, key) or (_kernel_edges(P, key), None)
-    return entry
+    key = tuple(sorted(active))
+    if key not in P._edges:
+        raise PolytopeError(f"facets {list(key)} are not the active set of a vertex")
+    return list(P._edges[key][0])
 
 
 def _simple_edges(P: HPolytope, key: tuple[int, ...]) -> Optional[tuple[tuple[IntVec, ...], int]]:
@@ -358,30 +348,53 @@ def _simple_edges(P: HPolytope, key: tuple[int, ...]) -> Optional[tuple[tuple[In
     return tuple(cols), D
 
 
+def _blocking(S: list[int], p: list[int]) -> tuple[Optional[int], list[int]]:
+    """The ratio test: (b, the facets that first block the edge with pairings p from the
+    vertex with slacks S, those minimising S_i / p_i over p_i > 0, in facet order), b the
+    first of them; (None, []) when no facet blocks the edge."""
+    b, blocking = None, []
+    for i, pi in enumerate(p):
+        if pi > 0:
+            if b is None or S[i] * p[b] < S[b] * pi:  # S_i / p_i < S_b / p_b
+                b, blocking = i, [i]
+            elif S[i] * p[b] == S[b] * pi:
+                blocking.append(i)
+    return b, blocking
+
+
 def _pivot_edges(P: HPolytope, key: tuple[int, ...], edges: tuple[IntVec, ...], D: int,
-                 j: int, b: int, p: list[int]) -> tuple[tuple[IntVec, ...], int]:
-    """(edges, det A_S') at the simple neighbour reached from the simple vertex with the
-    sorted active facets `key`, edges `edges` and D = det A_S along edge j, which the
-    facet b alone blocks; p holds the pairings <a_i, u_j> of that edge.
+                 pairs: list[list[int]], j: int, b: int
+                 ) -> tuple[tuple[tuple[IntVec, ...], int], list[list[int]]]:
+    """((edges, det A_S'), pairings) at the simple neighbour reached from the simple vertex
+    with the sorted active facets `key`, edges `edges` and D = det A_S along edge j, which
+    the facet b alone blocks; pairs[k] = p(u_k) holds edge k's pairings <a_i, u_k>.
 
     The neighbour's active set S' is S less f_j = key[j], plus b.  Its edge
-    relaxing b is -u_j, and for k != j its edge relaxing f_k is
-    p_b u_k - <a_b, u_k> u_j made primitive: that vector pairs to zero with
-    a_b and with every other facet of S' but f_k, and p_b <a_f_k, u_k> < 0
-    with f_k.  Each edge goes to the place of its facet in sorted S'.  With
-    a_b in row j, A_S' has det D <a_b, A_S^-1 e_j> = D p_b / p_f_j, exact
-    as u_j is -|D| A_S^-1 e_j over the gcd of that column, and moving a_b
-    to its sorted place |pos - j| rows away multiplies it by (-1)^|pos - j|.
+    relaxing b is -u_j, with pairings -p(u_j), and for k != j its edge
+    relaxing f_k is w_k = (p_b u_k - p(u_k)_b u_j) / g, g the gcd that makes
+    it primitive, with pairings (p_b p(u_k) - p(u_k)_b p(u_j)) / g: w_k pairs
+    to zero with a_b and with every other facet of S' but f_k, and
+    p_b <a_f_k, u_k> < 0 with f_k.  Each edge goes to the place of its facet
+    in sorted S'.  With a_b in row j, A_S' has det
+    D <a_b, A_S^-1 e_j> = D p_b / p_f_j, exact as u_j is -|D| A_S^-1 e_j over
+    the gcd of that column, and moving a_b to its sorted place |pos - j| rows
+    away multiplies it by (-1)^|pos - j|.
     """
-    u, pb, ab = edges[j], p[b], P.normals[b]
-    cols = []
-    for k, uk in enumerate(edges):
+    u, p, pb = edges[j], pairs[j], pairs[j][b]
+    cols, cpairs = [], []
+    for k, (uk, pk) in enumerate(zip(edges, pairs)):
         if k != j:
-            r = dot(uk, ab)
-            cols.append(primitive([pb * x - r * y for x, y in zip(uk, u)]))
+            r = pk[b]
+            if r:  # else w_k = u_k with the same pairings, as u_k is primitive and p_b > 0
+                w = [pb * x - r * y for x, y in zip(uk, u)]
+                g = gcd(*w)
+                uk, pk = tuple(x // g for x in w), [(pb * x - r * y) // g for x, y in zip(pk, p)]
+            cols.append(uk)
+            cpairs.append(pk)
     pos = sum(1 for k, f in enumerate(key) if k != j and f < b)
     cols.insert(pos, tuple(-x for x in u))
-    return tuple(cols), D * pb // p[key[j]] * (-1) ** abs(pos - j)
+    cpairs.insert(pos, [-x for x in p])
+    return (tuple(cols), D * pb // p[key[j]] * (-1) ** abs(pos - j)), cpairs
 
 
 def _kernel_edges(P: HPolytope, key: tuple[int, ...]) -> tuple[IntVec, ...]:
@@ -423,16 +436,16 @@ def validate_delzant(P: HPolytope) -> DelzantReport:
 
     A simple vertex is smooth iff its edge matrix has |det| = 1.  The walk
     already gave D = det A_S of the active normals, by a pivot or a Hermite
-    form, with the edges (`_vertex_edges`): when
-    |D| = 1 the edge matrix is exactly -A_S^-1, of determinant (-1)^n D, and
-    only when |D| != 1 is the determinant of the edges computed.
+    form, with the edges (`enumerate_vertices`): when |D| = 1 the edge matrix
+    is exactly -A_S^-1, of determinant (-1)^n D, and only when |D| != 1 is
+    the determinant of the edges computed.
     """
     verdicts = []
     for v, active in enumerate_vertices(P):
         if len(active) != P.n:
             verdicts.append(VertexVerdict(v, False, None, False))
             continue
-        edges, D = _vertex_edges(P, tuple(sorted(active)))
+        edges, D = P._edges[tuple(sorted(active))]
         det = (-1) ** P.n * D if abs(D) == 1 else int_det(edges)
         verdicts.append(VertexVerdict(v, True, det, abs(det) == 1))
     return DelzantReport(all(v.smooth for v in verdicts), tuple(verdicts))
@@ -470,6 +483,8 @@ def validate_quasitoric(P: HPolytope, facet_vectors: Sequence[Sequence[int]],
 
 def minimal_face(P: HPolytope, r: Sequence[Fraction]) -> Face:
     """The face containing r in its relative interior: its active set is the facets tight at r."""
+    if len(r) != P.n:
+        raise PolytopeError(f"r has length {len(r)}, the polytope has dimension {P.n}")
     r = tuple(Fraction(x) for x in r)
     slacks = [lam - dot(r, a) for a, lam in zip(P.normals, P.offsets)]
     if any(s < 0 for s in slacks):

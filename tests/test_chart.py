@@ -84,6 +84,14 @@ class TestMakeChart:
         with pytest.raises(PolytopeError, match=re.escape("point (4, 0) outside the polytope")):
             make_chart(cp2, (F(4), F(0)))
 
+    def test_wrong_length_rejected(self, cp2):
+        # named as points_equivalent names a point of the wrong length, not by the
+        # pairing helper that would fail on it; nothing is kept on P
+        for o in ((F(0),), (0, 0, 0)):
+            with pytest.raises(PolytopeError, match=f"^r has length {len(o)}, the polytope has dimension 2$"):
+                make_chart(cp2, o)
+            assert tuple(o) not in cp2._charts
+
     def test_non_simple_vertex_rejected(self):
         # |x| + |y| + |z| <= 1: four facets meet at every vertex
         octahedron = HPolytope(3, list(itertools.product((1, -1), repeat=3)), [1] * 8)

@@ -7,6 +7,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toriclift import catalog, exactmath, polytope
 from toriclift.chart import make_chart
@@ -237,18 +239,19 @@ def product(factors):
     return n, normals, offsets
 
 
+def ladder_product(rng, codes):
+    """(n, normals, offsets) of one ladder rung's product, each factor scaled and moved."""
+    factors = []
+    for fn, fo in [ladder_factor(rng, c) for c in codes]:
+        scale = F(rng.randint(7, 29), 6)
+        shift = [F(rng.randint(-50, 50), 7) for _ in fn[0]]
+        factors.append((fn, [scale * lam + dot(a, shift) for a, lam in zip(fn, fo)]))
+    return product(factors)
+
+
 def ladder_products(seed):
     rng = random.Random(seed)
-    out = []
-    for codes in LADDER:
-        for _ in range(4 if codes == LADDER[-1] else 3):
-            factors = []
-            for fn, fo in [ladder_factor(rng, c) for c in codes]:
-                scale = F(rng.randint(7, 29), 6)
-                shift = [F(rng.randint(-50, 50), 7) for _ in fn[0]]
-                factors.append((fn, [scale * lam + dot(a, shift) for a, lam in zip(fn, fo)]))
-            out.append(product(factors))
-    return out
+    return [ladder_product(rng, codes) for codes in LADDER for _ in range(4 if codes == LADDER[-1] else 3)]
 
 
 def awkward_translate(rng, n, normals, offsets):
@@ -435,18 +438,29 @@ class TestEdgeWalk:
         # P8 x P8: V = 64 vertices, each simple with n = 4 edges, so E = 128.
         # An edge is known by the facets it lies in and is walked once, from
         # the end reached first, so the walk makes one ratio test per edge,
-        # each pairing the edge with every normal, where walking each edge
-        # from both ends would make 2E.  Only the walk's edge pairings are
-        # counted: the first normal paired with an edge tuple the walk kept.  The
-        # dual simplex pairs the normals with its integer point, a list, and the
-        # pivot pairs each edge with the blocking normal edge first.
-        calls = []
+        # where walking each edge from both ends would make 2E.  Every vertex
+        # but the start is reached first from a simple vertex along an edge one
+        # facet blocks, so 63 pivots give the other vertices their edges and
+        # carry those edges' pairings with the normals: the walk pairs an edge
+        # with the normals by products only for the start vertex's n = 4 edges,
+        # d = 16 products each.  Counted: every product of a normal with an edge
+        # tuple the walk kept (the dual simplex pairs the normals with its
+        # integer point, a list).
+        calls, ratio_tests, pivots = [], [], []
         monkeypatch.setattr(polytope, "dot", lambda a, b: calls.append((a, b)) or exactmath.dot(a, b))
+        blocking, pivot = polytope._blocking, polytope._pivot_edges
+        monkeypatch.setattr(polytope, "_blocking", lambda S, p: ratio_tests.append(p) or blocking(S, p))
+        monkeypatch.setattr(polytope, "_pivot_edges", lambda *a: pivots.append(a) or pivot(*a))
         P = HPolytope(*product([OCTAGON, OCTAGON]))
         assert len(enumerate_vertices(P)) == 64
         edges = {u for us, _ in P._edges.values() for u in us}
-        ratio_tests = [u for a, u in calls if a is P.normals[0] and type(u) is tuple and u in edges]
-        assert len(ratio_tests) == 128
+        paired = [(a, u) for a, u in calls
+                  if type(u) is tuple and u in edges and any(a is x for x in P.normals)]
+        _, S, _ = polytope._start_vertex(P)
+        start_edges, _ = P._edges[tuple(i for i, s in enumerate(S) if s == 0)]
+        assert len(start_edges) == 4
+        assert paired == [(a, u) for u in start_edges for a in P.normals]
+        assert len(ratio_tests) == 128 and len(pivots) == 63
 
 
 class TestFaceLattice:
@@ -570,6 +584,22 @@ class TestEdgeVectors:
         assert sorted(edge_vectors_at_vertex(P, active_at(P, (0, 0, 1)))) == [
             (-1, -1, -1), (-1, 1, -1), (1, -1, -1), (1, 1, -1)]
 
+    @pytest.mark.parametrize("make,facets", [
+        (lambda: catalog.cp2(3), {0}), (lambda: catalog.cp2(3), {0, 1, 2}),
+        (lambda: catalog.cp2(3), ()), (lambda: catalog.cp2(3), [0, 7]),
+        (octahedron, {0, 1, 2}), (square_pyramid, {1, 2, 3}),
+    ], ids=["cp2-facet", "cp2-all", "cp2-empty", "cp2-no-facet", "octahedron-three", "pyramid-three"])
+    def test_not_a_vertex_rejected(self, make, facets):
+        # a set that is no vertex's active set is named in the error, and the
+        # memo keeps exactly the vertices' sorted active sets
+        P = make()
+        keys = {tuple(sorted(act)) for _, act in enumerate_vertices(P)}
+        assert set(P._edges) == keys
+        with pytest.raises(PolytopeError, match=re.escape(
+                f"facets {sorted(facets)} are not the active set of a vertex")):
+            edge_vectors_at_vertex(P, facets)
+        assert set(P._edges) == keys
+
     def test_columns_follow_sorted_facet_order(self, cp2):
         # any iterable of the active facets gives the columns in facet order
         assert edge_vectors_at_vertex(cp2, [2, 1]) == edge_vectors_at_vertex(cp2, frozenset({1, 2}))
@@ -645,6 +675,16 @@ def assert_edges_match_kernels(P):
             assert verdict.det == int_det(edges) and verdict.smooth == (abs(verdict.det) == 1)
 
 
+# the catalog, a det-3 corner, and the octahedron and square pyramid with their
+# non-simple vertices
+CATALOG_AND_NON_SIMPLE = pytest.mark.parametrize("make", [
+    catalog.unit_square, catalog.hirzebruch, catalog.non_delzant_triangle,
+    lambda: catalog.cp2(3), catalog.cp3, lambda: catalog.box([2, 1, F(3, 2)]),
+    lambda: HPolytope(2, ((1, 2), (2, 1), (-1, 0), (0, -1)), (F(1), F(1), F(0), F(0))),
+    octahedron, square_pyramid,
+], ids=["square", "hirzebruch", "bad-triangle", "cp2", "cp3", "box3", "det-3", "octahedron", "pyramid"])
+
+
 class TestOneHermiteForm:
     """Simple-vertex edges and determinants, pivoted or from one Hermite form, against a
     kernel per facet."""
@@ -658,12 +698,7 @@ class TestOneHermiteForm:
             dets.add(abs(int_det(P.normals[:P.n])))
         assert {1, 2, 3} <= dets and max(dets) > 3, sorted(dets)
 
-    @pytest.mark.parametrize("make", [
-        catalog.unit_square, catalog.hirzebruch, catalog.non_delzant_triangle,
-        lambda: catalog.cp2(3), catalog.cp3, lambda: catalog.box([2, 1, F(3, 2)]),
-        lambda: HPolytope(2, ((1, 2), (2, 1), (-1, 0), (0, -1)), (F(1), F(1), F(0), F(0))),
-        octahedron, square_pyramid,
-    ], ids=["square", "hirzebruch", "bad-triangle", "cp2", "cp3", "box3", "det-3", "octahedron", "pyramid"])
+    @CATALOG_AND_NON_SIMPLE
     def test_catalog(self, make):
         # the octahedron's vertices and the pyramid's apex are not simple: they keep
         # a kernel per subset, while the pyramid's base corners are simple
@@ -801,6 +836,63 @@ class TestPivotedEdges:
         assert len(made) == 1 and pivoted == len(P._edges) - 1
 
 
+def build_with_pivots(n, normals, offsets):
+    """Construct P, recording what `_pivot_edges` returned; returns (P, those results)."""
+    made, orig = [], polytope._pivot_edges
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "_pivot_edges", lambda *a: made.append(orig(*a)) or made[-1])
+        P = HPolytope(n, normals, offsets)
+    return P, made
+
+
+def assert_carried_pairings_and_face_order(P, made):
+    """Each pairing vector a pivot returned is that of its edge with every normal, by
+    products, and the faces are kept in the order face_lattice sorted them in before."""
+    for (edges, _), pairs in made:
+        assert pairs == [[dot(a, w) for a in P.normals] for w in edges]
+    assert face_lattice(P) == sorted(polytope._faces(P).values(), key=lambda f: (f.dim, sorted(f.active)))
+
+
+class TestCarriedPairings:
+    """The pairings a pivot carries to the next vertex, and the order the faces are
+    kept in, against products with every normal and a sort."""
+
+    @CATALOG_AND_NON_SIMPLE
+    def test_catalog(self, make):
+        P = make()
+        P, made = build_with_pivots(P.n, P.normals, P.offsets)
+        assert_carried_pairings_and_face_order(P, made)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(LADDER), st.integers(0, 2 ** 32), st.integers(0, 2))
+    @example(("T", "P4"), 0, 0)
+    @example(("T", "P4", "I"), 1, 2)
+    @example(("P5", "P4", "I"), 2, 1)
+    def test_ladder_products(self, codes, seed, through):
+        # `through` facets added through as many vertices make those vertices
+        # non-simple; the T rungs have a vertex with |det A_S| = 2
+        rng = random.Random(seed)
+        n, normals, offsets = ladder_product(rng, codes)
+        if through:
+            n, normals, offsets = through_vertices(rng, HPolytope(n, normals, offsets), through)
+        P, made = build_with_pivots(n, normals, offsets)
+        assert_carried_pairings_and_face_order(P, made)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_non_simple_ladder_products(self, seed):
+        # vertices made non-simple among simple ones: the pivots that remain carry
+        # the pairings, and the faces, each with a rank, are kept in lattice order
+        rng = random.Random(seed)
+        pivoted = non_simple = 0
+        for codes in LADDER:
+            n, normals, offsets = through_vertices(rng, HPolytope(*ladder_product(rng, codes)), 2)
+            P, made = build_with_pivots(n, normals, offsets)
+            assert_carried_pairings_and_face_order(P, made)
+            pivoted += len(made)
+            non_simple += not P._simple
+        assert pivoted > 50 and non_simple > 5, (pivoted, non_simple)
+
+
 class TestDelzant:
     def test_catalog_passes(self, cp2, square, hirzebruch):
         for P in (cp2, square, hirzebruch, catalog.cp3()):
@@ -858,6 +950,12 @@ class TestQuasitoric:
 
 
 class TestMinimalFace:
+    def test_wrong_length_rejected(self, cp2):
+        # the message points_equivalent gives, not the pairing helper's
+        for r in ((F(1),), (0, 0, 0)):
+            with pytest.raises(PolytopeError, match=f"^r has length {len(r)}, the polytope has dimension 2$"):
+                minimal_face(cp2, r)
+
     def test_interior(self, cp2):
         f = minimal_face(cp2, (F(1), F(1)))
         assert f.active == frozenset() and f.dim == 2
