@@ -13,6 +13,7 @@ exact verdicts; `inconclusive` is always an acceptable probe outcome.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -82,8 +83,8 @@ def pullback_density(graph: CurveGraph, tau: float, t: float = 0.37) -> tuple[fl
     like sqrt(tau) at the tip.  Exact side from the moment-coordinate
     identity.
     """
-    if not tau > 0:
-        raise SamplerError(f"pullback density needs tau > 0, got {tau}")
+    if not 0 < tau < np.inf:
+        raise SamplerError(f"pullback density needs a finite tau > 0, got {tau}")
     h, ht = 1e-3 * tau, 1e-3
     p = _surface(graph, tau + h * _STENCIL, t + ht * _STENCIL)
     fx = _WEIGHTS @ p[:, 2] / h
@@ -109,9 +110,8 @@ MIN_POINTS = 30
 PROBE_TAU = 0.125  # probe window tau <= PROBE_TAU * min(b - a, 1): r_1 <= 1/2 when x_p = tau
 
 
-def _plane_residual(pts: np.ndarray, vertex: np.ndarray) -> float:
-    """Normalized out-of-plane spread of pts for the best 2-plane through vertex."""
-    centered = pts - vertex[None, :]
+def _plane_residual(centered: np.ndarray) -> float:
+    """Normalized out-of-plane spread of vertex-relative points about the best 2-plane."""
     sv = np.linalg.svd(centered, compute_uv=False)
     total = float(np.sqrt(np.sum(sv**2)))
     if total == 0.0:
@@ -125,8 +125,11 @@ def smoothness_probe(graph: CurveGraph, nx: int = 400, nt: int = 48) -> ProbeRes
     Compares the normalized out-of-plane residual at two scales eps and
     eps/2: a smooth (C^1) surface flattens at a definite rate, a cone is
     scale-invariant.  The tau grid is quadratic so that the radius r_1,
-    which grows like sqrt(tau), is spread evenly near the tip.
+    which grows like sqrt(tau), is spread evenly near the tip.  The grid
+    is centered on the tip once; both scales select rows of that array.
     """
+    if nx < 1 or nt < 1:
+        raise SamplerError("empty grid")
     tau_cap = PROBE_TAU * min(float(graph.x1_max), 1.0)
     tau = np.concatenate(([0.0], tau_cap * np.linspace(1.0 / nx, 1.0, nx) ** 2))
     t = np.linspace(0.0, 2.0 * np.pi, nt, endpoint=False)
@@ -134,18 +137,17 @@ def smoothness_probe(graph: CurveGraph, nx: int = 400, nt: int = 48) -> ProbeRes
         grid = _surface(graph, tau, t)
     except SamplerError:
         return ProbeResult("inconclusive", float("nan"), float("nan"), float("nan"))
-    vertex = grid[0, 0]
-    pts = grid[1:].reshape(-1, 2 * graph.n)
-    dist = np.linalg.norm(pts - vertex[None, :], axis=1)
+    centered = grid[1:].reshape(-1, 2 * graph.n) - grid[0, 0]
+    dist = np.sqrt(sum(c * c for c in centered.T))
     # small enough that curvature of a smooth sheet stays under the
     # planar threshold, large enough to keep the point count up
     eps = 0.15 * float(np.max(dist))
     res = []
     for scale in (eps, eps / 2):
-        sel = pts[(dist > 0) & (dist <= scale)]
+        sel = centered[(dist > 0) & (dist <= scale)]
         if len(sel) < MIN_POINTS:
             return ProbeResult("inconclusive", float("nan"), float("nan"), float("nan"))
-        res.append(_plane_residual(sel, vertex))
+        res.append(_plane_residual(sel))
     coarse, fine = res
     ratio = fine / coarse if coarse > 0 else 0.0
     if fine <= 1e-9 or (ratio <= PLANAR_RATIO and coarse < PLANAR_RESIDUAL):
@@ -161,13 +163,24 @@ def smoothness_probe(graph: CurveGraph, nx: int = 400, nt: int = 48) -> ProbeRes
 # mesh export
 
 
+@functools.lru_cache(maxsize=1)
+def _obj_faces(nx: int, nt: int) -> str:
+    """The OBJ quad faces of an nx x nt grid, wrapping around in t; 1-based indices."""
+    idx = np.arange(1, nx * nt + 1).reshape(nx, nt)
+    nxt = np.roll(idx, -1, axis=1)
+    quads = np.stack([idx[:-1], nxt[:-1], nxt[1:], idx[1:]], axis=-1).ravel().tolist()
+    return "f %d %d %d %d\n" * ((nx - 1) * nt) % tuple(quads)
+
+
 def export_mesh(sample: SurfaceSample, fmt: str, path,
                 project: Sequence[int] = (0, 1, 2)) -> None:
     """Write the sample as CSV rows or as an OBJ mesh projected to 3 coords.
 
     Each block of lines is formatted in one pass over the grid's float
-    list and written at once.  Output is byte-deterministic for identical
-    inputs.
+    list and written at once; the OBJ face block depends only on the grid
+    shape, and the last shape's block is kept for the next export.  An
+    OBJ mesh needs nt >= 3, so that each quad has four distinct corners.
+    Output is byte-deterministic for identical inputs.
     """
     nx, nt = sample.grid_shape
     if nx == 0 or nt == 0:
@@ -182,13 +195,10 @@ def export_mesh(sample: SurfaceSample, fmt: str, path,
     elif fmt == "obj":
         if any(i < 0 or i >= dim for i in project) or len(project) != 3:
             raise SamplerError(f"projection {project} out of range for dimension {dim}")
+        if nt < 3:
+            raise SamplerError(f"OBJ export needs nt >= 3, got nt = {nt}")
         verts = sample.points[:, :, list(project)].ravel().tolist()
-        # quad faces with wraparound in t; 1-based OBJ indices
-        idx = np.arange(1, nx * nt + 1).reshape(nx, nt)
-        nxt = np.roll(idx, -1, axis=1)
-        quads = np.stack([idx[:-1], nxt[:-1], nxt[1:], idx[1:]], axis=-1).ravel().tolist()
-        blocks = ["v %.17g %.17g %.17g\n" * (nx * nt) % tuple(verts),
-                  "f %d %d %d %d\n" * ((nx - 1) * nt) % tuple(quads)]
+        blocks = ["v %.17g %.17g %.17g\n" * (nx * nt) % tuple(verts), _obj_faces(nx, nt)]
     else:
         raise SamplerError(f"unknown mesh format {fmt!r}")
     with open(path, "w", newline="") as fh:

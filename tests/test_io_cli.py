@@ -290,6 +290,16 @@ class TestCli:
                      "--nx", "3", "--nt", "4", "--out", str(out)]) == 0
         assert out.read_text().startswith("v ")
 
+    @pytest.mark.parametrize("nt", ["1", "2"])
+    def test_sample_obj_short_t_circle_usage_error(self, cp2_file, diag_curve_file, tmp_path, capsys, nt):
+        out = tmp_path / "o.obj"
+        assert main(["sample", cp2_file, diag_curve_file, "--nt", nt, "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", f"error: OBJ export needs nt >= 3, got nt = {nt}\n")
+        assert not out.exists()
+        # CSV takes any grid
+        assert main(["sample", cp2_file, diag_curve_file, "--nx", "3", "--nt", nt,
+                     "--out", str(tmp_path / "o.csv")]) == 0
+
     def test_endpoint_errors_exit_codes(self, cp2_file, tmp_path, capsys):
         def curve(name, **fields):
             return write_json(tmp_path, name, dict(TestCurveFiles.GOOD, **fields))

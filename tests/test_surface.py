@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from toriclift import catalog, surface
 from toriclift.chart import CircleEmbedding
 from toriclift.criterion import build_graph
 from toriclift.exactmath import poly_eval
 from toriclift.surface import (
+    ProbeResult,
     SamplerError,
     SurfaceSample,
     export_mesh,
@@ -42,6 +44,13 @@ def cone_graph(cp2):
 def paraboloid_graph(cp2):
     gamma = [poly(0, 1), poly(0, 0, 1)]
     return build_graph(cp2, gamma, (F(0), F(1)), 0, CircleEmbedding((1, 0)))
+
+
+@pytest.fixture(scope="module")
+def space_graph():
+    # n = 3: (s, s^2, s + s^2) in CP^3 with K = (1, 0, 1)
+    gamma = [poly(0, 1), poly(0, 0, 1), poly(0, 1, 1)]
+    return build_graph(catalog.cp3(), gamma, (F(0), F(1, 4)), 0, CircleEmbedding((1, 0, 1)))
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +199,45 @@ class TestPullbackDensity:
         with pytest.raises(SamplerError):
             pullback_density(disc_graph, 0.0)
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_needs_finite_tau(self, disc_graph, tau):
+        with pytest.raises(SamplerError, match=f"needs a finite tau > 0, got {tau}"):
+            pullback_density(disc_graph, tau)
+
+
+def norm_probe(graph, nx=400, nt=48):
+    """smoothness_probe as first written: distances by np.linalg.norm, and the
+    vertex subtracted again from each selection.  The oracle for the probe."""
+    tau_cap = surface.PROBE_TAU * min(float(graph.x1_max), 1.0)
+    tau = np.concatenate(([0.0], tau_cap * np.linspace(1.0 / nx, 1.0, nx) ** 2))
+    t = np.linspace(0.0, 2.0 * np.pi, nt, endpoint=False)
+    nan = ProbeResult("inconclusive", math.nan, math.nan, math.nan)
+    try:
+        grid = surface._surface(graph, tau, t)
+    except SamplerError:
+        return nan
+    vertex = grid[0, 0]
+    pts = grid[1:].reshape(-1, 2 * graph.n)
+    dist = np.linalg.norm(pts - vertex[None, :], axis=1)
+    eps = 0.15 * float(np.max(dist))
+    res = []
+    for scale in (eps, eps / 2):
+        sel = pts[(dist > 0) & (dist <= scale)]
+        if len(sel) < surface.MIN_POINTS:
+            return nan
+        sv = np.linalg.svd(sel - vertex[None, :], compute_uv=False)
+        total = float(np.sqrt(np.sum(sv**2)))
+        res.append(0.0 if total == 0.0 else float(np.sqrt(np.sum(sv[2:] ** 2))) / total)
+    coarse, fine = res
+    ratio = fine / coarse if coarse > 0 else 0.0
+    if fine <= 1e-9 or (ratio <= surface.PLANAR_RATIO and coarse < surface.PLANAR_RESIDUAL):
+        kind = "planar"
+    elif coarse > surface.CONE_RESIDUAL and ratio >= surface.CONE_RATIO:
+        kind = "conelike"
+    else:
+        kind = "inconclusive"
+    return ProbeResult(kind, coarse, fine, ratio)
+
 
 class TestSmoothnessProbe:
     def test_disc_planar(self, disc_graph):
@@ -207,6 +255,28 @@ class TestSmoothnessProbe:
 
     def test_too_few_points_inconclusive(self, disc_graph):
         assert smoothness_probe(disc_graph, nx=3, nt=2).kind == "inconclusive"
+
+    @pytest.mark.parametrize("nx,nt", [(0, 48), (400, 0), (0, 0)])
+    def test_empty_grid_rejected(self, disc_graph, nx, nt):
+        with pytest.raises(SamplerError, match="empty grid"):
+            smoothness_probe(disc_graph, nx=nx, nt=nt)
+
+    @pytest.mark.parametrize("name", ["disc", "cone", "paraboloid", "space"])
+    @pytest.mark.parametrize("nx,nt", [(400, 48), (60, 7), (3, 2)])
+    def test_matches_norm_probe_bit_for_bit(self, request, name, nx, nt):
+        graph = request.getfixturevalue(f"{name}_graph")
+        got, want = smoothness_probe(graph, nx, nt), norm_probe(graph, nx, nt)
+        assert got.kind == want.kind
+        assert [float(v).hex() for v in got[1:]] == [float(v).hex() for v in want[1:]]
+
+
+def numpy_faces(nx, nt):
+    """The OBJ face block built from numpy index arrays on every export:
+    the oracle for the face block kept per grid shape."""
+    idx = np.arange(1, nx * nt + 1).reshape(nx, nt)
+    nxt = np.roll(idx, -1, axis=1)
+    quads = np.stack([idx[:-1], nxt[:-1], nxt[1:], idx[1:]], axis=-1).reshape(-1, 4)
+    return "".join("f %d %d %d %d\n" % tuple(q) for q in quads.tolist())
 
 
 class TestExport:
@@ -243,19 +313,40 @@ class TestExport:
         assert (tmp_path / "p.obj").read_bytes() == (GOLDEN_OBJ_VERTICES_PROJECTED + GOLDEN_OBJ_FACES).encode()
 
     @pytest.mark.parametrize("nx,nt,faces", [
-        (1, 1, ""),
         (1, 3, ""),
-        (2, 1, "f 1 1 2 2\n"),
-        (3, 2, "f 1 2 4 3\nf 2 1 3 4\nf 3 4 6 5\nf 4 3 5 6\n"),
+        (2, 3, "f 1 2 5 4\nf 2 3 6 5\nf 3 1 4 6\n"),
     ])
     def test_degenerate_grid_faces(self, tmp_path, nx, nt, faces):
-        # one t column wraps onto itself and one tau row has no faces, as before
+        # one tau row has no faces, as before
         s = golden_sample()
         s = SurfaceSample(s.tau[:nx], s.t[:nt], s.points[:nx, :nt])
         export_mesh(s, "obj", tmp_path / "d.obj")
         lines = (tmp_path / "d.obj").read_text().splitlines(keepends=True)
         assert sum(1 for l in lines if l.startswith("v ")) == nx * nt
         assert "".join(l for l in lines if l.startswith("f ")) == faces
+
+    @pytest.mark.parametrize("nx,nt", [(1, 1), (2, 1), (3, 2)])
+    def test_obj_needs_three_t_samples(self, tmp_path, nx, nt):
+        # with nt < 3 a quad has fewer than four distinct corners; CSV takes any grid
+        s = golden_sample()
+        s = SurfaceSample(s.tau[:nx], s.t[:nt], s.points[:nx, :nt])
+        with pytest.raises(SamplerError, match=f"OBJ export needs nt >= 3, got nt = {nt}$"):
+            export_mesh(s, "obj", tmp_path / "d.obj")
+        assert not (tmp_path / "d.obj").exists()
+        export_mesh(s, "csv", tmp_path / "d.csv")
+        assert len((tmp_path / "d.csv").read_text().splitlines()) == 1 + nx * nt
+
+    def test_obj_matches_numpy_faces(self, tmp_path):
+        # each shape twice, interleaved with the others, so the kept block is
+        # replaced between exports of the same shape
+        shapes = [(1, 3), (2, 3), (3, 4), (5, 7), (48, 64)]
+        rng = np.random.default_rng(7)
+        for nx, nt in shapes + shapes[::-1] + shapes:
+            pts = rng.standard_normal((nx, nt, 4))
+            s = SurfaceSample(np.linspace(0.0, 1.0, nx), np.linspace(0.0, 6.0, nt), pts)
+            export_mesh(s, "obj", tmp_path / "m.obj", project=(1, 3, 0))
+            verts = "".join("v %.17g %.17g %.17g\n" % tuple(p) for p in pts[:, :, [1, 3, 0]].reshape(-1, 3))
+            assert (tmp_path / "m.obj").read_bytes() == (verts + numpy_faces(nx, nt)).encode()
 
     def test_bad_projection_rejected(self, disc_graph, tmp_path):
         s = sample_surface(disc_graph, 3, 3)
