@@ -13,15 +13,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactmath import IntVec, dot, int_det, primitive
-from .polytope import HPolytope, Point, PolytopeError, edge_vectors_at_vertex, format_point, minimal_face
+from .exactmath import IntVec, dot, int_det, is_int, primitive
+from .polytope import HPolytope, Point, PolytopeError, format_point, minimal_face
 
 
 class CircleEmbedding:
     """Circle direction in the torus Lie-algebra lattice, stored primitive as K."""
 
     def __init__(self, K: Sequence[int]):
-        k = tuple(int(x) for x in K)
+        k = tuple(K)
+        bad = next((x for x in k if not is_int(x)), None)
+        if bad is not None:
+            raise ValueError(f"circle direction {k}: expected integers, got {bad!r}")
         if not any(k):
             raise ValueError("circle direction must be nonzero (effective action)")
         self.K: IntVec = primitive(k)
@@ -49,7 +52,9 @@ class VertexChart(NamedTuple):
 def make_chart(P: HPolytope, o: Sequence[Fraction]) -> VertexChart:
     """Chart at a simple Delzant vertex; rejects any other point and |det U| != 1.
 
-    The edge basis U is checked unimodular; its inverse is then the
+    The edge basis U is the walk's record for the vertex, unimodular exactly
+    when D = det A_S of the active normals is +-1, so no determinant is
+    taken unless the vertex is rejected; the inverse of U is then the
     negated active normals, so chart coordinates are the facet slacks.
     Charts are kept on P, one per vertex; a rejected vertex is not kept.
     The memo is read before `o` is made Fractions: an int hashes and
@@ -63,11 +68,11 @@ def make_chart(P: HPolytope, o: Sequence[Fraction]) -> VertexChart:
             raise PolytopeError(f"point {format_point(o)} is not a vertex")
         if len(F.active) != P.n:
             raise PolytopeError(f"vertex {format_point(o)} is not simple: {len(F.active)} active facets")
-        cols = edge_vectors_at_vertex(P, F.active)
-        det = int_det(cols)
-        if abs(det) != 1:
-            raise PolytopeError(f"vertex {format_point(o)} is not Delzant: |det U| = {abs(det)}")
-        chart = P._charts[o] = VertexChart(P, o, tuple(cols), tuple(sorted(F.active)))
+        active = tuple(sorted(F.active))
+        cols, D = P._edges[active]
+        if abs(D) != 1:
+            raise PolytopeError(f"vertex {format_point(o)} is not Delzant: |det U| = {abs(int_det(cols))}")
+        chart = P._charts[o] = VertexChart(P, o, cols, active)
     return chart
 
 

@@ -33,6 +33,7 @@ from .exactmath import (
     _compose_int,
     _eval_int,
     _integer_polys,
+    is_rational,
     isolate_root,
     poly_deriv,
     poly_trim,
@@ -132,6 +133,15 @@ def _check_coefficients(gamma: Curve) -> None:
                                  f"expected an int or a Fraction, got {c!r}")
 
 
+def _check_interval(interval: Interval, caller: str) -> None:
+    """Raise ValueError unless both ends are ints or Fractions and the first is the smaller."""
+    for k, x in enumerate(interval):
+        if not is_rational(x):
+            raise ValueError(f"{caller}: interval end {k}: expected an int or a Fraction, got {x!r}")
+    if not interval[0] < interval[1]:
+        raise ValueError(f"{caller}: empty parameter interval")
+
+
 def _slacks(P: HPolytope, gamma: Curve) -> tuple[int, list[list[int]], list[list[int]]]:
     """(D, G, S): G = D*gamma and S[i] = D*(lambda_i - <a_i, gamma(s)>) for every facet i.
 
@@ -159,8 +169,7 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     """
     if endpoint not in (0, 1):
         raise ValueError(f"build_graph: endpoint must be 0 or 1, got {endpoint!r}")
-    if not interval[0] < interval[1]:
-        raise ValueError("build_graph: empty parameter interval")
+    _check_interval(interval, "build_graph")
     _check_dimensions(P, gamma, circle, (chart_vertex,))
     return _graph(P, *_slacks(P, gamma), interval, endpoint, circle, chart_vertex)
 
@@ -370,8 +379,7 @@ def check_lift(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmb
                chart_vertices: tuple[Optional[Sequence[Fraction]], Optional[Sequence[Fraction]]] = (None, None)
                ) -> LiftVerdict:
     """Full criterion: containment, transversality, both endpoint analyses."""
-    if not interval[0] < interval[1]:
-        raise ValueError("check_lift: empty parameter interval")
+    _check_interval(interval, "check_lift")
     _check_dimensions(P, gamma, circle, chart_vertices)
     D, G, S = _slacks(P, gamma)  # G = D*gamma is transversal exactly where gamma is
     reports = [_interior(S, interval), check_transversality(G, circle, interval)]

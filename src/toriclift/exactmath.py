@@ -27,6 +27,16 @@ IntMatrix = list[list[int]]
 # integer vectors
 
 
+def is_int(x) -> bool:
+    """An int that is not a bool: True and False are not read as 1 and 0."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_rational(x) -> bool:
+    """An int that is not a bool, or a Fraction: the exact inputs of the library."""
+    return is_int(x) or isinstance(x, Fraction)
+
+
 def primitive(v: Sequence[int]) -> IntVec:
     """Divide an integer vector by the gcd of its entries.
 

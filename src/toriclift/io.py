@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .chart import CircleEmbedding
+from .exactmath import is_int
 from .polytope import HPolytope
 
 RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -19,11 +20,6 @@ RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 class FormatError(ValueError):
     """Schema violation or non-rational literal in an input file."""
-
-
-def _is_int(x) -> bool:
-    """A JSON integer: true and false are bools, not 1 and 0."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _read_json(path):
@@ -36,7 +32,7 @@ def _read_json(path):
 
 
 def parse_rational(s, field: str = "value") -> Fraction:
-    if _is_int(s):
+    if is_int(s):
         return Fraction(s)
     if not isinstance(s, str) or not RATIONAL_RE.match(s.strip()):
         raise FormatError(
@@ -59,7 +55,7 @@ def polytope_from_dict(d: dict) -> HPolytope:
         n, facets = d["n"], d["facets"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"polytope: missing or malformed field ({exc})") from exc
-    if not _is_int(n):
+    if not is_int(n):
         raise FormatError(f"n: expected an integer, got {n!r}")
     if n < 1:
         raise FormatError(f"n: the dimension must be at least 1, got {n}")
@@ -70,7 +66,7 @@ def polytope_from_dict(d: dict) -> HPolytope:
         if not isinstance(f, dict) or "normal" not in f or "offset" not in f:
             raise FormatError(f"facets[{i}]: need 'normal' and 'offset'")
         normal = f["normal"]
-        if not isinstance(normal, list) or not all(_is_int(x) for x in normal):
+        if not isinstance(normal, list) or not all(is_int(x) for x in normal):
             raise FormatError(f"facets[{i}].normal: expected a list of integers")
         normals.append(tuple(normal))
         offsets.append(parse_rational(f["offset"], f"facets[{i}].offset"))
@@ -112,7 +108,7 @@ def curve_from_dict(d: dict) -> CurveSpec:
     b = parse_rational(domain[1], "domain[1]")
     if not a < b:
         raise FormatError("domain: start must be < end")
-    if not isinstance(circle, list) or not all(_is_int(x) for x in circle):
+    if not isinstance(circle, list) or not all(is_int(x) for x in circle):
         raise FormatError("circle: expected a list of integers")
     if not any(circle):
         raise FormatError("circle: direction must be nonzero (effective action)")
@@ -140,7 +136,7 @@ def load_facet_vectors(path) -> list[tuple[int, ...]]:
         raise FormatError("facet vectors: expected {'vectors': [[...], ...]}")
     out = []
     for i, v in enumerate(vecs):
-        if not isinstance(v, list) or not all(_is_int(x) for x in v):
+        if not isinstance(v, list) or not all(is_int(x) for x in v):
             raise FormatError(f"vectors[{i}]: expected a list of integers")
         out.append(tuple(v))
     return out

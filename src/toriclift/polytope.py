@@ -2,26 +2,23 @@
 the characteristic subtorus map, and the quotient identification rule.
 
 A polytope is {x : <x, normal_i> <= offset_i} with primitive integer
-normals and rational offsets.  Its combinatorics is read from the vertex
-active sets.  The vertices are found by walking the edge graph from one
-start vertex, which an exact dual simplex finds in integers, so the work
-grows with the number of vertices rather than with the number of
-n-subsets of facets; an edge that no facet blocks shows that P is
-unbounded.  The walk carries each vertex's point and facet slacks as
-integer vectors over one denominator, and walks each edge once, knowing
-it by the facets it lies in.  A simple vertex reached from a simple one
-along an edge that one facet blocks gets its edges, their pairings with
-every normal and their determinant by a pivot of that vertex's, as lrs
+normals and int or Fraction offsets.  Its combinatorics is read from the
+vertex active sets.  The vertices are found by walking the edge graph
+from one start vertex, which an exact dual simplex finds in integers, so
+the work grows with the number of vertices rather than with the number
+of n-subsets of facets; an edge that no facet blocks shows that P is
+unbounded.  The walk keeps one record per vertex: its edges and the
+determinant D of its active normals.  The start vertex's comes from the
+Hermite form the dual simplex took of its basis; a simple vertex reached
+from a simple one along an edge that one facet blocks pivots the record
+of the vertex left, with its edges' pairings with every normal, as lrs
 updates its dictionary (Avis, "lrs: a revised implementation of the
-reverse search vertex enumeration algorithm", 2000); only the start
-vertex and a simple vertex reached otherwise, which take one Hermite
-form of their n active normals, and a non-simple vertex, which takes a
-kernel per (n-1)-subset of its facets, pair their edges by products.
-The faces of a simple polytope are the subsets of its vertex active
-sets, a face with k facets of dimension n - k; a polytope with a
-non-simple vertex takes its faces as the intersections of vertex active
-sets and a rank for each.  Vertices, edge bases and the faces, in
-lattice order, are computed once per polytope and kept on it.
+reverse search vertex enumeration algorithm", 2000); any other vertex
+takes a kernel per (n-1)-subset of its facets.  The faces of a simple
+polytope are the subsets of its vertex active sets, a face with k facets
+of dimension n - k; a polytope with a non-simple vertex takes its faces
+as the intersections of vertex active sets and a rank for each.  Each
+is computed once per polytope and kept on it, the faces in lattice order.
 """
 
 from __future__ import annotations
@@ -39,6 +36,8 @@ from .exactmath import (
     hnf,
     int_det,
     integer_kernel_basis,
+    is_int,
+    is_rational,
     primitive,
     rank,
     saturation_index,
@@ -70,13 +69,19 @@ class HPolytope:
         if n < 1:
             raise PolytopeError(f"n: the dimension must be at least 1, got {n}")
         self.n = n
-        self.normals = tuple(tuple(int(x) for x in a) for a in normals)
-        self.offsets = tuple(Fraction(o) for o in offsets)
+        self.normals = tuple(map(tuple, normals))
+        self.offsets = tuple(offsets)
         if len(self.normals) != len(self.offsets):
             raise PolytopeError("normal/offset count mismatch")
+        for o in self.offsets:
+            if not is_rational(o):
+                raise PolytopeError(f"offset {o!r}: expected an int or a Fraction")
+        self.offsets = tuple(map(Fraction, self.offsets))
         for a in self.normals:
             if len(a) != n:
                 raise PolytopeError("normal of wrong dimension")
+            if not all(map(is_int, a)):
+                raise PolytopeError(f"facet normal {a}: expected integers")
             if not any(a):
                 raise PolytopeError("zero facet normal")
             if primitive(a) != a:
@@ -126,24 +131,26 @@ class Face(NamedTuple):
     vertices: tuple[Point, ...]
 
 
-def _start_vertex(P: HPolytope) -> tuple[list[int], list[int], int]:
-    """One vertex of P as the walk's integer state (X, S, q), by the exact dual simplex
-    with Bland's rule: x = X / q, the facet slacks are S / q, q > 0 and
-    gcd(q, *S, *X) = 1.
+def _start_vertex(P: HPolytope) -> tuple[list[int], list[int], int, tuple[tuple[IntVec, ...], int]]:
+    """One vertex of P as the walk's integer state (X, S, q) and its basis's record
+    (edges, D), by the exact dual simplex with Bland's rule: x = X / q, the
+    facet slacks are S / q, q > 0 and gcd(q, *S, *X) = 1.
 
-    The pivot rows of the Hermite form of all normals are n facets B with
-    independent normals; fewer than n pivots mean the normals do not span,
-    so P is unbounded.  With c their normal sum, y = 1 on B is feasible
-    for the dual of max <c, x> over P: min <b, y> with A^T y = c, y >= 0.
-    The offsets are cleared once to integers lam over their lcm L.  Each
-    step solves A_B x = lam_B through H, U = hnf(A_B): H z = lam_B by
-    forward substitution over q = det H, whose every division is exact as
-    q H^-1 is integral, and X = U q z, signed so that q > 0; the slacks
-    q lam_i - <a_i, X> are then over q L.  When none is negative X is the
-    vertex.  Otherwise the smallest violated facet i enters: A_B^T w = a_i
-    is solved as H^T w = U^T a_i by back substitution, and the basis facet
-    minimising y_j / w_j over w_j > 0 (smallest index on ties) leaves.  No
-    w_j > 0 means the dual is unbounded, so P is empty.
+    The pivot rows of the Hermite form of all normals are n facets B, in
+    ascending order, with independent normals; fewer than n pivots mean the
+    normals do not span, so P is unbounded.  With c their normal sum, y = 1
+    on B is feasible for the dual of max <c, x> over P: min <b, y> with
+    A^T y = c, y >= 0.  The offsets are cleared once to integers lam over
+    their lcm L.  Each step takes H, U = hnf(A_B): H = A_B U, det U = +1,
+    D = det A_B is the diagonal product of H, and the integral D H^-1 comes
+    by forward substitution with exact division, so M = U D H^-1 = D A_B^-1.
+    X is sign(D) M lam_B over q = |D|, the slacks q lam_i - <a_i, X> over
+    q L.  When none is negative X is the vertex, and its edge j, relaxing
+    the j-th facet of B, is -sign(D) M_j made primitive.  Otherwise the
+    smallest violated facet i enters, w_j = <M_j, a_i> / D solves
+    A_B^T w = a_i, and the basis facet minimising y_j / w_j over w_j > 0
+    (smallest index on ties) leaves, B kept sorted with y.  No w_j > 0
+    means the dual is unbounded, so P is empty.
     """
     n = P.n
     H, _ = hnf(P.normals)
@@ -154,28 +161,30 @@ def _start_vertex(P: HPolytope) -> tuple[list[int], list[int], int]:
     y = [Fraction(1)] * n
     while True:
         H, U = hnf([P.normals[i] for i in basis])
-        q = prod(H[k][k] for k in range(n))
-        Z: list[int] = []
-        for i, row in zip(basis, H):
-            Z.append((q * lam[i] - sum(h * zj for h, zj in zip(row, Z))) // row[len(Z)])  # exact
-        if q < 0:
-            q, Z = -q, [-zj for zj in Z]
-        X = [dot(urow, Z) for urow in U]
+        D = prod(H[k][k] for k in range(n))
+        M = []
+        for j in range(n):
+            z = [0] * n  # column j of D H^-1: zero above row j, as H is lower triangular
+            z[j] = D // H[j][j]
+            for k in range(j + 1, n):
+                z[k] = -sum(H[k][i] * z[i] for i in range(j, k)) // H[k][k]  # exact
+            M.append([dot(urow, z) for urow in U])
+        sign, q = (1 if D > 0 else -1), abs(D)
+        X = [sign * sum(m[k] * lam[i] for m, i in zip(M, basis)) for k in range(n)]
         S = [q * li - dot(a, X) for a, li in zip(P.normals, lam)]
         enter = next((i for i, s in enumerate(S) if s < 0), None)
         if enter is None:
             g = gcd(q * L, *S, *X)
-            return [xk // g for xk in X], [s // g for s in S], q * L // g
-        v = [dot(ucol, P.normals[enter]) for ucol in zip(*U)]
-        w = [Fraction(0)] * n
-        for k in reversed(range(n)):
-            w[k] = Fraction(v[k] - sum(H[j][k] * w[j] for j in range(k + 1, n)), H[k][k])
+            edges = tuple(primitive([-sign * x for x in m]) for m in M)
+            return [xk // g for xk in X], [s // g for s in S], q * L // g, (edges, D)
+        w = [Fraction(dot(m, P.normals[enter]), D) for m in M]
         ratios = [(y[j] / w[j], basis[j], j) for j in range(n) if w[j] > 0]
         if not ratios:
             raise PolytopeError("empty polytope")
         theta, _, out = min(ratios)
         y = [yj - theta * wj for yj, wj in zip(y, w)]
         y[out], basis[out] = theta, enter
+        basis, y = map(list, zip(*sorted(zip(basis, y))))
 
 
 def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
@@ -186,41 +195,38 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
     algorithm for convex hulls and vertex enumeration of arrangements and
     polyhedra", DCG 1992).  Each vertex carries its point and its facet
     slacks as integer lists X and S over one denominator q > 0, x = X / q
-    and slack_i = S_i / q, the start vertex as `_start_vertex` returns it;
-    its active set is where the slacks vanish, and its edges are the
-    `edge_vectors_at_vertex` of that set.  Along an edge u, with integer
-    pairings p_i = <a_i, u>, the neighbour lies at step t = min S_i / (q p_i)
-    over p_i > 0, found by cross-multiplying (`_blocking`); an edge that no
-    facet blocks is a recession ray of an unbounded P.  At the neighbour
-    X' = X p_b + S_b u and S' = S p_b - S_b p over q' = q p_b, b a blocking
-    facet, all three divided by their gcd.  When the vertex left is simple
-    and b alone blocks, the neighbour is simple too, and its edges, their
-    pairings and its determinant are pivoted from those of the vertex left
-    (`_pivot_edges`), the pairings kept until the walk leaves it.  Any other
-    vertex's edges come from one Hermite form (`_simple_edges`) at a simple
-    vertex or a kernel per (n-1)-subset (`_kernel_edges`) when the walk
-    leaves it, and are paired with every normal then.  P keeps (edges, D) by
-    sorted active set for every vertex, D = det A_S, or None when not simple.
-    An edge is known by the facets it lies in, at a simple vertex the active
-    set less the facet it relaxes, so each edge is walked once, from the end
-    reached first; an edge walked is blocked, so no recession ray is
-    skipped.  The points are sorted on integer keys over the lcm of the q.
+    and slack_i = S_i / q; its active set is where the slacks vanish.  Along
+    an edge u, with integer pairings p_i = <a_i, u>, the neighbour lies at
+    step t = min S_i / (q p_i) over p_i > 0, found by cross-multiplying
+    (`_blocking`); an edge that no facet blocks is a recession ray of an
+    unbounded P.  At the neighbour X' = X p_b + S_b u and S' = S p_b - S_b p
+    over q' = q p_b, b a blocking facet, all three divided by their gcd.  P
+    keeps one record (edges, D) per vertex by sorted active set, D = det A_S
+    or None when not simple, filed as the walk leaves the vertex.  A simple
+    start vertex's active set is the dual simplex's basis, whose record
+    `_start_vertex` returns.  A neighbour reached from a simple vertex along
+    an edge that b alone blocks is simple; its record and its edges'
+    pairings are pivoted from the vertex left (`_pivot_edges`) and ride on
+    the walk's stack.  Any other vertex takes `_kernel_edges`.  An edge is
+    known by the facets it lies in, at a simple vertex the active set less
+    the facet it relaxes, so each edge is walked once, from the end reached
+    first; an edge walked is blocked, so no recession ray is skipped.  The
+    points are sorted on integer keys over the lcm of the q.
     """
     if P._vertices is None:
-        X, S, q = _start_vertex(P)
+        X, S, q, record = _start_vertex(P)
         active = frozenset(i for i, s in enumerate(S) if s == 0)
         found = {active: (X, q)}
         walked: set[frozenset[int]] = set()  # the facet sets of the edges walked
-        carried = {}  # sorted active set -> its edges' pairings, from the pivot that reached it
-        todo = [(active, X, S, q)]
+        # each entry carries (record, pairings) from a pivot or, at a simple start, the dual simplex
+        todo = [(active, X, S, q, (record, None) if len(active) == P.n else None)]
         while todo:
-            active, X, S, q = todo.pop()
+            active, X, S, q, reached = todo.pop()
             key = tuple(sorted(active))
             simple = len(key) == P.n
-            if key not in P._edges:
-                P._edges[key] = _simple_edges(P, key) or (_kernel_edges(P, key), None)
-            edges, D = P._edges[key]
-            pairs = carried.pop(key, None) or [[dot(a, u) for a in P.normals] for u in edges]
+            (edges, D), pairs = reached or (_kernel_edges(P, key), None)
+            P._edges[key] = edges, D
+            pairs = pairs or [[dot(a, u) for a in P.normals] for u in edges]
             for j, (u, p) in enumerate(zip(edges, pairs)):
                 # edge j lies in every active facet but the j-th at a simple vertex
                 edge = frozenset(key[:j] + key[j + 1:] if simple else (i for i in key if p[i] == 0))
@@ -241,10 +247,10 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
                     g = gcd(q * pb, *S2, *X2)
                     X2, q2 = [xk // g for xk in X2], q * pb // g
                     found[nxt] = (X2, q2)
-                    todo.append((nxt, X2, [s // g for s in S2], q2))
+                    pivot = None
                     if simple and len(blocking) == 1:  # then the neighbour is simple too
-                        nkey = tuple(sorted(nxt))
-                        P._edges[nkey], carried[nkey] = _pivot_edges(P, key, edges, D, pairs, j, b)
+                        pivot = _pivot_edges(P, key, edges, D, pairs, j, b)
+                    todo.append((nxt, X2, [s // g for s in S2], q2, pivot))
         L = lcm(*(q for _, q in found.values()))
         walk = sorted(found.items(), key=lambda item: [xk * (L // item[1][1]) for xk in item[1][0]])
         P._vertices = [(tuple(Fraction(xk, q) for xk in X), active) for active, (X, q) in walk]
@@ -310,42 +316,13 @@ def edge_vectors_at_vertex(P: HPolytope, active: Iterable[int]) -> list[IntVec]:
     a simple vertex there are n of them: column j relaxes the j-th active
     facet (sorted by facet index), pairing negatively with it and to zero
     with the others, so it is column j of -A_S^-1 made primitive.  They
-    are read from the memo the walk filled for every vertex: pivoted from
-    the vertex the walk came from, or from one Hermite form of the active
-    normals A_S, or, at a non-simple vertex, one kernel line per n - 1
-    active facets.  A set that is not a vertex's active set is an error.
+    are read from the record the walk kept for every vertex
+    (`enumerate_vertices`); a set that is no vertex's active set is an error.
     """
     key = tuple(sorted(active))
     if key not in P._edges:
         raise PolytopeError(f"facets {list(key)} are not the active set of a vertex")
     return list(P._edges[key][0])
-
-
-def _simple_edges(P: HPolytope, key: tuple[int, ...]) -> Optional[tuple[tuple[IntVec, ...], int]]:
-    """(edges, det A_S) from one Hermite form when the active normals A_S are n independent ones.
-
-    H, U = hnf(A_S) has H = A_S U lower triangular and det U = +1, so
-    D = det A_S is the diagonal product of H and -A_S^-1 = -U H^-1.  As
-    D H^-1 = adj H is integral, column j of D H^-1 is found by forward
-    substitution with exact integer division, and edge j is the primitive
-    vector along -sign(D) U times it.  None when A_S is not square or singular.
-    """
-    n = P.n
-    if len(key) != n:
-        return None
-    H, U = hnf([P.normals[f] for f in key])
-    D = prod(H[i][i] for i in range(n))
-    if D == 0:
-        return None
-    s = -1 if D > 0 else 1
-    cols = []
-    for j in range(n):
-        y = [0] * n  # column j of D H^-1: zero above row j, as H is lower triangular
-        y[j] = D // H[j][j]
-        for k in range(j + 1, n):
-            y[k] = -sum(H[k][i] * y[i] for i in range(j, k)) // H[k][k]  # exact
-        cols.append(primitive([s * dot(urow, y) for urow in U]))
-    return tuple(cols), D
 
 
 def _blocking(S: list[int], p: list[int]) -> tuple[Optional[int], list[int]]:
@@ -397,8 +374,9 @@ def _pivot_edges(P: HPolytope, key: tuple[int, ...], edges: tuple[IntVec, ...], 
     return (tuple(cols), D * pb // p[key[j]] * (-1) ** abs(pos - j)), cpairs
 
 
-def _kernel_edges(P: HPolytope, key: tuple[int, ...]) -> tuple[IntVec, ...]:
-    """The edges at a non-simple vertex: one kernel line per (n-1)-subset of rank n - 1."""
+def _kernel_edges(P: HPolytope, key: tuple[int, ...]) -> tuple[tuple[IntVec, ...], Optional[int]]:
+    """(edges, D) at a vertex that no pivot reached: one kernel line per (n-1)-subset of its
+    facets of rank n - 1, and D = det A_S when the vertex is simple, else None."""
     cols = []
     # reversed, so that the j-th subset leaves out the j-th facet, as in the order at a simple vertex
     for rest in itertools.combinations(key[::-1], P.n - 1):
@@ -413,7 +391,7 @@ def _kernel_edges(P: HPolytope, key: tuple[int, ...]) -> tuple[IntVec, ...]:
             u = tuple(-x for x in u)
         if u not in cols:
             cols.append(u)
-    return tuple(cols)
+    return tuple(cols), int_det([P.normals[f] for f in key]) if len(key) == P.n else None
 
 
 class VertexVerdict(NamedTuple):
@@ -435,9 +413,8 @@ def validate_delzant(P: HPolytope) -> DelzantReport:
     """Per-vertex simple/smooth verdicts (integer normals make P rational); pass iff all pass.
 
     A simple vertex is smooth iff its edge matrix has |det| = 1.  The walk
-    already gave D = det A_S of the active normals, by a pivot or a Hermite
-    form, with the edges (`enumerate_vertices`): when |D| = 1 the edge matrix
-    is exactly -A_S^-1, of determinant (-1)^n D, and only when |D| != 1 is
+    kept D = det A_S with the edges (`enumerate_vertices`): when |D| = 1 the
+    edge matrix is -A_S^-1, of determinant (-1)^n D; only when |D| != 1 is
     the determinant of the edges computed.
     """
     verdicts = []
@@ -465,7 +442,10 @@ def validate_quasitoric(P: HPolytope, facet_vectors: Sequence[Sequence[int]],
     """
     if len(facet_vectors) != P.d:
         raise PolytopeError("one facet vector required per facet")
-    vecs = [tuple(int(x) for x in v) for v in facet_vectors]
+    vecs = [tuple(v) for v in facet_vectors]
+    bad = [v for v in vecs if not all(map(is_int, v))]
+    if bad:
+        raise PolytopeError(f"facet vector {bad[0]}: expected integers")
     wrong = [f"facet vector {i} has length {len(v)}" for i, v in enumerate(vecs) if len(v) != P.n]
     if wrong:
         raise PolytopeError(f"the polytope has dimension {P.n}, but {' and '.join(wrong)}")

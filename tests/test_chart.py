@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import CATALOG
-from toriclift import catalog
+from toriclift import catalog, chart, exactmath
 from toriclift.chart import (
     CircleEmbedding,
     from_chart,
@@ -65,6 +65,13 @@ class TestCircleEmbedding:
     def test_sign_kept(self):
         assert CircleEmbedding((-3, 0)).K == (-1, 0)
 
+    @pytest.mark.parametrize("K,bad", [((0.5, 1), "0.5"), ((F(1), 1), "Fraction(1, 1)"), ((1, True), "True")],
+                             ids=["float", "fraction", "bool"])
+    def test_entry_not_an_int_rejected(self, K, bad):
+        # (0.5, 1) was truncated to the direction (0, 1)
+        with pytest.raises(ValueError, match=re.escape(f"circle direction {K}: expected integers, got {bad}")):
+            CircleEmbedding(K)
+
 
 class TestMakeChart:
     def test_origin_chart_is_identity(self, cp2):
@@ -113,6 +120,18 @@ class TestMakeChart:
         for _ in range(2):  # a rejected vertex is not memoised
             with pytest.raises(PolytopeError, match=re.escape("vertex (1, 0) is not Delzant: |det U| = 2")):
                 make_chart(bad_triangle, (F(1), F(0)))
+
+    def test_delzant_vertex_takes_no_determinant(self, monkeypatch):
+        # the walk's D = det A_S decides unimodularity; only a rejection words |det U|
+        calls = []
+        monkeypatch.setattr(chart, "int_det", lambda A: calls.append(A) or exactmath.int_det(A))
+        for P in (catalog.cp2(3), catalog.cp3(), catalog.hirzebruch(), catalog.box([1, 2, 3])):
+            for v, _ in enumerate_vertices(P):
+                make_chart(P, v)
+        assert calls == []
+        with pytest.raises(PolytopeError, match=re.escape("|det U| = 2")):
+            make_chart(catalog.non_delzant_triangle(), (F(1), F(0)))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("P", POLYTOPES.values(), ids=POLYTOPES)
     def test_inverse_exact_at_every_delzant_vertex(self, P):

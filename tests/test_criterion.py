@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
@@ -456,6 +457,34 @@ class TestCoefficientTypes:
     def test_names_the_coordinate(self):
         with pytest.raises(ValueError, match=r"^curve coordinate 2, coefficient of s\^0: .* got 0\.25$"):
             check_transversality([[0, 1], [0.25]], K11, (F(0), F(1)))
+
+
+class TestIntervalTypes:
+    """An interval end that is not an int or a Fraction is malformed input: a ValueError
+    naming it at both entry points, where a float reached the root search and a str
+    crashed there, and build_graph kept a float x1_max."""
+
+    BAD = pytest.mark.parametrize("interval,message", [
+        ((0.0, F(3, 2)), "interval end 0: expected an int or a Fraction, got 0.0"),
+        ((0, 1.5), "interval end 1: expected an int or a Fraction, got 1.5"),
+        ((F(0), "3/2"), "interval end 1: expected an int or a Fraction, got '3/2'"),
+        ((False, 1), "interval end 0: expected an int or a Fraction, got False"),
+    ], ids=["float-start", "float-end", "str", "bool"])
+
+    @BAD
+    def test_check_lift(self, cp2, interval, message):
+        with pytest.raises(ValueError, match=f"^check_lift: {re.escape(message)}$"):
+            check_lift(cp2, DIAG, interval, K11)
+
+    @BAD
+    def test_build_graph(self, cp2, interval, message):
+        with pytest.raises(ValueError, match=f"^build_graph: {re.escape(message)}$"):
+            build_graph(cp2, DIAG, interval, 0, K11)
+
+    def test_int_ends_read_as_fractions(self, cp2):
+        assert check_lift(cp2, DIAG, (0, F(3, 2)), K11) == check_lift(cp2, DIAG, DIAG_IV, K11)
+        graph = build_graph(cp2, DIAG, (0, F(3, 2)), 0, K11)
+        assert graph == build_graph(cp2, DIAG, DIAG_IV, 0, K11) and type(graph.x1_max) is F
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,22 @@ class TestConstruction:
         with pytest.raises(PolytopeError, match=rf"^n: the dimension must be at least 1, got {n}$"):
             HPolytope(n, (), ())
 
+    @pytest.mark.parametrize("normal", [(1.9, 1), (F(3, 2), 1), (True, 1), ("1", 1)],
+                             ids=["float", "fraction", "bool", "str"])
+    def test_normal_entry_not_an_int_rejected(self, normal):
+        # each of these was truncated or converted by int() to another polytope
+        with pytest.raises(PolytopeError, match=re.escape(f"facet normal {normal}: expected integers")):
+            HPolytope(2, ((-1, 0), (0, -1), normal), (F(0), F(0), F(3)))
+
+    @pytest.mark.parametrize("offset", [0.1, "3", True, None], ids=["float", "str", "bool", "none"])
+    def test_offset_not_rational_rejected(self, offset):
+        # a float offset 0.1 became 3602879701896397/36028797018963968
+        with pytest.raises(PolytopeError, match=re.escape(f"offset {offset!r}: expected an int or a Fraction")):
+            HPolytope(2, ((-1, 0), (0, -1), (1, 1)), (F(0), 0, offset))
+
+    def test_int_and_fraction_offsets_accepted(self, cp2):
+        assert HPolytope(2, cp2.normals, (0, F(0), 3)) == cp2
+
 
 class TestVertices:
     def test_cp2(self, cp2):
@@ -405,8 +421,8 @@ class TestEdgeWalk:
         # P8 x P8: n = 4, d = 16, V = 64.  Every n-subset would be C(16, 4)
         # = 1820 solves.  The Hermite form of all the normals shows that they
         # span and gives the dual simplex its first basis, so construction calls
-        # no rank; one dual-simplex pivot finds the start vertex, and one Hermite
-        # form of its active normals gives its edges.  Every other vertex is
+        # no rank; that basis is feasible, and its one Hermite form gives the
+        # start vertex, its edges and their determinant.  Every other vertex is
         # simple and reached from a simple vertex along an edge one facet blocks,
         # so its edges and determinant are pivoted from that vertex's, with no
         # Hermite form.  Every vertex is smooth, so the Delzant check reads each
@@ -427,7 +443,7 @@ class TestEdgeWalk:
         assert len(enumerate_vertices(P)) == 64
         assert len(calls) <= 64 * 4 + 4 * 16
         assert ranks == [] and calls.count(16) == 1
-        assert len(calls) == 3  # the full normals, one start pivot, the start vertex's edges
+        assert len(calls) == 2  # the full normals, and the start basis, which gives its edges too
         calls.clear()
         assert validate_delzant(P).ok
         assert calls == []
@@ -456,7 +472,7 @@ class TestEdgeWalk:
         edges = {u for us, _ in P._edges.values() for u in us}
         paired = [(a, u) for a, u in calls
                   if type(u) is tuple and u in edges and any(a is x for x in P.normals)]
-        _, S, _ = polytope._start_vertex(P)
+        _, S, _, _ = polytope._start_vertex(P)
         start_edges, _ = P._edges[tuple(i for i, s in enumerate(S) if s == 0)]
         assert len(start_edges) == 4
         assert paired == [(a, u) for u in start_edges for a in P.normals]
@@ -686,8 +702,8 @@ CATALOG_AND_NON_SIMPLE = pytest.mark.parametrize("make", [
 
 
 class TestOneHermiteForm:
-    """Simple-vertex edges and determinants, pivoted or from one Hermite form, against a
-    kernel per facet."""
+    """Simple-vertex edges and determinants, from the start basis, a pivot or kernels,
+    against a kernel per facet."""
 
     def test_random_simple_vertices(self):
         rng = random.Random(1318)
@@ -739,35 +755,71 @@ def fraction_start_vertex(P):
         y[out], basis[out] = theta, enter
 
 
+def hermite_record(P, key):
+    """(edges, det A_S) at a simple vertex with the sorted active facets `key`, from one
+    Hermite form of A_S: the reference for the records the walk keeps.
+
+    H, U = hnf(A_S) has H = A_S U lower triangular and det U = +1, so
+    D = det A_S is the diagonal product of H and -A_S^-1 = -U H^-1.  As
+    D H^-1 = adj H is integral, column j of D H^-1 is found by forward
+    substitution with exact integer division, and edge j is the primitive
+    vector along -sign(D) U times it.
+    """
+    n = P.n
+    H, U = hnf([P.normals[f] for f in key])
+    D = math.prod(H[i][i] for i in range(n))
+    s = -1 if D > 0 else 1
+    cols = []
+    for j in range(n):
+        y = [0] * n  # column j of D H^-1: zero above row j, as H is lower triangular
+        y[j] = D // H[j][j]
+        for k in range(j + 1, n):
+            y[k] = -sum(H[k][i] * y[i] for i in range(j, k)) // H[k][k]  # exact
+        cols.append(primitive([s * dot(urow, y) for urow in U]))
+    return tuple(cols), D
+
+
 def assert_walk_state(P):
-    """Every simple vertex's kept (edges, D), pivoted or not, is a fresh Hermite
-    form's, in order and sign, and the start state (X, S, q) is the Fraction dual
-    simplex's vertex X / q with its slacks S / q, reduced.  Called on a P fresh
-    from construction, whose walk has kept the edges of every vertex."""
+    """Every simple vertex's kept (edges, D), from the start basis, a pivot or kernels,
+    is a fresh Hermite form's, in order and sign; the start state (X, S, q) is the
+    Fraction dual simplex's vertex X / q with its slacks S / q, reduced, and its
+    record is the Hermite form's of n of its active facets, the one kept when the
+    start vertex is simple.  Called on a P fresh from construction, whose walk has
+    kept the record of every vertex."""
     verts = enumerate_vertices(P)
     assert set(P._edges) == {tuple(sorted(act)) for _, act in verts}
     for key, entry in P._edges.items():
         if len(key) == P.n:
-            assert entry == polytope._simple_edges(P, key), key
-    X, S, q = polytope._start_vertex(P)
+            assert entry == hermite_record(P, key), key
+    X, S, q, record = polytope._start_vertex(P)
     x = fraction_start_vertex(P)
     assert q > 0 and math.gcd(q, *S, *X) == 1
     assert [F(xk, q) for xk in X] == list(x)
     assert [F(s, q) for s in S] == [lam - dot(a, x) for a, lam in zip(P.normals, P.offsets)]
-    assert (x, frozenset(i for i, s in enumerate(S) if s == 0)) in verts
+    start = tuple(i for i, s in enumerate(S) if s == 0)
+    assert (x, frozenset(start)) in verts
+    assert record in [hermite_record(P, sub) for sub in itertools.combinations(start, P.n)
+                      if int_det([P.normals[f] for f in sub])]
+    if len(start) == P.n:
+        assert record == P._edges[start]
 
 
 def build_and_check_pivots(monkeypatch, n, normals, offsets):
     """Construct P and `assert_walk_state`; returns (P, the simple vertices whose
-    edges a Hermite form gave during construction, the number pivoted)."""
-    hermite = []
-    orig = polytope._simple_edges
-    monkeypatch.setattr(polytope, "_simple_edges", lambda P, key: hermite.append(key) or orig(P, key))
+    records no pivot gave during construction, the number pivoted)."""
+    pivoted = []
+    orig = polytope._pivot_edges
+
+    def pivot(P, key, edges, D, pairs, j, b):
+        pivoted.append(tuple(sorted(key[:j] + key[j + 1:] + (b,))))  # the neighbour's active set
+        return orig(P, key, edges, D, pairs, j, b)
+
+    monkeypatch.setattr(polytope, "_pivot_edges", pivot)
     P = HPolytope(n, normals, offsets)
-    monkeypatch.setattr(polytope, "_simple_edges", orig)
+    monkeypatch.setattr(polytope, "_pivot_edges", orig)
     assert_walk_state(P)
-    made = [key for key in hermite if len(key) == n]
-    return P, made, sum(1 for key in P._edges if len(key) == n) - len(made)
+    made = [key for key in P._edges if len(key) == n and key not in pivoted]
+    return P, made, len(pivoted)
 
 
 def through_vertices(rng, P, k):
@@ -799,9 +851,9 @@ class TestPivotedEdges:
         # every other system is moved by a vector with denominators up to 10^4,
         # and every other bounded one gets facets through two of its vertices;
         # a simple vertex first reached from a non-simple one, or by a step that
-        # several facets block, takes a Hermite form of its own
+        # several facets block, takes its record from kernels
         rng = random.Random(1515)
-        pivoted = later_hermite = mixed = 0
+        pivoted = later_kernel = mixed = 0
         for i in range(1200):
             n, normals, offsets = random_system(rng)
             try:
@@ -813,10 +865,10 @@ class TestPivotedEdges:
             except PolytopeError:
                 continue
             pivoted += piv
-            later_hermite += len(made) - (len(made) > 0)  # beyond the start vertex's
+            later_kernel += len(made) - (len(made) > 0)  # beyond the start vertex's
             sizes = {len(act) for _, act in enumerate_vertices(P)}
             mixed += n in sizes and len(sizes) > 1
-        assert pivoted > 400 and later_hermite > 20 and mixed > 20, (pivoted, later_hermite, mixed)
+        assert pivoted > 400 and later_kernel > 20 and mixed > 20, (pivoted, later_kernel, mixed)
 
     @pytest.mark.parametrize("make", [octahedron, square_pyramid])
     def test_non_simple(self, make, monkeypatch):
@@ -831,9 +883,51 @@ class TestPivotedEdges:
         product([OCTAGON, OCTAGON, ([(-1,), (1,)], [F(0), F(1)])]), polygon_product(12, 2),
     ], ids=["P8xP8", "P10xP10", "P8xP8xI", "P12xP12"])
     def test_large_products(self, system, monkeypatch):
-        # every vertex is simple, so only the start vertex takes a Hermite form
+        # every vertex is simple, so only the start vertex's record is not pivoted:
+        # it is the dual simplex's, from the Hermite form of its basis
         P, made, pivoted = build_and_check_pivots(monkeypatch, *system)
         assert len(made) == 1 and pivoted == len(P._edges) - 1
+
+
+class TestStartRecord:
+    """The record the dual simplex hands the walk for its start vertex, and the record
+    the walk builds from kernels at a simple vertex no pivot reaches, against a fresh
+    Hermite form and `edge_vectors_at_vertex`."""
+
+    def test_infeasible_first_basis(self, monkeypatch):
+        # drawn from random_system: the first basis {0, 1, 2, 3} is infeasible, and
+        # six exchanges, each re-sorting the basis, reach the start vertex on the
+        # facets {2, 4, 5, 6}, with det A_S = -6
+        normals = [(1, 0, 0, -1), (1, -1, -1, 0), (-1, 2, 1, 2), (0, -1, -2, 0),
+                   (-1, 0, -2, 0), (1, 1, -2, 2), (2, -1, 0, 0), (0, -2, 1, -2)]
+        offsets = [F(3), F(3), F(2), F(3, 2), F(-1), F(-4), F(-5, 2), F(5, 2)]
+        P = HPolytope(4, normals, offsets)
+        calls = []
+        monkeypatch.setattr(polytope, "hnf", lambda A: calls.append(A) or hnf(A))
+        X, S, q, record = polytope._start_vertex(P)
+        assert len(calls) == 8  # the full normals, then one factorization per basis
+        assert [sorted(map(normals.index, map(tuple, A))) for A in calls[1:]] == [
+            list(map(normals.index, map(tuple, A))) for A in calls[1:]]  # each basis sorted
+        key = tuple(i for i, s in enumerate(S) if s == 0)
+        assert key == (2, 4, 5, 6)
+        assert record == hermite_record(P, key) and record[1] == -6
+        assert list(record[0]) == edge_vectors_at_vertex(P, key)
+        assert P._edges[key] == record
+        build_and_check_pivots(monkeypatch, 4, normals, offsets)
+
+    def test_simple_vertices_reached_from_non_simple_start(self, monkeypatch):
+        # a triangle with a redundant facet through the corner on facets 0 and 1:
+        # the walk starts there, at a non-simple vertex, and the two simple corners
+        # are reached from it alone, so neither record comes from a pivot
+        normals = [(-1, 1), (1, 1), (1, -2), (1, 0), (-1, 3)]
+        offsets = [F(6), F(0), F(1), F(3), F(12)]
+        P, made, pivoted = build_and_check_pivots(monkeypatch, 2, normals, offsets)
+        assert [sorted(act) for _, act in enumerate_vertices(P)] == [[0, 2], [0, 1, 4], [1, 2]]
+        assert sorted(made) == [(0, 2), (1, 2)] and pivoted == 0
+        for key, D in (((0, 2), 1), ((1, 2), -3)):
+            assert P._edges[key] == hermite_record(P, key) and P._edges[key][1] == D
+            assert list(P._edges[key][0]) == edge_vectors_at_vertex(P, key)
+        assert P._edges[(0, 1, 4)][1] is None
 
 
 def build_with_pivots(n, normals, offsets):
@@ -947,6 +1041,12 @@ class TestQuasitoric:
         with pytest.raises(PolytopeError) as exc:
             validate_quasitoric(cp2, vectors)
         assert str(exc.value) == f"the polytope has dimension 2, but {message}"
+
+    @pytest.mark.parametrize("vector", [(-1.0, 1), (F(-1), 1), (-1, False)], ids=["float", "fraction", "bool"])
+    def test_vector_entry_not_an_int_rejected(self, cp2, vector):
+        # each of these was converted by int() to the vector (-1, 1) or (-1, 0)
+        with pytest.raises(PolytopeError, match=re.escape(f"facet vector {vector}: expected integers")):
+            validate_quasitoric(cp2, [(1, 0), (0, 1), vector])
 
 
 class TestMinimalFace:
