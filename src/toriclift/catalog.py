@@ -8,10 +8,10 @@ from .polytope import HPolytope
 
 
 def projective_simplex(n: int, scale=1) -> HPolytope:
-    """Moment simplex of CP^n scaled by `scale`: -e_i and the all-ones normal."""
+    """Moment simplex of CP^n scaled by `scale` (int or Fraction): -e_i and the all-ones normal."""
     normals = [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)]
     normals.append(tuple(1 for _ in range(n)))
-    offsets = [Fraction(0)] * n + [Fraction(scale)]
+    offsets = [0] * n + [scale]
     return HPolytope(n, tuple(normals), tuple(offsets))
 
 
@@ -28,15 +28,15 @@ def unit_square() -> HPolytope:
 
 
 def box(lengths) -> HPolytope:
-    """Product of intervals [0, L_i]."""
+    """Product of intervals [0, L_i], each L_i an int or a Fraction."""
     n = len(lengths)
     normals = []
     offsets = []
     for i in range(n):
         normals.append(tuple(-1 if j == i else 0 for j in range(n)))
-        offsets.append(Fraction(0))
+        offsets.append(0)
         normals.append(tuple(1 if j == i else 0 for j in range(n)))
-        offsets.append(Fraction(lengths[i]))
+        offsets.append(lengths[i])
     return HPolytope(n, tuple(normals), tuple(offsets))
 
 

@@ -38,7 +38,7 @@ from .exactmath import (
     poly_deriv,
     poly_trim,
 )
-from .polytope import HPolytope, PolytopeError, _faces, format_point
+from .polytope import HPolytope, PolytopeError, _face, format_point
 
 Curve = list[RatPoly]  # one coefficient list per ambient coordinate
 Interval = tuple[Fraction, Fraction]
@@ -128,7 +128,7 @@ def _check_coefficients(gamma: Curve) -> None:
     """Raise ValueError unless every curve coefficient is an int or a Fraction."""
     for j, coeffs in enumerate(gamma):
         for k, c in enumerate(coeffs):
-            if not isinstance(c, (int, Fraction)):
+            if not is_rational(c):
                 raise ValueError(f"curve coordinate {j + 1}, coefficient of s^{k}: "
                                  f"expected an int or a Fraction, got {c!r}")
 
@@ -188,13 +188,13 @@ def _graph(P: HPolytope, D: int, G: list[list[int]], S: list[list[int]], interva
     if not tight:
         raise GraphBuildReject("endpoint_interior",
                                f"endpoint {_point(D, G, e)} is not on the boundary")
-    F = _faces(P)[tight]  # the endpoint's minimal face
+    verts = _face(P, tight).vertices  # the endpoint face's, sorted lexicographically
     if chart_vertex is not None:
         o = tuple(Fraction(x) for x in chart_vertex)
-        if o not in F.vertices:
+        if o not in verts:
             raise PolytopeError(f"chart vertex {format_point(o)} is not a vertex of the endpoint face")
     else:
-        o = min(F.vertices)
+        o = verts[0]
     if not any(_eval_int(poly_deriv(g), e) for g in G):
         raise GraphBuildReject("singular_parametrisation",
                                f"the curve has zero velocity at endpoint {_point(D, G, e)}")
@@ -253,6 +253,7 @@ def check_transversality(gamma: Curve, circle: CircleEmbedding,
     the report.  A factor D > 0 on gamma changes no root, so `check_lift`
     passes D*gamma.
     """
+    _check_interval(interval, "check_transversality")
     _check_coefficients(gamma)
     a, b = interval
     p = poly_deriv(_pairing(circle.K, gamma))

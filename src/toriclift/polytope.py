@@ -14,11 +14,11 @@ from a simple one along an edge that one facet blocks pivots the record
 of the vertex left, with its edges' pairings with every normal, as lrs
 updates its dictionary (Avis, "lrs: a revised implementation of the
 reverse search vertex enumeration algorithm", 2000); any other vertex
-takes a kernel per (n-1)-subset of its facets.  The faces of a simple
-polytope are the subsets of its vertex active sets, a face with k facets
-of dimension n - k; a polytope with a non-simple vertex takes its faces
-as the intersections of vertex active sets and a rank for each.  Each
-is computed once per polytope and kept on it, the faces in lattice order.
+takes a kernel per (n-1)-subset of its facets.  A point question scans
+the vertex records for those whose active sets contain the facets tight
+at the point; `face_lattice` builds every face per call, on a simple
+polytope as the subsets of the vertex active sets, a face with k facets
+of dimension n - k, else as their intersections with a rank for each.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class HPolytope:
     Construction checks the data, then walks the vertices with
     `enumerate_vertices`: normals that do not span, an empty system, a
     recession ray and a facet tight on all of P are each a PolytopeError.
-    Equal and hashed by (n, normals, offsets).  Vertices, faces, edge
-    bases and charts are memoised on it as they are computed.
+    Equal and hashed by (n, normals, offsets).  Vertices, edge bases and
+    charts are memoised on it as they are computed; faces are built per call.
     """
 
     def __init__(self, n: int, normals: Iterable[Sequence[int]], offsets: Iterable[Fraction]):
@@ -88,10 +88,9 @@ class HPolytope:
                 raise PolytopeError(f"facet normal {a} is not primitive")
         if len(set(self.normals)) != len(self.normals):
             raise PolytopeError("duplicate facet normal")
-        # memos of enumerate_vertices, its edges by sorted active set, _faces and chart.make_chart
+        # memos of enumerate_vertices, its edges by sorted active set and chart.make_chart
         self._vertices = None
-        self._simple = False  # every vertex simple: set by the walk, read by _faces
-        self._faces = {}
+        self._simple = False  # every vertex simple: set by the walk, read by face_lattice and _face
         self._edges = {}
         self._charts = {}
         verts = enumerate_vertices(self)  # raises for an empty or unbounded system
@@ -258,21 +257,28 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
     return P._vertices
 
 
-def _faces(P: HPolytope) -> dict[frozenset[int], Face]:
-    """Every face of P by its active set, each with its vertices in vertex order; kept on P,
-    filed in `face_lattice` order: by dimension, then by sorted active set.
+def _face(P: HPolytope, active: frozenset[int]) -> Face:
+    """The face with the active set `active`: the vertices whose active sets contain it, in
+    vertex order, of dimension n - |active| on a simple polytope and n - rank otherwise."""
+    verts = tuple(v for v, act in P._vertices if act >= active)
+    codim = len(active) if P._simple else rank([P.normals[i] for i in sorted(active)])
+    return Face(active, P.n - codim, verts)
+
+
+def face_lattice(P: HPolytope) -> list[Face]:
+    """Every face of every dimension, including P itself and the vertices, built per call
+    and sorted by dimension, then by sorted active set.
 
     On a simple polytope the faces through a vertex with active facets S
     are exactly those whose active sets are the subsets of S, of dimension
     n minus the subset's size, so each vertex is filed under every subset
-    of its active set, and the first face asked for collects them all.  A
-    polytope with a non-simple vertex takes its faces as the intersections
-    of vertex active sets, which are all of them, as the active set of the
-    smallest face containing two faces is the intersection of theirs; each
-    then scans the vertices and takes a rank for its dimension.
+    of its active set, work bound by the size of the output.  A polytope
+    with a non-simple vertex takes its faces as the intersections of vertex
+    active sets, which are all of them, as the active set of the smallest
+    face containing two faces is the intersection of theirs; each then
+    scans the vertices and takes a rank for its dimension (`_face`).  P
+    itself has the empty active set.
     """
-    if P._faces:
-        return P._faces
     n, verts = P.n, enumerate_vertices(P)
     if P._simple:
         members: defaultdict[tuple[int, ...], list[Point]] = defaultdict(list)
@@ -282,29 +288,12 @@ def _faces(P: HPolytope) -> dict[frozenset[int], Face]:
                 for sub in itertools.combinations(key, k):
                     members[sub].append(v)
         # by facet tuple, then stably by size, largest first: the (dim, sorted active) order
-        for sub in sorted(sorted(members), key=len, reverse=True):
-            active = frozenset(sub)
-            P._faces[active] = Face(active, n - len(sub), tuple(members[sub]))
-    else:
-        sets: set[frozenset[int]] = set()
-        for _, act in verts:
-            sets |= {act & f for f in sets} | {act}
-        faces = (Face(active, n - rank([P.normals[i] for i in sorted(active)]),
-                      tuple(p for p, va in verts if va >= active)) for active in sets)
-        P._faces.update((f.active, f) for f in sorted(faces, key=lambda f: (f.dim, sorted(f.active))))
-    return P._faces
-
-
-def face_lattice(P: HPolytope) -> list[Face]:
-    """Every face of every dimension, including P itself and the vertices.
-
-    The faces of a simple polytope are the subsets of its vertex active
-    sets, and those of any polytope the intersections of vertex active
-    sets (`_faces`); P itself has the empty active set.  The faces are
-    collected once and kept on P in this order: by dimension, then by
-    sorted active set.
-    """
-    return list(_faces(P).values())
+        return [Face(frozenset(sub), n - len(sub), tuple(members[sub]))
+                for sub in sorted(sorted(members), key=len, reverse=True)]
+    sets: set[frozenset[int]] = set()
+    for _, act in verts:
+        sets |= {act & f for f in sets} | {act}
+    return sorted((_face(P, active) for active in sets), key=lambda f: (f.dim, sorted(f.active)))
 
 
 def edge_vectors_at_vertex(P: HPolytope, active: Iterable[int]) -> list[IntVec]:
@@ -469,7 +458,7 @@ def minimal_face(P: HPolytope, r: Sequence[Fraction]) -> Face:
     slacks = [lam - dot(r, a) for a, lam in zip(P.normals, P.offsets)]
     if any(s < 0 for s in slacks):
         raise PolytopeError(f"point {format_point(r)} outside the polytope")
-    return _faces(P)[frozenset(i for i, s in enumerate(slacks) if s == 0)]
+    return _face(P, frozenset(i for i, s in enumerate(slacks) if s == 0))
 
 
 def characteristic_subtorus(P: HPolytope, F: Face) -> tuple[IntVec, ...]:

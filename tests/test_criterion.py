@@ -487,6 +487,30 @@ class TestIntervalTypes:
         assert graph == build_graph(cp2, DIAG, DIAG_IV, 0, K11) and type(graph.x1_max) is F
 
 
+class TestExactSlots:
+    """A float, a bool and a string in an exact slot each give one error naming the slot,
+    where check_transversality crashed on a float end, a bool coefficient was read as 1,
+    and box and projective_simplex wrapped a float in a Fraction."""
+
+    SLOTS = {
+        "transversality-interval": (lambda x: check_transversality(DIAG, K11, (0, x)),
+                                    "check_transversality: interval end 1: "),
+        "coefficient": (lambda x: check_lift(catalog.cp2(3), [poly(0, 1), [0, x]], DIAG_IV, K11),
+                        "curve coordinate 2, coefficient of s^1: "),
+        "box-length": (lambda x: catalog.box([x, 1]), "offset "),
+        "simplex-scale": (lambda x: catalog.projective_simplex(2, x), "offset "),
+    }
+
+    @pytest.mark.parametrize("value", [0.1, True, "1/2"], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize("slot", sorted(SLOTS))
+    def test_rejected(self, slot, value):
+        call, prefix = self.SLOTS[slot]
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value).startswith(prefix) and repr(value) in str(info.value)
+        assert "expected an int or a Fraction" in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # the integer slacks against the Fraction slacks they replace
 

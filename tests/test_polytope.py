@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toriclift import catalog, exactmath, polytope
-from toriclift.chart import make_chart
+from toriclift.chart import CircleEmbedding, make_chart
+from toriclift.criterion import build_graph, check_lift
 from toriclift.exactmath import dot, hnf, int_det, integer_kernel_basis, primitive, rank
 from toriclift.polytope import (
     HPolytope,
@@ -568,6 +569,45 @@ class TestNonSimple:
             assert minimal_face(P, bary) == f
 
 
+class TestPointQuestions:
+    """Point questions read the vertex records, whatever the size of the lattice."""
+
+    @staticmethod
+    def answers(P):
+        n = P.n
+        gamma = [[0, 1]] + [[0, 0, 0, F(1, 2)]] * (n - 1)  # (s, s^3/2, ..., s^3/2) on [0, 1]
+        K = CircleEmbedding((1,) * n)
+        corner, mid = (F(1),) + (F(0),) * (n - 1), (F(1),) + (F(1, 2),) * (n - 1)
+        return (check_lift(P, gamma, (0, 1), K).to_dict(), build_graph(P, gamma, (0, 1), 1, K),
+                make_chart(P, corner), minimal_face(P, mid),
+                points_equivalent(P, ((F(1, 3),) * n, corner), ((F(2, 3),) + (F(1, 3),) * (n - 1), corner)))
+
+    def test_box10_without_lattice(self, monkeypatch):
+        # 3^10 faces, of which the criterion needs two: no answer may build them all
+        expected = self.answers(catalog.box([1] * 10))
+
+        def refuse(P):
+            raise AssertionError("face_lattice called")
+        made, face = [], polytope.Face
+        monkeypatch.setattr(polytope, "face_lattice", refuse)
+        monkeypatch.setattr(polytope, "Face", lambda *a: made.append(a) or face(*a))
+        got = self.answers(catalog.box([1] * 10))
+        assert got == expected
+        # one face per point question: each endpoint's face and chart in check_lift, the
+        # face in build_graph (whose chart is kept), minimal_face and points_equivalent
+        assert len(made) == 7
+        assert expected[0]["verdict"] == "reject" and len(expected[3].vertices) == 2 ** 9
+        assert expected[4] is True
+
+    def test_pyramid_apex_takes_one_rank(self, monkeypatch):
+        # a non-simple polytope takes one rank per point question, for its dimension
+        P = square_pyramid()
+        ranks = []
+        monkeypatch.setattr(polytope, "rank", lambda A: ranks.append(A) or exactmath.rank(A))
+        f = minimal_face(P, (F(0), F(0), F(1)))
+        assert f.dim == 0 and len(ranks) == 1
+
+
 class TestMemo:
     def test_dropped_polytope_is_freed(self):
         P = catalog.box([F(5, 3), F(7, 4)])
@@ -941,15 +981,16 @@ def build_with_pivots(n, normals, offsets):
 
 def assert_carried_pairings_and_face_order(P, made):
     """Each pairing vector a pivot returned is that of its edge with every normal, by
-    products, and the faces are kept in the order face_lattice sorted them in before."""
+    products, and face_lattice comes already in (dim, sorted active) order."""
     for (edges, _), pairs in made:
         assert pairs == [[dot(a, w) for a in P.normals] for w in edges]
-    assert face_lattice(P) == sorted(polytope._faces(P).values(), key=lambda f: (f.dim, sorted(f.active)))
+    faces = face_lattice(P)
+    assert faces == sorted(faces, key=lambda f: (f.dim, sorted(f.active)))
 
 
 class TestCarriedPairings:
-    """The pairings a pivot carries to the next vertex, and the order the faces are
-    kept in, against products with every normal and a sort."""
+    """The pairings a pivot carries to the next vertex, and the order face_lattice
+    returns the faces in, against products with every normal and a sort."""
 
     @CATALOG_AND_NON_SIMPLE
     def test_catalog(self, make):
@@ -975,7 +1016,7 @@ class TestCarriedPairings:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_non_simple_ladder_products(self, seed):
         # vertices made non-simple among simple ones: the pivots that remain carry
-        # the pairings, and the faces, each with a rank, are kept in lattice order
+        # the pairings, and the faces, each with a rank, come in lattice order
         rng = random.Random(seed)
         pivoted = non_simple = 0
         for codes in LADDER:
