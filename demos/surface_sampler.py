@@ -3,11 +3,14 @@ them numerically.
 
 For each case this script builds the endpoint graph, runs the
 floating-point planarity probe at the tau = 0 tip, verifies the pullback
-density identity, and writes an OBJ mesh into the current directory.
+density identity, and writes an OBJ mesh into a new temporary directory,
+printing each path.
 
 Run:  python3 demos/surface_sampler.py
 """
 
+import os
+import tempfile
 from fractions import Fraction as F
 
 from toriclift import catalog
@@ -21,7 +24,7 @@ from toriclift.surface import (
 )
 
 
-def show(name, P, gamma, interval, K):
+def show(name, P, gamma, interval, K, outdir):
     graph = build_graph(P, gamma, interval, 0, CircleEmbedding(K))
     probe = smoothness_probe(graph)
     print(f"\n=== {name} ===")
@@ -32,7 +35,7 @@ def show(name, P, gamma, interval, K):
     omega, exact = pullback_density(graph, 0.5)
     print(f"  pullback density at tau = 0.5: numeric {omega:.10f}, exact {exact:.10f}")
     sample = sample_surface(graph, 80, 64)
-    out = f"{name}.obj"
+    out = os.path.join(outdir, f"{name}.obj")
     export_mesh(sample, "obj", out)
     print(f"  wrote {out}")
 
@@ -41,11 +44,12 @@ def main():
     P = catalog.cp2(3)
     diag = [[F(0), F(1)], [F(0), F(1)]]
     iv = (F(0), F(3, 2))
+    outdir = tempfile.mkdtemp(prefix="toriclift-meshes-")
 
-    show("disc", P, diag, iv, (1, 1))          # smooth: probe says planar
-    show("cone", P, diag, iv, (1, 0))          # corner at the tip: conelike
+    show("disc", P, diag, iv, (1, 1), outdir)  # smooth: probe says planar
+    show("cone", P, diag, iv, (1, 0), outdir)  # corner at the tip: conelike
     show("paraboloid", P, [[F(0), F(1)], [F(0), F(0), F(1)]],
-         (F(0), F(1)), (1, 0))                 # C^1 sheet: planar again
+         (F(0), F(1)), (1, 0), outdir)         # C^1 sheet: planar again
 
 
 if __name__ == "__main__":

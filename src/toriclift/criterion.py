@@ -18,6 +18,11 @@ The checks read only signs, roots and valuations of the facet slacks
 lambda_i - <a_i, gamma(s)> and of <gamma', K>, which a factor D > 0 keeps.
 So `check_lift` clears denominators once, D the lcm of those of gamma and
 the offsets, and every check runs on integer lists: D*slack_i, D*gamma.
+Each scaled slack is then mapped onto (0, 1) once, q_i(t) ~ D*slack_i(a +
+(b - a)t), and that one list serves every question asked of the slack:
+its sign at the midpoint and at both ends, its root search, and the chart
+polynomials q_i(tau/(b - a)) at a and q_i(1 - tau/(b - a)) at b, which stay
+integer lists over one positive denominator.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from .exactmath import (
     _compose_int,
     _eval_int,
     _integer_polys,
+    _isolate,
+    _shift1,
     is_rational,
     isolate_root,
     poly_deriv,
@@ -42,6 +49,7 @@ from .polytope import HPolytope, PolytopeError, _face, format_point
 
 Curve = list[RatPoly]  # one coefficient list per ambient coordinate
 Interval = tuple[Fraction, Fraction]
+Mapped = list[tuple[list[int], int]]  # (q, W^deg q) per facet slack, from _compose_int
 
 
 class GraphBuildReject(Exception):
@@ -56,16 +64,18 @@ class GraphBuildReject(Exception):
 class CurveGraph(NamedTuple):
     """Per-endpoint chart data: coordinates re-indexed so the parameter is 1.
 
-    Positions are 1-based in reports (parameter = 1); `x[i]` is the chart
-    polynomial of position i+1 in tau, `k` the circle weights with
-    k[0] = k_1, `Q` the set of positions (2..n) spanning the endpoint's
-    minimal face.
+    Positions are 1-based in reports (parameter = 1); `num[i]` is `den`
+    times the chart polynomial of position i+1 in tau, an integer list,
+    and `x[i]` that polynomial in Fractions.  `k` holds the circle weights
+    with k[0] = k_1, `Q` the set of positions (2..n) spanning the
+    endpoint's minimal face.
     """
 
     chart: VertexChart
     param_chart_index: int          # chart coordinate serving as the parameter
     other_chart_indices: tuple[int, ...]
-    x: tuple[RatPoly, ...]          # x_p, then the other chart coordinates, in tau
+    num: tuple[list[int], ...]      # den * (x_p, then the other chart coordinates), in tau
+    den: int                        # > 0, shared by every chart polynomial
     k: tuple[int, ...]              # weights, parameter first
     Q: frozenset[int]               # subset of {2..n}
     x1_max: Fraction                # tau range b - a of the curve
@@ -73,6 +83,11 @@ class CurveGraph(NamedTuple):
     @property
     def n(self) -> int:
         return self.chart.n
+
+    @property
+    def x(self) -> tuple[RatPoly, ...]:
+        """The chart polynomials x_p, then the other chart coordinates, in Fractions."""
+        return tuple([Fraction(c, self.den) for c in p] for p in self.num)
 
 
 class Condition(NamedTuple):
@@ -152,6 +167,16 @@ def _slacks(P: HPolytope, gamma: Curve) -> tuple[int, list[list[int]], list[list
     return D, G, [_pairing([-x for x in a], G, lam) for a, lam in zip(P.normals, offsets)]
 
 
+def _map(S: list[list[int]], interval: Interval) -> tuple[Fraction, Fraction, Mapped]:
+    """(a, w, maps): the interval's left end and width, and each slack mapped onto (0, 1).
+
+    maps[i] = (q, W^deg) with q(t) = W^deg S[i](a + w t), W > 0 (`_compose_int`).
+    """
+    a = Fraction(interval[0])
+    w = interval[1] - a
+    return a, w, [_compose_int(s, a, w) for s in S]
+
+
 # ---------------------------------------------------------------------------
 # endpoint graph construction
 
@@ -171,16 +196,15 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
         raise ValueError(f"build_graph: endpoint must be 0 or 1, got {endpoint!r}")
     _check_interval(interval, "build_graph")
     _check_dimensions(P, gamma, circle, (chart_vertex,))
-    return _graph(P, *_slacks(P, gamma), interval, endpoint, circle, chart_vertex)
+    D, G, S = _slacks(P, gamma)
+    return _graph(P, D, G, *_map(S, interval), endpoint, circle, chart_vertex)
 
 
-def _graph(P: HPolytope, D: int, G: list[list[int]], S: list[list[int]], interval: Interval,
+def _graph(P: HPolytope, D: int, G: list[list[int]], a: Fraction, w: Fraction, maps: Mapped,
            endpoint: int, circle: CircleEmbedding, chart_vertex: Optional[Sequence[Fraction]]) -> CurveGraph:
-    """build_graph on the scaled curve G = D*gamma and the scaled facet slacks S."""
-    a, b = interval
-    e = Fraction(a if endpoint == 0 else b)
-    sign = 1 if endpoint == 0 else -1
-    at_e = [_eval_int(s, e) for s in S]  # each with the sign of slack_i(e)
+    """build_graph on the scaled curve G = D*gamma and the mapped scaled facet slacks (`_map`)."""
+    e = a if endpoint == 0 else a + w
+    at_e = [sum(q[:1] if endpoint == 0 else q) for q, _ in maps]  # q(0) or q(1): the sign of slack_i(e)
     if any(v < 0 for v in at_e):
         raise GraphBuildReject("endpoint_outside_polytope",
                                f"endpoint {_point(D, G, e)} lies outside the polytope")
@@ -201,10 +225,22 @@ def _graph(P: HPolytope, D: int, G: list[list[int]], S: list[list[int]], interva
     chart = make_chart(P, o)
     n = P.n
 
-    # chart coordinate j is the slack of active facet j along gamma(e + sign*tau), here
-    # times D*Dk > 0; it vanishes at the endpoint exactly when that facet is tight there
-    x_int = [_compose_int(S[f], e, sign) for f in chart.active]
-    slope = [q[1] if len(q) > 1 else 0 for q, _ in x_int]  # signs of x_j'(0)
+    # chart coordinate j is the slack of active facet j along gamma(e +- tau), in u = tau/w:
+    # q(u) at a and q(1 - u) at b (one Taylor shift, then u -> -u), all over one denominator;
+    # it vanishes at the endpoint exactly when facet j is tight there
+    facets = [maps[f] for f in chart.active]
+    N = max(len(q) for q, _ in facets) - 1
+    WN = max(Dk for _, Dk in facets)  # W^N, from a facet of top degree
+    wn, wd = w.numerator, (w.denominator if endpoint == 0 else -w.denominator)
+    scale = [wd ** k * wn ** (N - k) for k in range(N + 1)]  # wn^N (+-1/w)^k
+    num = []
+    for q, Dk in facets:
+        if endpoint:
+            q = _shift1(q[::-1])[::-1]
+        m = WN // Dk
+        num.append([x * s * m for x, s in zip(q, scale)])
+    den = D * WN * wn ** N
+    slope = [q[1] if len(q) > 1 else 0 for q in num]  # signs of x_j'(0)
     Q0 = {j for j, f in enumerate(chart.active) if f not in tight}
     param = next((j for j in range(n) if j not in Q0 and slope[j]), None)
     if param is None:
@@ -219,11 +255,10 @@ def _graph(P: HPolytope, D: int, G: list[list[int]], S: list[list[int]], interva
         )
 
     others = tuple(j for j in range(n) if j != param)
-    x = tuple([Fraction(c, D * x_int[j][1]) for c in x_int[j][0]] for j in (param,) + others)
     kw = local_weights(chart, circle)
     k = tuple(kw[j] for j in (param,) + others)
     Q = frozenset(pos for pos, j in enumerate(others, start=2) if j in Q0)
-    return CurveGraph(chart, param, others, x, k, Q, b - a)
+    return CurveGraph(chart, param, others, tuple(num[j] for j in (param,) + others), den, k, Q, w)
 
 
 def _point(D: int, G: list[list[int]], e: Fraction) -> str:
@@ -250,11 +285,16 @@ def check_transversality(gamma: Curve, circle: CircleEmbedding,
     """<gamma'(s), K> must not vanish on the open parameter interval.
 
     One `isolate_root` call decides it and brackets the leftmost zero for
-    the report.  A factor D > 0 on gamma changes no root, so `check_lift`
-    passes D*gamma.
+    the report.
     """
     _check_interval(interval, "check_transversality")
     _check_coefficients(gamma)
+    return _transversality(gamma, circle, interval)
+
+
+def _transversality(gamma: Curve, circle: CircleEmbedding, interval: Interval) -> Report:
+    """check_transversality on checked input.  A factor D > 0 on gamma changes no root,
+    so `check_lift` passes D*gamma."""
     a, b = interval
     p = poly_deriv(_pairing(circle.K, gamma))
     loc = "interior"
@@ -272,27 +312,25 @@ def check_transversality(gamma: Curve, circle: CircleEmbedding,
         f"pairing vanishes in ({lo}, {hi})"),))
 
 
-def _interior(S: list[list[int]], interval: Interval) -> Report:
-    """The open curve must stay strictly inside the polytope: a check on the scaled facet slacks S.
+def _interior(a: Fraction, w: Fraction, maps: Mapped) -> Report:
+    """The open curve must stay strictly inside the polytope: a check on the mapped slacks (`_map`).
 
-    A slack negative at the midpoint fails; otherwise one `isolate_root`
-    call per slack decides whether it vanishes inside and brackets the
-    leftmost contact.  A facet slack that is identically zero means the
-    curve runs inside that facet; by the z_i = 0 convention this is
-    allowed and noted.
+    A slack negative at the midpoint, where q(1/2) has the sign of
+    sum q_k 2^(d-k), fails; otherwise one `_isolate` call per slack
+    decides whether it vanishes inside and brackets the leftmost contact.
+    A facet slack that is identically zero means the curve runs inside
+    that facet; by the z_i = 0 convention this is allowed and noted.
     """
-    a, b = interval
-    mid = (Fraction(a) + Fraction(b)) / 2
     conditions = []
-    for i, slack in enumerate(S):
+    for i, (q, _) in enumerate(maps):
         loc = f"facet {i + 1}"
-        if not slack:
+        if not q:
             conditions.append(Condition("facet_slack", loc, "holds", "curve lies inside the facet"))
             continue
-        if _eval_int(slack, mid) < 0:
+        if sum(x << k for k, x in enumerate(reversed(q))) < 0:
             conditions.append(Condition("facet_slack", loc, "fails", "curve leaves the polytope"))
             continue
-        root = isolate_root(slack, a, b)
+        root = _isolate(q, a, w)
         if root is None:
             conditions.append(Condition("facet_slack", loc, "holds", "positive on the interior"))
         else:
@@ -359,7 +397,7 @@ def check_endpoint(graph: CurveGraph, name: str = "endpoint") -> Report:
             continue
         m = ki // k1
         conditions.append(Condition("weight_ratio_integer", loc, "holds", f"m = {m}"))
-        xi = graph.x[pos - 1]
+        xi = graph.num[pos - 1]  # den > 0 keeps every valuation and sign
         reason = divided_smoothness(xi, m)
         detail = f"m = {m}"
         v = valuation(xi)
@@ -379,15 +417,20 @@ def check_endpoint(graph: CurveGraph, name: str = "endpoint") -> Report:
 def check_lift(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmbedding,
                chart_vertices: tuple[Optional[Sequence[Fraction]], Optional[Sequence[Fraction]]] = (None, None)
                ) -> LiftVerdict:
-    """Full criterion: containment, transversality, both endpoint analyses."""
+    """Full criterion: containment, transversality, both endpoint analyses.
+
+    Each facet slack is mapped onto (0, 1) once (`_map`), for the interior
+    check and both endpoint graphs alike.
+    """
     _check_interval(interval, "check_lift")
     _check_dimensions(P, gamma, circle, chart_vertices)
     D, G, S = _slacks(P, gamma)  # G = D*gamma is transversal exactly where gamma is
-    reports = [_interior(S, interval), check_transversality(G, circle, interval)]
+    mapped = _map(S, interval)
+    reports = [_interior(*mapped), _transversality(G, circle, interval)]
     for ep in (0, 1):
         name = f"endpoint {ep + 1}"
         try:
-            graph = _graph(P, D, G, S, interval, ep, circle, chart_vertices[ep])
+            graph = _graph(P, D, G, *mapped, ep, circle, chart_vertices[ep])
         except GraphBuildReject as exc:
             reports.append(Report(name, (Condition(exc.reason, name, "fails", exc.detail),)))
             continue

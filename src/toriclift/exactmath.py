@@ -286,19 +286,10 @@ def isolate_root(p: Sequence[Fraction], left: Fraction, right: Fraction) -> Opti
     the first piece no wider than ISOLATE_WIDTH, or (mid, mid) when a wider
     piece's midpoint is a root.  It depends only on the roots, so p and D*p
     (D > 0) give the same; p holds Fractions or ints, as do left and right.
-    One left-first Vincent-Collins-Akritas search decides each piece:
-    Descartes count 0 is no root, 1 exactly one, which then lies in the
-    left half or else the right; the square-free part replaces p once, if
-    the first count is 2 or more.  Below ISOLATE_WIDTH a piece is split
-    only to learn whether it holds a root.  The zero polynomial is rejected.
-
-    The pieces are dyadic and integer (Rouillier and Zimmermann, J. Comput.
-    Appl. Math. 2004): (left, right) is mapped onto (0, 1) once, and piece
-    (k, j) holds Q(t) ~ p(left + (right - left)(j + t)/2^k).  Its left half
-    2^d Q(t/2) shifts each coefficient by bits, its right half is that at
-    t + 1, and the left half's coefficient sum has the sign of p at the
-    midpoint.  Pieces are no wider than ISOLATE_WIDTH from a level k0 found
-    once; Fractions appear only in the bracket returned.
+    The interval is mapped onto (0, 1) once, and `_isolate` searches the
+    mapped integer list; a caller that already holds that list, as
+    `check_lift` does for its facet slacks, calls `_isolate` directly.
+    The zero polynomial is rejected.
     """
     _, (c,) = _integer_polys(poly_trim(p))
     if not c:
@@ -307,11 +298,56 @@ def isolate_root(p: Sequence[Fraction], left: Fraction, right: Fraction) -> Opti
     if not ln * rd < rn * ld:
         raise ValueError("isolate_root: empty interval")
     width = Fraction(rn * ld - ln * rd, ld * rd)
-    q, _ = _compose_int(c, left, width)
+    return _isolate(_compose_int(c, left, width)[0], left, width)
+
+
+# a prime for the square-free pre-test, so large that it rarely divides a coefficient by chance
+_SQUARE_FREE_PRIME = (1 << 61) - 1
+
+
+def _square_free_mod(q: Sequence[int]) -> bool:
+    """True when gcd(q, q') = 1 modulo a prime that does not divide the leading coefficient.
+
+    Then q is square-free over Q: a repeated factor f^2 of q would keep
+    its degree modulo that prime and divide q' there too.  False means only
+    that the test did not decide.
+    """
+    m = _SQUARE_FREE_PRIME
+    if not q[-1] % m:
+        return False
+    a, b = [x % m for x in q], poly_trim([i * x % m for i, x in enumerate(q)][1:])
+    while b:  # Euclid over the integers modulo m
+        inv = pow(b[-1], -1, m)
+        while len(a) >= len(b):
+            f, d = a[-1] * inv % m, len(a) - len(b)
+            for i, x in enumerate(b):
+                a[d + i] = (a[d + i] - f * x) % m
+            a = poly_trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def _isolate(q: list[int], left: Fraction, width: Fraction) -> Optional[tuple[Fraction, Fraction]]:
+    """`isolate_root` on q(t) ~ p(left + width t), the integer list of p mapped onto (0, 1).
+
+    One left-first Vincent-Collins-Akritas search decides each piece:
+    Descartes count 0 is no root, 1 exactly one, which then lies in the
+    left half or else the right.  If the first count is 2 or more, the
+    square-free part of q replaces it once, unless a modular test shows q
+    square-free already; the map is affine, so the roots in (0, 1) and
+    every bracket stay the same.  Below ISOLATE_WIDTH a piece is split
+    only to learn whether it holds a root.
+
+    The pieces are dyadic and integer (Rouillier and Zimmermann, J. Comput.
+    Appl. Math. 2004): piece (k, j) holds Q(t) ~ q((j + t)/2^k).  Its left
+    half 2^d Q(t/2) shifts each coefficient by bits, its right half is that
+    at t + 1, and the left half's coefficient sum has the sign of q at the
+    midpoint.  Pieces are no wider than ISOLATE_WIDTH from a level k0
+    found once; Fractions appear only in the bracket returned.
+    """
     count = _descartes(q)
-    if count > 1:
-        _, (c,) = _integer_polys(poly_divmod(c, poly_gcd(c, poly_deriv(c)))[0])
-        q, _ = _compose_int(c, left, width)
+    if count > 1 and not _square_free_mod(q):
+        _, (q,) = _integer_polys(poly_divmod(q, poly_gcd(q, poly_deriv(q)))[0])
     # level k0: the least k with width/2^k <= ISOLATE_WIDTH
     k0 = (-(-width.numerator * ISOLATE_WIDTH.denominator
             // (width.denominator * ISOLATE_WIDTH.numerator)) - 1).bit_length()

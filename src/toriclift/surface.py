@@ -44,8 +44,8 @@ def _surface(graph: CurveGraph, tau: np.ndarray, t: np.ndarray) -> np.ndarray:
     chart's orthant.
     """
     pts = np.empty((len(tau), len(t), 2 * graph.n))
-    for i, (x, k) in enumerate(zip(graph.x, graph.k)):
-        vals = 2.0 * np.polyval([float(c) for c in reversed(x)] or [0.0], tau)
+    for i, (x, k) in enumerate(zip(graph.num, graph.k)):
+        vals = 2.0 * np.polyval([c / graph.den for c in reversed(x)] or [0.0], tau)
         bad = vals < -1e-12
         if np.any(bad):
             raise SamplerError(f"negative radicand in coordinate {i + 1} at tau = {float(tau[bad][0])}")
@@ -65,9 +65,9 @@ def sample_surface(graph: CurveGraph, nx: int, nt: int) -> SurfaceSample:
 
 
 def pullback_density_exact(graph: CurveGraph, tau: Fraction) -> Fraction:
-    """Exact sum_j k_j x_j'(tau)."""
+    """Exact sum_j k_j x_j'(tau), from the integer chart polynomials over their denominator."""
     tau = Fraction(tau)
-    return sum((k * poly_eval(poly_deriv(x), tau) for x, k in zip(graph.x, graph.k)), Fraction(0))
+    return sum((k * poly_eval(poly_deriv(x), tau) for x, k in zip(graph.num, graph.k)), Fraction(0)) / graph.den
 
 
 # fourth-order central difference: offsets and weights

@@ -82,17 +82,24 @@ def test_make_chords_closed_form_agrees_with_check_lift():
     assert holds == {True, False}
 
 
-DEMO_OUTPUTS = {  # the files each demo writes into its working directory
+DEMO_OUTPUTS = {  # the files each demo writes into its working directory: none
     "delzant_validation.py": set(),
     "lift_criterion.py": set(),
-    "surface_sampler.py": {"disc.obj", "cone.obj", "paraboloid.obj"},
+    "surface_sampler.py": set(),
 }
 
 
 @pytest.mark.parametrize("demo", list(DEMO_OUTPUTS))
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)], cwd=tmp_path,
+    # the demo's temporary files go under tmp_path too, beside its working directory
+    work, tmp = tmp_path / "work", tmp_path / "tmp"
+    work.mkdir()
+    tmp.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), TMPDIR=str(tmp))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)], cwd=work,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout and set(os.listdir(tmp_path)) == DEMO_OUTPUTS[demo]
+    assert proc.stdout and set(os.listdir(work)) == DEMO_OUTPUTS[demo]
+    for line in proc.stdout.splitlines():  # the paths a demo prints for what it wrote
+        if line.strip().startswith("wrote "):
+            assert os.path.isfile(line.split("wrote ", 1)[1])

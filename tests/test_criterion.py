@@ -10,7 +10,7 @@ from operator import mul
 import pytest
 
 from conftest import sturm_count
-from toriclift import catalog, criterion, io
+from toriclift import catalog, criterion, exactmath, io
 from toriclift.chart import CircleEmbedding
 from toriclift.criterion import (
     GraphBuildReject,
@@ -38,8 +38,8 @@ K10 = CircleEmbedding((1, 0))
 
 
 def check_interior(P, gamma, interval):
-    """The interior report `check_lift` makes, from the scaled facet slacks."""
-    return criterion._interior(criterion._slacks(P, gamma)[2], interval)
+    """The interior report `check_lift` makes, from the scaled facet slacks mapped onto (0, 1)."""
+    return criterion._interior(*criterion._map(criterion._slacks(P, gamma)[2], interval))
 
 
 class TestBuildGraph:
@@ -634,32 +634,79 @@ class TestIntegerSlacksDifferential:
                 e, sign = (iv[0], F(1)) if ep == 0 else (iv[1], F(-1))
                 order = (graph.param_chart_index,) + graph.other_chart_indices
                 active = graph.chart.active
-                assert list(graph.x) == [poly_compose_linear(slack_oracle(P, active[j], gamma), e, sign)
-                                         for j in order]
+                want = [poly_compose_linear(slack_oracle(P, active[j], gamma), e, sign) for j in order]
+                assert list(graph.x) == want
                 assert all(type(c) is F for x in graph.x for c in x)
+                # the integer chart polynomials over their one denominator are the same
+                assert graph.den > 0 and all(type(c) is int for x in graph.num for c in x)
+                assert [[F(c, graph.den) for c in x] for x in graph.num] == want
                 if verdict is not None:
                     assert verdict.report(f"endpoint {ep + 1}") == check_endpoint(graph, f"endpoint {ep + 1}")
         assert built >= 300 and rejected >= 50
 
 
 class TestWorkGuard:
-    """check_lift hands the root finder integer lists only: the scaled slacks."""
+    """check_lift hands the root finders integer lists only, maps each scaled slack once
+    and checks its input once."""
 
-    def test_root_finders_see_integer_lists(self, monkeypatch):
-        calls, found = [], []
-        real = criterion.isolate_root
-
-        def spy(p, left, right):
-            calls.append(p)
-            root = real(p, left, right)
-            found.append(root is not None)
-            return root
-        monkeypatch.setattr(criterion, "isolate_root", spy)
-        rng = random.Random(11)
+    @staticmethod
+    def curves(rng, per_polytope=15):
         for name in ("cp2_3", "cp3", "hirzebruch", "unit_square"):
             P = data_polytope(name)
-            for _ in range(15):
+            for _ in range(per_polytope):
                 gamma, iv = random_curve(rng, P)
-                check_lift(P, gamma, iv, random_circle(rng, P.n))
-        assert len(calls) > 100 and sum(found) > 10
-        assert all(type(p) is list and all(type(c) is int for c in p) for p in calls)
+                yield P, gamma, iv, random_circle(rng, P.n)
+
+    def test_root_finders_see_integer_lists(self, monkeypatch):
+        calls, found = {"isolate_root": [], "_isolate": []}, []
+
+        def spy(name):
+            real = getattr(criterion, name)
+
+            def wrapped(p, left, right):
+                calls[name].append(p)
+                root = real(p, left, right)
+                found.append(root is not None)
+                return root
+            monkeypatch.setattr(criterion, name, wrapped)
+        spy("isolate_root")  # transversality
+        spy("_isolate")      # the facet slacks, already mapped onto (0, 1)
+        for P, gamma, iv, K in self.curves(random.Random(11)):
+            check_lift(P, gamma, iv, K)
+        assert len(calls["isolate_root"]) > 40 and len(calls["_isolate"]) > 100 and sum(found) > 10
+        assert all(type(p) is list and all(type(c) is int for c in p) for ps in calls.values() for p in ps)
+
+    def test_each_slack_mapped_once(self, monkeypatch):
+        # d facet slacks, and the one pairing <gamma', K> that transversality maps in isolate_root
+        calls = []
+        real = exactmath._compose_int
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(exactmath, "_compose_int", spy)
+        monkeypatch.setattr(criterion, "_compose_int", spy)
+        checked = 0
+        for P, gamma, iv, K in self.curves(random.Random(12), 5):
+            if not poly_deriv(pairing_oracle(K.K, gamma)):
+                continue
+            calls.clear()
+            check_lift(P, gamma, iv, K)
+            assert len(calls) == len(P.normals) + 1
+            checked += 1
+        assert checked >= 15
+
+    def test_input_checked_once(self, monkeypatch):
+        counts = {"_check_coefficients": 0, "_check_interval": 0}
+
+        def spy(name):
+            real = getattr(criterion, name)
+
+            def wrapped(*args):
+                counts[name] += 1
+                return real(*args)
+            monkeypatch.setattr(criterion, name, wrapped)
+        for name in counts:
+            spy(name)
+        check_lift(catalog.cp2(3), DIAG, DIAG_IV, K11)
+        assert counts == {"_check_coefficients": 1, "_check_interval": 1}

@@ -327,15 +327,61 @@ class TestIsolateRoot:
         assert isolate_root(p, r1 + d, r2 - d) is None
 
     def test_square_free_part_taken_once(self, monkeypatch):
+        # a square-free input passes the modular test and never reaches the rational gcd;
+        # its square takes the square-free part once
         p, r1, r2 = self.close_roots()
+        calls = self.spy_gcd(monkeypatch)
+        d = Fraction(1, 10**12)
+        for q, gcds in ((p, 0), (poly_mul(p, p), 1)):
+            for a, b in ((Fraction(0), Fraction(1)), (r1 - d, r2 + d)):
+                calls.clear()
+                assert isolate_root(q, a, b) is not None
+                assert len(calls) == gcds, (q, a, b)
+
+    @staticmethod
+    def spy_gcd(monkeypatch):
         calls = []
         real = exactmath.poly_gcd
         monkeypatch.setattr(exactmath, "poly_gcd", lambda *a: calls.append(a) or real(*a))
-        d = Fraction(1, 10**12)
-        for a, b in ((Fraction(0), Fraction(1)), (r1 - d, r2 + d)):
-            calls.clear()
-            assert isolate_root(p, a, b) is not None
-            assert len(calls) == 1, (a, b)
+        return calls
+
+    def test_square_free_degree_64_skips_gcd(self, monkeypatch):
+        # 64 distinct roots k/65 in (0, 1): a Descartes count of 64, and no rational gcd
+        calls = self.spy_gcd(monkeypatch)
+        p = [Fraction(1)]
+        for k in range(1, 65):
+            p = poly_mul(p, [Fraction(-k, 65), Fraction(1)])
+        assert isolate_root(p, 0, 1) == (Fraction(15, 1024), Fraction(16, 1024))
+        assert not calls
+
+    def test_degree_66_tangency_brackets_the_double_root(self, monkeypatch):
+        # (s - 1/3)^2 (s^64 + s + 1): the modular test must not pass a repeated factor
+        calls = self.spy_gcd(monkeypatch)
+        p = poly_mul(poly_mul([Fraction(-1, 3), Fraction(1)], [Fraction(-1, 3), Fraction(1)]),
+                     [Fraction(1), Fraction(1)] + [Fraction(0)] * 62 + [Fraction(1)])
+        assert len(p) == 67
+        assert isolate_root(p, 0, 1) == (Fraction(341, 1024), Fraction(342, 1024))
+        assert len(calls) == 1
+
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.lists(st.integers(-9, 9), min_size=2, max_size=7))
+    @example([1], [-1, 0, 1])
+    @example([-1, 1], [-1, 1])  # (s - 1)^3
+    @example([0, 1], [3, 0, 1])
+    @settings(max_examples=200, deadline=None)
+    def test_modular_square_free_test_is_sound(self, f, g):
+        # c = f^2 g is square-free only if f is constant; whenever the modular test
+        # says square-free, the rational gcd of c and c' is a constant
+        c = poly_mul(poly_mul(f, f), g)
+        if len(c) < 2:
+            return
+        if exactmath._square_free_mod([int(x) for x in c]):
+            assert len(exactmath.poly_gcd(c, exactmath.poly_deriv(c))) == 1
+            assert len(poly_trim(f)) <= 1
+
+    def test_modular_test_undecided_when_the_prime_divides_the_lead(self):
+        m = exactmath._SQUARE_FREE_PRIME
+        assert exactmath._square_free_mod([-1, 0, 1])
+        assert not exactmath._square_free_mod([-1, 0, m])
 
     def test_int_endpoints(self):
         # ints and Fractions give one bracket, always of Fractions
@@ -357,19 +403,21 @@ class TestIsolateRoot:
         assert isolate_root(p, 0, 1) == isolate_root_oracle(p, 0, 1)
 
     def test_interval_composed_once(self, monkeypatch):
-        # the interval is mapped onto (0, 1) once per call, and once more if the square-free part is taken
-        calls = []
+        # the interval is mapped onto (0, 1) exactly once per call, even when the square-free
+        # part is taken: that step runs on the mapped list
+        calls, gcds = [], self.spy_gcd(monkeypatch)
         real = exactmath._compose_int
         monkeypatch.setattr(exactmath, "_compose_int", lambda *a: calls.append(a) or real(*a))
         p, _, _ = self.close_roots()
-        for q, a, b, composed in (([Fraction(-2), Fraction(0), Fraction(1)], Fraction(0), Fraction(2), 1),
-                                  ([Fraction(1), Fraction(0), Fraction(1)], Fraction(0), Fraction(5), 1),
-                                  # no real root, but a Descartes count of 2: the square-free step runs
-                                  ([Fraction(1), Fraction(0), Fraction(1)], Fraction(-5), Fraction(5), 2),
-                                  (poly_mul(p, p), Fraction(0), Fraction(1), 2)):
+        for q, a, b, gcd_taken in (([Fraction(-2), Fraction(0), Fraction(1)], Fraction(0), Fraction(2), 0),
+                                   ([Fraction(1), Fraction(0), Fraction(1)], Fraction(0), Fraction(5), 0),
+                                   # no real root and a Descartes count of 2, but square-free
+                                   ([Fraction(1), Fraction(0), Fraction(1)], Fraction(-5), Fraction(5), 0),
+                                   (poly_mul(p, p), Fraction(0), Fraction(1), 1)):
             calls.clear()
+            gcds.clear()
             isolate_root(q, a, b)
-            assert len(calls) == composed, (q, a, b)
+            assert (len(calls), len(gcds)) == (1, gcd_taken), (q, a, b)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError, match="empty interval"):
