@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from . import io
-from .criterion import GraphBuildReject, build_graph, check_lift
 from .polytope import (
     PolytopeError,
     face_lattice,
@@ -116,16 +115,20 @@ def _parse_vec(s: str, field: str):
 
 def cmd_equiv(args) -> int:
     P = io.load_polytope(args.polytope)
-    r = _parse_vec(args.r, "--r")
-    t1 = _parse_vec(args.t1, "--t1")
-    t2 = _parse_vec(args.t2, "--t2")
-    eq = points_equivalent(P, (t1, r), (t2, r))
+    vecs = {f: _parse_vec(getattr(args, f), f"--{f}") for f in ("r", "t1", "t2")}
+    for f, x in vecs.items():  # named as the user typed them, not as points_equivalent names them
+        if len(x) != P.n:
+            raise io.FormatError(f"--{f} has length {len(x)}, the polytope has dimension {P.n}")
+    r = vecs["r"]
+    eq = points_equivalent(P, (vecs["t1"], r), (vecs["t2"], r))
     machine = {"command": "equiv", "equivalent": eq}
     _emit(args, machine, [f"equivalent: {eq}"])
     return EXIT_PASS if eq else EXIT_FAIL
 
 
 def cmd_lift_check(args) -> int:
+    from .criterion import check_lift  # only lift-check and sample load the criterion
+
     P = io.load_polytope(args.polytope)
     spec = io.load_curve(args.curve)
     verdict = check_lift(P, spec.gamma, spec.interval, spec.circle, spec.chart_vertices)
@@ -152,14 +155,21 @@ def _parse_project(s: str, n: int) -> tuple[int, int, int]:
 
 
 def cmd_sample(args) -> int:
+    # criterion before numpy: the memory its compile takes is freed before numpy loads, so it
+    # does not add to the process's peak (about 1 MB when numpy is loaded first)
+    from .criterion import GraphBuildReject, build_graph
     from . import surface  # the only numpy user, so no other subcommand loads it
 
     fmt = args.format or ("obj" if str(args.out).endswith(".obj") else "csv")
     P = io.load_polytope(args.polytope)
     project = _parse_project(args.project, P.n) if fmt == "obj" else ()  # CSV writes every coordinate
     spec = io.load_curve(args.curve)
-    graph = build_graph(P, spec.gamma, spec.interval, args.endpoint, spec.circle,
-                        spec.chart_vertices[args.endpoint])
+    try:
+        graph = build_graph(P, spec.gamma, spec.interval, args.endpoint, spec.circle,
+                            spec.chart_vertices[args.endpoint])
+    except GraphBuildReject as exc:
+        print(f"reject: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     sample = surface.sample_surface(graph, args.nx, args.nt)
     surface.export_mesh(sample, fmt, args.out, project=project)
     if not args.json:
@@ -235,9 +245,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except GraphBuildReject as exc:
-        print(f"reject: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except (io.FormatError, PolytopeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,11 +9,13 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .chart import CircleEmbedding
 from .exactmath import is_int
 from .polytope import HPolytope
+
+if TYPE_CHECKING:
+    from .chart import CircleEmbedding
 
 RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -122,6 +124,8 @@ def curve_from_dict(d: dict) -> CurveSpec:
                 raise FormatError(f"endpoints[{i}]: expected an endpoint object or null")
             if ep and ep.get("chart_vertex") is not None:
                 charts[i] = parse_point(ep["chart_vertex"], f"endpoints[{i}].chart_vertex")
+    from .chart import CircleEmbedding  # only curve files need the chart module
+
     return CurveSpec(gamma, (a, b), CircleEmbedding(tuple(circle)), (charts[0], charts[1]))
 
 

@@ -252,7 +252,9 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
                     todo.append((nxt, X2, [s // g for s in S2], q2, pivot))
         L = lcm(*(q for _, q in found.values()))
         walk = sorted(found.items(), key=lambda item: [xk * (L // item[1][1]) for xk in item[1][0]])
-        P._vertices = [(tuple(Fraction(xk, q) for xk in X), active) for active, (X, q) in walk]
+        # vertices share coordinates, so each distinct (X_k, q) is made a Fraction once
+        coord = {key: Fraction(*key) for key in {(xk, q) for X, q in found.values() for xk in X}}
+        P._vertices = [(tuple(coord[xk, q] for xk in X), active) for active, (X, q) in walk]
         P._simple = all(len(active) == P.n for active in found)
     return P._vertices
 

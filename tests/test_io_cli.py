@@ -232,10 +232,13 @@ class TestCli:
         assert main(["equiv", cp2_file, "--r", "1,0",
                      "--t1", "1/4,7/10", "--t2", "9/10,7/10"]) == 1
 
+    # the message names the option as typed, not the parameter of points_equivalent
     @pytest.mark.parametrize("r,t1,t2,message", [
-        ("1,0", "1/4,7/10,5", "1/4,1/10", "t1 has length 3"),
-        ("1,0,0", "1/4,7/10", "1/4,1/10", "r1 has length 3"),
-    ], ids=["t1-3", "r-3"])
+        ("1,0", "1/4,7/10,5", "1/4,1/10", "--t1 has length 3"),
+        ("1,0,0", "1/4,7/10", "1/4,1/10", "--r has length 3"),
+        ("1", "1/4,7/10", "1/4,1/10", "--r has length 1"),
+        ("1,0", "1/4,7/10", "1/4", "--t2 has length 1"),
+    ], ids=["t1-3", "r-3", "r-1", "t2-1"])
     def test_equiv_wrong_dimension_usage_error(self, cp2_file, capsys, r, t1, t2, message):
         assert main(["equiv", cp2_file, "--r", r, "--t1", t1, "--t2", t2]) == 3
         assert capsys.readouterr().err == f"error: {message}, the polytope has dimension 2\n"
@@ -470,36 +473,58 @@ class TestCli:
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# Runs the exact subcommands in one fresh interpreter, then `sample`, and
-# prints the exit codes and which of numpy, toriclift.surface, dataclasses
-# and inspect were loaded after each stage.  The exact subcommands load
-# none of them: each costs start-up time on every CLI call.
+# Runs the polytope subcommands in one fresh interpreter, then lift-check,
+# then `sample`, and prints the exit codes and which of numpy,
+# toriclift.surface, dataclasses, inspect, toriclift.criterion and
+# toriclift.chart were loaded after each stage.  The exact subcommands load
+# none of the first four, and the polytope subcommands none of the six:
+# with no bytecode cached, each module costs its compile on every CLI call.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from toriclift.cli import main
 
 polytope, curve, vectors, mesh = sys.argv[1:]
-loaded = lambda: [name in sys.modules for name in ("numpy", "toriclift.surface", "dataclasses", "inspect")]
+loaded = lambda: [name in sys.modules for name in ("numpy", "toriclift.surface", "dataclasses", "inspect",
+                                                   "toriclift.criterion", "toriclift.chart")]
 with contextlib.redirect_stdout(io.StringIO()):
     exact = [main(["validate", polytope]), main(["faces", polytope]),
              main(["quasitoric", polytope, vectors]),
-             main(["equiv", polytope, "--r=1,0", "--t1=0,0", "--t2=0,1/2"]),
-             main(["lift-check", polytope, curve])]
+             main(["equiv", polytope, "--r=1,0", "--t1=0,0", "--t2=0,1/2"])]
+    after_polytope = loaded()
+    exact.append(main(["lift-check", polytope, curve]))
     after_exact = loaded()
     sample = main(["sample", polytope, curve, "--nx", "3", "--nt", "4", "--out", mesh])
-print(json.dumps({"exact": exact, "after_exact": after_exact, "sample": sample, "after_sample": loaded()}))
+print(json.dumps({"exact": exact, "after_polytope": after_polytope, "after_exact": after_exact,
+                  "sample": sample, "after_sample": loaded()}))
 """
+
+
+def _subprocess_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def test_only_sample_loads_numpy(cp2_file, diag_curve_file, tmp_path):
     vecs = write_json(tmp_path, "v.json", {"vectors": [[1, 0], [0, 1], [-1, 1]]})
     mesh = tmp_path / "mesh.obj"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, cp2_file, diag_curve_file, vecs, str(mesh)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["exact"] == [0, 0, 0, 0, 0]
-    assert got["after_exact"] == [False, False, False, False]
+    assert got["after_polytope"] == [False] * 6
+    assert got["after_exact"] == [False, False, False, False, True, True]
     assert got["sample"] == 0 and got["after_sample"][:2] == [True, True]
     assert mesh.read_text().count("\nf ") == 2 * 4
+
+
+@pytest.mark.parametrize("module,loads", [
+    ("toriclift", ["toriclift"]),
+    ("toriclift.polytope", ["toriclift", "toriclift.exactmath", "toriclift.polytope"]),
+])
+def test_import_loads_only_what_it_needs(module, loads):
+    # the package namespace re-exports nothing, so a module loads only its own imports
+    probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'toriclift'))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loads}\n"

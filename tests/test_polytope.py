@@ -479,6 +479,14 @@ class TestEdgeWalk:
         assert paired == [(a, u) for u in start_edges for a in P.normals]
         assert len(ratio_tests) == 128 and len(pivots) == 63
 
+    def test_coordinates_made_once(self):
+        # the unit 5-cube: 32 vertices, 160 coordinates, each 0 or 1 over the
+        # same denominator, so the walk makes two Fractions and shares them
+        verts = enumerate_vertices(catalog.box([1] * 5))
+        coords = [x for v, _ in verts for x in v]
+        assert len(coords) == 160 and set(coords) == {0, 1}
+        assert len({id(x) for x in coords}) == 2
+
 
 class TestFaceLattice:
     def test_cp2_counts(self, cp2):
