@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactmath import IntVec, dot, int_det, is_int, primitive
+from .exactmath import IntVec, _check_point, dot, int_det, is_int, primitive
 from .polytope import HPolytope, Point, PolytopeError, format_point, minimal_face
 
 
@@ -56,23 +56,30 @@ def make_chart(P: HPolytope, o: Sequence[Fraction]) -> VertexChart:
     when D = det A_S of the active normals is +-1, so no determinant is
     taken unless the vertex is rejected; the inverse of U is then the
     negated active normals, so chart coordinates are the facet slacks.
-    Charts are kept on P, one per vertex; a rejected vertex is not kept.
-    The memo is read before `o` is made Fractions: an int hashes and
-    compares as the equal Fraction.
+    The vertex's record is found by its point, and charts are kept on P
+    by sorted active set, one per vertex; a rejected vertex is not kept,
+    and a point that is no vertex is worded by `minimal_face`.
     """
-    chart = P._charts.get(tuple(o))
+    o = tuple(o)
+    _check_point(o, "o")
+    vertex = next((record for record in P._vertices if record[0] == o), None)
+    if vertex is None:
+        minimal_face(P, o)  # raises for a point of the wrong length or outside P
+        raise PolytopeError(f"point {format_point(o)} is not a vertex")
+    return _chart(P, *vertex)
+
+
+def _chart(P: HPolytope, o: Point, active: frozenset[int]) -> VertexChart:
+    """make_chart at the vertex o with the active facets `active`, from P's memo when kept."""
+    key = tuple(sorted(active))
+    chart = P._charts.get(key)
     if chart is None:
-        o = tuple(Fraction(x) for x in o)
-        F = minimal_face(P, o)
-        if F.dim > 0:
-            raise PolytopeError(f"point {format_point(o)} is not a vertex")
-        if len(F.active) != P.n:
-            raise PolytopeError(f"vertex {format_point(o)} is not simple: {len(F.active)} active facets")
-        active = tuple(sorted(F.active))
-        cols, D = P._edges[active]
+        if len(key) != P.n:
+            raise PolytopeError(f"vertex {format_point(o)} is not simple: {len(key)} active facets")
+        cols, D = P._edges[key]
         if abs(D) != 1:
             raise PolytopeError(f"vertex {format_point(o)} is not Delzant: |det U| = {abs(int_det(cols))}")
-        chart = P._charts[o] = VertexChart(P, o, cols, active)
+        chart = P._charts[key] = VertexChart(P, o, cols, key)
     return chart
 
 

@@ -32,9 +32,10 @@ from itertools import zip_longest
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .chart import CircleEmbedding, VertexChart, local_weights, make_chart
+from .chart import CircleEmbedding, VertexChart, _chart, local_weights
 from .exactmath import (
     RatPoly,
+    _check_point,
     _compose_int,
     _eval_int,
     _integer_polys,
@@ -45,7 +46,7 @@ from .exactmath import (
     poly_deriv,
     poly_trim,
 )
-from .polytope import HPolytope, PolytopeError, _face, format_point
+from .polytope import HPolytope, PolytopeError, format_point
 
 Curve = list[RatPoly]  # one coefficient list per ambient coordinate
 Interval = tuple[Fraction, Fraction]
@@ -195,6 +196,8 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     if endpoint not in (0, 1):
         raise ValueError(f"build_graph: endpoint must be 0 or 1, got {endpoint!r}")
     _check_interval(interval, "build_graph")
+    if chart_vertex is not None:
+        _check_point(chart_vertex, "build_graph: chart_vertex")
     _check_dimensions(P, gamma, circle, (chart_vertex,))
     D, G, S = _slacks(P, gamma)
     return _graph(P, D, G, *_map(S, interval), endpoint, circle, chart_vertex)
@@ -212,17 +215,15 @@ def _graph(P: HPolytope, D: int, G: list[list[int]], a: Fraction, w: Fraction, m
     if not tight:
         raise GraphBuildReject("endpoint_interior",
                                f"endpoint {_point(D, G, e)} is not on the boundary")
-    verts = _face(P, tight).vertices  # the endpoint face's, sorted lexicographically
-    if chart_vertex is not None:
-        o = tuple(Fraction(x) for x in chart_vertex)
-        if o not in verts:
-            raise PolytopeError(f"chart vertex {format_point(o)} is not a vertex of the endpoint face")
-    else:
-        o = verts[0]
+    # the endpoint face's vertex records, sorted lexicographically: the first, or the chart vertex
+    o = None if chart_vertex is None else tuple(chart_vertex)
+    vertex = next(((v, act) for v, act in P._vertices if act >= tight and (o is None or v == o)), None)
+    if vertex is None:
+        raise PolytopeError(f"chart vertex {format_point(o)} is not a vertex of the endpoint face")
     if not any(_eval_int(poly_deriv(g), e) for g in G):
         raise GraphBuildReject("singular_parametrisation",
                                f"the curve has zero velocity at endpoint {_point(D, G, e)}")
-    chart = make_chart(P, o)
+    chart = _chart(P, *vertex)
     n = P.n
 
     # chart coordinate j is the slack of active facet j along gamma(e +- tau), in u = tau/w:
@@ -423,6 +424,9 @@ def check_lift(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmb
     check and both endpoint graphs alike.
     """
     _check_interval(interval, "check_lift")
+    for ep, o in enumerate(chart_vertices):
+        if o is not None:
+            _check_point(o, f"check_lift: chart_vertices[{ep}]")
     _check_dimensions(P, gamma, circle, chart_vertices)
     D, G, S = _slacks(P, gamma)  # G = D*gamma is transversal exactly where gamma is
     mapped = _map(S, interval)

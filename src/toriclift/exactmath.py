@@ -7,8 +7,8 @@ Integer matrices are lists of rows; where a function speaks of "columns"
 elimination routine: the rank, the integer kernel, the saturation index
 and the determinant are all read from its triangular form.  Real roots
 are isolated on dyadic integer pieces: the interval is mapped onto (0, 1)
-once, then halved by bit shifts and Taylor shifts by 1, with Fractions
-only in the bracket returned.
+once, then halved by bit shifts and Taylor shifts by 1 until a root is
+isolated, and by its sign after, with Fractions only in the bracket returned.
 """
 
 from __future__ import annotations
@@ -35,6 +35,13 @@ def is_int(x) -> bool:
 def is_rational(x) -> bool:
     """An int that is not a bool, or a Fraction: the exact inputs of the library."""
     return is_int(x) or isinstance(x, Fraction)
+
+
+def _check_point(r: Sequence[Fraction], name: str) -> None:
+    """Raise ValueError unless every coordinate of the point `name` is an int or a Fraction."""
+    for k, x in enumerate(r):
+        if not is_rational(x):
+            raise ValueError(f"{name}, coordinate {k + 1}: expected an int or a Fraction, got {x!r}")
 
 
 def primitive(v: Sequence[int]) -> IntVec:
@@ -227,9 +234,15 @@ def _integer_polys(*polys: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
 
 
 def _compose_int(c: Sequence[int], shift: Fraction, scale: Fraction) -> tuple[list[int], int]:
-    """(q, D) with q(t) = D^deg c(shift + scale*t) integer, by Horner over the denominator D."""
+    """(q, D^deg) with q(t) = D^deg c(shift + scale*t) integer, by Horner over the denominator D.
+
+    At shift 0 it is the diagonal scaling q_k = c_k b^k D^(deg - k), for scale = b/D.
+    """
     if not c:
         return [], 1
+    if not shift:
+        b, D, deg = scale.numerator, scale.denominator, len(c) - 1
+        return [x * b ** k * D ** (deg - k) for k, x in enumerate(c)], D ** deg
     D = lcm(shift.denominator, scale.denominator)
     a, b = shift.numerator * (D // shift.denominator), scale.numerator * (D // scale.denominator)
     out, Dk = [c[-1]], 1
@@ -330,9 +343,13 @@ def _square_free_mod(q: Sequence[int]) -> bool:
 def _isolate(q: list[int], left: Fraction, width: Fraction) -> Optional[tuple[Fraction, Fraction]]:
     """`isolate_root` on q(t) ~ p(left + width t), the integer list of p mapped onto (0, 1).
 
-    One left-first Vincent-Collins-Akritas search decides each piece:
-    Descartes count 0 is no root, 1 exactly one, which then lies in the
-    left half or else the right.  If the first count is 2 or more, the
+    A q whose nonzero coefficients all have one sign has no root in
+    (0, oo), so it is None at once.  Otherwise one left-first
+    Vincent-Collins-Akritas search decides each piece: Descartes count 0
+    is no root, and 1 exactly one, which is simple, so q changes sign
+    there.  That piece is then halved down to level k0 by the sign of q
+    at each midpoint, one integer Horner per level, against its sign just
+    right of the piece's left end.  If the first count is 2 or more, the
     square-free part of q replaces it once, unless a modular test shows q
     square-free already; the map is affine, so the roots in (0, 1) and
     every bracket stay the same.  Below ISOLATE_WIDTH a piece is split
@@ -345,6 +362,8 @@ def _isolate(q: list[int], left: Fraction, width: Fraction) -> Optional[tuple[Fr
     midpoint.  Pieces are no wider than ISOLATE_WIDTH from a level k0
     found once; Fractions appear only in the bracket returned.
     """
+    if min(q) >= 0 or max(q) <= 0:
+        return None
     count = _descartes(q)
     if count > 1 and not _square_free_mod(q):
         _, (q,) = _integer_polys(poly_divmod(q, poly_gcd(q, poly_deriv(q)))[0])
@@ -364,15 +383,19 @@ def _isolate(q: list[int], left: Fraction, width: Fraction) -> Optional[tuple[Fr
         k, j, Q, count = pieces.pop()
         if count == 0:
             continue
-        if count == 1 and k >= k0:
+        if count == 1:
+            s = next(x for x in reversed(Q) if x) > 0  # the sign of Q just right of 0: its lowest term's
+            while k < k0:
+                k, j, v = k + 1, 2 * j + 1, 0
+                for i, x in enumerate(reversed(q)):
+                    v = v * j + (x << k * i)  # 2^(k deg) q(j/2^k), by Horner
+                if not v:
+                    return (at(j, k),) * 2
+                j -= (v > 0) != s  # the left half when q changes sign there
             return bracket(k, j)
         Q = [x << i for i, x in enumerate(Q)]  # the left half, 2^d Q(t/2)
         if sum(Q) == 0:  # Q(1/2) at the midpoint
             return bracket(k, j) if k >= k0 else (at(2 * j + 1, k + 1),) * 2
-        low = _descartes(Q[::-1])
-        if count == 1:  # the one root lies in the left half or else in the right
-            pieces.append((k + 1, 2 * j, Q, 1) if low else (k + 1, 2 * j + 1, _shift1(Q), 1))
-        else:
-            right_half = _shift1(Q)
-            pieces += [(k + 1, 2 * j + 1, right_half, _descartes(right_half[::-1])), (k + 1, 2 * j, Q, low)]
+        R = _shift1(Q)  # the right half
+        pieces += [(k + 1, 2 * j + 1, R, _descartes(R[::-1])), (k + 1, 2 * j, Q, _descartes(Q[::-1]))]
     return None

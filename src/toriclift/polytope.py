@@ -31,6 +31,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactmath import (
     IntVec,
+    _check_point,
     _integer_polys,
     dot,
     hnf,
@@ -88,7 +89,7 @@ class HPolytope:
                 raise PolytopeError(f"facet normal {a} is not primitive")
         if len(set(self.normals)) != len(self.normals):
             raise PolytopeError("duplicate facet normal")
-        # memos of enumerate_vertices, its edges by sorted active set and chart.make_chart
+        # memos of enumerate_vertices, and by sorted active set its edges and chart.make_chart
         self._vertices = None
         self._simple = False  # every vertex simple: set by the walk, read by face_lattice and _face
         self._edges = {}
@@ -456,6 +457,7 @@ def minimal_face(P: HPolytope, r: Sequence[Fraction]) -> Face:
     """The face containing r in its relative interior: its active set is the facets tight at r."""
     if len(r) != P.n:
         raise PolytopeError(f"r has length {len(r)}, the polytope has dimension {P.n}")
+    _check_point(r, "r")
     r = tuple(Fraction(x) for x in r)
     slacks = [lam - dot(r, a) for a, lam in zip(P.normals, P.offsets)]
     if any(s < 0 for s in slacks):
@@ -504,6 +506,7 @@ def points_equivalent(P: HPolytope, tp1: tuple[Sequence[Fraction], Sequence[Frac
     for name, x in (("r1", r1), ("r2", r2), ("t1", t1), ("t2", t2)):
         if len(x) != P.n:
             raise PolytopeError(f"{name} has length {len(x)}, the polytope has dimension {P.n}")
+        _check_point(x, name)
     r1 = tuple(Fraction(x) for x in r1)
     r2 = tuple(Fraction(x) for x in r2)
     F = minimal_face(P, r1)  # each minimal_face raises PolytopeError for a point outside P

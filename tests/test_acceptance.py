@@ -318,7 +318,8 @@ def test_acceptance_7_series_kernel():
                             CircleEmbedding((1, 1)))
         rep = check_endpoint(graph)
         assert rep.status == "fails"
-        assert "negative_leading" in rep.conditions[-1].detail
+        cond = {(c.condition, c.location): c for c in rep.conditions}
+        assert "negative_leading" in cond["divided_smoothness", "coordinate 2"].detail
 
     announce(7, body)
 

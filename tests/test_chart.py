@@ -13,7 +13,7 @@ from toriclift.chart import (
     local_weights,
     make_chart,
 )
-from toriclift.criterion import GraphBuildReject, build_graph
+from toriclift.criterion import GraphBuildReject, build_graph, check_lift
 from toriclift.exactmath import dot, poly_add, poly_compose_linear, poly_scale, poly_sub
 from toriclift.polytope import (
     HPolytope,
@@ -95,9 +95,10 @@ class TestMakeChart:
         # named as points_equivalent names a point of the wrong length, not by the
         # pairing helper that would fail on it; nothing is kept on P
         for o in ((F(0),), (0, 0, 0)):
+            kept = dict(cp2._charts)
             with pytest.raises(PolytopeError, match=f"^r has length {len(o)}, the polytope has dimension 2$"):
                 make_chart(cp2, o)
-            assert tuple(o) not in cp2._charts
+            assert cp2._charts == kept
 
     def test_non_simple_vertex_rejected(self):
         # |x| + |y| + |z| <= 1: four facets meet at every vertex
@@ -107,8 +108,8 @@ class TestMakeChart:
             make_chart(octahedron, (F(1), F(0), F(0)))
 
     def test_memo_read_with_int_coordinates(self):
-        # ints hash and compare as the equal Fractions, so either finds the
-        # chart the other made; the chart keeps its vertex as Fractions
+        # an int point equals the vertex's Fractions, so either finds the chart
+        # the other made; the chart keeps its vertex as Fractions
         P = catalog.cp2(3)
         ch = make_chart(P, (F(3), F(0)))
         assert make_chart(P, (3, 0)) is ch
@@ -117,9 +118,21 @@ class TestMakeChart:
         assert make_chart(P, (F(0), F(3))) is ch
 
     def test_bad_vertex_rejected(self, bad_triangle):
-        for _ in range(2):  # a rejected vertex is not memoised
+        key = next(tuple(sorted(act)) for v, act in enumerate_vertices(bad_triangle) if v == (1, 0))
+        for _ in range(2):  # a rejected vertex is not memoised under its active set
             with pytest.raises(PolytopeError, match=re.escape("vertex (1, 0) is not Delzant: |det U| = 2")):
                 make_chart(bad_triangle, (F(1), F(0)))
+            assert key not in bad_triangle._charts
+
+    def test_warm_check_lift_hashes_no_fraction(self, monkeypatch):
+        # the endpoint charts are kept by their sorted active facets, so a warm check_lift
+        # reads both without hashing a vertex's Fractions
+        P, gamma, K = catalog.cp2(3), [[0, 1], [0, 0, 0, 2]], CircleEmbedding((1, 1))
+        assert check_lift(P, gamma, (0, 1), K).verdict == "accept"
+        hashes, real = [], F.__hash__
+        monkeypatch.setattr(F, "__hash__", lambda x: hashes.append(x) or real(x))
+        assert check_lift(P, gamma, (0, 1), K).verdict == "accept"
+        assert hashes == []
 
     def test_delzant_vertex_takes_no_determinant(self, monkeypatch):
         # the walk's D = det A_S decides unimodularity; only a rejection words |det U|

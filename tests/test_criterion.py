@@ -11,7 +11,7 @@ import pytest
 
 from conftest import sturm_count
 from toriclift import catalog, criterion, exactmath, io
-from toriclift.chart import CircleEmbedding
+from toriclift.chart import CircleEmbedding, make_chart
 from toriclift.criterion import (
     GraphBuildReject,
     build_graph,
@@ -22,7 +22,7 @@ from toriclift.criterion import (
     valuation,
 )
 from toriclift.exactmath import poly_compose_linear, poly_deriv, poly_eval, poly_trim
-from toriclift.polytope import HPolytope, PolytopeError, face_lattice
+from toriclift.polytope import HPolytope, PolytopeError, face_lattice, minimal_face, points_equivalent
 
 F = Fraction
 
@@ -329,7 +329,8 @@ class TestCheckLift:
         v = check_lift(square, DIAG, (F(0), F(1)), CircleEmbedding((1, -3)))
         assert v.verdict == "reject"
         for name in ("endpoint 1", "endpoint 2"):
-            assert v.report(name).conditions[-1].detail == "m = -3, valuation 1, negative_power"
+            cond = {(c.condition, c.location): c for c in v.report(name).conditions}
+            assert cond["divided_smoothness", "coordinate 2"].detail == "m = -3, valuation 1, negative_power"
 
     def test_inconclusive_at_low_order(self, square):
         # y = (s(1-s))^20 has valuation 20 at both endpoints, past any low
@@ -490,9 +491,18 @@ class TestIntervalTypes:
 class TestExactSlots:
     """A float, a bool and a string in an exact slot each give one error naming the slot,
     where check_transversality crashed on a float end, a bool coefficient was read as 1,
-    and box and projective_simplex wrapped a float in a Fraction."""
+    box and projective_simplex wrapped a float in a Fraction, and the point questions and
+    chart vertices read a float or a bool as the equal rational."""
 
     SLOTS = {
+        "minimal-face": (lambda x: minimal_face(catalog.cp2(3), (x, 0)), "r, coordinate 1: "),
+        "make-chart": (lambda x: make_chart(catalog.cp2(3), (0, x)), "o, coordinate 2: "),
+        "points-equivalent": (lambda x: points_equivalent(catalog.cp2(3), ((x, 0), (0, 0)), ((0, 0), (0, 0))),
+                              "t1, coordinate 1: "),
+        "chart-vertex": (lambda x: build_graph(catalog.cp2(3), DIAG, DIAG_IV, 0, K11, (x, 0)),
+                         "build_graph: chart_vertex, coordinate 1: "),
+        "chart-vertices": (lambda x: check_lift(catalog.cp2(3), DIAG, DIAG_IV, K11, (None, (0, x))),
+                           "check_lift: chart_vertices[1], coordinate 2: "),
         "transversality-interval": (lambda x: check_transversality(DIAG, K11, (0, x)),
                                     "check_transversality: interval end 1: "),
         "coefficient": (lambda x: check_lift(catalog.cp2(3), [poly(0, 1), [0, x]], DIAG_IV, K11),

@@ -299,6 +299,13 @@ class TestIsolateRoot:
     # int endpoints, as well as int coefficients
     @example(([-1, 0, 3], 0, 1))
     @example(([Fraction(-1, 4), Fraction(0), Fraction(1)], -1, 3))
+    # one root, isolated by the first Descartes count and then refined by signs
+    @example(([Fraction(-2), Fraction(0), Fraction(1)], Fraction(0), Fraction(2)))
+    @example(([Fraction(-2), Fraction(0), Fraction(1)], Fraction(-1), Fraction(2)))
+    # a root at the left end: the sign just right of it is that of the lowest nonzero term
+    @example((poly_mul([Fraction(0), Fraction(1)], [Fraction(-1, 3), Fraction(1)]), Fraction(0), Fraction(1)))
+    # 3/8 isolated at level 0, then met as an exact midpoint during the refinement
+    @example((poly_mul([Fraction(-3, 8), Fraction(1)], [Fraction(1), Fraction(1)]), Fraction(0), Fraction(1)))
     @settings(max_examples=200, deadline=None)
     def test_against_sturm(self, problem):
         p, a, b = problem
@@ -330,7 +337,7 @@ class TestIsolateRoot:
         # a square-free input passes the modular test and never reaches the rational gcd;
         # its square takes the square-free part once
         p, r1, r2 = self.close_roots()
-        calls = self.spy_gcd(monkeypatch)
+        calls = self.spy(monkeypatch, "poly_gcd")
         d = Fraction(1, 10**12)
         for q, gcds in ((p, 0), (poly_mul(p, p), 1)):
             for a, b in ((Fraction(0), Fraction(1)), (r1 - d, r2 + d)):
@@ -339,15 +346,15 @@ class TestIsolateRoot:
                 assert len(calls) == gcds, (q, a, b)
 
     @staticmethod
-    def spy_gcd(monkeypatch):
+    def spy(monkeypatch, name):
         calls = []
-        real = exactmath.poly_gcd
-        monkeypatch.setattr(exactmath, "poly_gcd", lambda *a: calls.append(a) or real(*a))
+        real = getattr(exactmath, name)
+        monkeypatch.setattr(exactmath, name, lambda *a: calls.append(a) or real(*a))
         return calls
 
     def test_square_free_degree_64_skips_gcd(self, monkeypatch):
         # 64 distinct roots k/65 in (0, 1): a Descartes count of 64, and no rational gcd
-        calls = self.spy_gcd(monkeypatch)
+        calls = self.spy(monkeypatch, "poly_gcd")
         p = [Fraction(1)]
         for k in range(1, 65):
             p = poly_mul(p, [Fraction(-k, 65), Fraction(1)])
@@ -356,7 +363,7 @@ class TestIsolateRoot:
 
     def test_degree_66_tangency_brackets_the_double_root(self, monkeypatch):
         # (s - 1/3)^2 (s^64 + s + 1): the modular test must not pass a repeated factor
-        calls = self.spy_gcd(monkeypatch)
+        calls = self.spy(monkeypatch, "poly_gcd")
         p = poly_mul(poly_mul([Fraction(-1, 3), Fraction(1)], [Fraction(-1, 3), Fraction(1)]),
                      [Fraction(1), Fraction(1)] + [Fraction(0)] * 62 + [Fraction(1)])
         assert len(p) == 67
@@ -405,9 +412,7 @@ class TestIsolateRoot:
     def test_interval_composed_once(self, monkeypatch):
         # the interval is mapped onto (0, 1) exactly once per call, even when the square-free
         # part is taken: that step runs on the mapped list
-        calls, gcds = [], self.spy_gcd(monkeypatch)
-        real = exactmath._compose_int
-        monkeypatch.setattr(exactmath, "_compose_int", lambda *a: calls.append(a) or real(*a))
+        calls, gcds = self.spy(monkeypatch, "_compose_int"), self.spy(monkeypatch, "poly_gcd")
         p, _, _ = self.close_roots()
         for q, a, b, gcd_taken in (([Fraction(-2), Fraction(0), Fraction(1)], Fraction(0), Fraction(2), 0),
                                    ([Fraction(1), Fraction(0), Fraction(1)], Fraction(0), Fraction(5), 0),
@@ -419,6 +424,19 @@ class TestIsolateRoot:
             isolate_root(q, a, b)
             assert (len(calls), len(gcds)) == (1, gcd_taken), (q, a, b)
 
+    def test_one_sign_takes_no_descartes_count(self, monkeypatch):
+        # 1 + s^2 maps onto a list of positive coefficients: no root, and nothing searched
+        calls = self.spy(monkeypatch, "_descartes")
+        assert isolate_root([1, 0, 1], 0, 5) is None
+        assert calls == []
+
+    def test_isolated_root_refined_by_signs(self, monkeypatch):
+        # 1/sqrt(3) is isolated by the first Descartes count, its one Taylor shift; each
+        # of the ten levels down to ISOLATE_WIDTH then reads the sign of q at a midpoint
+        calls = self.spy(monkeypatch, "_shift1")
+        assert isolate_root([-1, 0, 3], 0, 1) == (Fraction(591, 1024), Fraction(37, 64))
+        assert len(calls) == 1
+
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError, match="empty interval"):
             isolate_root([Fraction(1), Fraction(1)], Fraction(1), Fraction(1))
@@ -428,6 +446,9 @@ class TestComposeLinear:
     @given(st.lists(small_rationals, max_size=7), st.one_of(small_rationals, large_denominators),
            st.one_of(small_rationals, large_denominators, st.just(Fraction(0))))
     @example([Fraction(0), Fraction(0)], Fraction(1), Fraction(2))
+    # shift 0 is the diagonal scaling, by an int and by a Fraction
+    @example([Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7)], Fraction(0), 3)
+    @example([Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7)], Fraction(0), Fraction(-3, 4))
     @settings(max_examples=100, deadline=None)
     def test_against_fraction_horner(self, p, shift, scale):
         assert poly_compose_linear(p, shift, scale) == compose_reference(p, shift, scale)

@@ -601,9 +601,9 @@ class TestPointQuestions:
         monkeypatch.setattr(polytope, "Face", lambda *a: made.append(a) or face(*a))
         got = self.answers(catalog.box([1] * 10))
         assert got == expected
-        # one face per point question: each endpoint's face and chart in check_lift, the
-        # face in build_graph (whose chart is kept), minimal_face and points_equivalent
-        assert len(made) == 7
+        # check_lift, build_graph and make_chart read the vertex records and build no face;
+        # minimal_face and points_equivalent build one face each
+        assert len(made) == 2
         assert expected[0]["verdict"] == "reject" and len(expected[3].vertices) == 2 ** 9
         assert expected[4] is True
 
