@@ -379,6 +379,32 @@ class TestCheckLift:
         assert d["verdict"] == "accept"
         assert all({"name", "status", "conditions"} <= set(r) for r in d["reports"])
 
+    def test_edge_sphere_zero_coordinate_before_the_parameter(self, square):
+        # (0, s) runs along the facet x = 0: at each end x_1 is identically zero, so its
+        # slope is 0 and the parameter is coordinate 2, which comes after it
+        v = check_lift(square, [poly(0), poly(0, 1)], (F(0), F(1)), CircleEmbedding((0, 1)))
+        assert v.verdict == "accept"
+        assert v.report("endpoint 1").status == v.report("endpoint 2").status == "holds"
+
+    def test_interior_contact_and_parameter_labels(self, square):
+        # x = 3s - 2s^2 touches the facet x = 1 at s = 1/2 and comes back to it at s = 1,
+        # where it decreases: the labels name facet 2 and parameter coordinate 1
+        gamma = [poly(0, 3, -2), poly(F(1, 2), F(1, 4), F(-1, 4))]
+        v = check_lift(square, gamma, (F(0), F(1)), K10)
+        assert v.verdict == "reject"
+        contact = [c for c in v.report("interior").conditions if c.outcome == "fails"]
+        assert [(c.location, c.detail) for c in contact] == [
+            ("facet 2", "interior boundary contact at s in (1/2, 1/2)")]
+        (end,) = v.report("endpoint 2").conditions
+        assert (end.condition, end.detail) == (
+            "curve_exits_chart_cone", "parameter coordinate 1 decreases into the domain at (1, 1/2)")
+
+    def test_fractional_endpoint_printed(self, square):
+        # gamma(1/2) = (3/4, 1/2) for the degree-2 curve (1/2 + s^2, s)
+        v = check_lift(square, [poly(F(1, 2), 0, 1), poly(0, 1)], (F(0), F(1, 2)), K11)
+        (end,) = v.report("endpoint 2").conditions
+        assert end.detail == "endpoint (3/4, 1/2) is not on the boundary"
+
 
 class TestInvariances:
     CASES = [

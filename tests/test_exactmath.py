@@ -306,6 +306,10 @@ class TestIsolateRoot:
     @example((poly_mul([Fraction(0), Fraction(1)], [Fraction(-1, 3), Fraction(1)]), Fraction(0), Fraction(1)))
     # 3/8 isolated at level 0, then met as an exact midpoint during the refinement
     @example((poly_mul([Fraction(-3, 8), Fraction(1)], [Fraction(1), Fraction(1)]), Fraction(0), Fraction(1)))
+    # one root, 1/sqrt(3), in a count-1 piece whose lowest coefficient is exactly +1: its sign sets the refinement
+    @example(([1, 0, -3], 0, 1))
+    # (s - 7/8)(s - 15/16): 7/8 is the midpoint of the level-2 piece (3/4, 1) that holds both roots
+    @example(([Fraction(105, 128), Fraction(-29, 16), 1], 0, 1))
     @settings(max_examples=200, deadline=None)
     def test_against_sturm(self, problem):
         p, a, b = problem
