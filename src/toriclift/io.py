@@ -26,7 +26,7 @@ class FormatError(ValueError):
 
 def _read_json(path):
     """The JSON document in a file; one that does not decode is a FormatError naming the file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:

@@ -201,5 +201,5 @@ def export_mesh(sample: SurfaceSample, fmt: str, path,
         blocks = ["v %.17g %.17g %.17g\n" * (nx * nt) % tuple(verts), _obj_faces(nx, nt)]
     else:
         raise SamplerError(f"unknown mesh format {fmt!r}")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(blocks)

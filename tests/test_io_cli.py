@@ -528,3 +528,19 @@ def test_import_loads_only_what_it_needs(module, loads):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{loads}\n"
+
+
+def test_files_read_and_written_as_utf8(diag_curve_file, tmp_path):
+    # with the locale's codec an error, the CLI still reads its JSON and writes its mesh,
+    # and prints what it prints without the flags
+    polytope = os.path.join(os.path.dirname(SRC), "data", "cp2_3.json")
+    mesh = tmp_path / "mesh.obj"
+    for args in (["validate", polytope, "--json"],
+                 ["sample", polytope, diag_curve_file, "--nx", "3", "--nt", "4", "--out", str(mesh)]):
+        runs = []
+        for flags in ([], ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]):
+            proc = subprocess.run([sys.executable, *flags, "-m", "toriclift.cli", *args], env=_subprocess_env(),
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, mesh.read_bytes() if mesh.exists() else None))
+        assert runs[0] == runs[1]
