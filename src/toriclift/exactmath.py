@@ -9,6 +9,9 @@ and the determinant are all read from its triangular form.  Real roots
 are isolated on dyadic integer pieces: the interval is mapped onto (0, 1)
 once, then halved by bit shifts and Taylor shifts by 1 until a root is
 isolated, and by its sign after, with Fractions only in the bracket returned.
+A list that may have a repeated root is made square-free first by one
+integer gcd of two values, read back as a polynomial and checked by exact
+division (the heuristic gcd of Char, Geddes and Gonnet).
 """
 
 from __future__ import annotations
@@ -198,32 +201,6 @@ def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def poly_divmod(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[RatPoly, RatPoly]:
-    p, q = poly_trim(p), poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("poly_divmod: division by zero polynomial")
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    rem = list(p)
-    while len(rem) >= len(q) and rem:
-        f = Fraction(rem[-1]) / q[-1]  # exact for integer lists too
-        d = len(rem) - len(q)
-        quot[d] = f
-        for i, c in enumerate(q):
-            rem[d + i] -= f * c
-        rem = poly_trim(rem)
-    return poly_trim(quot), rem
-
-
-def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> RatPoly:
-    a, b = poly_trim(p), poly_trim(q)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        a = poly_scale(a, 1 / Fraction(a[-1]))  # monic
-    return a
-
-
 def _integer_polys(*polys: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
     """(D, [D*p for each p]) as integer lists, D > 0 the lcm of every denominator.
 
@@ -314,30 +291,46 @@ def isolate_root(p: Sequence[Fraction], left: Fraction, right: Fraction) -> Opti
     return _isolate(_compose_int(c, left, width)[0], left, width)
 
 
-# a prime for the square-free pre-test, so large that it rarely divides a coefficient by chance
-_SQUARE_FREE_PRIME = (1 << 61) - 1
+def _divide(p: Sequence[int], h: Sequence[int]) -> Optional[list[int]]:
+    """p / h for integer lists, or None unless h divides p with an integer quotient."""
+    quot, rem = [], list(p)
+    for d in range(len(p) - len(h), -1, -1):
+        f, r = divmod(rem[d + len(h) - 1], h[-1])
+        if r:
+            return None
+        quot.append(f)
+        for i, x in enumerate(h):
+            rem[d + i] -= f * x
+    return None if any(rem) else quot[::-1]
 
 
-def _square_free_mod(q: Sequence[int]) -> bool:
-    """True when gcd(q, q') = 1 modulo a prime that does not divide the leading coefficient.
+def _square_free(q: list[int]) -> list[int]:
+    """q / gcd(q, q') up to a constant factor, or q itself when q is square-free.
 
-    Then q is square-free over Q: a repeated factor f^2 of q would keep
-    its degree modulo that prime and divide q' there too.  False means only
-    that the test did not decide.
+    The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 1989):
+    h, the symmetric xi-adic digits of gcd(q(xi), q'(xi)) over their gcd,
+    is gcd(q, q') once it divides both, for xi >= 2 min(|q|, |q'|) + 2 in
+    the max norm.  Every root of a repeated factor g lies within xi/2 by
+    Cauchy's bound, so |g(xi)| > xi/2 and h is not constant: a constant h
+    proves q square-free.  Otherwise xi is squared until h divides; a wrong
+    h holds a stray factor that divides the resultant of the cofactors,
+    which a large enough xi leaves behind.
     """
-    m = _SQUARE_FREE_PRIME
-    if not q[-1] % m:
-        return False
-    a, b = [x % m for x in q], poly_trim([i * x % m for i, x in enumerate(q)][1:])
-    while b:  # Euclid over the integers modulo m
-        inv = pow(b[-1], -1, m)
-        while len(a) >= len(b):
-            f, d = a[-1] * inv % m, len(a) - len(b)
-            for i, x in enumerate(b):
-                a[d + i] = (a[d + i] - f * x) % m
-            a = poly_trim(a)
-        a, b = b, a
-    return len(a) == 1
+    dq = [i * x for i, x in enumerate(q)][1:]
+    xi = 2 * min(max(map(abs, q)), max(map(abs, dq))) + 2
+    while True:
+        g, h = gcd(_eval_int(q, xi), _eval_int(dq, xi)), []
+        while g:
+            h.append((g + xi // 2) % xi - xi // 2)
+            g = (g - h[-1]) // xi
+        c = gcd(*h)
+        h = [x // c for x in h]
+        if len(h) == 1:
+            return q
+        quot = _divide(q, h)
+        if quot is not None and _divide(dq, h) is not None:
+            return quot
+        xi *= xi
 
 
 def _isolate(q: list[int], left: Fraction, width: Fraction) -> Optional[tuple[Fraction, Fraction]]:
@@ -349,11 +342,11 @@ def _isolate(q: list[int], left: Fraction, width: Fraction) -> Optional[tuple[Fr
     is no root, and 1 exactly one, which is simple, so q changes sign
     there.  That piece is then halved down to level k0 by the sign of q
     at each midpoint, one integer Horner per level, against its sign just
-    right of the piece's left end.  If the first count is 2 or more, the
-    square-free part of q replaces it once, unless a modular test shows q
-    square-free already; the map is affine, so the roots in (0, 1) and
-    every bracket stay the same.  Below ISOLATE_WIDTH a piece is split
-    only to learn whether it holds a root.
+    right of the piece's left end.  If the first count is 2 or more,
+    `_square_free` replaces q by q / gcd(q, q'), found in integers; that
+    changes q only by a constant factor when q is square-free, and keeps
+    its roots, so every bracket stays the same.  Below ISOLATE_WIDTH a
+    piece is split only to learn whether it holds a root.
 
     The pieces are dyadic and integer (Rouillier and Zimmermann, J. Comput.
     Appl. Math. 2004): piece (k, j) holds Q(t) ~ q((j + t)/2^k).  Its left
@@ -365,8 +358,8 @@ def _isolate(q: list[int], left: Fraction, width: Fraction) -> Optional[tuple[Fr
     if min(q) >= 0 or max(q) <= 0:
         return None
     count = _descartes(q)
-    if count > 1 and not _square_free_mod(q):
-        _, (q,) = _integer_polys(poly_divmod(q, poly_gcd(q, poly_deriv(q)))[0])
+    if count > 1:
+        q = _square_free(q)
     # level k0: the least k with width/2^k <= ISOLATE_WIDTH
     k0 = (-(-width.numerator * ISOLATE_WIDTH.denominator
             // (width.denominator * ISOLATE_WIDTH.numerator)) - 1).bit_length()

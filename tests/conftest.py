@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from toriclift import catalog
-from toriclift.exactmath import poly_deriv, poly_divmod, poly_eval, poly_gcd, poly_scale, poly_trim
+from toriclift.exactmath import poly_deriv, poly_eval, poly_scale, poly_trim
 
 # the catalog polytopes, by the names of their files in data/
 CATALOG = {
@@ -55,13 +55,36 @@ def _sign_changes(values):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def poly_divmod(p, q):
+    """Quotient and remainder of coefficient lists over the rationals, by long division."""
+    p, q = poly_trim(p), poly_trim(q)
+    quot, rem = [Fraction(0)] * max(len(p) - len(q) + 1, 0), list(p)
+    while len(rem) >= len(q) and rem:
+        f = Fraction(rem[-1]) / q[-1]
+        d = len(rem) - len(q)
+        quot[d] = f
+        for i, c in enumerate(q):
+            rem[d + i] -= f * c
+        rem = poly_trim(rem)
+    return poly_trim(quot), rem
+
+
+def square_free_part(p):
+    """p / gcd(p, p') by the Euclidean algorithm over the rationals: the reference for
+    the integer square-free step, kept apart from the code it checks."""
+    a, b = poly_trim(p), poly_deriv(p)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return poly_divmod(p, a)[0]
+
+
 def sturm_count(p, left, right):
     """Distinct real roots of p in the open (left, right) from a Sturm chain of
     its square-free part: the differential oracle for isolate_root's root test."""
     p = poly_trim(p)
     if len(p) == 1:
         return 0
-    sf, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
+    sf = square_free_part(p)
     if len(sf) == 1:
         return 0
     chain = [sf, poly_deriv(sf)]

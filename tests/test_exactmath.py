@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import sturm_count
+from conftest import poly_divmod, square_free_part, sturm_count
 from toriclift import exactmath
 from toriclift.exactmath import (
     ISOLATE_WIDTH,
@@ -338,16 +338,15 @@ class TestIsolateRoot:
         assert isolate_root(p, r1 + d, r2 - d) is None
 
     def test_square_free_part_taken_once(self, monkeypatch):
-        # a square-free input passes the modular test and never reaches the rational gcd;
-        # its square takes the square-free part once
+        # a square-free input is proved so and kept; its square loses its repeated factor once
         p, r1, r2 = self.close_roots()
-        calls = self.spy(monkeypatch, "poly_gcd")
+        reduced = self.square_free_spy(monkeypatch)
         d = Fraction(1, 10**12)
-        for q, gcds in ((p, 0), (poly_mul(p, p), 1)):
+        for q, taken in ((p, 0), (poly_mul(p, p), 1)):
             for a, b in ((Fraction(0), Fraction(1)), (r1 - d, r2 + d)):
-                calls.clear()
+                reduced.clear()
                 assert isolate_root(q, a, b) is not None
-                assert len(calls) == gcds, (q, a, b)
+                assert len(reduced) == taken, (q, a, b)
 
     @staticmethod
     def spy(monkeypatch, name):
@@ -356,43 +355,73 @@ class TestIsolateRoot:
         monkeypatch.setattr(exactmath, name, lambda *a: calls.append(a) or real(*a))
         return calls
 
+    @staticmethod
+    def square_free_spy(monkeypatch):
+        """The lists `_square_free` returns other than its input: one for each list
+        that had a repeated factor to take out."""
+        reduced = []
+        real = exactmath._square_free
+
+        def spy(q):
+            out = real(q)
+            if out != q:
+                reduced.append(out)
+            return out
+
+        monkeypatch.setattr(exactmath, "_square_free", spy)
+        return reduced
+
     def test_square_free_degree_64_skips_gcd(self, monkeypatch):
-        # 64 distinct roots k/65 in (0, 1): a Descartes count of 64, and no rational gcd
-        calls = self.spy(monkeypatch, "poly_gcd")
+        # 64 distinct roots k/65 in (0, 1): a Descartes count of 64, and a list proved square-free
+        reduced = self.square_free_spy(monkeypatch)
         p = [Fraction(1)]
         for k in range(1, 65):
             p = poly_mul(p, [Fraction(-k, 65), Fraction(1)])
         assert isolate_root(p, 0, 1) == (Fraction(15, 1024), Fraction(16, 1024))
-        assert not calls
+        assert not reduced
+
+    @staticmethod
+    def tangency(q):
+        """(s - 1/3)^2 q(s): a curve that touches a facet at s = 1/3."""
+        return poly_mul(poly_mul([Fraction(-1, 3), Fraction(1)], [Fraction(-1, 3), Fraction(1)]), q)
 
     def test_degree_66_tangency_brackets_the_double_root(self, monkeypatch):
-        # (s - 1/3)^2 (s^64 + s + 1): the modular test must not pass a repeated factor
-        calls = self.spy(monkeypatch, "poly_gcd")
-        p = poly_mul(poly_mul([Fraction(-1, 3), Fraction(1)], [Fraction(-1, 3), Fraction(1)]),
-                     [Fraction(1), Fraction(1)] + [Fraction(0)] * 62 + [Fraction(1)])
+        # (s - 1/3)^2 (s^64 + s + 1): the repeated factor is found and taken out
+        reduced = self.square_free_spy(monkeypatch)
+        p = self.tangency([Fraction(1), Fraction(1)] + [Fraction(0)] * 62 + [Fraction(1)])
         assert len(p) == 67
         assert isolate_root(p, 0, 1) == (Fraction(341, 1024), Fraction(342, 1024))
-        assert len(calls) == 1
+        assert len(reduced) == 1
+
+    def test_tangency_square_free_in_one_integer_gcd(self, monkeypatch):
+        # the degree-66 tangency above and a seeded degree-130 one each take one call to
+        # `_square_free`, which evaluates q and q' once each: its first xi is enough
+        rng = random.Random(7)
+        q = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1)) for _ in range(129)]
+        for p in (self.tangency([Fraction(1), Fraction(1)] + [Fraction(0)] * 62 + [Fraction(1)]),
+                  self.tangency(q)):
+            calls, evals = self.spy(monkeypatch, "_square_free"), self.spy(monkeypatch, "_eval_int")
+            assert isolate_root(p, 0, 1) == (Fraction(341, 1024), Fraction(342, 1024))
+            assert (len(calls), len(evals)) == (1, 2), len(p)
+            monkeypatch.undo()
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.lists(st.integers(-9, 9), min_size=2, max_size=7))
     @example([1], [-1, 0, 1])
     @example([-1, 1], [-1, 1])  # (s - 1)^3
     @example([0, 1], [3, 0, 1])
+    @example([0, 2], [1, 0])  # 4 s^2: the digits of gcd(400, 80) at xi = 10 read s^2 - 2s, so xi is squared
     @settings(max_examples=200, deadline=None)
-    def test_modular_square_free_test_is_sound(self, f, g):
-        # c = f^2 g is square-free only if f is constant; whenever the modular test
-        # says square-free, the rational gcd of c and c' is a constant
-        c = poly_mul(poly_mul(f, f), g)
+    def test_square_free_against_rational_gcd(self, f, g):
+        # c = f^2 g loses its repeated factors: the result divides c and is, up to a
+        # constant, c / gcd(c, c') by the Euclidean algorithm over the rationals
+        c = [int(x) for x in poly_mul(poly_mul(f, f), g)]
         if len(c) < 2:
             return
-        if exactmath._square_free_mod([int(x) for x in c]):
-            assert len(exactmath.poly_gcd(c, exactmath.poly_deriv(c))) == 1
-            assert len(poly_trim(f)) <= 1
-
-    def test_modular_test_undecided_when_the_prime_divides_the_lead(self):
-        m = exactmath._SQUARE_FREE_PRIME
-        assert exactmath._square_free_mod([-1, 0, 1])
-        assert not exactmath._square_free_mod([-1, 0, m])
+        got = exactmath._square_free(c)
+        assert all(type(x) is int for x in got)
+        assert not poly_divmod(c, got)[1]
+        want = square_free_part(c)
+        assert [Fraction(x, got[-1]) for x in got] == [x / want[-1] for x in want]
 
     def test_int_endpoints(self):
         # ints and Fractions give one bracket, always of Fractions
@@ -416,17 +445,17 @@ class TestIsolateRoot:
     def test_interval_composed_once(self, monkeypatch):
         # the interval is mapped onto (0, 1) exactly once per call, even when the square-free
         # part is taken: that step runs on the mapped list
-        calls, gcds = self.spy(monkeypatch, "_compose_int"), self.spy(monkeypatch, "poly_gcd")
+        calls, reduced = self.spy(monkeypatch, "_compose_int"), self.square_free_spy(monkeypatch)
         p, _, _ = self.close_roots()
-        for q, a, b, gcd_taken in (([Fraction(-2), Fraction(0), Fraction(1)], Fraction(0), Fraction(2), 0),
-                                   ([Fraction(1), Fraction(0), Fraction(1)], Fraction(0), Fraction(5), 0),
-                                   # no real root and a Descartes count of 2, but square-free
-                                   ([Fraction(1), Fraction(0), Fraction(1)], Fraction(-5), Fraction(5), 0),
-                                   (poly_mul(p, p), Fraction(0), Fraction(1), 1)):
+        for q, a, b, taken in (([Fraction(-2), Fraction(0), Fraction(1)], Fraction(0), Fraction(2), 0),
+                               ([Fraction(1), Fraction(0), Fraction(1)], Fraction(0), Fraction(5), 0),
+                               # no real root and a Descartes count of 2, but square-free
+                               ([Fraction(1), Fraction(0), Fraction(1)], Fraction(-5), Fraction(5), 0),
+                               (poly_mul(p, p), Fraction(0), Fraction(1), 1)):
             calls.clear()
-            gcds.clear()
+            reduced.clear()
             isolate_root(q, a, b)
-            assert (len(calls), len(gcds)) == (1, gcd_taken), (q, a, b)
+            assert (len(calls), len(reduced)) == (1, taken), (q, a, b)
 
     def test_one_sign_takes_no_descartes_count(self, monkeypatch):
         # 1 + s^2 maps onto a list of positive coefficients: no root, and nothing searched
