@@ -399,11 +399,15 @@ class TestCheckLift:
         assert (end.condition, end.detail) == (
             "curve_exits_chart_cone", "parameter coordinate 1 decreases into the domain at (1, 1/2)")
 
-    def test_fractional_endpoint_printed(self, square):
-        # gamma(1/2) = (3/4, 1/2) for the degree-2 curve (1/2 + s^2, s)
-        v = check_lift(square, [poly(F(1, 2), 0, 1), poly(0, 1)], (F(0), F(1, 2)), K11)
+    @pytest.mark.parametrize("gamma,point", [
+        ([poly(F(1, 2), 0, 1), poly(0, 1)], "(3/4, 1/2)"),  # a degree-2 curve
+        ([poly(0, 1), poly(F(1, 2))], "(1/2, 1/2)"),  # a constant coordinate
+    ], ids=["degree-2", "constant"])
+    def test_fractional_endpoint_printed(self, square, gamma, point):
+        # gamma(1/2) lies inside the square
+        v = check_lift(square, gamma, (F(0), F(1, 2)), K11)
         (end,) = v.report("endpoint 2").conditions
-        assert end.detail == "endpoint (3/4, 1/2) is not on the boundary"
+        assert end.detail == f"endpoint {point} is not on the boundary"
 
 
 class TestInvariances:

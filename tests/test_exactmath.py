@@ -310,6 +310,8 @@ class TestIsolateRoot:
     @example(([1, 0, -3], 0, 1))
     # (s - 7/8)(s - 15/16): 7/8 is the midpoint of the level-2 piece (3/4, 1) that holds both roots
     @example(([Fraction(105, 128), Fraction(-29, 16), 1], 0, 1))
+    # 1/2048, the midpoint of the bracket (0, 1/1024): the refinement stops at that bracket's level
+    @example(([Fraction(-1, 2048), 1], 0, 1))
     @settings(max_examples=200, deadline=None)
     def test_against_sturm(self, problem):
         p, a, b = problem
@@ -410,6 +412,9 @@ class TestIsolateRoot:
     @example([-1, 1], [-1, 1])  # (s - 1)^3
     @example([0, 1], [3, 0, 1])
     @example([0, 2], [1, 0])  # 4 s^2: the digits of gcd(400, 80) at xi = 10 read s^2 - 2s, so xi is squared
+    # square-free, but the first candidate divides only one of c and c': s - 2 divides c, s - 1 divides c'
+    @example([-2], [4, 4, -3])
+    @example([1], [4, 2, -1])
     @settings(max_examples=200, deadline=None)
     def test_square_free_against_rational_gcd(self, f, g):
         # c = f^2 g loses its repeated factors: the result divides c and is, up to a
