@@ -9,9 +9,8 @@ and the determinant are all read from its triangular form.  Real roots
 are isolated on dyadic integer pieces: the interval is mapped onto (0, 1)
 once, then halved by bit shifts and Taylor shifts by 1 until a root is
 isolated, and by its sign after, with Fractions only in the bracket returned.
-A list that may have a repeated root is made square-free first by one
-integer gcd of two values, read back as a polynomial and checked by exact
-division (the heuristic gcd of Char, Geddes and Gonnet).
+A list that may have a repeated root is made square-free first, by an
+integer gcd checked by exact division (the heuristic gcd of Char et al.).
 """
 
 from __future__ import annotations
@@ -305,16 +304,15 @@ def _divide(p: Sequence[int], h: Sequence[int]) -> Optional[list[int]]:
 
 
 def _square_free(q: list[int]) -> list[int]:
-    """q / gcd(q, q') up to a constant factor, or q itself when q is square-free.
+    """q / gcd(q, q') up to a constant factor; q itself when q is square-free.
 
     The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 1989):
-    h, the symmetric xi-adic digits of gcd(q(xi), q'(xi)) over their gcd,
-    is gcd(q, q') once it divides both, for xi >= 2 min(|q|, |q'|) + 2 in
-    the max norm.  Every root of a repeated factor g lies within xi/2 by
-    Cauchy's bound, so |g(xi)| > xi/2 and h is not constant: a constant h
-    proves q square-free.  Otherwise xi is squared until h divides; a wrong
-    h holds a stray factor that divides the resultant of the cofactors,
-    which a large enough xi leaves behind.
+    for xi >= 2 min(|q|, |q'|) + 2 in the max norm, h, the symmetric xi-adic
+    digits of gcd(q(xi), q'(xi)) over their gcd, is gcd(q, q') if it divides
+    both.  A repeated factor g has its roots within xi/2 (Cauchy's bound),
+    so |g(xi)| > xi/2 and h is not constant: a constant h proves q
+    square-free.  Otherwise xi is squared until h divides, which ends as a
+    wrong h's stray factor divides the resultant of the cofactors.
     """
     dq = [i * x for i, x in enumerate(q)][1:]
     xi = 2 * min(max(map(abs, q)), max(map(abs, dq))) + 2
@@ -343,10 +341,9 @@ def _isolate(q: list[int], left: Fraction, width: Fraction) -> Optional[tuple[Fr
     there.  That piece is then halved down to level k0 by the sign of q
     at each midpoint, one integer Horner per level, against its sign just
     right of the piece's left end.  If the first count is 2 or more,
-    `_square_free` replaces q by q / gcd(q, q'), found in integers; that
-    changes q only by a constant factor when q is square-free, and keeps
-    its roots, so every bracket stays the same.  Below ISOLATE_WIDTH a
-    piece is split only to learn whether it holds a root.
+    `_square_free` replaces q by q / gcd(q, q'), found in integers: it
+    has the same roots, so every bracket stays the same.  Below
+    ISOLATE_WIDTH a piece is split only to learn whether it holds a root.
 
     The pieces are dyadic and integer (Rouillier and Zimmermann, J. Comput.
     Appl. Math. 2004): piece (k, j) holds Q(t) ~ q((j + t)/2^k).  Its left
