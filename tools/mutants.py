@@ -24,6 +24,7 @@ import ast
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -91,8 +92,6 @@ def keys(rel: Path, src_lines: list[str], todo: list[tuple[ast.AST, int]]) -> li
 
 def known_equivalent() -> set[str]:
     """The keys in the known list: one a line, `#` lines are the reasons."""
-    if not KNOWN.exists():
-        return set()
     return {line.strip() for line in KNOWN.read_text(encoding="utf-8").splitlines()
             if line.strip() and not line.startswith("#")}
 
@@ -116,6 +115,7 @@ def main(argv=None) -> int:
     ap.add_argument("--sample", type=int, default=None, help="run at most this many mutants")
     ap.add_argument("--seed", type=int, default=0, help="the seed of the shuffle of the sites")
     args = ap.parse_args(argv)
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # unwind, so the scratch copy is removed
 
     first, last = map(int, args.lines.split("-"))
     rel = Path(args.file)
