@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 accept/pass, 1 reject/fail, 3 usage or parse error.  A
-curve the criterion rules out (including an endpoint outside the polytope
-or a singular endpoint parametrisation) is a reject, exit 1; a malformed
-file or option is exit 3.  Machine output (--json) is byte-deterministic
-for identical inputs.
+curve the criterion rules out (including an endpoint outside the polytope,
+a singular endpoint parametrisation, or for `sample` a curve that leaves
+the polytope, where a radius would be the root of a negative number) is a
+reject, exit 1; a malformed file or option is exit 3.  Machine output
+(--json) is byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -161,6 +162,11 @@ def cmd_sample(args) -> int:
     from . import surface  # the only numpy user, so no other subcommand loads it
 
     fmt = args.format or ("obj" if str(args.out).endswith(".obj") else "csv")
+    # options before the curve, so that a malformed one is exit 3 whatever the curve does
+    if args.nx < 1 or args.nt < 1:
+        raise io.FormatError(f"empty grid: --nx {args.nx}, --nt {args.nt}")
+    if fmt == "obj" and args.nt < 3:
+        raise io.FormatError(f"OBJ export needs nt >= 3, got nt = {args.nt}")
     P = io.load_polytope(args.polytope)
     project = _parse_project(args.project, P.n) if fmt == "obj" else ()  # CSV writes every coordinate
     spec = io.load_curve(args.curve)
@@ -170,7 +176,11 @@ def cmd_sample(args) -> int:
     except GraphBuildReject as exc:
         print(f"reject: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    sample = surface.sample_surface(graph, args.nx, args.nt)
+    try:
+        sample = surface.sample_surface(graph, args.nx, args.nt)
+    except surface.SamplerError as exc:  # a negative radicand: the curve leaves the chart's orthant
+        print(f"reject: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     surface.export_mesh(sample, fmt, args.out, project=project)
     if not args.json:
         print(f"wrote {args.out} ({args.nx}x{args.nt} grid, format {fmt})")

@@ -14,6 +14,7 @@ exact verdicts; `inconclusive` is always an acceptable probe outcome.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -162,25 +163,111 @@ def smoothness_probe(graph: CurveGraph, nx: int = 400, nt: int = 48) -> ProbeRes
 # ---------------------------------------------------------------------------
 # mesh export
 
+_CHUNK = 8192  # lines formatted at once, which bounds the working arrays
+_POW10 = np.array([float(10 ** s) for s in range(23)])  # exact doubles: 5**22 < 2**53
+_DIGIT = np.arange(17, dtype=np.int8).reshape(17, 1, 1)
+# the text of a value below 1 starts "0." and -e - 1 zeros:
+# slot j holds _LEAD_CHAR[j] when e < _LEAD_BELOW[j]
+_LEAD_BELOW = np.array([0, 0, -1, -2, -3], np.int8).reshape(5, 1, 1)
+_LEAD_CHAR = np.frombuffer(b"0.000", np.uint8).reshape(5, 1, 1)
+# sign, "0.000", then digit k and the point after it (none after the 17th); 24 would hold any %.17g
+_SLOTS = 39
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split a = hi + lo into halves of at most 26 bits, whose products are exact."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _round17(y: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """round(y * 10**(16 - e)) as int64, exactly, ties to even.
+
+    Dekker's two-product gives y * 10**(16 - e) = hi + lo exactly.  When
+    10**e <= y < 10**(e + 1), hi >= 10**16 > 2**53 is an even integer, so
+    the rounded product is hi + rint(lo).
+    """
+    p = _POW10[16 - e]
+    hi = y * p
+    (yh, yl), (ph, pl) = _split(y), _split(p)
+    lo = ((yh * ph - hi) + yh * pl + yl * ph) + yl * pl
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _g17_lines(a: np.ndarray, prefix: str, sep: str):
+    """Yield the lines prefix + sep.join('%.17g' % v for v in row) + '\\n' for the
+    rows of the float64 array a, as one bytearray per _CHUNK lines; sep is not empty.
+
+    Where %.17g writes fixed notation, 1e-4 <= |v| < 1e17, the 17 correctly
+    rounded digits N * 10**(e - 16) come from _round17; log10 may put e one
+    off near a power of ten, which N outside [10**16, 10**17) shows.  Each
+    value's text fills _SLOTS slots of a NUL-filled line buffer, written one
+    slot at a time, and the NULs are dropped from the chunk at the end.
+    +-0 is written as 0 or -0; nan, +-inf and the values %.17g writes in
+    exponent notation go through '%.17g' itself.
+    """
+    pre, sep = np.frombuffer(prefix.encode(), np.uint8), np.frombuffer(sep.encode(), np.uint8)
+    P = len(pre)
+    width = P + _SLOTS + len(sep)
+    for i in range(0, len(a), _CHUNK):
+        x = a[i:i + _CHUNK]
+        buf = bytearray(x.size * width)
+        lines = np.frombuffer(buf, np.uint8).reshape(x.shape + (width,))  # line, value, slot
+        lines[:, 0, :P] = pre
+        lines[:, :-1, P + _SLOTS:] = sep
+        lines[:, -1, P + _SLOTS] = ord("\n")
+        text = np.moveaxis(lines[..., P:P + _SLOTS], -1, 0)  # slot, line, value
+        ax = np.abs(x)
+        fixed = (ax >= 1e-4) & (ax < 1e17)
+        y = np.where(fixed, ax, 1.0)  # any other value is written below
+        e = np.minimum(np.floor(np.log10(y)), 16).astype(np.int8)  # log10 of 1e17 - 16 is 17
+        n = _round17(y, e)
+        off = (n < 10 ** 16) | (n >= 10 ** 17)
+        if off.any():
+            e[off] += np.where(n[off] >= 10 ** 17, 1, -1).astype(np.int8)
+            n[off] = _round17(y[off], e[off])
+        d = np.empty((18,) + x.shape, np.uint8)  # a leading 0, then the 17 digits of n
+        for start, part in ((0, n // 10 ** 9), (9, n % 10 ** 9)):
+            part = part.astype(np.uint32)
+            for j in range(start + 8, start - 1, -1):
+                q = part // 10
+                d[j] = part - q * 10
+                part = q
+        d = d[1:]
+        last = ((d != 0) * _DIGIT).max(axis=0)  # the last nonzero digit
+        text[0] = np.signbit(x) * np.uint8(ord("-"))
+        text[1:6] = (e < _LEAD_BELOW) * _LEAD_CHAR
+        text[6::2] = (d + np.uint8(ord("0"))) * (_DIGIT <= np.maximum(e, last))
+        text[7::2] = ((_DIGIT[:16] == e) & (last > e)) * np.uint8(ord("."))
+        text[6][x == 0] = ord("0")  # written as 1 from y
+        other = ~fixed & (x != 0)
+        if other.any():
+            strs = np.array(["%.17g" % v for v in x[other].tolist()], f"S{_SLOTS}")
+            text[:, other] = strs.view(np.uint8).reshape(len(strs), _SLOTS).T
+        yield buf.translate(None, b"\0")
+
 
 @functools.lru_cache(maxsize=1)
-def _obj_faces(nx: int, nt: int) -> str:
+def _obj_faces(nx: int, nt: int) -> bytes:
     """The OBJ quad faces of an nx x nt grid, wrapping around in t; 1-based indices."""
     idx = np.arange(1, nx * nt + 1).reshape(nx, nt)
     nxt = np.roll(idx, -1, axis=1)
     quads = np.stack([idx[:-1], nxt[:-1], nxt[1:], idx[1:]], axis=-1).ravel().tolist()
-    return "f %d %d %d %d\n" * ((nx - 1) * nt) % tuple(quads)
+    return ("f %d %d %d %d\n" * ((nx - 1) * nt) % tuple(quads)).encode()
 
 
 def export_mesh(sample: SurfaceSample, fmt: str, path,
                 project: Sequence[int] = (0, 1, 2)) -> None:
     """Write the sample as CSV rows or as an OBJ mesh projected to 3 coords.
 
-    Each block of lines is formatted in one pass over the grid's float
-    list and written at once; the OBJ face block depends only on the grid
-    shape, and the last shape's block is kept for the next export.  An
-    OBJ mesh needs nt >= 3, so that each quad has four distinct corners.
-    Output is byte-deterministic for identical inputs.
+    Each float is written as '%.17g' writes it: 17 significant digits,
+    which read back as the same double.  The lines are formatted in numpy,
+    a fixed number of lines at a time, and written as they are made; the
+    OBJ face block depends only on the grid shape, and the last shape's
+    block is kept for the next export.  An OBJ mesh needs nt >= 3, so that
+    each quad has four distinct corners.  Output is byte-deterministic for
+    identical inputs.
     """
     nx, nt = sample.grid_shape
     if nx == 0 or nt == 0:
@@ -190,16 +277,15 @@ def export_mesh(sample: SurfaceSample, fmt: str, path,
         header = ",".join(["tau", "t"] + [f"p{i + 1}" for i in range(dim)]) + "\n"
         rows = np.column_stack([np.repeat(sample.tau, nt), np.tile(sample.t, nx),
                                 sample.points.reshape(nx * nt, dim)])
-        row = ",".join(["%.17g"] * (dim + 2)) + "\n"
-        blocks = [header, row * (nx * nt) % tuple(rows.ravel().tolist())]
+        blocks = itertools.chain([header.encode()], _g17_lines(rows, "", ","))
     elif fmt == "obj":
         if any(i < 0 or i >= dim for i in project) or len(project) != 3:
             raise SamplerError(f"projection {project} out of range for dimension {dim}")
         if nt < 3:
             raise SamplerError(f"OBJ export needs nt >= 3, got nt = {nt}")
-        verts = sample.points[:, :, list(project)].ravel().tolist()
-        blocks = ["v %.17g %.17g %.17g\n" * (nx * nt) % tuple(verts), _obj_faces(nx, nt)]
+        verts = sample.points[:, :, list(project)].reshape(nx * nt, 3)
+        blocks = itertools.chain(_g17_lines(verts, "v ", " "), [_obj_faces(nx, nt)])
     else:
         raise SamplerError(f"unknown mesh format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(blocks)

@@ -303,6 +303,34 @@ class TestCli:
         assert main(["sample", cp2_file, diag_curve_file, "--nx", "3", "--nt", nt,
                      "--out", str(tmp_path / "o.csv")]) == 0
 
+    # (s, s - s^2) on [0, 2]: it crosses facet 2 at s = 1 and ends outside CP^2(3)
+    LEAVES = {"coords": [["0", "1"], ["0", "1", "-1"]], "domain": ["0", "2"], "circle": [1, 1]}
+
+    def test_sample_curve_leaving_the_polytope_is_a_reject(self, cp2_file, tmp_path, capsys):
+        leaves = write_json(tmp_path, "leaves.json", self.LEAVES)
+        assert main(["lift-check", cp2_file, leaves]) == 1
+        assert "verdict: reject" in capsys.readouterr().out
+        out = tmp_path / "m.csv"
+        assert main(["sample", cp2_file, leaves, "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "reject: negative radicand in coordinate 2 at tau = 1.0158730158730158\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("options,message", [
+        (["--nx", "0"], "empty grid: --nx 0, --nt 128"),
+        (["--nt", "0", "--format", "csv"], "empty grid: --nx 64, --nt 0"),
+        (["--nt", "2", "--format", "obj"], "OBJ export needs nt >= 3, got nt = 2"),
+        (["--project", "1,2,5", "--format", "obj"], "--project: expected three integers in 1..4, got '1,2,5'"),
+    ], ids=["nx-0", "nt-0", "obj-nt-2", "project-5"])
+    def test_sample_bad_option_is_a_usage_error_whatever_the_curve(self, cp2_file, tmp_path, capsys,
+                                                                   options, message):
+        # checked before the curve is sampled: exit 3 even on a curve that sample rejects
+        leaves = write_json(tmp_path, "leaves.json", self.LEAVES)
+        out = tmp_path / "m.out"
+        assert main(["sample", cp2_file, leaves, "--out", str(out), *options]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_endpoint_errors_exit_codes(self, cp2_file, tmp_path, capsys):
         def curve(name, **fields):
             return write_json(tmp_path, name, dict(TestCurveFiles.GOOD, **fields))

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toriclift import catalog, surface
 from toriclift.chart import CircleEmbedding
@@ -277,6 +279,73 @@ def numpy_faces(nx, nt):
     nxt = np.roll(idx, -1, axis=1)
     quads = np.stack([idx[:-1], nxt[:-1], nxt[1:], idx[1:]], axis=-1).reshape(-1, 4)
     return "".join("f %d %d %d %d\n" % tuple(q) for q in quads.tolist())
+
+
+def percent_g_lines(a, prefix, sep):
+    """The lines of the rows of a, each float as '%.17g' writes it: the oracle
+    for the numpy kernel that export_mesh writes floats with."""
+    row = prefix + sep.join(["%.17g"] * a.shape[1]) + "\n"
+    return (row * len(a) % tuple(a.ravel().tolist())).encode()
+
+
+def g17_lines(a, prefix, sep):
+    return b"".join(surface._g17_lines(a, prefix, sep))
+
+
+# the ends of the fixed-notation range of %.17g, the neighbours of powers of
+# ten where log10 can round across an integer, and ties at 17 digits
+EDGES = [
+    9.999999999999999e-05, 1e-4, np.nextafter(1e-4, 1.0),
+    np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, np.inf),
+    np.nextafter(1e17, 0.0), 1e17, np.nextafter(1e17, np.inf),
+    np.nextafter(1000.0, 0.0), 1000.0, np.nextafter(1000.0, np.inf),
+    5e-324, -5e-324, 1.7976931348623157e308, 0.5, 2.5, 3.0, 0.1, 123456789012345680.0,
+    0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no log10(0), no overflow in a cast
+class TestPercentG:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=12))
+    @example(EDGES)
+    @example([-x for x in EDGES])
+    @example([10.0 ** k for k in range(-5, 19)] + [np.nextafter(10.0 ** k, 0.0) for k in range(-5, 19)])
+    def test_matches_percent_g(self, values):
+        a = np.array(values)
+        for lines in (a[:, None], a[None, :]):
+            assert g17_lines(lines, "v ", ",") == percent_g_lines(lines, "v ", ",")
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_exponent_one_off_is_corrected(self, monkeypatch, shift):
+        # log10 may put the exponent one off near a power of ten; shifted by half
+        # a decade, it starts one too low or one too high for about half the values
+        values = EDGES + [10.0 ** k for k in range(-4, 17)] + list(np.geomspace(1e-4, 1e17, 2001))
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda y: log10(y) + shift)
+        a = np.array(values)[:, None]
+        assert g17_lines(a, "", ",") == percent_g_lines(a, "", ",")
+
+    def test_million_values(self):
+        rng = np.random.default_rng(2028)
+        n = 10 ** 6
+        log_uniform = 10.0 ** rng.uniform(-7.0, 19.0, n) * rng.choice([-1.0, 1.0], n)
+        patterns = rng.integers(0, 2 ** 64, n // 10, dtype=np.uint64).view(np.float64)
+        a = np.concatenate([log_uniform, patterns]).reshape(-1, 4)
+        assert g17_lines(a, "", " ") == percent_g_lines(a, "", " ")
+
+    @pytest.mark.parametrize("lines", [surface._CHUNK - 1, surface._CHUNK, surface._CHUNK + 1])
+    def test_exports_across_a_chunk_boundary(self, tmp_path, lines):
+        rng = np.random.default_rng(lines)
+        pts = rng.standard_normal((1, lines, 4)) * 10.0 ** rng.integers(-6, 18, (1, lines, 4))
+        pts[0, ::7, 1] = 0.0
+        s = SurfaceSample(np.zeros(1), np.linspace(0.0, 6.0, lines), pts)
+        export_mesh(s, "obj", tmp_path / "m.obj", project=(1, 3, 0))
+        assert (tmp_path / "m.obj").read_bytes() == percent_g_lines(pts[0][:, [1, 3, 0]], "v ", " ")
+        s = SurfaceSample(np.linspace(0.0, 1.0, lines), np.zeros(1), pts.reshape(lines, 1, 4))
+        export_mesh(s, "csv", tmp_path / "m.csv")
+        rows = np.column_stack([s.tau, s.t.repeat(lines), pts[0]])
+        assert (tmp_path / "m.csv").read_bytes() == b"tau,t,p1,p2,p3,p4\n" + percent_g_lines(rows, "", ",")
 
 
 class TestExport:
