@@ -67,6 +67,8 @@ class HPolytope:
     """
 
     def __init__(self, n: int, normals: Iterable[Sequence[int]], offsets: Iterable[Fraction]):
+        if not is_int(n):
+            raise PolytopeError(f"n: expected an integer, got {n!r}")
         if n < 1:
             raise PolytopeError(f"n: the dimension must be at least 1, got {n}")
         self.n = n
@@ -77,7 +79,7 @@ class HPolytope:
         for o in self.offsets:
             if not is_rational(o):
                 raise PolytopeError(f"offset {o!r}: expected an int or a Fraction")
-        self.offsets = tuple(map(Fraction, self.offsets))
+        self.offsets = tuple(o if type(o) is Fraction else Fraction(o) for o in self.offsets)
         for a in self.normals:
             if len(a) != n:
                 raise PolytopeError("normal of wrong dimension")
@@ -207,56 +209,57 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
     `_start_vertex` returns.  A neighbour reached from a simple vertex along
     an edge that b alone blocks is simple; its record and its edges'
     pairings are pivoted from the vertex left (`_pivot_edges`) and ride on
-    the walk's stack.  Any other vertex takes `_kernel_edges`.  An edge is
-    known by the facets it lies in, at a simple vertex the active set less
-    the facet it relaxes, so each edge is walked once, from the end reached
-    first; an edge walked is blocked, so no recession ray is skipped.  The
-    points are sorted on integer keys over the lcm of the q.
+    the walk's stack with its sorted active set.  Any other vertex takes
+    `_kernel_edges`.  Vertices and edges are known by the bitmasks of their
+    facets, edge j's at a simple vertex the vertex's less key[j], so each edge
+    is walked once, from the end reached first; an edge walked is blocked,
+    so no recession ray is skipped.  Points sort on integer keys over lcm(q).
     """
     if P._vertices is None:
         X, S, q, record = _start_vertex(P)
-        active = frozenset(i for i, s in enumerate(S) if s == 0)
-        found = {active: (X, q)}
-        walked: set[frozenset[int]] = set()  # the facet sets of the edges walked
+        key = tuple(i for i, s in enumerate(S) if s == 0)
+        mask = sum(1 << i for i in key)
+        found = {mask: (key, X, q)}  # by the bitmask of the active facets
+        walked: set[int] = set()  # the bitmasks of the facets of the edges walked
         # each entry carries (record, pairings) from a pivot or, at a simple start, the dual simplex
-        todo = [(active, X, S, q, (record, None) if len(active) == P.n else None)]
+        todo = [(mask, key, X, S, q, (record, None) if len(key) == P.n else None)]
         while todo:
-            active, X, S, q, reached = todo.pop()
-            key = tuple(sorted(active))
+            mask, key, X, S, q, reached = todo.pop()
             simple = len(key) == P.n
             (edges, D), pairs = reached or (_kernel_edges(P, key), None)
             P._edges[key] = edges, D
             pairs = pairs or [[dot(a, u) for a in P.normals] for u in edges]
             for j, (u, p) in enumerate(zip(edges, pairs)):
                 # edge j lies in every active facet but the j-th at a simple vertex
-                edge = frozenset(key[:j] + key[j + 1:] if simple else (i for i in key if p[i] == 0))
+                edge = mask ^ (1 << key[j]) if simple else sum(1 << i for i in key if p[i] == 0)
                 if edge in walked:
                     continue
                 b, blocking = _blocking(S, p)
                 if b is None:
                     raise PolytopeError(f"unbounded polytope: recession ray {u}")
                 walked.add(edge)
-                # the facets the edge lies in stay tight, the ones blocking it become tight;
-                # built in facet order, so that the set's iteration order and repr do not
-                # depend on the path the walk took to the vertex
-                nxt = frozenset(sorted(edge.union(blocking)))
+                # the facets the edge lies in stay tight, the ones blocking it become tight
+                nxt = edge | blocking
                 if nxt not in found:
                     pb, Sb = p[b], S[b]
                     X2 = [xk * pb + Sb * uk for xk, uk in zip(X, u)]
                     S2 = [s * pb - Sb * pi for s, pi in zip(S, p)]
                     g = gcd(q * pb, *S2, *X2)
                     X2, q2 = [xk // g for xk in X2], q * pb // g
-                    found[nxt] = (X2, q2)
-                    pivot = None
-                    if simple and len(blocking) == 1:  # then the neighbour is simple too
+                    if simple and blocking == 1 << b:  # b alone blocks: the neighbour is simple too
+                        nkey = tuple(sorted(key[:j] + key[j + 1:] + (b,)))
                         pivot = _pivot_edges(P, key, edges, D, pairs, j, b)
-                    todo.append((nxt, X2, [s // g for s in S2], q2, pivot))
-        L = lcm(*(q for _, q in found.values()))
-        walk = sorted(found.items(), key=lambda item: [xk * (L // item[1][1]) for xk in item[1][0]])
+                    else:
+                        nkey, pivot = tuple(i for i in range(P.d) if nxt >> i & 1), None
+                    found[nxt] = (nkey, X2, q2)
+                    todo.append((nxt, nkey, X2, [s // g for s in S2], q2, pivot))
+        L = lcm(*(q for _, _, q in found.values()))
+        walk = sorted(found.values(), key=lambda vert: [xk * (L // vert[2]) for xk in vert[1]])
         # vertices share coordinates, so each distinct (X_k, q) is made a Fraction once
-        coord = {key: Fraction(*key) for key in {(xk, q) for X, q in found.values() for xk in X}}
-        P._vertices = [(tuple(coord[xk, q] for xk in X), active) for active, (X, q) in walk]
-        P._simple = all(len(active) == P.n for active in found)
+        coord = {c: Fraction(*c) for c in {(xk, q) for _, X, q in walk for xk in X}}
+        # active sets built in facet order: their iteration order and repr do not depend on the path
+        P._vertices = [(tuple(coord[xk, q] for xk in X), frozenset(key)) for key, X, q in walk]
+        P._simple = all(len(key) == P.n for key, _, _ in walk)
     return P._vertices
 
 
@@ -275,24 +278,24 @@ def face_lattice(P: HPolytope) -> list[Face]:
     On a simple polytope the faces through a vertex with active facets S
     are exactly those whose active sets are the subsets of S, of dimension
     n minus the subset's size, so each vertex is filed under every subset
-    of its active set, work bound by the size of the output.  A polytope
-    with a non-simple vertex takes its faces as the intersections of vertex
-    active sets, which are all of them, as the active set of the smallest
-    face containing two faces is the intersection of theirs; each then
-    scans the vertices and takes a rank for its dimension (`_face`).  P
-    itself has the empty active set.
+    of its active set, by size, work bound by the size of the output.  A
+    polytope with a non-simple vertex takes its faces as the intersections
+    of vertex active sets, which are all of them, as the active set of the
+    smallest face containing two faces is the intersection of theirs; each
+    then scans the vertices and takes a rank for its dimension (`_face`).
+    P itself has the empty active set.
     """
     n, verts = P.n, enumerate_vertices(P)
     if P._simple:
-        members: defaultdict[tuple[int, ...], list[Point]] = defaultdict(list)
+        by_size = [defaultdict(list) for _ in range(n + 1)]  # [k][a k-subset]: its vertices
         for v, act in verts:
             key = sorted(act)
-            for k in range(n + 1):
+            for k, members in enumerate(by_size):
                 for sub in itertools.combinations(key, k):
                     members[sub].append(v)
-        # by facet tuple, then stably by size, largest first: the (dim, sorted active) order
-        return [Face(frozenset(sub), n - len(sub), tuple(members[sub]))
-                for sub in sorted(sorted(members), key=len, reverse=True)]
+        # largest subset first, then by facet tuple: the (dim, sorted active) order
+        return [tuple.__new__(Face, (frozenset(sub), n - k, tuple(vs)))
+                for k in range(n, -1, -1) for sub, vs in sorted(by_size[k].items())]
     sets: set[frozenset[int]] = set()
     for _, act in verts:
         sets |= {act & f for f in sets} | {act}
@@ -317,17 +320,17 @@ def edge_vectors_at_vertex(P: HPolytope, active: Iterable[int]) -> list[IntVec]:
     return list(P._edges[key][0])
 
 
-def _blocking(S: list[int], p: list[int]) -> tuple[Optional[int], list[int]]:
-    """The ratio test: (b, the facets that first block the edge with pairings p from the
-    vertex with slacks S, those minimising S_i / p_i over p_i > 0, in facet order), b the
-    first of them; (None, []) when no facet blocks the edge."""
-    b, blocking = None, []
+def _blocking(S: list[int], p: list[int]) -> tuple[Optional[int], int]:
+    """The ratio test: (b, the bitmask of the facets that first block the edge with pairings
+    p from the vertex with slacks S, those minimising S_i / p_i over p_i > 0), b the first
+    of them; (None, 0) when no facet blocks the edge."""
+    b, blocking = None, 0
     for i, pi in enumerate(p):
         if pi > 0:
             if b is None or S[i] * p[b] < S[b] * pi:  # S_i / p_i < S_b / p_b
-                b, blocking = i, [i]
+                b, blocking = i, 1 << i
             elif S[i] * p[b] == S[b] * pi:
-                blocking.append(i)
+                blocking |= 1 << i
     return b, blocking
 
 

@@ -250,11 +250,14 @@ def _g17_lines(a: np.ndarray, prefix: str, sep: str):
 
 @functools.lru_cache(maxsize=1)
 def _obj_faces(nx: int, nt: int) -> bytes:
-    """The OBJ quad faces of an nx x nt grid, wrapping around in t; 1-based indices."""
-    idx = np.arange(1, nx * nt + 1).reshape(nx, nt)
-    nxt = np.roll(idx, -1, axis=1)
-    quads = np.stack([idx[:-1], nxt[:-1], nxt[1:], idx[1:]], axis=-1).ravel().tolist()
-    return ("f %d %d %d %d\n" * ((nx - 1) * nt) % tuple(quads)).encode()
+    """The OBJ quad faces of an nx x nt grid, wrapping around in t; 1-based indices.
+    _CHUNK lines are formatted at a time, which bounds the Python ints alive at once."""
+    lines, out = (nx - 1) * nt, []
+    for a in (np.arange(i, min(i + _CHUNK, lines)) for i in range(0, lines, _CHUNK)):
+        b = a - a % nt + (a + 1) % nt  # line a joins points a, b and the two a row on
+        quads = np.stack([a, b, b + nt, a + nt], axis=-1).ravel() + 1
+        out.append(("f %d %d %d %d\n" * len(a) % tuple(quads.tolist())).encode())
+    return b"".join(out)
 
 
 def export_mesh(sample: SurfaceSample, fmt: str, path,

@@ -300,6 +300,12 @@ class TestConstruction:
         with pytest.raises(PolytopeError, match=rf"^n: the dimension must be at least 1, got {n}$"):
             HPolytope(n, (), ())
 
+    @pytest.mark.parametrize("n", [True, 1.0, "2", F(2)], ids=["bool", "float", "str", "fraction"])
+    def test_dimension_not_an_int_rejected(self, n):
+        # True was taken as n = 1; 1.0 and "2" failed with a TypeError from the walk or from <
+        with pytest.raises(PolytopeError, match=f"^{re.escape(f'n: expected an integer, got {n!r}')}$"):
+            HPolytope(n, [(1,), (-1,)], [1, 0])
+
     @pytest.mark.parametrize("normal", [(1.9, 1), (F(3, 2), 1), (True, 1), ("1", 1)],
                              ids=["float", "fraction", "bool", "str"])
     def test_normal_entry_not_an_int_rejected(self, normal):

@@ -348,7 +348,24 @@ class TestPercentG:
         assert (tmp_path / "m.csv").read_bytes() == b"tau,t,p1,p2,p3,p4\n" + percent_g_lines(rows, "", ",")
 
 
+def obj_faces_oracle(nx, nt):
+    """The OBJ face block as one %-format of every index of the grid: the oracle for
+    the face block that export_mesh builds a chunk of lines at a time."""
+    idx = np.arange(1, nx * nt + 1).reshape(nx, nt)
+    nxt = np.roll(idx, -1, axis=1)
+    quads = np.stack([idx[:-1], nxt[:-1], nxt[1:], idx[1:]], axis=-1).ravel().tolist()
+    return ("f %d %d %d %d\n" * ((nx - 1) * nt) % tuple(quads)).encode()
+
+
 class TestExport:
+    # (nx - 1) nt face lines: 3 in one row, 8192 = _CHUNK exactly, two chunks split at a
+    # row's end (8256) and inside a row (8200), a row longer than a chunk whose wrap-around
+    # face is the first line of the second chunk (8193), none for one row
+    @pytest.mark.parametrize("nx,nt", [(2, 3), (129, 64), (130, 64), (83, 100), (2, 8193), (1, 5)])
+    def test_obj_faces_across_chunk_boundaries(self, nx, nt):
+        assert surface._CHUNK == 8192
+        assert surface._obj_faces.__wrapped__(nx, nt) == obj_faces_oracle(nx, nt)
+
     def test_csv_deterministic(self, disc_graph, tmp_path):
         s = sample_surface(disc_graph, 6, 5)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -4,7 +4,10 @@ Each mutant changes one site in the file: it swaps `<`/`<=`, `>`/`>=`,
 `==`/`!=`, `in`/`not in` or `and`/`or`, or adds 1 to an int constant.
 Sites in the line range are shuffled with a seed and sampled.  Each
 mutant runs `pytest -x -q` on the given test files in a scratch copy of
-the tree, so the checkout is never edited.  A mutant survives when the
+the tree, so the checkout is never edited.  Every run, the unmutated one
+included, passes `--hypothesis-seed` with the value of `--seed`, so that
+property tests draw the same examples each time and a run repeated with
+the same arguments reports the same survivors.  A mutant survives when the
 tests still pass.  Survivors listed in `equivalent_mutants.txt` beside
 this script are known to be equivalent (no input tells them from the
 original); any other survivor is a fault the tests would miss.
@@ -96,10 +99,11 @@ def known_equivalent() -> set[str]:
             if line.strip() and not line.startswith("#")}
 
 
-def run_tests(tree_dir: Path, tests: list[str], timeout: float) -> bool:
-    """True when the tests pass in the scratch tree."""
+def run_tests(tree_dir: Path, tests: list[str], seed: int, timeout: float) -> bool:
+    """True when the tests pass in the scratch tree, hypothesis drawing from the seed."""
     env = dict(os.environ, PYTHONPATH=str(tree_dir / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           f"--hypothesis-seed={seed}", *tests]
     try:
         return subprocess.run(cmd, cwd=tree_dir, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=timeout).returncode == 0
@@ -113,7 +117,8 @@ def main(argv=None) -> int:
     ap.add_argument("lines", help="the line range, FIRST-LAST, both included")
     ap.add_argument("tests", nargs="+", help="test files or node ids that pytest runs on each mutant")
     ap.add_argument("--sample", type=int, default=None, help="run at most this many mutants")
-    ap.add_argument("--seed", type=int, default=0, help="the seed of the shuffle of the sites")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="the seed of the shuffle of the sites and of hypothesis")
     args = ap.parse_args(argv)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # unwind, so the scratch copy is removed
 
@@ -132,7 +137,7 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
             ".git", ".hypothesis", ".pytest_cache", "__pycache__", ".benchmarks", "results"))
         start = time.perf_counter()
-        if not run_tests(work, args.tests, timeout=600):
+        if not run_tests(work, args.tests, args.seed, timeout=600):
             print("the tests fail on the unmutated tree", file=sys.stderr)
             return 2
         timeout = 3 * (time.perf_counter() - start) + 10
@@ -141,7 +146,7 @@ def main(argv=None) -> int:
             undo = mutate(node, index)
             (work / rel).write_text(ast.unparse(tree), encoding="utf-8")
             undo()
-            killed = not run_tests(work, args.tests, timeout)
+            killed = not run_tests(work, args.tests, args.seed, timeout)
             print(f"{'killed' if killed else 'SURVIVED'}  line {node.lineno}: {key}", flush=True)
             if not killed:
                 survivors.append(key)
