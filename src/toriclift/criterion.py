@@ -17,27 +17,27 @@ exception; exceptions are reserved for malformed input.
 The checks read only signs, roots and valuations of the facet slacks
 lambda_i - <a_i, gamma(s)> and of <gamma', K>, which a factor D > 0 keeps.
 So `check_lift` clears denominators once, D the lcm of those of gamma and
-the offsets, and every check runs on integer lists: D*slack_i, D*gamma.
-Each scaled slack is then mapped onto (0, 1) once, q_i(t) ~ D*slack_i(a +
-(b - a)t), and that one list serves every question asked of the slack:
-its sign at the midpoint and at both ends, its root search, and the chart
-polynomials q_i(tau/(b - a)) at a and q_i(1 - tau/(b - a)) at b, which stay
-integer lists over one positive denominator.
+the offsets, and maps the scaled curve onto (0, 1) once, s = a + (b - a)t.
+Each facet slack is read off it as an integer list, q_i(t) ~ D*slack_i(s),
+and that one list serves every question asked of the slack: its sign at
+the midpoint and at both ends, its root search, and the chart polynomials
+q_i(tau/(b - a)) at a and q_i(1 - tau/(b - a)) at b, which stay integer
+lists over one positive denominator.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from itertools import zip_longest
-from operator import mul
+from math import lcm
+from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .chart import CircleEmbedding, VertexChart, _chart, local_weights
+from .chart import CircleEmbedding, VertexChart, _chart, _vertex_at, local_weights
 from .exactmath import (
     RatPoly,
     _check_point,
     _compose_int,
-    _eval_int,
     _integer_polys,
     _isolate,
     _shift1,
@@ -50,7 +50,7 @@ from .polytope import HPolytope, PolytopeError, format_point
 
 Curve = list[RatPoly]  # one coefficient list per ambient coordinate
 Interval = tuple[Fraction, Fraction]
-Mapped = list[tuple[list[int], int]]  # (q, W^deg q) per facet slack, from _compose_int
+Mapped = namedtuple("Mapped", "D G a w WN Gm S")  # the curve and its facet slacks on (0, 1), from _map
 
 
 class GraphBuildReject(Exception):
@@ -129,19 +129,25 @@ class LiftVerdict(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# facet slacks with the denominators cleared
+# the curve and its facet slacks mapped onto (0, 1), with the denominators cleared
 
 
-def _pairing(a: Sequence[int], G: Sequence[Sequence[int]], const: int = 0) -> list[int]:
-    """const + <a, G(s)>, summed over the coordinates with a_j != 0 (a is nonzero)."""
-    xs, coords = zip(*[(x, c) for x, c in zip(a, G) if x])
-    p = [sum(map(mul, xs, coeffs)) for coeffs in zip_longest(*coords, fillvalue=0)] or [0]
+def _pairing(entries: Sequence[tuple[int, int]], G: Sequence[Sequence[int]], const: int = 0) -> list[int]:
+    """const + sum of x*G[j] over the entries (j, x), which are not empty."""
+    (j, x), *rest = entries
+    p = [x * y for y in G[j]] or [0]
+    for j, x in rest:
+        g = G[j]
+        p += [0] * (len(g) - len(p))
+        p[:len(g)] = map(add, p, [x * y for y in g])
     p[0] += const
     return poly_trim(p)
 
 
 def _check_coefficients(gamma: Curve) -> None:
     """Raise ValueError unless every curve coefficient is an int or a Fraction."""
+    if all(type(c) is int or type(c) is Fraction for coeffs in gamma for c in coeffs):
+        return
     for j, coeffs in enumerate(gamma):
         for k, c in enumerate(coeffs):
             if not is_rational(c):
@@ -158,24 +164,29 @@ def _check_interval(interval: Interval, caller: str) -> None:
         raise ValueError(f"{caller}: empty parameter interval")
 
 
-def _slacks(P: HPolytope, gamma: Curve) -> tuple[int, list[list[int]], list[list[int]]]:
-    """(D, G, S): G = D*gamma and S[i] = D*(lambda_i - <a_i, gamma(s)>) for every facet i.
+def _map(P: HPolytope, gamma: Curve, interval: Interval) -> Mapped:
+    """The curve mapped onto (0, 1) once, and every facet slack read off it.
 
-    D > 0 is the lcm of the denominators of gamma and of the offsets.
+    G = D*gamma, D > 0 the lcm of the denominators of gamma and of the
+    offsets, its coordinates padded with zeros to one length N + 1, and
+    Gm_j(t) = W^N G_j(a + w t) (`_compose_int`).  Slack i is the pairing
+    S_i = W^N D lambda_i - <a_i, Gm>, with the signs and roots of
+    lambda_i - <a_i, gamma(a + w t)>.
     """
     _check_coefficients(gamma)
-    D, (*G, offsets) = _integer_polys(*gamma, P.offsets)
-    return D, G, [_pairing([-x for x in a], G, lam) for a, lam in zip(P.normals, offsets)]
-
-
-def _map(S: list[list[int]], interval: Interval) -> tuple[Fraction, Fraction, Mapped]:
-    """(a, w, maps): the interval's left end and width, and each slack mapped onto (0, 1).
-
-    maps[i] = (q, W^deg) with q(t) = W^deg S[i](a + w t), W > 0 (`_compose_int`).
-    """
+    if P._cleared is None:
+        L, (lam,) = _integer_polys(P.offsets)
+        P._cleared = L, [(x, [(j, -y) for j, y in enumerate(a) if y]) for x, a in zip(lam, P.normals)]
+    L, facets = P._cleared
+    ratios = [[c.as_integer_ratio() for c in g] for g in gamma]
+    D = lcm(L, *(d for r in ratios for _, d in r))
+    size = max(1, *map(len, gamma))
+    G = [[x * (D // d) for x, d in r] + [0] * (size - len(r)) for r in ratios]
     a = Fraction(interval[0])
     w = interval[1] - a
-    return a, w, [_compose_int(s, a, w) for s in S]
+    Gm, (WN, *_) = zip(*[_compose_int(g, a, w) for g in G])
+    c = WN * (D // L)
+    return Mapped(D, G, a, w, WN, Gm, [_pairing(neg, Gm, x * c) for x, neg in facets])
 
 
 # ---------------------------------------------------------------------------
@@ -199,72 +210,74 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     if chart_vertex is not None:
         _check_point(chart_vertex, "build_graph: chart_vertex")
     _check_dimensions(P, gamma, circle, (chart_vertex,))
-    D, G, S = _slacks(P, gamma)
-    return _graph(P, D, G, *_map(S, interval), endpoint, circle, chart_vertex)
+    return _graph(P, _map(P, gamma, interval), endpoint, circle, chart_vertex)
 
 
-def _graph(P: HPolytope, D: int, G: list[list[int]], a: Fraction, w: Fraction, maps: Mapped,
-           endpoint: int, circle: CircleEmbedding, chart_vertex: Optional[Sequence[Fraction]]) -> CurveGraph:
-    """build_graph on the scaled curve G = D*gamma and the mapped scaled facet slacks (`_map`)."""
-    e = a if endpoint == 0 else a + w
-    at_e = [sum(q[:1] if endpoint == 0 else q) for q, _ in maps]  # q(0) or q(1): the sign of slack_i(e)
-    if any(v < 0 for v in at_e):
+def _graph(P: HPolytope, m: Mapped, endpoint: int, circle: CircleEmbedding,
+           chart_vertex: Optional[Sequence[Fraction]]) -> CurveGraph:
+    """build_graph on the mapped curve and facet slacks (`_map`)."""
+    at_e = [sum(q) for q in m.S] if endpoint else [q[0] if q else 0 for q in m.S]  # the sign of slack_i(e)
+    if min(at_e) < 0:
         raise GraphBuildReject("endpoint_outside_polytope",
-                               f"endpoint {_point(D, G, e)} lies outside the polytope")
-    tight = frozenset(i for i, v in enumerate(at_e) if v == 0)
+                               f"endpoint {_point(m, endpoint)} lies outside the polytope")
+    tight = frozenset([i for i, v in enumerate(at_e) if not v])
     if not tight:
         raise GraphBuildReject("endpoint_interior",
-                               f"endpoint {_point(D, G, e)} is not on the boundary")
-    # the endpoint face's vertex records, sorted lexicographically: the first, or the chart vertex
-    o = None if chart_vertex is None else tuple(chart_vertex)
-    vertex = next(((v, act) for v, act in P._vertices if act >= tight and (o is None or v == o)), None)
-    if vertex is None:
-        raise PolytopeError(f"chart vertex {format_point(o)} is not a vertex of the endpoint face")
-    if not any(_eval_int(poly_deriv(g), e) for g in G):
+                               f"endpoint {_point(m, endpoint)} is not on the boundary")
+    # the default chart and its face coordinates, kept on P by the endpoint's tight facets
+    kept = None if chart_vertex is not None else P._endpoint_charts.get(tight)
+    if kept is None:
+        # the endpoint face's vertex records, sorted lexicographically: the first, or the chart vertex
+        vertex = (next((r for r in P._vertices if r[1] >= tight), None) if chart_vertex is None
+                  else _vertex_at(P, tuple(chart_vertex)))
+        if vertex is None or not vertex[1] >= tight:
+            raise PolytopeError(f"chart vertex {format_point(chart_vertex)} is not a vertex of the endpoint face")
+    # gamma'(e) = 0 exactly when each Gm_j' vanishes at t = 0 or 1: g_1, or sum k g_k
+    if not any(sum(map(mul, range(len(g)) if endpoint else (0, 1), g)) for g in m.Gm):
         raise GraphBuildReject("singular_parametrisation",
-                               f"the curve has zero velocity at endpoint {_point(D, G, e)}")
-    chart = _chart(P, *vertex)
+                               f"the curve has zero velocity at endpoint {_point(m, endpoint)}")
+    if kept is None:
+        chart = _chart(P, *vertex)
+        kept = chart, frozenset(j for j, f in enumerate(chart.active) if f not in tight)
+        if chart_vertex is None:
+            P._endpoint_charts[tight] = kept
+    chart, Q0 = kept
     n = P.n
 
     # chart coordinate j is the slack of active facet j along gamma(e +- tau), in u = tau/w:
     # q(u) at a and q(1 - u) at b (one Taylor shift, then u -> -u), all over one denominator;
     # it vanishes at the endpoint exactly when facet j is tight there
-    facets = [maps[f] for f in chart.active]
-    N = max(len(q) for q, _ in facets) - 1
-    WN = max(Dk for _, Dk in facets)  # W^N, from a facet of top degree
-    wn, wd = w.numerator, (w.denominator if endpoint == 0 else -w.denominator)
-    scale = [wd ** k * wn ** (N - k) for k in range(N + 1)]  # wn^N (+-1/w)^k
-    num = []
-    for q, Dk in facets:
-        if endpoint:
-            q = _shift1(q[::-1])[::-1]
-        m = WN // Dk
-        num.append([x * s * m for x, s in zip(q, scale)])
-    den = D * WN * wn ** N
+    facets = [m.S[f] for f in chart.active]
+    N = max(map(len, facets)) - 1
+    wn, wd = m.w.numerator, (m.w.denominator if endpoint == 0 else -m.w.denominator)
+    scale = [wn ** N]  # wn^N (+-1/w)^k, by running products
+    for _ in range(N):
+        scale.append(scale[-1] // wn * wd)
+    num = [list(map(mul, _shift1(q[::-1])[::-1] if endpoint else q, scale)) for q in facets]
+    den = m.D * m.WN * scale[0]
     slope = [q[1] if len(q) > 1 else 0 for q in num]  # signs of x_j'(0)
-    Q0 = {j for j, f in enumerate(chart.active) if f not in tight}
-    param = next((j for j in range(n) if j not in Q0 and slope[j]), None)
+    param = next((j for j in range(n) if slope[j] and j not in Q0), None)
     if param is None:
         raise GraphBuildReject(
             "tangent_parallel_to_face",
-            f"no chart coordinate off the face moves to first order at {_point(D, G, e)}",
+            f"no chart coordinate off the face moves to first order at {_point(m, endpoint)}",
         )
     if slope[param] < 0:
         raise GraphBuildReject(
             "curve_exits_chart_cone",
-            f"parameter coordinate {param + 1} decreases into the domain at {_point(D, G, e)}",
+            f"parameter coordinate {param + 1} decreases into the domain at {_point(m, endpoint)}",
         )
 
-    others = tuple(j for j in range(n) if j != param)
+    others = (*range(param), *range(param + 1, n))
+    order = (param, *others)
     kw = local_weights(chart, circle)
-    k = tuple(kw[j] for j in (param,) + others)
-    Q = frozenset(pos for pos, j in enumerate(others, start=2) if j in Q0)
-    return CurveGraph(chart, param, others, tuple(num[j] for j in (param,) + others), den, k, Q, w)
+    Q = frozenset([pos for pos, j in enumerate(others, start=2) if j in Q0])
+    return CurveGraph(chart, param, others, tuple([num[j] for j in order]), den, tuple([kw[j] for j in order]), Q, m.w)
 
 
-def _point(D: int, G: list[list[int]], e: Fraction) -> str:
-    """The curve point gamma(e) for a reject message."""
-    return format_point([Fraction(_eval_int(g, e), D * e.denominator ** max(len(g) - 1, 0)) for g in G])
+def _point(m: Mapped, endpoint: int) -> str:
+    """The curve point gamma(a) or gamma(b) for a reject message: Gm at t = 0 or 1 over W^N D."""
+    return format_point([Fraction(sum(g) if endpoint else sum(g[:1]), m.WN * m.D) for g in m.Gm])
 
 
 def _check_dimensions(P: HPolytope, gamma: Curve, circle: CircleEmbedding,
@@ -297,7 +310,7 @@ def _transversality(gamma: Curve, circle: CircleEmbedding, interval: Interval) -
     """check_transversality on checked input.  A factor D > 0 on gamma changes no root,
     so `check_lift` passes D*gamma."""
     a, b = interval
-    p = poly_deriv(_pairing(circle.K, gamma))
+    p = poly_deriv(_pairing([(j, x) for j, x in enumerate(circle.K) if x], gamma))
     loc = "interior"
     if not p:
         return Report("transversality", (Condition(
@@ -313,7 +326,7 @@ def _transversality(gamma: Curve, circle: CircleEmbedding, interval: Interval) -
         f"pairing vanishes in ({lo}, {hi})"),))
 
 
-def _interior(a: Fraction, w: Fraction, maps: Mapped) -> Report:
+def _interior(a: Fraction, w: Fraction, S: list[list[int]]) -> Report:
     """The open curve must stay strictly inside the polytope: a check on the mapped slacks (`_map`).
 
     A slack negative at the midpoint, where q(1/2) has the sign of
@@ -323,12 +336,12 @@ def _interior(a: Fraction, w: Fraction, maps: Mapped) -> Report:
     that facet; by the z_i = 0 convention this is allowed and noted.
     """
     conditions = []
-    for i, (q, _) in enumerate(maps):
+    for i, q in enumerate(S):
         loc = f"facet {i + 1}"
         if not q:
             conditions.append(Condition("facet_slack", loc, "holds", "curve lies inside the facet"))
             continue
-        if sum(x << k for k, x in enumerate(reversed(q))) < 0:
+        if min(q) < 0 and sum(x << k for k, x in enumerate(reversed(q))) < 0:
             conditions.append(Condition("facet_slack", loc, "fails", "curve leaves the polytope"))
             continue
         root = _isolate(q, a, w)
@@ -420,21 +433,20 @@ def check_lift(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmb
                ) -> LiftVerdict:
     """Full criterion: containment, transversality, both endpoint analyses.
 
-    Each facet slack is mapped onto (0, 1) once (`_map`), for the interior
-    check and both endpoint graphs alike.
+    The curve is mapped onto (0, 1) once (`_map`), and its facet slacks
+    serve the interior check and both endpoint graphs alike.
     """
     _check_interval(interval, "check_lift")
     for ep, o in enumerate(chart_vertices):
         if o is not None:
             _check_point(o, f"check_lift: chart_vertices[{ep}]")
     _check_dimensions(P, gamma, circle, chart_vertices)
-    D, G, S = _slacks(P, gamma)  # G = D*gamma is transversal exactly where gamma is
-    mapped = _map(S, interval)
-    reports = [_interior(*mapped), _transversality(G, circle, interval)]
+    m = _map(P, gamma, interval)  # m.G = D*gamma is transversal exactly where gamma is
+    reports = [_interior(m.a, m.w, m.S), _transversality(m.G, circle, interval)]
     for ep in (0, 1):
         name = f"endpoint {ep + 1}"
         try:
-            graph = _graph(P, D, G, *mapped, ep, circle, chart_vertices[ep])
+            graph = _graph(P, m, ep, circle, chart_vertices[ep])
         except GraphBuildReject as exc:
             reports.append(Report(name, (Condition(exc.reason, name, "fails", exc.detail),)))
             continue

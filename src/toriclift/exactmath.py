@@ -280,7 +280,9 @@ def isolate_root(p: Sequence[Fraction], left: Fraction, right: Fraction) -> Opti
     `check_lift` does for its facet slacks, calls `_isolate` directly.
     The zero polynomial is rejected.
     """
-    _, (c,) = _integer_polys(poly_trim(p))
+    c = poly_trim(p)
+    if not all(type(x) is int for x in c):
+        _, (c,) = _integer_polys(c)
     if not c:
         raise ValueError("isolate_root: zero polynomial")
     ln, ld, rn, rd = left.numerator, left.denominator, right.numerator, right.denominator

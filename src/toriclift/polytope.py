@@ -96,6 +96,11 @@ class HPolytope:
         self._simple = False  # every vertex simple: set by the walk, read by face_lattice and _face
         self._edges = {}
         self._charts = {}
+        # memos of the criterion, filled on first use: the vertex records by point, the cleared
+        # offsets and negated normals (criterion._map), the endpoint charts by tight facets
+        self._by_point = None
+        self._cleared = None
+        self._endpoint_charts = {}
         verts = enumerate_vertices(self)  # raises for an empty or unbounded system
         # full-dimensional iff no facet is tight on all of P, i.e. at every vertex
         if frozenset.intersection(*(active for _, active in verts)):

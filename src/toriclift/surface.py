@@ -249,15 +249,15 @@ def _g17_lines(a: np.ndarray, prefix: str, sep: str):
 
 
 @functools.lru_cache(maxsize=1)
-def _obj_faces(nx: int, nt: int) -> bytes:
-    """The OBJ quad faces of an nx x nt grid, wrapping around in t; 1-based indices.
-    _CHUNK lines are formatted at a time, which bounds the Python ints alive at once."""
+def _obj_faces(nx: int, nt: int) -> tuple[bytes, ...]:
+    """The OBJ quad faces of an nx x nt grid, wrapping around in t; 1-based indices, as chunks
+    of _CHUNK lines, which bound the Python ints alive at once and are written unjoined."""
     lines, out = (nx - 1) * nt, []
     for a in (np.arange(i, min(i + _CHUNK, lines)) for i in range(0, lines, _CHUNK)):
         b = a - a % nt + (a + 1) % nt  # line a joins points a, b and the two a row on
         quads = np.stack([a, b, b + nt, a + nt], axis=-1).ravel() + 1
         out.append(("f %d %d %d %d\n" * len(a) % tuple(quads.tolist())).encode())
-    return b"".join(out)
+    return tuple(out)
 
 
 def export_mesh(sample: SurfaceSample, fmt: str, path,
@@ -287,7 +287,7 @@ def export_mesh(sample: SurfaceSample, fmt: str, path,
         if nt < 3:
             raise SamplerError(f"OBJ export needs nt >= 3, got nt = {nt}")
         verts = sample.points[:, :, list(project)].reshape(nx * nt, 3)
-        blocks = itertools.chain(_g17_lines(verts, "v ", " "), [_obj_faces(nx, nt)])
+        blocks = itertools.chain(_g17_lines(verts, "v ", " "), _obj_faces(nx, nt))
     else:
         raise SamplerError(f"unknown mesh format {fmt!r}")
     with open(path, "wb") as fh:

@@ -46,6 +46,13 @@ def bad_triangle():
     return catalog.non_delzant_triangle()
 
 
+class NoScan(list):
+    """Vertex records that fail the test when anything iterates them."""
+
+    def __iter__(self):
+        raise AssertionError("the vertex records were scanned")
+
+
 def frac_pt(*xs):
     return tuple(Fraction(x) for x in xs)
 

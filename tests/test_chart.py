@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CATALOG
+from conftest import CATALOG, NoScan
 from toriclift import catalog, chart, exactmath
 from toriclift.chart import (
     CircleEmbedding,
@@ -133,6 +133,16 @@ class TestMakeChart:
         monkeypatch.setattr(F, "__hash__", lambda x: hashes.append(x) or real(x))
         assert check_lift(P, gamma, (0, 1), K).verdict == "accept"
         assert hashes == []
+
+    def test_warm_make_chart_scans_no_vertex_record(self):
+        # the records are keyed by point once, so box(10)'s 1024 records are not compared
+        # again: a second make_chart, at the same or another vertex, reads its record by key
+        P = catalog.box([1] * 10)
+        far = (F(1),) * 10
+        ch = make_chart(P, far)
+        P._vertices = NoScan(P._vertices)
+        assert make_chart(P, far) is ch
+        assert make_chart(P, (0,) * 10).vertex == (F(0),) * 10
 
     def test_delzant_vertex_takes_no_determinant(self, monkeypatch):
         # the walk's D = det A_S decides unimodularity; only a rejection words |det U|

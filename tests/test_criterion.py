@@ -9,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from conftest import sturm_count
+from conftest import NoScan, sturm_count
 from toriclift import catalog, criterion, exactmath, io
 from toriclift.chart import CircleEmbedding, make_chart
 from toriclift.criterion import (
@@ -38,8 +38,9 @@ K10 = CircleEmbedding((1, 0))
 
 
 def check_interior(P, gamma, interval):
-    """The interior report `check_lift` makes, from the scaled facet slacks mapped onto (0, 1)."""
-    return criterion._interior(*criterion._map(criterion._slacks(P, gamma)[2], interval))
+    """The interior report `check_lift` makes, from the facet slacks of the mapped curve."""
+    m = criterion._map(P, gamma, interval)
+    return criterion._interior(m.a, m.w, m.S)
 
 
 class TestBuildGraph:
@@ -685,8 +686,52 @@ class TestIntegerSlacksDifferential:
         assert built >= 300 and rejected >= 50
 
 
+def taylor_oracle(p, e, sign):
+    """p(e + sign*tau) in tau, each power of e + sign*tau expanded by the binomial theorem."""
+    out = [F(0)] * len(p)
+    for k, c in enumerate(p):
+        for i in range(k + 1):
+            out[i] += c * comb(k, i) * F(e) ** (k - i) * sign ** i
+    return poly_trim(out)
+
+
+class TestChartPolynomialsDifferential:
+    """The chart polynomials against the facet slacks lambda_f - <a_f, gamma(e +- tau)>,
+    formed in Fractions with no interval map: the curve mapped onto (0, 1) once must give
+    them at a and at b."""
+
+    def test_random_curves_both_endpoints(self):
+        rng = random.Random(30)
+        names = ["cp2_3", "cp3", "hirzebruch", "unit_square"]
+        built = {0: 0, 1: 0}
+        for i in range(240):
+            P = data_polytope(names[i % 4])
+            if i % 2:
+                P = translate(rng, P)
+            gamma, iv = random_curve(rng, P)
+            if i % 3 == 0:  # integral coefficients as ints, and uneven coordinate lengths
+                gamma = [[int(c) if c.denominator == 1 else c for c in g] + [0] * (j % 2)
+                         for j, g in enumerate(gamma)]
+            K = random_circle(rng, P.n)
+            for ep, (e, sign) in enumerate(((iv[0], 1), (iv[1], -1))):
+                try:
+                    graph = build_graph(P, gamma, iv, ep, K)
+                except GraphBuildReject:
+                    continue
+                built[ep] += 1
+                at_e = [taylor_oracle(g, e, sign) for g in gamma]
+                order = (graph.param_chart_index,) + graph.other_chart_indices
+                want = [slack_oracle(P, graph.chart.active[j], at_e) for j in order]
+                assert list(graph.x) == want
+                assert graph.x1_max == iv[1] - iv[0]
+                # the endpoint lies in the chart's orthant, and the parameter starts at 0 and grows
+                assert all(x[0] >= 0 for x in graph.x if x)
+                assert graph.x[0][0] == 0 and graph.x[0][1] > 0
+        assert min(built.values()) >= 60
+
+
 class TestWorkGuard:
-    """check_lift hands the root finders integer lists only, maps each scaled slack once
+    """check_lift hands the root finders integer lists only, maps the scaled curve once
     and checks its input once."""
 
     @staticmethod
@@ -717,7 +762,8 @@ class TestWorkGuard:
         assert all(type(p) is list and all(type(c) is int for c in p) for ps in calls.values() for p in ps)
 
     def test_each_slack_mapped_once(self, monkeypatch):
-        # d facet slacks, and the one pairing <gamma', K> that transversality maps in isolate_root
+        # the n curve coordinates, which every facet slack is read off, and the one pairing
+        # <gamma', K> that transversality maps in isolate_root
         calls = []
         real = exactmath._compose_int
 
@@ -732,9 +778,20 @@ class TestWorkGuard:
                 continue
             calls.clear()
             check_lift(P, gamma, iv, K)
-            assert len(calls) == len(P.normals) + 1
+            assert len(calls) == P.n + 1
             checked += 1
         assert checked >= 15
+
+    def test_warm_check_lift_scans_no_vertex_record(self):
+        # the default endpoint chart is kept on P by the facets tight at the endpoint, and the
+        # records by point, so a second check_lift ending on the same faces, with default or
+        # given chart vertices, finds its charts without iterating P._vertices
+        P, vertices = catalog.cp2(3), ((0, 0), (3, 0))
+        default, given = check_lift(P, DIAG, DIAG_IV, K11), check_lift(P, DIAG, DIAG_IV, K11, vertices)
+        P._vertices = NoScan(P._vertices)
+        assert check_lift(P, DIAG, DIAG_IV, K11) == default
+        assert check_lift(P, DIAG, DIAG_IV, K11, vertices) == given
+        assert check_lift(P, [poly(0, 2), poly(0, 1)], (F(0), F(1)), K10).verdict == "reject"
 
     def test_input_checked_once(self, monkeypatch):
         counts = {"_check_coefficients": 0, "_check_interval": 0}
