@@ -107,10 +107,11 @@ class TestBuildGraph:
             build_graph(cp2, DIAG, DIAG_IV, endpoint, K11)
 
     def test_singular_parametrization_rejected(self, cp2):
-        gamma = [poly(0, 0, 1), poly(0, 0, 1)]
-        with pytest.raises(GraphBuildReject) as exc:
-            build_graph(cp2, gamma, (F(0), F(1)), 0, K11)
-        assert exc.value.reason == "singular_parametrisation"
+        # at the vertex 0, and at (1, 0), where gamma(a) is not zero but gamma'(a) is
+        for gamma in ([poly(0, 0, 1), poly(0, 0, 1)], [poly(1, 0, 1), poly(0, 0, 1)]):
+            with pytest.raises(GraphBuildReject) as exc:
+                build_graph(cp2, gamma, (F(0), F(1)), 0, K11)
+            assert exc.value.reason == "singular_parametrisation"
 
     def test_parabola_graph(self, cp2):
         # gamma(s) = (s, s^2) at the origin: x_2(tau) = tau^2
@@ -355,6 +356,9 @@ class TestCheckLift:
         v = check_lift(cp2, [poly(0, 0, 1), poly(0, 0, 1)], (F(0), F(1)), K11)
         assert v.verdict == "reject"
         assert v.report("endpoint 1").conditions[0].condition == "singular_parametrisation"
+        # the point printed is gamma(a) itself, whatever the curve's velocity there
+        v = check_lift(cp2, [poly(-1, 1), poly(1, 1)], (F(0), F(1)), K11)
+        assert v.report("endpoint 1").conditions[0].detail == "endpoint (-1, 1) lies outside the polytope"
 
     def test_malformed_endpoint_input_raises(self, cp2):
         with pytest.raises(PolytopeError):
