@@ -24,6 +24,7 @@ of dimension n - k, else as their intersections with a rank for each.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -91,8 +92,10 @@ class HPolytope:
                 raise PolytopeError(f"facet normal {a} is not primitive")
         if len(set(self.normals)) != len(self.normals):
             raise PolytopeError("duplicate facet normal")
-        # memos of enumerate_vertices, and by sorted active set its edges and chart.make_chart
+        # memos of enumerate_vertices, its sorted active tuples in vertex order, and by those
+        # tuples its edges and chart.make_chart
         self._vertices = None
+        self._keys = None
         self._simple = False  # every vertex simple: set by the walk, read by face_lattice and _face
         self._edges = {}
         self._charts = {}
@@ -249,22 +252,24 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
                     pb, Sb = p[b], S[b]
                     X2 = [xk * pb + Sb * uk for xk, uk in zip(X, u)]
                     S2 = [s * pb - Sb * pi for s, pi in zip(S, p)]
-                    g = gcd(q * pb, *S2, *X2)
-                    X2, q2 = [xk // g for xk in X2], q * pb // g
+                    g, q2 = gcd(q * pb, *S2, *X2), q * pb
+                    if g != 1:  # on most steps the gcd is 1
+                        X2, S2, q2 = [xk // g for xk in X2], [s // g for s in S2], q2 // g
                     if simple and blocking == 1 << b:  # b alone blocks: the neighbour is simple too
                         nkey = tuple(sorted(key[:j] + key[j + 1:] + (b,)))
                         pivot = _pivot_edges(P, key, edges, D, pairs, j, b)
                     else:
                         nkey, pivot = tuple(i for i in range(P.d) if nxt >> i & 1), None
                     found[nxt] = (nkey, X2, q2)
-                    todo.append((nxt, nkey, X2, [s // g for s in S2], q2, pivot))
+                    todo.append((nxt, nkey, X2, S2, q2, pivot))
         L = lcm(*(q for _, _, q in found.values()))
         walk = sorted(found.values(), key=lambda vert: [xk * (L // vert[2]) for xk in vert[1]])
         # vertices share coordinates, so each distinct (X_k, q) is made a Fraction once
         coord = {c: Fraction(*c) for c in {(xk, q) for _, X, q in walk for xk in X}}
         # active sets built in facet order: their iteration order and repr do not depend on the path
         P._vertices = [(tuple(coord[xk, q] for xk in X), frozenset(key)) for key, X, q in walk]
-        P._simple = all(len(key) == P.n for key, _, _ in walk)
+        P._keys = [key for key, _, _ in walk]
+        P._simple = all(len(key) == P.n for key in P._keys)
     return P._vertices
 
 
@@ -292,15 +297,16 @@ def face_lattice(P: HPolytope) -> list[Face]:
     """
     n, verts = P.n, enumerate_vertices(P)
     if P._simple:
-        by_size = [defaultdict(list) for _ in range(n + 1)]  # [k][a k-subset]: its vertices
-        for v, act in verts:
-            key = sorted(act)
+        by_size = [defaultdict(list) for _ in range(n)]  # [k][a k-subset, k < n]: its vertices
+        for (v, _), key in zip(verts, P._keys):
             for k, members in enumerate(by_size):
                 for sub in itertools.combinations(key, k):
                     members[sub].append(v)
-        # largest subset first, then by facet tuple: the (dim, sorted active) order
-        return [tuple.__new__(Face, (frozenset(sub), n - k, tuple(vs)))
-                for k in range(n, -1, -1) for sub, vs in sorted(by_size[k].items())]
+        # the vertices, then the larger subsets first, each by facet tuple: the (dim, sorted
+        # active) order; an active set has n facets, so the vertices are the faces of size n
+        faces = [tuple.__new__(Face, (act, 0, (v,))) for _, (v, act) in sorted(zip(P._keys, verts))]
+        return faces + [tuple.__new__(Face, (frozenset(sub), n - k, tuple(by_size[k][sub])))
+                        for k in range(n - 1, -1, -1) for sub in sorted(by_size[k])]
     sets: set[frozenset[int]] = set()
     for _, act in verts:
         sets |= {act & f for f in sets} | {act}
@@ -365,13 +371,16 @@ def _pivot_edges(P: HPolytope, key: tuple[int, ...], edges: tuple[IntVec, ...], 
             if r:  # else w_k = u_k with the same pairings, as u_k is primitive and p_b > 0
                 w = [pb * x - r * y for x, y in zip(uk, u)]
                 g = gcd(*w)
-                uk, pk = tuple(x // g for x in w), [(pb * x - r * y) // g for x, y in zip(pk, p)]
+                uk, pk = tuple(w), [pb * x - r * y for x, y in zip(pk, p)]
+                if g != 1:  # on most edges the gcd is 1
+                    uk, pk = tuple(x // g for x in w), [x // g for x in pk]
             cols.append(uk)
             cpairs.append(pk)
-    pos = sum(1 for k, f in enumerate(key) if k != j and f < b)
+    pos = bisect_left(key, b) - (key[j] < b)  # the facets of S' below b; b is not in S
     cols.insert(pos, tuple(-x for x in u))
     cpairs.insert(pos, [-x for x in p])
-    return (tuple(cols), D * pb // p[key[j]] * (-1) ** abs(pos - j)), cpairs
+    det = D * pb // p[key[j]]
+    return (tuple(cols), -det if (pos - j) & 1 else det), cpairs
 
 
 def _kernel_edges(P: HPolytope, key: tuple[int, ...]) -> tuple[tuple[IntVec, ...], Optional[int]]:
@@ -418,11 +427,11 @@ def validate_delzant(P: HPolytope) -> DelzantReport:
     the determinant of the edges computed.
     """
     verdicts = []
-    for v, active in enumerate_vertices(P):
-        if len(active) != P.n:
+    for (v, _), key in zip(enumerate_vertices(P), P._keys):
+        if len(key) != P.n:
             verdicts.append(VertexVerdict(v, False, None, False))
             continue
-        edges, D = P._edges[tuple(sorted(active))]
+        edges, D = P._edges[key]
         det = (-1) ** P.n * D if abs(D) == 1 else int_det(edges)
         verdicts.append(VertexVerdict(v, True, det, abs(det) == 1))
     return DelzantReport(all(v.smooth for v in verdicts), tuple(verdicts))
@@ -451,10 +460,10 @@ def validate_quasitoric(P: HPolytope, facet_vectors: Sequence[Sequence[int]],
         raise PolytopeError(f"the polytope has dimension {P.n}, but {' and '.join(wrong)}")
     dets = []
     ok = True
-    for v, active in enumerate_vertices(P):
-        if len(active) != P.n:
+    for (v, _), key in zip(enumerate_vertices(P), P._keys):
+        if len(key) != P.n:
             raise PolytopeError("quasitoric validation needs a simple polytope")
-        det = int_det([vecs[i] for i in sorted(active)])
+        det = int_det([vecs[i] for i in key])
         dets.append((v, det))
         if (det != 1) if strict else (abs(det) != 1):
             ok = False
