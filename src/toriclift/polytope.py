@@ -7,18 +7,21 @@ vertex active sets.  The vertices are found by walking the edge graph
 from one start vertex, which an exact dual simplex finds in integers, so
 the work grows with the number of vertices rather than with the number
 of n-subsets of facets; an edge that no facet blocks shows that P is
-unbounded.  The walk keeps one record per vertex: its edges and the
-determinant D of its active normals.  The start vertex's comes from the
+unbounded.  The walk keeps each vertex's sorted facet key, the tuple of
+its active facets in facet order, and by that key one record: its edges
+and the determinant D of its active normals.  The start vertex's comes from the
 Hermite form the dual simplex took of its basis; a simple vertex reached
 from a simple one along an edge that one facet blocks pivots the record
 of the vertex left, with its edges' pairings with every normal, as lrs
 updates its dictionary (Avis, "lrs: a revised implementation of the
 reverse search vertex enumeration algorithm", 2000); any other vertex
-takes a kernel per (n-1)-subset of its facets.  A point question scans
-the vertex records for those whose active sets contain the facets tight
-at the point; `face_lattice` builds every face per call, on a simple
-polytope as the subsets of the vertex active sets, a face with k facets
-of dimension n - k, else as their intersections with a rank for each.
+takes a kernel per (n-1)-subset of its facets.  The Delzant and
+quasitoric checks find a vertex's record by its key, with no sort.  A
+point question scans the vertex records for those whose active sets
+contain the facets tight at the point; `face_lattice` builds every face
+per call, on a simple polytope as the subsets of the vertex keys, a face
+with k facets of dimension n - k, else as the intersections of the
+vertex active sets with a rank for each.
 """
 
 from __future__ import annotations
@@ -63,8 +66,9 @@ class HPolytope:
     Construction checks the data, then walks the vertices with
     `enumerate_vertices`: normals that do not span, an empty system, a
     recession ray and a facet tight on all of P are each a PolytopeError.
-    Equal and hashed by (n, normals, offsets).  Vertices, edge bases and
-    charts are memoised on it as they are computed; faces are built per call.
+    Equal and hashed by (n, normals, offsets).  Vertices, each with its
+    sorted facet key, edge bases and charts are memoised on it as they are
+    computed; faces are built per call.
     """
 
     def __init__(self, n: int, normals: Iterable[Sequence[int]], offsets: Iterable[Fraction]):
@@ -210,9 +214,10 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
     step t = min S_i / (q p_i) over p_i > 0, found by cross-multiplying
     (`_blocking`); an edge that no facet blocks is a recession ray of an
     unbounded P.  At the neighbour X' = X p_b + S_b u and S' = S p_b - S_b p
-    over q' = q p_b, b a blocking facet, all three divided by their gcd.  P
-    keeps one record (edges, D) per vertex by sorted active set, D = det A_S
-    or None when not simple, filed as the walk leaves the vertex.  A simple
+    over q' = q p_b, b a blocking facet, all three divided by their gcd
+    when it is not 1.  P keeps one record (edges, D) per vertex by sorted
+    active set, D = det A_S or None when not simple, filed as the walk
+    leaves the vertex, and those sorted sets in vertex order.  A simple
     start vertex's active set is the dual simplex's basis, whose record
     `_start_vertex` returns.  A neighbour reached from a simple vertex along
     an edge that b alone blocks is simple; its record and its edges'
@@ -252,7 +257,8 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
                     pb, Sb = p[b], S[b]
                     X2 = [xk * pb + Sb * uk for xk, uk in zip(X, u)]
                     S2 = [s * pb - Sb * pi for s, pi in zip(S, p)]
-                    g, q2 = gcd(q * pb, *S2, *X2), q * pb
+                    q2 = q * pb
+                    g = gcd(q2, *S2, *X2)
                     if g != 1:  # on most steps the gcd is 1
                         X2, S2, q2 = [xk // g for xk in X2], [s // g for s in S2], q2 // g
                     if simple and blocking == 1 << b:  # b alone blocks: the neighbour is simple too

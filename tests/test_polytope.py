@@ -1,8 +1,11 @@
 import gc
+import glob
 import itertools
 import math
+import os
 import random
 import re
+import sys
 import weakref
 from fractions import Fraction
 
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toriclift import catalog, exactmath, polytope
+from toriclift import catalog, exactmath, io, polytope
 from toriclift.chart import CircleEmbedding, make_chart
 from toriclift.criterion import build_graph, check_lift
 from toriclift.exactmath import dot, hnf, int_det, integer_kernel_basis, primitive, rank
@@ -343,6 +346,19 @@ class TestVertices:
             (F(1, 2), F(0)): frozenset({1, 3}),
         }
 
+    def test_keys_are_the_sorted_active_sets(self):
+        # the walk keeps each vertex's active facets as a sorted tuple, in vertex order:
+        # the key of its edge record, which the Delzant check and the face lattice read
+        data = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "data", "*.json")))
+        polytopes = [io.load_polytope(path) for path in data]
+        polytopes += [square_pyramid(), octahedron(), catalog.box([1] * 5)]
+        polytopes += [HPolytope(*system) for system in ladder_products(1)]
+        assert len(data) == 5
+        for P in polytopes:
+            verts = enumerate_vertices(P)
+            assert P._keys == [tuple(sorted(act)) for _, act in verts]
+            assert all(key in P._edges for key in P._keys)
+
     def test_active_sets_exact(self, cp2):
         for p, active in enumerate_vertices(cp2):
             for i, (a, lam) in enumerate(zip(cp2.normals, cp2.offsets)):
@@ -484,6 +500,36 @@ class TestEdgeWalk:
         assert len(start_edges) == 4
         assert paired == [(a, u) for u in start_edges for a in P.normals]
         assert len(ratio_tests) == 128 and len(pivots) == 63
+
+    def test_sort_work_guard(self, monkeypatch):
+        # P8 x P8: the Delzant check and the face lattice find each vertex's edge
+        # record and file its faces by the sorted facet key the walk kept, so
+        # neither sorts an active set again
+        P = HPolytope(*product([OCTAGON, OCTAGON]))
+        sorts = []
+        monkeypatch.setattr(polytope, "sorted", lambda xs, **kw: sorts.append(xs) or sorted(xs, **kw),
+                            raising=False)
+        assert validate_delzant(P).ok and len(face_lattice(P)) == 17 * 17
+        assert sorts and not any(isinstance(xs, frozenset) for xs in sorts)
+
+    def test_unit_and_other_gcds(self, monkeypatch):
+        # the neighbour step divides X, S and q, and a pivot an edge and its pairings,
+        # by their gcd only when it is not 1; the oracle cases take both branches of each
+        seen = set()
+
+        def spy(*args):
+            g = math.gcd(*args)
+            seen.add((sys._getframe(1).f_code.co_name, g == 1))
+            return g
+        monkeypatch.setattr(polytope, "gcd", spy)
+        rng = random.Random(31)
+        for i in range(200):
+            n, normals, offsets = random_system(rng)
+            check_against_oracle(n, normals, awkward_translate(rng, n, normals, offsets) if i % 2 else offsets)
+        for n, normals, offsets in ladder_products(9)[-8:]:
+            assert_matches_oracle(HPolytope(n, normals, offsets), brute_force_vertices(n, normals, offsets))
+        assert {(site, unit) for site in ("enumerate_vertices", "_pivot_edges")
+                for unit in (True, False)} <= seen
 
     def test_coordinates_made_once(self):
         # the unit 5-cube: 32 vertices, 160 coordinates, each 0 or 1 over the
