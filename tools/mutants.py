@@ -10,7 +10,9 @@ property tests draw the same examples each time and a run repeated with
 the same arguments reports the same survivors.  A mutant survives when the
 tests still pass.  Survivors listed in `equivalent_mutants.txt` beside
 this script are known to be equivalent (no input tells them from the
-original); any other survivor is a fault the tests would miss.
+original); any other survivor is a fault the tests would miss.  Each
+known key for the file that no longer names one of its sites (its line
+was edited or removed) is printed as stale, to be pruned from the list.
 
     python3 tools/mutants.py src/toriclift/exactmath.py 300-420 tests/test_exactmath.py --sample 40
 
@@ -126,11 +128,15 @@ def main(argv=None) -> int:
     rel = Path(args.file)
     source = (ROOT / rel).read_text(encoding="utf-8")
     tree = ast.parse(source)
+    src_lines = source.splitlines()
     todo = sites(tree, range(first, last + 1))
-    todo = list(zip(todo, keys(rel, source.splitlines(), todo)))
+    todo = list(zip(todo, keys(rel, src_lines, todo)))
     random.Random(args.seed).shuffle(todo)
     todo = todo[:args.sample]
     known = known_equivalent()
+    every = set(keys(rel, src_lines, sites(tree, range(1, len(src_lines) + 1))))
+    for key in sorted(k for k in known if k.startswith(f"{rel.name}: ") and k not in every):
+        print(f"stale known mutant, no such site in {rel}: {key}", flush=True)
 
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         work = Path(tmp) / "tree"
