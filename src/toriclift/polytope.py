@@ -9,19 +9,19 @@ the work grows with the number of vertices rather than with the number
 of n-subsets of facets; an edge that no facet blocks shows that P is
 unbounded.  The walk keeps each vertex's sorted facet key, the tuple of
 its active facets in facet order, and by that key one record: its edges
-and the determinant D of its active normals.  The start vertex's comes from the
-Hermite form the dual simplex took of its basis; a simple vertex reached
-from a simple one along an edge that one facet blocks pivots the record
-of the vertex left, with its edges' pairings with every normal, as lrs
-updates its dictionary (Avis, "lrs: a revised implementation of the
-reverse search vertex enumeration algorithm", 2000); any other vertex
-takes a kernel per (n-1)-subset of its facets.  The Delzant and
-quasitoric checks find a vertex's record by its key, with no sort.  A
-point question scans the vertex records for those whose active sets
-contain the facets tight at the point; `face_lattice` builds every face
-per call, on a simple polytope as the subsets of the vertex keys, a face
-with k facets of dimension n - k, else as the intersections of the
-vertex active sets with a rank for each.
+and the determinant D of its active normals.  The start vertex's comes
+from the Hermite form the dual simplex took of its basis; a simple
+vertex reached from a simple one along an edge that one facet blocks
+pivots the record of the vertex left, with its edges' pairings with
+every normal, as lrs updates its dictionary (Avis, "lrs: a revised
+implementation of the reverse search vertex enumeration algorithm",
+2000); any other vertex takes a kernel per (n-1)-subset of its facets.
+The Delzant and quasitoric checks find a vertex's record by its key,
+with no sort.  A point question scans the vertex records for those whose
+active sets contain the facets tight at the point; `face_lattice` builds
+every face per call, on a simple polytope as the subsets of the vertex
+keys, a face with k facets of dimension n - k, else as the intersections
+of the vertex active sets with a rank for each.
 """
 
 from __future__ import annotations
