@@ -9,8 +9,8 @@ checkout's `bench/` is copied over both trees, so both sides run one
 harness.  Pair i runs `bench/run.py --workload W --seed S_i --seconds T
 --trace 0` in each tree, the base first in even pairs and the change
 first in odd ones, so neither side always runs second.  Each run moves
-its tree to one common path first: the path's length alone moved
-surface-oracle `op_p50_ms` by 12% between two identical trees.  `--seeds` takes
+its tree to one common path first, so that the two sides' runs differ
+in the tree's files and not in its path.  `--seeds` takes
 `A..` (A, A+1, ...), `A..B` (both included) or a comma list; it defaults
 to `1..`.
 
