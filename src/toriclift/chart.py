@@ -11,7 +11,7 @@ fills the nonnegative orthant.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .exactmath import IntVec, _check_point, dot, int_det, is_int, primitive
 from .polytope import HPolytope, Point, PolytopeError, format_point, minimal_face
@@ -56,38 +56,27 @@ def make_chart(P: HPolytope, o: Sequence[Fraction]) -> VertexChart:
     when D = det A_S of the active normals is +-1, so no determinant is
     taken unless the vertex is rejected; the inverse of U is then the
     negated active normals, so chart coordinates are the facet slacks.
-    The vertex's record is found by its point (`_vertex_at`), and charts
-    are kept on P by sorted active set, one per vertex; a rejected vertex
-    is not kept, and a point that is no vertex is worded by `minimal_face`.
+    The vertex is found by one scan of P's vertex records for its point,
+    and a point that is no vertex is worded by `minimal_face`.
     """
     o = tuple(o)
     _check_point(o, "o")
-    vertex = _vertex_at(P, o)
+    vertex = next((r for r in P._vertices if r[0] == o), None)
     if vertex is None:
         minimal_face(P, o)  # raises for a point of the wrong length or outside P
         raise PolytopeError(f"point {format_point(o)} is not a vertex")
     return _chart(P, *vertex)
 
 
-def _vertex_at(P: HPolytope, o: tuple) -> Optional[tuple[Point, frozenset[int]]]:
-    """The vertex record (o, active) of the point o, or None; P keys its records by point once."""
-    if P._by_point is None:
-        P._by_point = {record[0]: record for record in P._vertices}
-    return P._by_point.get(o)
-
-
 def _chart(P: HPolytope, o: Point, active: frozenset[int]) -> VertexChart:
-    """make_chart at the vertex o with the active facets `active`, from P's memo when kept."""
+    """make_chart at the vertex o with the active facets `active`, built from P's record of it."""
     key = tuple(sorted(active))
-    chart = P._charts.get(key)
-    if chart is None:
-        if len(key) != P.n:
-            raise PolytopeError(f"vertex {format_point(o)} is not simple: {len(key)} active facets")
-        cols, D = P._edges[key]
-        if abs(D) != 1:
-            raise PolytopeError(f"vertex {format_point(o)} is not Delzant: |det U| = {abs(int_det(cols))}")
-        chart = P._charts[key] = VertexChart(P, o, cols, key)
-    return chart
+    if len(key) != P.n:
+        raise PolytopeError(f"vertex {format_point(o)} is not simple: {len(key)} active facets")
+    cols, D = P._edges[key]
+    if abs(D) != 1:
+        raise PolytopeError(f"vertex {format_point(o)} is not Delzant: |det U| = {abs(int_det(cols))}")
+    return VertexChart(P, o, cols, key)
 
 
 def from_chart(chart: VertexChart, x: Sequence[Fraction]) -> Point:

@@ -33,7 +33,7 @@ from math import lcm
 from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .chart import CircleEmbedding, VertexChart, _chart, _vertex_at, local_weights
+from .chart import CircleEmbedding, VertexChart, _chart, local_weights
 from .exactmath import (
     RatPoly,
     _check_point,
@@ -228,9 +228,9 @@ def _graph(P: HPolytope, m: Mapped, endpoint: int, circle: CircleEmbedding,
     kept = None if chart_vertex is not None else P._endpoint_charts.get(tight)
     if kept is None:
         # the endpoint face's vertex records, sorted lexicographically: the first, or the chart vertex
-        vertex = (next((r for r in P._vertices if r[1] >= tight), None) if chart_vertex is None
-                  else _vertex_at(P, tuple(chart_vertex)))
-        if vertex is None or not vertex[1] >= tight:
+        given = None if chart_vertex is None else tuple(chart_vertex)
+        vertex = next((r for r in P._vertices if r[1] >= tight and (given is None or r[0] == given)), None)
+        if vertex is None:
             raise PolytopeError(f"chart vertex {format_point(chart_vertex)} is not a vertex of the endpoint face")
     # gamma'(e) = 0 exactly when each Gm_j' vanishes at t = 0 or 1: g_1, or sum k g_k
     if not any(sum(map(mul, range(len(g)) if endpoint else (0, 1), g)) for g in m.Gm):

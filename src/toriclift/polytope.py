@@ -7,8 +7,8 @@ vertex active sets.  The vertices are found by walking the edge graph
 from one start vertex, which an exact dual simplex finds in integers, so
 the work grows with the number of vertices rather than with the number
 of n-subsets of facets; an edge that no facet blocks shows that P is
-unbounded.  The walk keeps each vertex's sorted facet key, the tuple of
-its active facets in facet order, and by that key one record: its edges
+unbounded.  P keeps one vertex table, in vertex order: by each vertex's
+sorted facet key, the tuple of its active facets, one record of its edges
 and the determinant D of its active normals.  The start vertex's comes
 from the Hermite form the dual simplex took of its basis; a simple
 vertex reached from a simple one along an edge that one facet blocks
@@ -16,9 +16,9 @@ pivots the record of the vertex left, with its edges' pairings with
 every normal, as lrs updates its dictionary (Avis, "lrs: a revised
 implementation of the reverse search vertex enumeration algorithm",
 2000); any other vertex takes a kernel per (n-1)-subset of its facets.
-The Delzant and quasitoric checks find a vertex's record by its key,
-with no sort.  A point question scans the vertex records for those whose
-active sets contain the facets tight at the point; `face_lattice` builds
+The Delzant and quasitoric checks read the keys from the table, with no
+sort.  A point question scans the vertex records for the point or for
+the active sets that contain the facets tight at it; `face_lattice` builds
 every face per call, on a simple polytope as the subsets of the vertex
 keys, a face with k facets of dimension n - k, else as the intersections
 of the vertex active sets with a rank for each.
@@ -66,9 +66,8 @@ class HPolytope:
     Construction checks the data, then walks the vertices with
     `enumerate_vertices`: normals that do not span, an empty system, a
     recession ray and a facet tight on all of P are each a PolytopeError.
-    Equal and hashed by (n, normals, offsets).  Vertices, each with its
-    sorted facet key, edge bases and charts are memoised on it as they are
-    computed; faces are built per call.
+    Equal and hashed by (n, normals, offsets).  It keeps the vertex table
+    and the criterion's two memos; faces and charts are built per call.
     """
 
     def __init__(self, n: int, normals: Iterable[Sequence[int]], offsets: Iterable[Fraction]):
@@ -87,25 +86,21 @@ class HPolytope:
         self.offsets = tuple(o if type(o) is Fraction else Fraction(o) for o in self.offsets)
         for a in self.normals:
             if len(a) != n:
-                raise PolytopeError("normal of wrong dimension")
+                raise PolytopeError(f"facet normal {a} has length {len(a)}, the polytope has dimension {n}")
             if not all(map(is_int, a)):
                 raise PolytopeError(f"facet normal {a}: expected integers")
             if not any(a):
-                raise PolytopeError("zero facet normal")
+                raise PolytopeError(f"facet normal {a} is zero")
             if primitive(a) != a:
                 raise PolytopeError(f"facet normal {a} is not primitive")
         if len(set(self.normals)) != len(self.normals):
             raise PolytopeError("duplicate facet normal")
-        # memos of enumerate_vertices, its sorted active tuples in vertex order, and by those
-        # tuples its edges and chart.make_chart
+        # the vertex table of enumerate_vertices: the records, and (edges, D) by sorted active tuple
         self._vertices = None
-        self._keys = None
         self._simple = False  # every vertex simple: set by the walk, read by face_lattice and _face
         self._edges = {}
-        self._charts = {}
-        # memos of the criterion, filled on first use: the vertex records by point, the cleared
-        # offsets and negated normals (criterion._map), the endpoint charts by tight facets
-        self._by_point = None
+        # memos of the criterion, filled on first use: the cleared offsets and negated normals
+        # (criterion._map), the endpoint charts by tight facets
         self._cleared = None
         self._endpoint_charts = {}
         verts = enumerate_vertices(self)  # raises for an empty or unbounded system
@@ -216,8 +211,8 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
     unbounded P.  At the neighbour X' = X p_b + S_b u and S' = S p_b - S_b p
     over q' = q p_b, b a blocking facet, all three divided by their gcd
     when it is not 1.  P keeps one record (edges, D) per vertex by sorted
-    active set, D = det A_S or None when not simple, filed as the walk
-    leaves the vertex, and those sorted sets in vertex order.  A simple
+    active set, D = det A_S or None when not simple, made as the walk
+    leaves the vertex and filed in vertex order.  A simple
     start vertex's active set is the dual simplex's basis, whose record
     `_start_vertex` returns.  A neighbour reached from a simple vertex along
     an edge that b alone blocks is simple; its record and its edges'
@@ -274,8 +269,8 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
         coord = {c: Fraction(*c) for c in {(xk, q) for _, X, q in walk for xk in X}}
         # active sets built in facet order: their iteration order and repr do not depend on the path
         P._vertices = [(tuple(coord[xk, q] for xk in X), frozenset(key)) for key, X, q in walk]
-        P._keys = [key for key, _, _ in walk]
-        P._simple = all(len(key) == P.n for key in P._keys)
+        P._edges = {key: P._edges[key] for key, _, _ in walk}
+        P._simple = all(len(key) == P.n for key in P._edges)
     return P._vertices
 
 
@@ -304,13 +299,13 @@ def face_lattice(P: HPolytope) -> list[Face]:
     n, verts = P.n, enumerate_vertices(P)
     if P._simple:
         by_size = [defaultdict(list) for _ in range(n)]  # [k][a k-subset, k < n]: its vertices
-        for (v, _), key in zip(verts, P._keys):
+        for (v, _), key in zip(verts, P._edges):
             for k, members in enumerate(by_size):
                 for sub in itertools.combinations(key, k):
                     members[sub].append(v)
         # the vertices, then the larger subsets first, each by facet tuple: the (dim, sorted
         # active) order; an active set has n facets, so the vertices are the faces of size n
-        faces = [tuple.__new__(Face, (act, 0, (v,))) for _, (v, act) in sorted(zip(P._keys, verts))]
+        faces = [tuple.__new__(Face, (act, 0, (v,))) for _, (v, act) in sorted(zip(P._edges, verts))]
         return faces + [tuple.__new__(Face, (frozenset(sub), n - k, tuple(by_size[k][sub])))
                         for k in range(n - 1, -1, -1) for sub in sorted(by_size[k])]
     sets: set[frozenset[int]] = set()
@@ -433,11 +428,10 @@ def validate_delzant(P: HPolytope) -> DelzantReport:
     the determinant of the edges computed.
     """
     verdicts = []
-    for (v, _), key in zip(enumerate_vertices(P), P._keys):
+    for (v, _), (key, (edges, D)) in zip(enumerate_vertices(P), P._edges.items()):
         if len(key) != P.n:
             verdicts.append(VertexVerdict(v, False, None, False))
             continue
-        edges, D = P._edges[key]
         det = (-1) ** P.n * D if abs(D) == 1 else int_det(edges)
         verdicts.append(VertexVerdict(v, True, det, abs(det) == 1))
     return DelzantReport(all(v.smooth for v in verdicts), tuple(verdicts))
@@ -466,7 +460,7 @@ def validate_quasitoric(P: HPolytope, facet_vectors: Sequence[Sequence[int]],
         raise PolytopeError(f"the polytope has dimension {P.n}, but {' and '.join(wrong)}")
     dets = []
     ok = True
-    for (v, _), key in zip(enumerate_vertices(P), P._keys):
+    for (v, _), key in zip(enumerate_vertices(P), P._edges):
         if len(key) != P.n:
             raise PolytopeError("quasitoric validation needs a simple polytope")
         det = int_det([vecs[i] for i in key])

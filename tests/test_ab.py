@@ -60,3 +60,13 @@ def test_seeds(spec, pairs, seeds):
 def test_too_few_seeds():
     with pytest.raises(ValueError, match="gives 2 seeds for 3 pairs"):
         ab.parse_seeds("1..2", 3)
+
+
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "b.py").write_text("# one\nz = 3\n")
+    (tmp_path / "src" / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "c.py").write_text("not = 'counted'\n")
+    assert ab.src_lines(tmp_path) == 5

@@ -208,6 +208,10 @@ class TestPrimitive:
         with pytest.raises(ValueError):
             primitive((0, 0))
 
+    def test_dot_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^dot: dimension mismatch$"):
+            exactmath.dot((1, 2), (1,))
+
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_idempotent(self, v):

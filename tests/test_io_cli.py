@@ -154,6 +154,22 @@ class TestCurveFiles:
             io.curve_from_dict(dict(self.GOOD, **fields))
 
 
+@pytest.mark.parametrize("loader,obj,message", [
+    ("load_polytope", {"n": 1, "facets": [{"normal": [1]}, {"normal": [-1], "offset": "0"}]},
+     "facets[0]: need 'normal' and 'offset'"),
+    ("load_curve", [], "curve: expected an object"),
+    ("load_curve", {"coords": [["0"]], "domain": ["0", "1"]}, "curve: missing field 'circle'"),
+    ("load_curve", dict(TestCurveFiles.GOOD, coords=[]), "coords: expected a nonempty list of coefficient lists"),
+    ("load_curve", dict(TestCurveFiles.GOOD, domain=["0"]), "domain: expected [start, end]"),
+    ("load_facet_vectors", [[1, 0], [0, 1]], "facet vectors: expected {'vectors': [[...], ...]}"),
+], ids=["facet-fields", "curve-list", "curve-field", "coords-empty", "domain-length", "vectors-list"])
+def test_malformed_file_rejected(tmp_path, loader, obj, message):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(io.FormatError, match=f"^{re.escape(message)}$"):
+        getattr(io, loader)(str(path))
+
+
 def test_facet_vector_boolean_rejected(tmp_path):
     path = tmp_path / "v.json"
     path.write_text(json.dumps({"vectors": [[1, 0], [0, True]]}))
@@ -165,6 +181,10 @@ def write_json(tmp_path, name, obj):
     p = tmp_path / name
     p.write_text(json.dumps(obj))
     return str(p)
+
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+OCTAHEDRON = {"n": 3, "facets": [{"normal": list(a), "offset": "1"} for a in itertools.product((1, -1), repeat=3)]}
 
 
 @pytest.fixture
@@ -443,6 +463,27 @@ class TestCli:
         d["coords"] = [["0", "0.5"], ["0", "1"]]
         curve = write_json(tmp_path, "bad.json", d)
         assert main(["lift-check", cp2_file, curve]) == 3
+
+    @pytest.mark.parametrize("argv,code,line", [
+        (["validate", {"n": 2, "facets": [{"normal": [1, 0, 0], "offset": "1"}]}], 3,
+         "error: facet normal (1, 0, 0) has length 3, the polytope has dimension 2"),
+        (["validate", {"n": 2, "facets": [{"normal": [0, 0], "offset": "1"}]}], 3,
+         "error: facet normal (0, 0) is zero"),
+        (["quasitoric", OCTAHEDRON, {"vectors": [[1, 0, 0]] * 8}], 3,
+         "error: quasitoric validation needs a simple polytope"),
+        (["equiv", os.path.join(DATA, "non_delzant_triangle.json"), "--r", "1,0", "--t1", "0,0", "--t2", "0,0"], 3,
+         "error: subtorus generators of face [1, 2] are not saturated (index 2)"),
+        (["validate", OCTAHEDRON], 1, "  vertex (1, 0, 0): FAIL (not simple)"),
+    ], ids=["normal-length", "zero-normal", "quasitoric-non-simple", "unsaturated-face", "validate-non-simple"])
+    def test_polytope_faults(self, tmp_path, capsys, argv, code, line):
+        # each dict is written to a file whose path takes its place
+        argv = [write_json(tmp_path, f"{k}.json", a) if isinstance(a, dict) else a for k, a in enumerate(argv)]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code == 3:
+            assert (out, err) == ("", line + "\n")
+        else:
+            assert line in out.splitlines()
 
     # points in messages read as the user wrote them, not as Fraction reprs
     def test_equiv_outside_point_message(self, cp2_file, capsys):

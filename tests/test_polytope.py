@@ -325,6 +325,20 @@ class TestConstruction:
     def test_int_and_fraction_offsets_accepted(self, cp2):
         assert HPolytope(2, cp2.normals, (0, F(0), 3)) == cp2
 
+    @pytest.mark.parametrize("normals,offsets,message", [
+        (((-1, 0), (0, -1), (1, 1)), (0, 0), "normal/offset count mismatch"),
+        (((-1, 0), (0, -1), (1, 1, 0)), (0, 0, 3), "facet normal (1, 1, 0) has length 3, the polytope has dimension 2"),
+        (((-1, 0), (0, -1), (0, 0)), (0, 0, 3), "facet normal (0, 0) is zero"),
+    ], ids=["count", "length", "zero"])
+    def test_malformed_normals_rejected(self, normals, offsets, message):
+        with pytest.raises(PolytopeError, match=f"^{re.escape(message)}$"):
+            HPolytope(2, normals, offsets)
+
+    def test_hashed_by_its_data(self, cp2):
+        # equal polytopes hash alike, so a set or dict key holds one of them
+        same = HPolytope(2, cp2.normals, (0, F(0), 3))
+        assert hash(same) == hash(cp2) and len({cp2, same, catalog.cp2(2)}) == 2
+
 
 class TestVertices:
     def test_cp2(self, cp2):
@@ -347,8 +361,8 @@ class TestVertices:
         }
 
     def test_keys_are_the_sorted_active_sets(self):
-        # the walk keeps each vertex's active facets as a sorted tuple, in vertex order:
-        # the key of its edge record, which the Delzant check and the face lattice read
+        # the walk files each vertex's edge record by its active facets as a sorted tuple,
+        # in vertex order: the keys that the Delzant check and the face lattice read
         data = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "data", "*.json")))
         polytopes = [io.load_polytope(path) for path in data]
         polytopes += [square_pyramid(), octahedron(), catalog.box([1] * 5)]
@@ -356,8 +370,7 @@ class TestVertices:
         assert len(data) == 5
         for P in polytopes:
             verts = enumerate_vertices(P)
-            assert P._keys == [tuple(sorted(act)) for _, act in verts]
-            assert all(key in P._edges for key in P._keys)
+            assert list(P._edges) == [tuple(sorted(act)) for _, act in verts]
 
     def test_active_sets_exact(self, cp2):
         for p, active in enumerate_vertices(cp2):
@@ -673,7 +686,7 @@ class TestMemo:
         P = catalog.box([F(5, 3), F(7, 4)])
         face_lattice(P)
         minimal_face(P, (F(0), F(1)))
-        make_chart(P, (F(0), F(0)))  # the memoised chart refers back to P
+        make_chart(P, (F(0), F(0)))  # the chart refers back to P
         ref = weakref.ref(P)
         del P
         gc.collect()

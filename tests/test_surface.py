@@ -258,6 +258,12 @@ class TestSmoothnessProbe:
     def test_too_few_points_inconclusive(self, disc_graph):
         assert smoothness_probe(disc_graph, nx=3, nt=2).kind == "inconclusive"
 
+    def test_negative_radicand_inconclusive(self, cp2):
+        # (s, -s) leaves the chart's orthant at once, so the probe window has no surface
+        graph = build_graph(cp2, [poly(0, 1), poly(0, -1)], (F(0), F(1)), 0, CircleEmbedding((1, 1)))
+        res = smoothness_probe(graph)
+        assert res.kind == "inconclusive" and all(map(math.isnan, res[1:]))
+
     @pytest.mark.parametrize("nx,nt", [(0, 48), (400, 0), (0, 0)])
     def test_empty_grid_rejected(self, disc_graph, nx, nt):
         with pytest.raises(SamplerError, match="empty grid"):
@@ -443,3 +449,11 @@ class TestExport:
         s = sample_surface(disc_graph, 3, 3)
         with pytest.raises(SamplerError):
             export_mesh(s, "ply", tmp_path / "x.ply")
+
+    @pytest.mark.parametrize("nx,nt", [(0, 4), (3, 0)])
+    def test_empty_grid_rejected(self, tmp_path, nx, nt):
+        s = golden_sample()
+        s = SurfaceSample(s.tau[:nx], s.t[:nt], s.points[:nx, :nt])
+        with pytest.raises(SamplerError, match="^empty grid$"):
+            export_mesh(s, "csv", tmp_path / "e.csv")
+        assert not (tmp_path / "e.csv").exists()

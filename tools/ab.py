@@ -15,7 +15,8 @@ in the tree's files and not in its path.  `--seeds` takes
 to `1..`.
 
 The summary, written at the repository root and nowhere else in the
-checkout, holds every pair's end-to-end metrics, each side's median and
+checkout, holds each tree's count of lines in `src/**/*.py`, every
+pair's end-to-end metrics, each side's median and
 quartiles per metric, the pairs the change won, "better" as
 BENCHMARK.json declares it, and an `env` block.  The exit status is 1
 when a run gives a wrong answer.  Not part of the tier-1 suite: a pair
@@ -87,6 +88,11 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
     return out
 
 
+def src_lines(tree: Path) -> int:
+    """The lines of the Python files under `tree`/src, as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src").rglob("*.py"))
+
+
 def extract(rev: str, dest: Path) -> str:
     """The tree of `rev` in `dest`, with the checkout's bench/; returns the commit id."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT, check=True,
@@ -150,6 +156,8 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in ("base", "change")}
         revs = {side: {"rev": rev, "commit": extract(rev, trees[side])}
                 for side, rev in (("base", args.base), ("change", args.change))}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
+        print(f"src/ lines: {lines['base']} -> {lines['change']}", flush=True)
         pairs = []
         for i, seed in enumerate(seeds):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -162,7 +170,7 @@ def main(argv=None) -> int:
                 for name in ("ops_per_s", "op_p50_ms", "op_tail_ms")), flush=True)
 
     summary = summarise(pairs, better)
-    doc = {"workload": args.workload, "seconds": args.seconds, "seeds": seeds, **revs,
+    doc = {"workload": args.workload, "seconds": args.seconds, "seeds": seeds, **revs, "src_lines": lines,
            "command": "python3 bench/run.py --workload W --seed S --seconds T --trace 0",
            "env": env_block(), "pairs": pairs, "summary": summary}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
