@@ -95,7 +95,8 @@ class HPolytope:
                 raise PolytopeError(f"facet normal {a} is not primitive")
         if len(set(self.normals)) != len(self.normals):
             raise PolytopeError("duplicate facet normal")
-        # the vertex table of enumerate_vertices: the records, and (edges, D) by sorted active tuple
+        # the vertex table of enumerate_vertices: the records, and (edges, D) by sorted active
+        # tuple, both in vertex order
         self._vertices = None
         self._simple = False  # every vertex simple: set by the walk, read by face_lattice and _face
         self._edges = {}
@@ -212,12 +213,12 @@ def enumerate_vertices(P: HPolytope) -> list[tuple[Point, frozenset[int]]]:
     over q' = q p_b, b a blocking facet, all three divided by their gcd
     when it is not 1.  P keeps one record (edges, D) per vertex by sorted
     active set, D = det A_S or None when not simple, made as the walk
-    leaves the vertex and filed in vertex order.  A simple
-    start vertex's active set is the dual simplex's basis, whose record
-    `_start_vertex` returns.  A neighbour reached from a simple vertex along
-    an edge that b alone blocks is simple; its record and its edges'
-    pairings are pivoted from the vertex left (`_pivot_edges`) and ride on
-    the walk's stack with its sorted active set.  Any other vertex takes
+    leaves the vertex and filed in vertex order.  A simple start vertex's
+    active set is the dual simplex's basis, whose record `_start_vertex`
+    returns.  A neighbour reached from a simple vertex along an edge that
+    b alone blocks is simple; its record and its edges' pairings are
+    pivoted from the vertex left (`_pivot_edges`) and ride on the walk's
+    stack with its sorted active set.  Any other vertex takes
     `_kernel_edges`.  Vertices and edges are known by the bitmasks of their
     facets, edge j's at a simple vertex the vertex's less key[j], so each edge
     is walked once, from the end reached first; an edge walked is blocked,

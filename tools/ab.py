@@ -16,9 +16,9 @@ to `1..`.
 
 The summary, written at the repository root and nowhere else in the
 checkout, holds each tree's count of lines in `src/**/*.py`, every
-pair's end-to-end metrics, each side's median and
-quartiles per metric, the pairs the change won, "better" as
-BENCHMARK.json declares it, and an `env` block.  The exit status is 1
+pair's end-to-end metrics, each side's median and quartiles per metric,
+the pairs the change won, "better" as BENCHMARK.json declares it, and an
+`env` block.  The exit status is 1
 when a run gives a wrong answer.  Not part of the tier-1 suite: a pair
 costs two benchmark runs.
 """
