@@ -686,7 +686,9 @@ class TestMemo:
         P = catalog.box([F(5, 3), F(7, 4)])
         face_lattice(P)
         minimal_face(P, (F(0), F(1)))
-        make_chart(P, (F(0), F(0)))  # the chart refers back to P
+        make_chart(P, (F(0), F(0)))
+        check_lift(P, [[0, 1], [0]], (0, 1), CircleEmbedding((1, 0)))  # the kept endpoint charts refer back to P
+        assert P._endpoint_charts
         ref = weakref.ref(P)
         del P
         gc.collect()
