@@ -47,7 +47,8 @@ def main():
     print("\nEndpoint chart of the accepted disc at the origin:")
     vertex = ", ".join(map(str, graph.chart.vertex))
     print(f"  chart vertex ({vertex}), weights k = {graph.k}")
-    for pos, x in enumerate(graph.x, start=1):
+    for pos, num in enumerate(graph.num, start=1):
+        x = [F(c, graph.den) for c in num]
         coeffs = ", ".join(map(str, x))
         print(f"  x_{pos}(tau) coefficients [{coeffs}], valuation {valuation(x)}")
     print(f"  face index set Q = {sorted(graph.Q)}, tau range = {graph.x1_max}")

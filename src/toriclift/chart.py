@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactmath import IntVec, _check_point, dot, int_det, is_int, primitive
-from .polytope import HPolytope, Point, PolytopeError, format_point, minimal_face
+from .exactmath import IntVec, dot, int_det, is_int, primitive
+from .polytope import HPolytope, Point, PolytopeError, format_point
 
 
 class CircleEmbedding:
@@ -49,27 +49,10 @@ class VertexChart(NamedTuple):
         return tuple(tuple(-x for x in self.polytope.normals[f]) for f in self.active)
 
 
-def make_chart(P: HPolytope, o: Sequence[Fraction]) -> VertexChart:
-    """Chart at a simple Delzant vertex; rejects any other point and |det U| != 1.
-
-    The edge basis U is the walk's record for the vertex, unimodular exactly
-    when D = det A_S of the active normals is +-1, so no determinant is
-    taken unless the vertex is rejected; the inverse of U is then the
-    negated active normals, so chart coordinates are the facet slacks.
-    The vertex is found by one scan of P's vertex records for its point,
-    and a point that is no vertex is worded by `minimal_face`.
-    """
-    o = tuple(o)
-    _check_point(o, "o")
-    vertex = next((r for r in P._vertices if r[0] == o), None)
-    if vertex is None:
-        minimal_face(P, o)  # raises for a point of the wrong length or outside P
-        raise PolytopeError(f"point {format_point(o)} is not a vertex")
-    return _chart(P, *vertex)
-
-
 def _chart(P: HPolytope, o: Point, active: frozenset[int]) -> VertexChart:
-    """make_chart at the vertex o with the active facets `active`, built from P's record of it."""
+    """Chart at the vertex o with the active facets `active`, from P's record of the vertex.
+    Rejects a vertex that is not simple, or not Delzant: U is unimodular exactly when the
+    walk's D = det A_S is +-1, and U^{-1} is then the negated active normals."""
     key = tuple(sorted(active))
     if len(key) != P.n:
         raise PolytopeError(f"vertex {format_point(o)} is not simple: {len(key)} active facets")

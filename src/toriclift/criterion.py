@@ -66,8 +66,8 @@ class CurveGraph(NamedTuple):
     """Per-endpoint chart data: coordinates re-indexed so the parameter is 1.
 
     Positions are 1-based in reports (parameter = 1); `num[i]` is `den`
-    times the chart polynomial of position i+1 in tau, an integer list,
-    and `x[i]` that polynomial in Fractions.  `k` holds the circle weights
+    times the chart polynomial of position i+1 in tau, an integer list, so
+    Fraction(c, den) are its coefficients.  `k` holds the circle weights
     with k[0] = k_1, `Q` the set of positions (2..n) spanning the
     endpoint's minimal face.
     """
@@ -84,11 +84,6 @@ class CurveGraph(NamedTuple):
     @property
     def n(self) -> int:
         return self.chart.n
-
-    @property
-    def x(self) -> tuple[RatPoly, ...]:
-        """The chart polynomials x_p, then the other chart coordinates, in Fractions."""
-        return tuple([Fraction(c, self.den) for c in p] for p in self.num)
 
 
 class Condition(NamedTuple):
@@ -294,21 +289,10 @@ def _check_dimensions(P: HPolytope, gamma: Curve, circle: CircleEmbedding,
 # individual checks
 
 
-def check_transversality(gamma: Curve, circle: CircleEmbedding,
-                         interval: Interval) -> Report:
-    """<gamma'(s), K> must not vanish on the open parameter interval.
-
-    One `isolate_root` call decides it and brackets the leftmost zero for
-    the report.
-    """
-    _check_interval(interval, "check_transversality")
-    _check_coefficients(gamma)
-    return _transversality(gamma, circle, interval)
-
-
 def _transversality(gamma: Curve, circle: CircleEmbedding, interval: Interval) -> Report:
-    """check_transversality on checked input.  A factor D > 0 on gamma changes no root,
-    so `check_lift` passes D*gamma."""
+    """<gamma'(s), K> must not vanish on the open parameter interval: one `isolate_root` call
+    decides it and brackets the leftmost zero.  `check_lift` checks the input and passes D*gamma,
+    whose factor D > 0 changes no root."""
     a, b = interval
     p = poly_deriv(_pairing([(j, x) for j, x in enumerate(circle.K) if x], gamma))
     loc = "interior"

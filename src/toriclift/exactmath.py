@@ -274,15 +274,18 @@ def isolate_root(p: Sequence[Fraction], left: Fraction, right: Fraction) -> Opti
     Bisection keeps the left half whenever it holds a root; the bracket is
     the first piece no wider than ISOLATE_WIDTH, or (mid, mid) when a wider
     piece's midpoint is a root.  It depends only on the roots, so p and D*p
-    (D > 0) give the same; p holds Fractions or ints, as do left and right.
-    The interval is mapped onto (0, 1) once, and `_isolate` searches the
-    mapped integer list; a caller that already holds that list, as
-    `check_lift` does for its facet slacks, calls `_isolate` directly.
-    The zero polynomial is rejected.
+    (D > 0) give the same.  A ValueError names an entry of p, left or right
+    that is not an int or a Fraction (a bool, a float).  The interval is
+    mapped onto (0, 1) once, and `_isolate` searches the mapped integer
+    list; a caller that already holds that list, as `check_lift` does for
+    its facet slacks, calls `_isolate` directly.  The zero polynomial is rejected.
     """
-    c = poly_trim(p)
-    if not all(type(x) is int for x in c):
-        _, (c,) = _integer_polys(c)
+    exact = all(type(x) is int for x in p)  # else each coefficient is checked too
+    for k, x in enumerate((left, right) if exact else (left, right, *p)):
+        if not is_rational(x):
+            name = f"interval end {k}" if k < 2 else f"coefficient of s^{k - 2}"
+            raise ValueError(f"isolate_root: {name}: expected an int or a Fraction, got {x!r}")
+    c = poly_trim(p) if exact else _integer_polys(poly_trim(p))[1][0]
     if not c:
         raise ValueError("isolate_root: zero polynomial")
     ln, ld, rn, rd = left.numerator, left.denominator, right.numerator, right.denominator

@@ -26,6 +26,11 @@ def polytope_to_dict(P):
     }
 
 
+def chart_polys(graph):
+    """The chart polynomials of an endpoint graph in Fractions: its integer lists over `den`."""
+    return [[Fraction(c, graph.den) for c in x] for x in graph.num]
+
+
 @pytest.fixture(scope="session")
 def cp2():
     return catalog.cp2(3)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import polytope_to_dict
+from conftest import chart_polys, polytope_to_dict
 from toriclift import catalog
 from toriclift.chart import CircleEmbedding
 from toriclift.cli import main as cli_main
@@ -304,7 +304,7 @@ def test_acceptance_7_series_kernel():
                 # the same decision through build_graph and check_endpoint
                 gamma = [[F(0), F(1), c], x_j]
                 graph = build_graph(square, gamma, (F(0), F(1, 4)), 0, CircleEmbedding((1, m)))
-                assert graph.x == ([F(0), F(1), c], x_j)
+                assert chart_polys(graph) == [[F(0), F(1), c], x_j]
                 cond = [x for x in check_endpoint(graph).conditions
                         if x.condition == "divided_smoothness"]
                 assert cond[0].outcome == ("holds" if smooth else "fails"), (a, m)

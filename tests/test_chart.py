@@ -6,14 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CATALOG
+from conftest import CATALOG, chart_polys
 from toriclift import catalog, chart, exactmath
-from toriclift.chart import (
-    CircleEmbedding,
-    from_chart,
-    local_weights,
-    make_chart,
-)
+from toriclift.chart import CircleEmbedding, from_chart, local_weights
 from toriclift.criterion import GraphBuildReject, build_graph, check_lift
 from toriclift.exactmath import dot, poly_add, poly_compose_linear, poly_scale, poly_sub
 from toriclift.polytope import (
@@ -21,6 +16,7 @@ from toriclift.polytope import (
     PolytopeError,
     enumerate_vertices,
     face_lattice,
+    format_point,
     validate_delzant,
 )
 
@@ -33,6 +29,11 @@ def identity_matrix(n):
 
 POLYTOPES = {**{name: build() for name, build in CATALOG.items()}, "box3": catalog.box([2, 1, F(3, 2)])}
 DELZANT = [name for name, P in POLYTOPES.items() if validate_delzant(P).ok]
+
+
+def vertex_chart(P, v):
+    """The chart at the vertex v, built by `_chart` from P's record of v."""
+    return chart._chart(P, *next(r for r in P._vertices if r[0] == tuple(v)))
 
 
 def to_chart(chart, p):
@@ -66,6 +67,9 @@ class TestCircleEmbedding:
     def test_sign_kept(self):
         assert CircleEmbedding((-3, 0)).K == (-1, 0)
 
+    def test_repr_shows_the_primitive_direction(self):
+        assert repr(CircleEmbedding((2, -4))) == "CircleEmbedding((1, -2))"
+
     @pytest.mark.parametrize("K,bad", [((0.5, 1), "0.5"), ((F(1), 1), "Fraction(1, 1)"), ((1, True), "True")],
                              ids=["float", "fraction", "bool"])
     def test_entry_not_an_int_rejected(self, K, bad):
@@ -76,57 +80,62 @@ class TestCircleEmbedding:
 
 class TestMakeChart:
     def test_origin_chart_is_identity(self, cp2):
-        ch = make_chart(cp2, (F(0), F(0)))
+        ch = vertex_chart(cp2, (F(0), F(0)))
         assert ch.columns == ((1, 0), (0, 1))
         assert ch.inverse == ((F(1), F(0)), (F(0), F(1)))
 
     def test_far_vertex(self, cp2):
-        ch = make_chart(cp2, (F(3), F(0)))
+        ch = vertex_chart(cp2, (F(3), F(0)))
         assert set(ch.columns) == {(-1, 1), (-1, 0)}
 
+    # a chart vertex is given only through the criterion, which finds it among the vertex
+    # records of the endpoint's face: a point that is no such vertex is malformed input
+    EDGE_START = [[1, 1], [0, 1]]  # from (1, 0) on the edge y = 0, whose vertices are (0, 0) and (3, 0)
+
     def test_non_vertex_rejected(self, cp2):
-        with pytest.raises(PolytopeError, match=re.escape("point (1, 0) is not a vertex")):
-            make_chart(cp2, (F(1), F(0)))
+        with pytest.raises(PolytopeError, match=re.escape("chart vertex (1, 0) is not a vertex of the endpoint face")):
+            check_lift(cp2, self.EDGE_START, (0, 1), CircleEmbedding((1, 1)), ((F(1), F(0)), None))
 
     def test_outside_point_rejected(self, cp2):
-        with pytest.raises(PolytopeError, match=re.escape("point (4, 0) outside the polytope")):
-            make_chart(cp2, (F(4), F(0)))
+        with pytest.raises(PolytopeError, match=re.escape("chart vertex (4, 0) is not a vertex of the endpoint face")):
+            check_lift(cp2, self.EDGE_START, (0, 1), CircleEmbedding((1, 1)), ((F(4), F(0)), None))
 
     def test_wrong_length_rejected(self, cp2):
-        # named as points_equivalent names a point of the wrong length, not by the
-        # pairing helper that would fail on it
+        # named before any work, as the curve and the circle are
         for o in ((F(0),), (0, 0, 0)):
-            with pytest.raises(PolytopeError, match=f"^r has length {len(o)}, the polytope has dimension 2$"):
-                make_chart(cp2, o)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"the polytope has dimension 2, but chart vertex {format_point(o)} has length {len(o)}")):
+                check_lift(cp2, self.EDGE_START, (0, 1), CircleEmbedding((1, 1)), (o, None))
 
     def test_non_simple_vertex_rejected(self):
         # |x| + |y| + |z| <= 1: four facets meet at every vertex
         octahedron = HPolytope(3, list(itertools.product((1, -1), repeat=3)), [1] * 8)
         with pytest.raises(PolytopeError,
                            match=re.escape("vertex (1, 0, 0) is not simple: 4 active facets")):
-            make_chart(octahedron, (F(1), F(0), F(0)))
+            vertex_chart(octahedron, (F(1), F(0), F(0)))
 
     def test_memo_read_with_int_coordinates(self):
-        # an int point equals the vertex's Fractions, so either finds the same chart;
-        # the chart keeps its vertex as Fractions
-        P = catalog.cp2(3)
-        ch = make_chart(P, (F(3), F(0)))
-        assert make_chart(P, (3, 0)) == ch
-        ch = make_chart(P, [0, 3])
-        assert ch.vertex == (F(0), F(3)) and all(type(x) is F for x in ch.vertex)
-        assert make_chart(P, (F(0), F(3))) == ch
+        # a given chart vertex in ints finds the same chart as its Fractions and as the
+        # kept default chart; the chart keeps its vertex as Fractions
+        P, K = catalog.cp2(3), CircleEmbedding((1, 1))
+        kept = build_graph(P, self.EDGE_START, (0, 1), 0, K).chart
+        for o in ((0, 0), [0, 0], (F(0), F(0))):
+            ch = build_graph(P, self.EDGE_START, (0, 1), 0, K, o).chart
+            assert ch == kept and all(type(x) is F for x in ch.vertex)
+        ch = build_graph(P, self.EDGE_START, (0, 1), 0, K, (3, 0)).chart
+        assert ch.vertex == (F(3), F(0)) and all(type(x) is F for x in ch.vertex)
 
     def test_bad_vertex_rejected(self, bad_triangle):
         with pytest.raises(PolytopeError, match=re.escape("vertex (1, 0) is not Delzant: |det U| = 2")):
-            make_chart(bad_triangle, (F(1), F(0)))
+            vertex_chart(bad_triangle, (F(1), F(0)))
 
     def test_charts_leave_no_state_on_the_polytope(self):
         # the criterion's two memos are all that a query keeps on P: after a warm check_lift,
-        # make_chart and a check_lift with given chart vertices leave P as they found it
+        # a build_graph and a check_lift with given chart vertices leave P as they found it
         P, gamma, K = catalog.cp2(3), [[0, 1], [0, 0, 0, 2]], CircleEmbedding((1, 1))
         check_lift(P, gamma, (0, 1), K)
         before = {name: copy.copy(value) for name, value in vars(P).items()}
-        assert make_chart(P, (F(3), F(0))).active == (1, 2)
+        assert build_graph(P, gamma, (0, 1), 1, K, (3, 0)).chart.active == (1, 2)
         assert check_lift(P, gamma, (0, 1), K, ((0, 0), (0, 3))).verdict == "accept"
         assert vars(P) == before
 
@@ -146,10 +155,10 @@ class TestMakeChart:
         monkeypatch.setattr(chart, "int_det", lambda A: calls.append(A) or exactmath.int_det(A))
         for P in (catalog.cp2(3), catalog.cp3(), catalog.hirzebruch(), catalog.box([1, 2, 3])):
             for v, _ in enumerate_vertices(P):
-                make_chart(P, v)
+                vertex_chart(P, v)
         assert calls == []
         with pytest.raises(PolytopeError, match=re.escape("|det U| = 2")):
-            make_chart(catalog.non_delzant_triangle(), (F(1), F(0)))
+            vertex_chart(catalog.non_delzant_triangle(), (F(1), F(0)))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("P", POLYTOPES.values(), ids=POLYTOPES)
@@ -157,7 +166,7 @@ class TestMakeChart:
         for verdict in validate_delzant(P).verdicts:
             if not verdict.smooth:
                 continue
-            ch = make_chart(P, verdict.vertex)
+            ch = vertex_chart(P, verdict.vertex)
             U = [[ch.columns[j][i] for j in range(P.n)] for i in range(P.n)]
             product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*ch.inverse)] for row in U]
             assert product == identity_matrix(P.n)
@@ -165,20 +174,20 @@ class TestMakeChart:
 
 class TestCoordinateMaps:
     def test_example_transform(self, cp2):
-        ch = make_chart(cp2, (F(3), F(0)))
+        ch = vertex_chart(cp2, (F(3), F(0)))
         x = to_chart(ch, (F(3, 2), F(3, 2)))
         assert from_chart(ch, x) == (F(3, 2), F(3, 2))
 
     def test_vertex_maps_to_zero(self, cp2, hirzebruch):
         for P in (cp2, hirzebruch):
             for v, _ in enumerate_vertices(P):
-                ch = make_chart(P, v)
+                ch = vertex_chart(P, v)
                 assert to_chart(ch, v) == (F(0),) * P.n
 
     def test_round_trip_random(self, cp2):
         rng = random.Random(3)
         for v, _ in enumerate_vertices(cp2):
-            ch = make_chart(cp2, v)
+            ch = vertex_chart(cp2, v)
             for _ in range(20):
                 p = (F(rng.randint(-9, 9), 7), F(rng.randint(-9, 9), 7))
                 assert from_chart(ch, to_chart(ch, p)) == p
@@ -186,7 +195,7 @@ class TestCoordinateMaps:
     @pytest.mark.parametrize("P", POLYTOPES.values(), ids=POLYTOPES)
     def test_round_trip_every_delzant_vertex(self, P):
         rng = random.Random(11)
-        for ch in [make_chart(P, v.vertex) for v in validate_delzant(P).verdicts if v.smooth]:
+        for ch in [vertex_chart(P, v.vertex) for v in validate_delzant(P).verdicts if v.smooth]:
             assert to_chart(ch, ch.vertex) == (0,) * P.n
             for _ in range(10):
                 p = tuple(F(rng.randint(-9, 9), 7) for _ in range(P.n))
@@ -196,18 +205,18 @@ class TestCoordinateMaps:
 
     def test_cone_nonnegative_inside(self, cp2):
         # points of the polytope land in the nonnegative orthant of the chart
-        ch = make_chart(cp2, (F(3), F(0)))
+        ch = vertex_chart(cp2, (F(3), F(0)))
         for p in ((F(1), F(1)), (F(0), F(0)), (F(3, 2), F(3, 2))):
             assert all(x >= 0 for x in to_chart(ch, p))
 
 
 class TestLocalWeights:
     def test_origin(self, cp2):
-        ch = make_chart(cp2, (F(0), F(0)))
+        ch = vertex_chart(cp2, (F(0), F(0)))
         assert local_weights(ch, CircleEmbedding((1, 1))) == (1, 1)
 
     def test_far_vertex(self, cp2):
-        ch = make_chart(cp2, (F(3), F(0)))
+        ch = vertex_chart(cp2, (F(3), F(0)))
         w = local_weights(ch, CircleEmbedding((1, 1)))
         assert sorted(w) == sorted(dot(u, (1, 1)) for u in ch.columns)
 
@@ -215,7 +224,7 @@ class TestLocalWeights:
         # weights are exactly the pairings of the chart columns with K
         for P in (cp2, hirzebruch):
             for v, _ in enumerate_vertices(P):
-                ch = make_chart(P, v)
+                ch = vertex_chart(P, v)
                 for K in ((1, 0), (0, 1), (2, -3)):
                     rho = CircleEmbedding(K)
                     assert local_weights(ch, rho) == tuple(dot(u, rho.K) for u in ch.columns)
@@ -277,7 +286,7 @@ def _inverse(M):
 
 
 class TestGraphAgainstEdgeBasis:
-    """graph.x against U^{-1}(gamma(e + sign*tau) - o), with U^{-1} inverted here from chart.columns."""
+    """The chart polynomials against U^{-1}(gamma(e + sign*tau) - o), with U^{-1} inverted here from chart.columns."""
 
     @pytest.mark.parametrize("name", DELZANT)
     def test_random_chords(self, name):
@@ -305,7 +314,7 @@ class TestGraphAgainstEdgeBasis:
                     acc = poly_add(acc, poly_scale(diff[j], row[j]))
                 oracle.append(acc)
             order = (graph.param_chart_index,) + graph.other_chart_indices
-            assert list(graph.x) == [oracle[j] for j in order]
+            assert chart_polys(graph) == [oracle[j] for j in order]
             assert [list(r) for r in ch.inverse] == _inverse(U)
             checked += 1
         assert checked >= 20
@@ -317,7 +326,7 @@ class TestPairingInvariance:
         # x = U^{-1} v are the chart components of the tangent vector
         rng = random.Random(5)
         for v, _ in enumerate_vertices(cp2):
-            ch = make_chart(cp2, v)
+            ch = vertex_chart(cp2, v)
             for K in ((1, 1), (1, 0), (2, -1)):
                 rho = CircleEmbedding(K)
                 k = local_weights(ch, rho)

@@ -9,19 +9,18 @@ from operator import mul
 
 import pytest
 
-from conftest import NoScan, sturm_count
+from conftest import NoScan, chart_polys, sturm_count
 from toriclift import catalog, criterion, exactmath, io
-from toriclift.chart import CircleEmbedding, make_chart
+from toriclift.chart import CircleEmbedding
 from toriclift.criterion import (
     GraphBuildReject,
     build_graph,
     check_endpoint,
     check_lift,
-    check_transversality,
     divided_smoothness,
     valuation,
 )
-from toriclift.exactmath import poly_compose_linear, poly_deriv, poly_eval, poly_trim
+from toriclift.exactmath import isolate_root, poly_compose_linear, poly_deriv, poly_eval, poly_trim
 from toriclift.polytope import HPolytope, PolytopeError, face_lattice, minimal_face, points_equivalent
 
 F = Fraction
@@ -37,6 +36,12 @@ K11 = CircleEmbedding((1, 1))
 K10 = CircleEmbedding((1, 0))
 
 
+def transversality_report(gamma, circle, interval):
+    """The transversality report `check_lift` makes, which reads only the curve, the circle and
+    the interval: here in the unit box of the curve's dimension."""
+    return check_lift(catalog.box([1] * len(gamma)), gamma, interval, circle).report("transversality")
+
+
 def check_interior(P, gamma, interval):
     """The interior report `check_lift` makes, from the facet slacks of the mapped curve."""
     m = criterion._map(P, gamma, interval)
@@ -49,14 +54,14 @@ class TestBuildGraph:
         assert gr.chart.vertex == (F(0), F(0))
         assert gr.k == (1, 1)
         assert gr.Q == frozenset()
-        assert gr.x == ([F(0), F(1)], [F(0), F(1)])  # x_1 = x_2 = tau
+        assert chart_polys(gr) == [[F(0), F(1)], [F(0), F(1)]]  # x_1 = x_2 = tau
         assert gr.x1_max == F(3, 2)
 
     def test_diagonal_at_facet_endpoint(self, cp2):
         gr = build_graph(cp2, DIAG, DIAG_IV, 1, K11, chart_vertex=(F(3), F(0)))
         assert gr.Q == frozenset({2})
         assert gr.k == (-1, 0)
-        assert gr.x == ([F(0), F(2)], [F(3, 2), F(-1)])
+        assert chart_polys(gr) == [[F(0), F(2)], [F(3, 2), F(-1)]]
 
     def test_chart_shared_between_calls(self):
         P = catalog.cp2(3)
@@ -118,34 +123,34 @@ class TestBuildGraph:
         gamma = [poly(0, 1), poly(0, 0, 1)]
         gr = build_graph(cp2, gamma, (F(0), F(1)), 0, CircleEmbedding((1, 2)))
         assert gr.k == (1, 2)
-        assert gr.x[1] == [F(0), F(0), F(1)]
+        assert chart_polys(gr)[1] == [F(0), F(0), F(1)]
 
 
 class TestTransversality:
     def test_diagonal_holds(self):
-        assert check_transversality(DIAG, K11, DIAG_IV).status == "holds"
+        assert transversality_report(DIAG, K11, DIAG_IV).status == "holds"
 
     def test_degenerate_orthogonal(self):
-        rep = check_transversality(DIAG, CircleEmbedding((1, -1)), DIAG_IV)
+        rep = transversality_report(DIAG, CircleEmbedding((1, -1)), DIAG_IV)
         assert rep.status == "fails"
         assert "identically zero" in rep.conditions[0].detail
 
     def test_interior_zero_with_witness(self):
         gamma = [poly(0, 1), poly(0, 0, 1)]
-        rep = check_transversality(gamma, CircleEmbedding((1, -1)), (F(0), F(1)))
+        rep = transversality_report(gamma, CircleEmbedding((1, -1)), (F(0), F(1)))
         assert rep.status == "fails"
         assert "vanishes" in rep.conditions[0].detail
 
     def test_leftmost_zero_detail(self):
         # <gamma', K> = (s - 1/5)(s - 3/5): the report brackets the zero at 1/5
         gamma = [poly(0, F(3, 25), F(-2, 5), F(1, 3)), poly(0, 1)]
-        rep = check_transversality(gamma, K10, (F(0), F(1)))
+        rep = transversality_report(gamma, K10, (F(0), F(1)))
         assert rep.conditions[0].detail == "pairing vanishes in (51/256, 205/1024)"
 
     def test_endpoint_zero_allowed(self):
         # <gamma', K> = 1 - s vanishes only at the right endpoint
         gamma = [poly(0, 1), poly(0, 1, F(-1, 2))]
-        rep = check_transversality(gamma, CircleEmbedding((0, 1)), (F(0), F(1)))
+        rep = transversality_report(gamma, CircleEmbedding((0, 1)), (F(0), F(1)))
         assert rep.status == "holds"
 
 
@@ -458,7 +463,7 @@ class TestIntegerInput:
         # square-free step, which must stay exact on integer lists
         gamma = [[0, 2, -3, 1], [0]]
         for g in (gamma, [poly(*c) for c in gamma]):
-            rep = check_transversality(g, K10, (F(0), F(2)))
+            rep = transversality_report(g, K10, (F(0), F(2)))
             assert rep.conditions[0].detail == "pairing vanishes in (27/64, 433/1024)"
 
     def test_interior_two_contacts(self, cp2):
@@ -486,13 +491,9 @@ class TestCoefficientTypes:
         with pytest.raises(ValueError, match=self.MESSAGE):
             build_graph(cp2, self.GAMMA, (F(0), F(1)), 0, K11)
 
-    def test_check_transversality(self):
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            check_transversality(self.GAMMA, K11, (F(0), F(1)))
-
-    def test_names_the_coordinate(self):
+    def test_names_the_coordinate(self, cp2):
         with pytest.raises(ValueError, match=r"^curve coordinate 2, coefficient of s\^0: .* got 0\.25$"):
-            check_transversality([[0, 1], [0.25]], K11, (F(0), F(1)))
+            check_lift(cp2, [[0, 1], [0.25]], (F(0), F(1)), K11)
 
 
 class TestIntervalTypes:
@@ -525,21 +526,21 @@ class TestIntervalTypes:
 
 class TestExactSlots:
     """A float, a bool and a string in an exact slot each give one error naming the slot,
-    where check_transversality crashed on a float end, a bool coefficient was read as 1,
-    box and projective_simplex wrapped a float in a Fraction, and the point questions and
+    where isolate_root crashed on a float end or coefficient and read a bool as 1, the
+    criterion read a bool coefficient as 1, box and projective_simplex wrapped a float in a Fraction, and the point questions and
     chart vertices read a float or a bool as the equal rational."""
 
     SLOTS = {
         "minimal-face": (lambda x: minimal_face(catalog.cp2(3), (x, 0)), "r, coordinate 1: "),
-        "make-chart": (lambda x: make_chart(catalog.cp2(3), (0, x)), "o, coordinate 2: "),
         "points-equivalent": (lambda x: points_equivalent(catalog.cp2(3), ((x, 0), (0, 0)), ((0, 0), (0, 0))),
                               "t1, coordinate 1: "),
         "chart-vertex": (lambda x: build_graph(catalog.cp2(3), DIAG, DIAG_IV, 0, K11, (x, 0)),
                          "build_graph: chart_vertex, coordinate 1: "),
         "chart-vertices": (lambda x: check_lift(catalog.cp2(3), DIAG, DIAG_IV, K11, (None, (0, x))),
                            "check_lift: chart_vertices[1], coordinate 2: "),
-        "transversality-interval": (lambda x: check_transversality(DIAG, K11, (0, x)),
-                                    "check_transversality: interval end 1: "),
+        "isolate-root-end": (lambda x: isolate_root([1, -1], 0, x), "isolate_root: interval end 1: "),
+        "isolate-root-coefficient": (lambda x: isolate_root([F(1, 2), x], 0, 2),
+                                     "isolate_root: coefficient of s^1: "),
         "coefficient": (lambda x: check_lift(catalog.cp2(3), [poly(0, 1), [0, x]], DIAG_IV, K11),
                         "curve coordinate 2, coefficient of s^1: "),
         "box-length": (lambda x: catalog.box([x, 1]), "offset "),
@@ -661,7 +662,7 @@ class TestIntegerSlacksDifferential:
                 if bracketed:
                     self.check_bracket(slack, cond.detail)
 
-            trans = check_transversality(gamma, K, iv)
+            trans = transversality_report(gamma, K, iv)
             assert verdict is None or verdict.report("transversality") == trans
             p = poly_deriv(pairing_oracle(K.K, gamma))
             holds = bool(p) and sturm_count(p, *iv) == 0
@@ -680,11 +681,9 @@ class TestIntegerSlacksDifferential:
                 order = (graph.param_chart_index,) + graph.other_chart_indices
                 active = graph.chart.active
                 want = [poly_compose_linear(slack_oracle(P, active[j], gamma), e, sign) for j in order]
-                assert list(graph.x) == want
-                assert all(type(c) is F for x in graph.x for c in x)
-                # the integer chart polynomials over their one denominator are the same
+                # the integer chart polynomials over their one denominator
                 assert graph.den > 0 and all(type(c) is int for x in graph.num for c in x)
-                assert [[F(c, graph.den) for c in x] for x in graph.num] == want
+                assert chart_polys(graph) == want
                 if verdict is not None:
                     assert verdict.report(f"endpoint {ep + 1}") == check_endpoint(graph, f"endpoint {ep + 1}")
         assert built >= 300 and rejected >= 50
@@ -726,11 +725,11 @@ class TestChartPolynomialsDifferential:
                 at_e = [taylor_oracle(g, e, sign) for g in gamma]
                 order = (graph.param_chart_index,) + graph.other_chart_indices
                 want = [slack_oracle(P, graph.chart.active[j], at_e) for j in order]
-                assert list(graph.x) == want
+                assert chart_polys(graph) == want
                 assert graph.x1_max == iv[1] - iv[0]
                 # the endpoint lies in the chart's orthant, and the parameter starts at 0 and grows
-                assert all(x[0] >= 0 for x in graph.x if x)
-                assert graph.x[0][0] == 0 and graph.x[0][1] > 0
+                assert all(x[0] >= 0 for x in graph.num if x)
+                assert graph.num[0][0] == 0 and graph.num[0][1] > 0
         assert min(built.values()) >= 60
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -483,6 +484,19 @@ class TestIsolateRoot:
         with pytest.raises(ValueError, match="empty interval"):
             isolate_root([Fraction(1), Fraction(1)], Fraction(1), Fraction(1))
 
+    @pytest.mark.parametrize("p,left,right,slot,bad", [
+        ([1, -1], 0.5, 2, "interval end 0", "0.5"),
+        ([1, -1], 0, True, "interval end 1", "True"),
+        ([Fraction(1, 2), 1.0], 0, 2, "coefficient of s^1", "1.0"),
+        ([True, -1], 0, 2, "coefficient of s^0", "True"),
+        ([1, 0.0], 0, 2, "coefficient of s^1", "0.0"),  # a zero that trimming would drop
+    ], ids=["float-end", "bool-end", "float-coefficient", "bool-coefficient", "float-zero-coefficient"])
+    def test_inexact_input_named(self, p, left, right, slot, bad):
+        # a float end crashed on .numerator and a bool was read as 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"isolate_root: {slot}: expected an int or a Fraction, got {bad}") + "$"):
+            isolate_root(p, left, right)
+
 
 class TestComposeLinear:
     @given(st.lists(small_rationals, max_size=7), st.one_of(small_rationals, large_denominators),
@@ -527,8 +541,10 @@ class TestSturm:
         assert isolate_root(p, Fraction(1), Fraction(3)) is None
 
     def test_zero_poly_rejected(self):
-        with pytest.raises(ValueError, match="zero polynomial"):
-            isolate_root([], Fraction(0), Fraction(1))
+        # the empty list, and zeros as ints or as Fractions
+        for p in ([], [0, 0], [Fraction(0), 0]):
+            with pytest.raises(ValueError, match="^isolate_root: zero polynomial$"):
+                isolate_root(p, Fraction(0), Fraction(1))
 
     def test_against_numeric_sampling(self):
         rng = random.Random(11)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toriclift import catalog, exactmath, io, polytope
-from toriclift.chart import CircleEmbedding, make_chart
+from toriclift.chart import CircleEmbedding
 from toriclift.criterion import build_graph, check_lift
 from toriclift.exactmath import dot, hnf, int_det, integer_kernel_basis, primitive, rank
 from toriclift.polytope import (
@@ -269,6 +269,10 @@ OCTAGON = ([(-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1)
 
 
 class TestConstruction:
+    def test_repr_round_trip(self):
+        P = catalog.hirzebruch()
+        assert eval(repr(P), {"HPolytope": HPolytope, "Fraction": F}) == P
+
     def test_unbounded_rejected(self):
         with pytest.raises(PolytopeError, match="unbounded"):
             HPolytope(2, ((-1, 0), (0, -1)), (F(0), F(0)))
@@ -652,7 +656,7 @@ class TestPointQuestions:
         K = CircleEmbedding((1,) * n)
         corner, mid = (F(1),) + (F(0),) * (n - 1), (F(1),) + (F(1, 2),) * (n - 1)
         return (check_lift(P, gamma, (0, 1), K).to_dict(), build_graph(P, gamma, (0, 1), 1, K),
-                make_chart(P, corner), minimal_face(P, mid),
+                check_lift(P, gamma, (0, 1), K, (None, corner)).to_dict(), minimal_face(P, mid),
                 points_equivalent(P, ((F(1, 3),) * n, corner), ((F(2, 3),) + (F(1, 3),) * (n - 1), corner)))
 
     def test_box10_without_lattice(self, monkeypatch):
@@ -666,8 +670,8 @@ class TestPointQuestions:
         monkeypatch.setattr(polytope, "Face", lambda *a: made.append(a) or face(*a))
         got = self.answers(catalog.box([1] * 10))
         assert got == expected
-        # check_lift, build_graph and make_chart read the vertex records and build no face;
-        # minimal_face and points_equivalent build one face each
+        # check_lift, with default and given chart vertices, and build_graph read the vertex
+        # records and build no face; minimal_face and points_equivalent build one face each
         assert len(made) == 2
         assert expected[0]["verdict"] == "reject" and len(expected[3].vertices) == 2 ** 9
         assert expected[4] is True
@@ -686,7 +690,7 @@ class TestMemo:
         P = catalog.box([F(5, 3), F(7, 4)])
         face_lattice(P)
         minimal_face(P, (F(0), F(1)))
-        make_chart(P, (F(0), F(0)))
+        check_lift(P, [[0, 1], [0]], (0, 1), CircleEmbedding((1, 0)), ((0, 0), None))
         check_lift(P, [[0, 1], [0]], (0, 1), CircleEmbedding((1, 0)))  # the kept endpoint charts refer back to P
         assert P._endpoint_charts
         ref = weakref.ref(P)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import chart_polys
 from toriclift import catalog, surface
 from toriclift.chart import CircleEmbedding
 from toriclift.criterion import build_graph
@@ -147,7 +148,7 @@ class TestSampling:
             for ix in (5, 17, 29):
                 tau = F(s.tau[ix])
                 p = s.points[ix, 0]
-                for i, x in enumerate(graph.x):
+                for i, x in enumerate(chart_polys(graph)):
                     rho = (p[2 * i] ** 2 + p[2 * i + 1] ** 2) / 2
                     assert abs(rho - float(poly_eval(x, tau))) <= 1e-12
 
