@@ -91,13 +91,14 @@ class TestMakeChart:
     # a chart vertex is given only through the criterion, which finds it among the vertex
     # records of the endpoint's face: a point that is no such vertex is malformed input
     EDGE_START = [[1, 1], [0, 1]]  # from (1, 0) on the edge y = 0, whose vertices are (0, 0) and (3, 0)
+    NOT_IN_FACE = "is not a vertex of the endpoint face"
 
     def test_non_vertex_rejected(self, cp2):
-        with pytest.raises(PolytopeError, match=re.escape("chart vertex (1, 0) is not a vertex of the endpoint face")):
+        with pytest.raises(PolytopeError, match=re.escape(f"chart vertex (1, 0) {self.NOT_IN_FACE}")):
             check_lift(cp2, self.EDGE_START, (0, 1), CircleEmbedding((1, 1)), ((F(1), F(0)), None))
 
     def test_outside_point_rejected(self, cp2):
-        with pytest.raises(PolytopeError, match=re.escape("chart vertex (4, 0) is not a vertex of the endpoint face")):
+        with pytest.raises(PolytopeError, match=re.escape(f"chart vertex (4, 0) {self.NOT_IN_FACE}")):
             check_lift(cp2, self.EDGE_START, (0, 1), CircleEmbedding((1, 1)), ((F(4), F(0)), None))
 
     def test_wrong_length_rejected(self, cp2):
@@ -286,7 +287,8 @@ def _inverse(M):
 
 
 class TestGraphAgainstEdgeBasis:
-    """The chart polynomials against U^{-1}(gamma(e + sign*tau) - o), with U^{-1} inverted here from chart.columns."""
+    """The chart polynomials against U^{-1}(gamma(e + sign*tau) - o), with U^{-1} inverted
+    here from chart.columns."""
 
     @pytest.mark.parametrize("name", DELZANT)
     def test_random_chords(self, name):

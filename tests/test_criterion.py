@@ -527,8 +527,9 @@ class TestIntervalTypes:
 class TestExactSlots:
     """A float, a bool and a string in an exact slot each give one error naming the slot,
     where isolate_root crashed on a float end or coefficient and read a bool as 1, the
-    criterion read a bool coefficient as 1, box and projective_simplex wrapped a float in a Fraction, and the point questions and
-    chart vertices read a float or a bool as the equal rational."""
+    criterion read a bool coefficient as 1, box and projective_simplex wrapped a float in
+    a Fraction, and the point questions and chart vertices read a float or a bool as the
+    equal rational."""
 
     SLOTS = {
         "minimal-face": (lambda x: minimal_face(catalog.cp2(3), (x, 0)), "r, coordinate 1: "),
