@@ -15,7 +15,6 @@ import sys
 
 from . import io
 from .polytope import (
-    PolytopeError,
     face_lattice,
     format_point,
     points_equivalent,
@@ -255,7 +254,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (io.FormatError, PolytopeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # io.FormatError and PolytopeError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

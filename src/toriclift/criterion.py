@@ -150,13 +150,31 @@ def _check_coefficients(gamma: Curve) -> None:
                                  f"expected an int or a Fraction, got {c!r}")
 
 
-def _check_interval(interval: Interval, caller: str) -> None:
-    """Raise ValueError unless both ends are ints or Fractions and the first is the smaller."""
+def _check_input(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmbedding,
+                 chart_vertices: Sequence[Optional[Sequence[Fraction]]], caller: str,
+                 names: Sequence[str]) -> list[Optional[VertexChart]]:
+    """The entry gate of `build_graph` and `check_lift`: ValueError for the interval, a given chart
+    vertex's coordinates (named by `names`), the lengths and the curve, in this order, then PolytopeError
+    unless each given chart vertex is a simple Delzant vertex of P.  Returns its chart, or None."""
     for k, x in enumerate(interval):
         if not is_rational(x):
             raise ValueError(f"{caller}: interval end {k}: expected an int or a Fraction, got {x!r}")
     if not interval[0] < interval[1]:
         raise ValueError(f"{caller}: empty parameter interval")
+    given = [(ep, o) for ep, o in enumerate(chart_vertices) if o is not None]
+    for ep, o in given:
+        _check_point(o, names[ep])
+    wrong = [f"{name} has length {len(x)}" for name, x in (("the curve", gamma), ("the circle", circle.K))
+             if len(x) != P.n]
+    wrong += [f"chart vertex {format_point(o)} has length {len(o)}" for _, o in given if len(o) != P.n]
+    if wrong:
+        raise ValueError(f"the polytope has dimension {P.n}, but {' and '.join(wrong)}")
+    _check_coefficients(gamma)
+    records = {r[0]: r for r in P._vertices} if given else {}  # an int point finds its Fractions
+    for _, o in given:
+        if tuple(o) not in records:
+            raise PolytopeError(f"chart vertex {format_point(o)} is not a vertex of the endpoint face")
+    return [None if o is None else _chart(P, *records[tuple(o)]) for o in chart_vertices]
 
 
 def _map(P: HPolytope, gamma: Curve, interval: Interval) -> Mapped:
@@ -168,7 +186,6 @@ def _map(P: HPolytope, gamma: Curve, interval: Interval) -> Mapped:
     S_i = W^N D lambda_i - <a_i, Gm>, with the signs and roots of
     lambda_i - <a_i, gamma(a + w t)>.
     """
-    _check_coefficients(gamma)
     if P._cleared is None:
         L, (lam,) = _integer_polys(P.offsets)
         P._cleared = L, [(x, [(j, -y) for j, y in enumerate(a) if y]) for x, a in zip(lam, P.normals)]
@@ -197,20 +214,20 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     the domain.  Raises GraphBuildReject for criterion-level failures
     (endpoint outside the polytope or interior to it, singular
     parametrisation, tangent parallel to the face, curve exiting the chart
-    cone) and PolytopeError/ValueError for malformed input.
+    cone) and PolytopeError/ValueError for malformed input: the endpoint and
+    `_check_input` before the curve is read, then the chart's vertex, given
+    or default, which must be a simple Delzant vertex of the endpoint's face.
     """
     if endpoint not in (0, 1):
         raise ValueError(f"build_graph: endpoint must be 0 or 1, got {endpoint!r}")
-    _check_interval(interval, "build_graph")
-    if chart_vertex is not None:
-        _check_point(chart_vertex, "build_graph: chart_vertex")
-    _check_dimensions(P, gamma, circle, (chart_vertex,))
-    return _graph(P, _map(P, gamma, interval), endpoint, circle, chart_vertex)
+    (given,) = _check_input(P, gamma, interval, circle, (chart_vertex,), "build_graph",
+                            ("build_graph: chart_vertex",))
+    return _graph(P, _map(P, gamma, interval), endpoint, circle, given)
 
 
 def _graph(P: HPolytope, m: Mapped, endpoint: int, circle: CircleEmbedding,
-           chart_vertex: Optional[Sequence[Fraction]]) -> CurveGraph:
-    """build_graph on the mapped curve and facet slacks (`_map`)."""
+           given: Optional[VertexChart]) -> CurveGraph:
+    """build_graph on the mapped curve and facet slacks (`_map`) and the given chart (`_check_input`)."""
     at_e = [sum(q) for q in m.S] if endpoint else [q[0] if q else 0 for q in m.S]  # the sign of slack_i(e)
     if min(at_e) < 0:
         raise GraphBuildReject("endpoint_outside_polytope",
@@ -219,23 +236,20 @@ def _graph(P: HPolytope, m: Mapped, endpoint: int, circle: CircleEmbedding,
     if not tight:
         raise GraphBuildReject("endpoint_interior",
                                f"endpoint {_point(m, endpoint)} is not on the boundary")
-    # the default chart and its face coordinates, kept on P by the endpoint's tight facets
-    kept = None if chart_vertex is not None else P._endpoint_charts.get(tight)
+    # the chart and its face coordinates: the given chart, or the default one, kept on P by the
+    # endpoint's tight facets and built at the first vertex record of the endpoint's face
+    kept = None if given is not None else P._endpoint_charts.get(tight)
     if kept is None:
-        # the endpoint face's vertex records, sorted lexicographically: the first, or the chart vertex
-        given = None if chart_vertex is None else tuple(chart_vertex)
-        vertex = next((r for r in P._vertices if r[1] >= tight and (given is None or r[0] == given)), None)
-        if vertex is None:
-            raise PolytopeError(f"chart vertex {format_point(chart_vertex)} is not a vertex of the endpoint face")
+        chart = given if given is not None else _chart(P, *next(r for r in P._vertices if r[1] >= tight))
+        if not tight.issubset(chart.active):
+            raise PolytopeError(f"chart vertex {format_point(chart.vertex)} is not a vertex of the endpoint face")
+        kept = chart, frozenset(j for j, f in enumerate(chart.active) if f not in tight)
+        if given is None:
+            P._endpoint_charts[tight] = kept
     # gamma'(e) = 0 exactly when each Gm_j' vanishes at t = 0 or 1: g_1, or sum k g_k
     if not any(sum(map(mul, range(len(g)) if endpoint else (0, 1), g)) for g in m.Gm):
         raise GraphBuildReject("singular_parametrisation",
                                f"the curve has zero velocity at endpoint {_point(m, endpoint)}")
-    if kept is None:
-        chart = _chart(P, *vertex)
-        kept = chart, frozenset(j for j, f in enumerate(chart.active) if f not in tight)
-        if chart_vertex is None:
-            P._endpoint_charts[tight] = kept
     chart, Q0 = kept
     n = P.n
 
@@ -275,16 +289,6 @@ def _point(m: Mapped, endpoint: int) -> str:
     return format_point([Fraction(sum(g) if endpoint else sum(g[:1]), m.WN * m.D) for g in m.Gm])
 
 
-def _check_dimensions(P: HPolytope, gamma: Curve, circle: CircleEmbedding,
-                      chart_vertices: Sequence[Optional[Sequence[Fraction]]]) -> None:
-    """Raise ValueError unless the curve, the circle and each given chart vertex have n entries."""
-    sizes = [("the curve", len(gamma)), ("the circle", len(circle.K))]
-    sizes += [(f"chart vertex {format_point(o)}", len(o)) for o in chart_vertices if o is not None]
-    wrong = [f"{name} has length {size}" for name, size in sizes if size != P.n]
-    if wrong:
-        raise ValueError(f"the polytope has dimension {P.n}, but {' and '.join(wrong)}")
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -293,21 +297,15 @@ def _transversality(gamma: Curve, circle: CircleEmbedding, interval: Interval) -
     """<gamma'(s), K> must not vanish on the open parameter interval: one `isolate_root` call
     decides it and brackets the leftmost zero.  `check_lift` checks the input and passes D*gamma,
     whose factor D > 0 changes no root."""
-    a, b = interval
     p = poly_deriv(_pairing([(j, x) for j, x in enumerate(circle.K) if x], gamma))
-    loc = "interior"
+    root = isolate_root(p, *interval) if p else None
     if not p:
-        return Report("transversality", (Condition(
-            "tangent_circle_pairing", loc, "fails",
-            "pairing identically zero (degenerate: orthogonal everywhere)"),))
-    root = isolate_root(p, a, b)
-    if root is None:
-        return Report("transversality", (Condition(
-            "tangent_circle_pairing", loc, "holds", "no interior zero of <gamma', K>"),))
-    lo, hi = root
-    return Report("transversality", (Condition(
-        "tangent_circle_pairing", loc, "fails",
-        f"pairing vanishes in ({lo}, {hi})"),))
+        outcome, detail = "fails", "pairing identically zero (degenerate: orthogonal everywhere)"
+    elif root is None:
+        outcome, detail = "holds", "no interior zero of <gamma', K>"
+    else:
+        outcome, detail = "fails", f"pairing vanishes in ({root[0]}, {root[1]})"
+    return Report("transversality", (Condition("tangent_circle_pairing", "interior", outcome, detail),))
 
 
 def _interior(a: Fraction, w: Fraction, S: list[list[int]]) -> Report:
@@ -417,20 +415,18 @@ def check_lift(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmb
                ) -> LiftVerdict:
     """Full criterion: containment, transversality, both endpoint analyses.
 
-    The curve is mapped onto (0, 1) once (`_map`), and its facet slacks
+    The input, given chart vertices included, is checked first (`_check_input`).
+    The curve is then mapped onto (0, 1) once (`_map`), and its facet slacks
     serve the interior check and both endpoint graphs alike.
     """
-    _check_interval(interval, "check_lift")
-    for ep, o in enumerate(chart_vertices):
-        if o is not None:
-            _check_point(o, f"check_lift: chart_vertices[{ep}]")
-    _check_dimensions(P, gamma, circle, chart_vertices)
+    charts = _check_input(P, gamma, interval, circle, chart_vertices, "check_lift",
+                          ("check_lift: chart_vertices[0]", "check_lift: chart_vertices[1]"))
     m = _map(P, gamma, interval)  # m.G = D*gamma is transversal exactly where gamma is
     reports = [_interior(m.a, m.w, m.S), _transversality(m.G, circle, interval)]
     for ep in (0, 1):
         name = f"endpoint {ep + 1}"
         try:
-            graph = _graph(P, m, ep, circle, chart_vertices[ep])
+            graph = _graph(P, m, ep, circle, charts[ep])
         except GraphBuildReject as exc:
             reports.append(Report(name, (Condition(exc.reason, name, "fails", exc.detail),)))
             continue

@@ -91,15 +91,25 @@ class TestMakeChart:
     # a chart vertex is given only through the criterion, which finds it among the vertex
     # records of the endpoint's face: a point that is no such vertex is malformed input
     EDGE_START = [[1, 1], [0, 1]]  # from (1, 0) on the edge y = 0, whose vertices are (0, 0) and (3, 0)
+    OUTSIDE_START = [[-1, 1], [0, 1]]  # from (-1, 0), outside P: no endpoint face to look in
     NOT_IN_FACE = "is not a vertex of the endpoint face"
 
+    def given_chart_entries(self, cp2, o):
+        # a point that is no vertex of P is named before the curve is read, by both entries
+        K = CircleEmbedding((1, 1))
+        for gamma in (self.EDGE_START, self.OUTSIDE_START):
+            yield check_lift, (cp2, gamma, (0, 1), K, (o, None))
+            yield build_graph, (cp2, gamma, (0, 1), 0, K, o)
+
     def test_non_vertex_rejected(self, cp2):
-        with pytest.raises(PolytopeError, match=re.escape(f"chart vertex (1, 0) {self.NOT_IN_FACE}")):
-            check_lift(cp2, self.EDGE_START, (0, 1), CircleEmbedding((1, 1)), ((F(1), F(0)), None))
+        for entry, args in self.given_chart_entries(cp2, (F(1), F(0))):
+            with pytest.raises(PolytopeError, match=re.escape(f"chart vertex (1, 0) {self.NOT_IN_FACE}")):
+                entry(*args)
 
     def test_outside_point_rejected(self, cp2):
-        with pytest.raises(PolytopeError, match=re.escape(f"chart vertex (4, 0) {self.NOT_IN_FACE}")):
-            check_lift(cp2, self.EDGE_START, (0, 1), CircleEmbedding((1, 1)), ((F(4), F(0)), None))
+        for entry, args in self.given_chart_entries(cp2, (F(4), F(0))):
+            with pytest.raises(PolytopeError, match=re.escape(f"chart vertex (4, 0) {self.NOT_IN_FACE}")):
+                entry(*args)
 
     def test_wrong_length_rejected(self, cp2):
         # named before any work, as the curve and the circle are

@@ -483,13 +483,16 @@ class TestCoefficientTypes:
     MESSAGE = r"^curve coordinate 1, coefficient of s\^1: expected an int or a Fraction, got 0\.5$"
     GAMMA = [[0, 0.5], [0, 1]]
 
+    # named before a chart vertex that is no vertex of P, as the gate orders its checks
     def test_check_lift(self, cp2):
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            check_lift(cp2, self.GAMMA, (F(0), F(1)), K11)
+        for chart_vertices in ((None, None), ((7, 7), None)):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                check_lift(cp2, self.GAMMA, (F(0), F(1)), K11, chart_vertices)
 
     def test_build_graph(self, cp2):
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            build_graph(cp2, self.GAMMA, (F(0), F(1)), 0, K11)
+        for chart_vertex in (None, (7, 7)):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                build_graph(cp2, self.GAMMA, (F(0), F(1)), 0, K11, chart_vertex)
 
     def test_names_the_coordinate(self, cp2):
         with pytest.raises(ValueError, match=r"^curve coordinate 2, coefficient of s\^0: .* got 0\.25$"):
@@ -797,7 +800,7 @@ class TestWorkGuard:
         assert check_lift(P, [poly(0, 2), poly(0, 1)], (F(0), F(1)), K10).verdict == "reject"
 
     def test_input_checked_once(self, monkeypatch):
-        counts = {"_check_coefficients": 0, "_check_interval": 0}
+        counts = {"_check_coefficients": 0, "_check_input": 0}
 
         def spy(name):
             real = getattr(criterion, name)
@@ -809,4 +812,4 @@ class TestWorkGuard:
         for name in counts:
             spy(name)
         check_lift(catalog.cp2(3), DIAG, DIAG_IV, K11)
-        assert counts == {"_check_coefficients": 1, "_check_interval": 1}
+        assert counts == {"_check_coefficients": 1, "_check_input": 1}

@@ -458,6 +458,11 @@ class TestCli:
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 3
 
+    def test_help_exits_zero(self, capsys):
+        # argparse ends --help with SystemExit(0): a success, not a usage error
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: toriclift")
+
     def test_decimal_in_curve_usage_error(self, cp2_file, tmp_path):
         d = dict(TestCurveFiles.GOOD)
         d["coords"] = [["0", "0.5"], ["0", "1"]]
@@ -490,20 +495,33 @@ class TestCli:
         assert main(["equiv", cp2_file, "--r", "5,0", "--t1", "0,0", "--t2", "0,0"]) == 3
         assert capsys.readouterr() == ("", "error: point (5, 0) outside the polytope\n")
 
+    @staticmethod
+    def bad_vertex_runs(polytope, curve, out):
+        # the default chart at a bad vertex is exit 3 for both subcommands as soon as the
+        # endpoint's face is known, whether the curve leaves the vertex at nonzero velocity or,
+        # as s^2 does, at zero velocity
+        return [["lift-check", polytope, curve], ["sample", polytope, curve, "--nt", "4", "--out", str(out)]]
+
     def test_lift_check_non_delzant_vertex_message(self, bad_triangle_file, tmp_path, capsys):
         # starts at the vertex (1, 0) of conv{(0,0), (1,0), (0,2)}, where |det U| = 2
-        curve = write_json(tmp_path, "curve.json", {"coords": [["1", "-1"], ["0", "1"]],
-                                                    "domain": ["0", "1/2"], "circle": [1, 1]})
-        assert main(["lift-check", bad_triangle_file, curve]) == 3
-        assert capsys.readouterr() == ("", "error: vertex (1, 0) is not Delzant: |det U| = 2\n")
+        for coords in ([["1", "-1"], ["0", "1"]], [["1", "0", "-1"], ["0", "0", "1"]]):
+            curve = write_json(tmp_path, "curve.json", {"coords": coords, "domain": ["0", "1/2"],
+                                                        "circle": [1, 1]})
+            for argv in self.bad_vertex_runs(bad_triangle_file, curve, tmp_path / "mesh.csv"):
+                assert main(argv) == 3
+                assert capsys.readouterr() == ("", "error: vertex (1, 0) is not Delzant: |det U| = 2\n")
+        assert not (tmp_path / "mesh.csv").exists()
 
     def test_lift_check_non_simple_vertex_message(self, tmp_path, capsys):
         octahedron = write_json(tmp_path, "octahedron.json", {"n": 3, "facets": [
             {"normal": list(a), "offset": "1"} for a in itertools.product((1, -1), repeat=3)]})
-        curve = write_json(tmp_path, "curve.json", {"coords": [["1", "-1"], ["0"], ["0"]],
-                                                    "domain": ["0", "1/2"], "circle": [1, 0, 0]})
-        assert main(["lift-check", octahedron, curve]) == 3
-        assert capsys.readouterr() == ("", "error: vertex (1, 0, 0) is not simple: 4 active facets\n")
+        for coords in ([["1", "-1"], ["0"], ["0"]], [["1", "0", "-1"], ["0"], ["0"]]):
+            curve = write_json(tmp_path, "curve.json", {"coords": coords, "domain": ["0", "1/2"],
+                                                        "circle": [1, 0, 0]})
+            for argv in self.bad_vertex_runs(octahedron, curve, tmp_path / "mesh.csv"):
+                assert main(argv) == 3
+                assert capsys.readouterr() == ("", "error: vertex (1, 0, 0) is not simple: 4 active facets\n")
+        assert not (tmp_path / "mesh.csv").exists()
 
     def test_equiv_non_simple_vertex_message(self, tmp_path, capsys):
         octahedron = write_json(tmp_path, "octahedron.json", {"n": 3, "facets": [
