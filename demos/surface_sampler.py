@@ -4,7 +4,7 @@ them numerically.
 For each case this script builds the endpoint graph, runs the
 floating-point planarity probe at the tau = 0 tip, verifies the pullback
 density identity, and writes an OBJ mesh into a new temporary directory,
-printing each path.
+printing each path.  The directory and its meshes are removed on exit.
 
 Run:  python3 demos/surface_sampler.py
 """
@@ -44,12 +44,11 @@ def main():
     P = catalog.cp2(3)
     diag = [[F(0), F(1)], [F(0), F(1)]]
     iv = (F(0), F(3, 2))
-    outdir = tempfile.mkdtemp(prefix="toriclift-meshes-")
-
-    show("disc", P, diag, iv, (1, 1), outdir)  # smooth: probe says planar
-    show("cone", P, diag, iv, (1, 0), outdir)  # corner at the tip: conelike
-    show("paraboloid", P, [[F(0), F(1)], [F(0), F(0), F(1)]],
-         (F(0), F(1)), (1, 0), outdir)         # C^1 sheet: planar again
+    with tempfile.TemporaryDirectory(prefix="toriclift-meshes-") as outdir:
+        show("disc", P, diag, iv, (1, 1), outdir)  # smooth: probe says planar
+        show("cone", P, diag, iv, (1, 0), outdir)  # corner at the tip: conelike
+        show("paraboloid", P, [[F(0), F(1)], [F(0), F(0), F(1)]],
+             (F(0), F(1)), (1, 0), outdir)         # C^1 sheet: planar again
 
 
 if __name__ == "__main__":

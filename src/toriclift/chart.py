@@ -22,9 +22,9 @@ class CircleEmbedding:
 
     def __init__(self, K: Sequence[int]):
         k = tuple(K)
-        bad = next((x for x in k if not is_int(x)), None)
-        if bad is not None:
-            raise ValueError(f"circle direction {k}: expected integers, got {bad!r}")
+        bad = [x for x in k if not is_int(x)]  # a list, so that a None entry is named too
+        if bad:
+            raise ValueError(f"circle direction {k}: expected integers, got {bad[0]!r}")
         if not any(k):
             raise ValueError("circle direction must be nonzero (effective action)")
         self.K: IntVec = primitive(k)

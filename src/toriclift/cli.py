@@ -170,8 +170,7 @@ def cmd_sample(args) -> int:
     project = _parse_project(args.project, P.n) if fmt == "obj" else ()  # CSV writes every coordinate
     spec = io.load_curve(args.curve)
     try:
-        graph = build_graph(P, spec.gamma, spec.interval, args.endpoint, spec.circle,
-                            spec.chart_vertices[args.endpoint])
+        graph = build_graph(P, spec.gamma, spec.interval, args.endpoint, spec.circle, spec.chart_vertices)
     except GraphBuildReject as exc:
         print(f"reject: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -50,6 +50,7 @@ from .polytope import HPolytope, PolytopeError, format_point
 
 Curve = list[RatPoly]  # one coefficient list per ambient coordinate
 Interval = tuple[Fraction, Fraction]
+ChartVertices = tuple[Optional[Sequence[Fraction]], Optional[Sequence[Fraction]]]  # given per endpoint, or None
 Mapped = namedtuple("Mapped", "D G a w WN Gm S")  # the curve and its facet slacks on (0, 1), from _map
 
 
@@ -151,19 +152,20 @@ def _check_coefficients(gamma: Curve) -> None:
 
 
 def _check_input(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmbedding,
-                 chart_vertices: Sequence[Optional[Sequence[Fraction]]], caller: str,
-                 names: Sequence[str]) -> list[Optional[VertexChart]]:
-    """The entry gate of `build_graph` and `check_lift`: ValueError for the interval, a given chart
-    vertex's coordinates (named by `names`), the lengths and the curve, in this order, then PolytopeError
-    unless each given chart vertex is a simple Delzant vertex of P.  Returns its chart, or None."""
+                 chart_vertices: ChartVertices, caller: str) -> list[Optional[VertexChart]]:
+    """The entry gate of `build_graph` and `check_lift`: ValueError for the interval, the number of chart
+    vertices, a given one's coordinates, the lengths and the curve, in this order, then PolytopeError unless
+    each given chart vertex is a simple Delzant vertex of P.  Returns each endpoint's chart, or None."""
     for k, x in enumerate(interval):
         if not is_rational(x):
             raise ValueError(f"{caller}: interval end {k}: expected an int or a Fraction, got {x!r}")
     if not interval[0] < interval[1]:
         raise ValueError(f"{caller}: empty parameter interval")
+    if len(chart_vertices) != 2:
+        raise ValueError(f"{caller}: chart_vertices: expected two entries, got {len(chart_vertices)}")
     given = [(ep, o) for ep, o in enumerate(chart_vertices) if o is not None]
     for ep, o in given:
-        _check_point(o, names[ep])
+        _check_point(o, f"{caller}: chart_vertices[{ep}]")
     wrong = [f"{name} has length {len(x)}" for name, x in (("the curve", gamma), ("the circle", circle.K))
              if len(x) != P.n]
     wrong += [f"chart vertex {format_point(o)} has length {len(o)}" for _, o in given if len(o) != P.n]
@@ -173,7 +175,7 @@ def _check_input(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleE
     records = {r[0]: r for r in P._vertices} if given else {}  # an int point finds its Fractions
     for _, o in given:
         if tuple(o) not in records:
-            raise PolytopeError(f"chart vertex {format_point(o)} is not a vertex of the endpoint face")
+            raise PolytopeError(f"chart vertex {format_point(o)} is not a vertex of P")
     return [None if o is None else _chart(P, *records[tuple(o)]) for o in chart_vertices]
 
 
@@ -206,8 +208,7 @@ def _map(P: HPolytope, gamma: Curve, interval: Interval) -> Mapped:
 
 
 def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
-                circle: CircleEmbedding,
-                chart_vertex: Optional[Sequence[Fraction]] = None) -> CurveGraph:
+                circle: CircleEmbedding, chart_vertices: ChartVertices = (None, None)) -> CurveGraph:
     """Write the curve near one endpoint as chart polynomials.
 
     endpoint 0 analyzes s = a, endpoint 1 analyzes s = b; tau runs into
@@ -215,14 +216,14 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     (endpoint outside the polytope or interior to it, singular
     parametrisation, tangent parallel to the face, curve exiting the chart
     cone) and PolytopeError/ValueError for malformed input: the endpoint and
-    `_check_input` before the curve is read, then the chart's vertex, given
-    or default, which must be a simple Delzant vertex of the endpoint's face.
+    `_check_input`, which checks both of `check_lift`'s chart vertices,
+    before the curve is read, then the chart's vertex, given or default,
+    which must be a vertex of the endpoint's face.
     """
     if endpoint not in (0, 1):
         raise ValueError(f"build_graph: endpoint must be 0 or 1, got {endpoint!r}")
-    (given,) = _check_input(P, gamma, interval, circle, (chart_vertex,), "build_graph",
-                            ("build_graph: chart_vertex",))
-    return _graph(P, _map(P, gamma, interval), endpoint, circle, given)
+    charts = _check_input(P, gamma, interval, circle, chart_vertices, "build_graph")
+    return _graph(P, _map(P, gamma, interval), endpoint, circle, charts[endpoint])
 
 
 def _graph(P: HPolytope, m: Mapped, endpoint: int, circle: CircleEmbedding,
@@ -411,16 +412,14 @@ def check_endpoint(graph: CurveGraph, name: str = "endpoint") -> Report:
 
 
 def check_lift(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmbedding,
-               chart_vertices: tuple[Optional[Sequence[Fraction]], Optional[Sequence[Fraction]]] = (None, None)
-               ) -> LiftVerdict:
+               chart_vertices: ChartVertices = (None, None)) -> LiftVerdict:
     """Full criterion: containment, transversality, both endpoint analyses.
 
     The input, given chart vertices included, is checked first (`_check_input`).
     The curve is then mapped onto (0, 1) once (`_map`), and its facet slacks
     serve the interior check and both endpoint graphs alike.
     """
-    charts = _check_input(P, gamma, interval, circle, chart_vertices, "check_lift",
-                          ("check_lift: chart_vertices[0]", "check_lift: chart_vertices[1]"))
+    charts = _check_input(P, gamma, interval, circle, chart_vertices, "check_lift")
     m = _map(P, gamma, interval)  # m.G = D*gamma is transversal exactly where gamma is
     reports = [_interior(m.a, m.w, m.S), _transversality(m.G, circle, interval)]
     for ep in (0, 1):

@@ -1,7 +1,9 @@
 """JSON file formats: polytopes, curves and facet-vector files.
 
 Rationals serialize as strings "p/q" (or "p" when q = 1); decimal literals
-are rejected so nothing silently loses exactness.
+are rejected so nothing silently loses exactness.  A reader checks the JSON
+shape, the literals, a list wherever it builds a tuple and the domain order;
+`HPolytope` and `CircleEmbedding` check n and the entries of a normal and K.
 """
 
 from __future__ import annotations
@@ -57,20 +59,15 @@ def polytope_from_dict(d: dict) -> HPolytope:
         n, facets = d["n"], d["facets"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"polytope: missing or malformed field ({exc})") from exc
-    if not is_int(n):
-        raise FormatError(f"n: expected an integer, got {n!r}")
-    if n < 1:
-        raise FormatError(f"n: the dimension must be at least 1, got {n}")
     if not isinstance(facets, list):
         raise FormatError("facets: expected a list of facet objects")
     normals, offsets = [], []
     for i, f in enumerate(facets):
         if not isinstance(f, dict) or "normal" not in f or "offset" not in f:
             raise FormatError(f"facets[{i}]: need 'normal' and 'offset'")
-        normal = f["normal"]
-        if not isinstance(normal, list) or not all(is_int(x) for x in normal):
+        if not isinstance(f["normal"], list):
             raise FormatError(f"facets[{i}].normal: expected a list of integers")
-        normals.append(tuple(normal))
+        normals.append(tuple(f["normal"]))
         offsets.append(parse_rational(f["offset"], f"facets[{i}].offset"))
     return HPolytope(n, tuple(normals), tuple(offsets))
 
@@ -93,6 +90,8 @@ class CurveSpec(NamedTuple):
 
 
 def curve_from_dict(d: dict) -> CurveSpec:
+    from .chart import CircleEmbedding  # only curve files need the chart module
+
     if not isinstance(d, dict):
         raise FormatError("curve: expected an object")
     try:
@@ -110,10 +109,9 @@ def curve_from_dict(d: dict) -> CurveSpec:
     b = parse_rational(domain[1], "domain[1]")
     if not a < b:
         raise FormatError("domain: start must be < end")
-    if not isinstance(circle, list) or not all(is_int(x) for x in circle):
+    if not isinstance(circle, list):
         raise FormatError("circle: expected a list of integers")
-    if not any(circle):
-        raise FormatError("circle: direction must be nonzero (effective action)")
+    circle = CircleEmbedding(tuple(circle))
     charts: list[Optional[tuple[Fraction, ...]]] = [None, None]
     eps = d.get("endpoints")
     if eps is not None:
@@ -124,9 +122,7 @@ def curve_from_dict(d: dict) -> CurveSpec:
                 raise FormatError(f"endpoints[{i}]: expected an endpoint object or null")
             if ep and ep.get("chart_vertex") is not None:
                 charts[i] = parse_point(ep["chart_vertex"], f"endpoints[{i}].chart_vertex")
-    from .chart import CircleEmbedding  # only curve files need the chart module
-
-    return CurveSpec(gamma, (a, b), CircleEmbedding(tuple(circle)), (charts[0], charts[1]))
+    return CurveSpec(gamma, (a, b), circle, (charts[0], charts[1]))
 
 
 def load_curve(path) -> CurveSpec:

@@ -66,8 +66,8 @@ class HPolytope:
     Construction checks the data, then walks the vertices with
     `enumerate_vertices`: normals that do not span, an empty system, a
     recession ray and a facet tight on all of P are each a PolytopeError.
-    Equal and hashed by (n, normals, offsets).  It keeps the vertex table
-    and the criterion's two memos; faces and charts are built per call.
+    Compared by identity.  It keeps the vertex table and the criterion's
+    two memos; faces and charts are built per call.
     """
 
     def __init__(self, n: int, normals: Iterable[Sequence[int]], offsets: Iterable[Fraction]):
@@ -108,15 +108,6 @@ class HPolytope:
         # full-dimensional iff no facet is tight on all of P, i.e. at every vertex
         if frozenset.intersection(*(active for _, active in verts)):
             raise PolytopeError("polytope is not full-dimensional")
-
-    def _key(self):
-        return self.n, self.normals, self.offsets
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, HPolytope) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"HPolytope(n={self.n}, normals={self.normals}, offsets={self.offsets})"

@@ -102,4 +102,5 @@ def test_demo_runs(demo, tmp_path):
     assert proc.stdout and set(os.listdir(work)) == DEMO_OUTPUTS[demo]
     for line in proc.stdout.splitlines():  # the paths a demo prints for what it wrote
         if line.strip().startswith("wrote "):
-            assert os.path.isfile(line.split("wrote ", 1)[1])
+            assert line.split("wrote ", 1)[1].startswith(str(tmp))
+    assert os.listdir(tmp) == []  # and removed on exit

@@ -70,10 +70,10 @@ class TestCircleEmbedding:
     def test_repr_shows_the_primitive_direction(self):
         assert repr(CircleEmbedding((2, -4))) == "CircleEmbedding((1, -2))"
 
-    @pytest.mark.parametrize("K,bad", [((0.5, 1), "0.5"), ((F(1), 1), "Fraction(1, 1)"), ((1, True), "True")],
-                             ids=["float", "fraction", "bool"])
+    @pytest.mark.parametrize("K,bad", [((0.5, 1), "0.5"), ((F(1), 1), "Fraction(1, 1)"), ((1, True), "True"),
+                                       ((1, None), "None")], ids=["float", "fraction", "bool", "none"])
     def test_entry_not_an_int_rejected(self, K, bad):
-        # (0.5, 1) was truncated to the direction (0, 1)
+        # (0.5, 1) was truncated to the direction (0, 1); a None entry reached gcd's TypeError
         with pytest.raises(ValueError, match=re.escape(f"circle direction {K}: expected integers, got {bad}")):
             CircleEmbedding(K)
 
@@ -92,23 +92,43 @@ class TestMakeChart:
     # records of the endpoint's face: a point that is no such vertex is malformed input
     EDGE_START = [[1, 1], [0, 1]]  # from (1, 0) on the edge y = 0, whose vertices are (0, 0) and (3, 0)
     OUTSIDE_START = [[-1, 1], [0, 1]]  # from (-1, 0), outside P: no endpoint face to look in
+    NOT_A_VERTEX = "is not a vertex of P"
     NOT_IN_FACE = "is not a vertex of the endpoint face"
 
     def given_chart_entries(self, cp2, o):
-        # a point that is no vertex of P is named before the curve is read, by both entries
+        # a point that is no vertex of P is named before the curve is read, by both entries and
+        # at either end: build_graph checks the other endpoint's chart vertex too
         K = CircleEmbedding((1, 1))
-        for gamma in (self.EDGE_START, self.OUTSIDE_START):
-            yield check_lift, (cp2, gamma, (0, 1), K, (o, None))
-            yield build_graph, (cp2, gamma, (0, 1), 0, K, o)
+        for gamma, charts in itertools.product((self.EDGE_START, self.OUTSIDE_START), ((o, None), (None, o))):
+            yield check_lift, (cp2, gamma, (0, 1), K, charts)
+            yield build_graph, (cp2, gamma, (0, 1), 0, K, charts)
 
     def test_non_vertex_rejected(self, cp2):
         for entry, args in self.given_chart_entries(cp2, (F(1), F(0))):
-            with pytest.raises(PolytopeError, match=re.escape(f"chart vertex (1, 0) {self.NOT_IN_FACE}")):
+            with pytest.raises(PolytopeError, match=f"^{re.escape(f'chart vertex (1, 0) {self.NOT_A_VERTEX}')}$"):
                 entry(*args)
 
     def test_outside_point_rejected(self, cp2):
         for entry, args in self.given_chart_entries(cp2, (F(4), F(0))):
-            with pytest.raises(PolytopeError, match=re.escape(f"chart vertex (4, 0) {self.NOT_IN_FACE}")):
+            with pytest.raises(PolytopeError, match=f"^{re.escape(f'chart vertex (4, 0) {self.NOT_A_VERTEX}')}$"):
+                entry(*args)
+
+    def test_vertex_off_the_face_rejected(self, cp2):
+        # (0, 3) is a vertex of P, but not of the edge y = 0 where the curve starts
+        K, message = CircleEmbedding((1, 1)), f"^{re.escape(f'chart vertex (0, 3) {self.NOT_IN_FACE}')}$"
+        for entry, args in ((check_lift, (cp2, self.EDGE_START, (0, 1), K, ((0, 3), None))),
+                            (build_graph, (cp2, self.EDGE_START, (0, 1), 0, K, ((0, 3), None)))):
+            with pytest.raises(PolytopeError, match=message):
+                entry(*args)
+
+    @pytest.mark.parametrize("charts", [((0, 0),), (None, None, (0, 0)), ()], ids=["one", "three", "none"])
+    def test_chart_vertex_count_rejected(self, cp2, charts):
+        # one entry per endpoint: another count is named, where it raised IndexError
+        K = CircleEmbedding((1, 1))
+        for entry, args in ((check_lift, (cp2, self.EDGE_START, (0, 1), K, charts)),
+                            (build_graph, (cp2, self.EDGE_START, (0, 1), 0, K, charts))):
+            message = f"^{entry.__name__}: chart_vertices: expected two entries, got {len(charts)}$"
+            with pytest.raises(ValueError, match=message):
                 entry(*args)
 
     def test_wrong_length_rejected(self, cp2):
@@ -131,9 +151,9 @@ class TestMakeChart:
         P, K = catalog.cp2(3), CircleEmbedding((1, 1))
         kept = build_graph(P, self.EDGE_START, (0, 1), 0, K).chart
         for o in ((0, 0), [0, 0], (F(0), F(0))):
-            ch = build_graph(P, self.EDGE_START, (0, 1), 0, K, o).chart
+            ch = build_graph(P, self.EDGE_START, (0, 1), 0, K, (o, None)).chart
             assert ch == kept and all(type(x) is F for x in ch.vertex)
-        ch = build_graph(P, self.EDGE_START, (0, 1), 0, K, (3, 0)).chart
+        ch = build_graph(P, self.EDGE_START, (0, 1), 0, K, ((3, 0), None)).chart
         assert ch.vertex == (F(3), F(0)) and all(type(x) is F for x in ch.vertex)
 
     def test_bad_vertex_rejected(self, bad_triangle):
@@ -146,7 +166,7 @@ class TestMakeChart:
         P, gamma, K = catalog.cp2(3), [[0, 1], [0, 0, 0, 2]], CircleEmbedding((1, 1))
         check_lift(P, gamma, (0, 1), K)
         before = {name: copy.copy(value) for name, value in vars(P).items()}
-        assert build_graph(P, gamma, (0, 1), 1, K, (3, 0)).chart.active == (1, 2)
+        assert build_graph(P, gamma, (0, 1), 1, K, (None, (3, 0))).chart.active == (1, 2)
         assert check_lift(P, gamma, (0, 1), K, ((0, 0), (0, 3))).verdict == "accept"
         assert vars(P) == before
 
@@ -249,7 +269,7 @@ class TestQSet:
     K = CircleEmbedding((1, 1))
 
     def face_chart_indices(self, P, gamma, chart_vertex=None):
-        graph = build_graph(P, gamma, (F(0), F(1)), 0, self.K, chart_vertex)
+        graph = build_graph(P, gamma, (F(0), F(1)), 0, self.K, (chart_vertex, None))
         return {graph.other_chart_indices[pos - 2] for pos in graph.Q}
 
     def test_vertex_itself_empty(self, cp2):
@@ -268,7 +288,7 @@ class TestQSet:
 
     def test_wrong_chart_rejected(self, cp2):
         # the diagonal facet does not touch the origin vertex
-        with pytest.raises(PolytopeError, match="not a vertex of the endpoint face"):
+        with pytest.raises(PolytopeError, match=r"^chart vertex \(0, 0\) is not a vertex of the endpoint face$"):
             self.face_chart_indices(cp2, [[F(3, 2), -1], [F(3, 2), -1]], (0, 0))
 
     def test_size_matches_face_dimension(self, cp2, hirzebruch):
@@ -278,7 +298,7 @@ class TestQSet:
                 if not face.active:
                     continue
                 for o in face.vertices:
-                    graph = build_graph(P, chord(P, face), (F(0), F(1)), 0, CircleEmbedding((1,) * P.n), o)
+                    graph = build_graph(P, chord(P, face), (F(0), F(1)), 0, CircleEmbedding((1,) * P.n), (o, None))
                     assert len(graph.Q) == face.dim
 
 
@@ -312,7 +332,8 @@ class TestGraphAgainstEdgeBasis:
                 gamma = [poly_compose_linear(c, F(1), F(-1)) for c in gamma]
             o = rng.choice(face.vertices)
             try:
-                graph = build_graph(P, gamma, (F(0), F(1)), endpoint, CircleEmbedding((1,) * P.n), o)
+                charts = (o, None) if endpoint == 0 else (None, o)
+                graph = build_graph(P, gamma, (F(0), F(1)), endpoint, CircleEmbedding((1,) * P.n), charts)
             except GraphBuildReject:
                 continue
             ch = graph.chart

@@ -58,7 +58,7 @@ class TestBuildGraph:
         assert gr.x1_max == F(3, 2)
 
     def test_diagonal_at_facet_endpoint(self, cp2):
-        gr = build_graph(cp2, DIAG, DIAG_IV, 1, K11, chart_vertex=(F(3), F(0)))
+        gr = build_graph(cp2, DIAG, DIAG_IV, 1, K11, chart_vertices=(None, (F(3), F(0))))
         assert gr.Q == frozenset({2})
         assert gr.k == (-1, 0)
         assert chart_polys(gr) == [[F(0), F(2)], [F(3, 2), F(-1)]]
@@ -99,8 +99,9 @@ class TestBuildGraph:
         assert "(2, 2)" in exc.value.detail
 
     def test_wrong_chart_vertex_rejected(self, cp2):
-        with pytest.raises(PolytopeError):
-            build_graph(cp2, DIAG, DIAG_IV, 0, K11, chart_vertex=(F(3), F(0)))
+        # (3, 0) is a vertex of P, but not of the face of gamma(0) = (0, 0)
+        with pytest.raises(PolytopeError, match=r"^chart vertex \(3, 0\) is not a vertex of the endpoint face$"):
+            build_graph(cp2, DIAG, DIAG_IV, 0, K11, chart_vertices=((F(3), F(0)), None))
 
     def test_empty_interval_rejected(self, cp2):
         with pytest.raises(ValueError):
@@ -217,7 +218,7 @@ class TestEndpoint:
                    for c in rep.conditions)
 
     def test_facet_endpoint_conditions(self, cp2):
-        gr = build_graph(cp2, DIAG, DIAG_IV, 1, K11, chart_vertex=(F(3), F(0)))
+        gr = build_graph(cp2, DIAG, DIAG_IV, 1, K11, chart_vertices=(None, (F(3), F(0))))
         rep = check_endpoint(gr)
         assert rep.status == "holds"
         names = [c.condition for c in rep.conditions]
@@ -225,7 +226,7 @@ class TestEndpoint:
 
     def test_nonzero_face_weight_fails(self, cp2):
         gr = build_graph(cp2, DIAG, DIAG_IV, 1, CircleEmbedding((2, 1)),
-                         chart_vertex=(F(3), F(0)))
+                         chart_vertices=(None, (F(3), F(0))))
         rep = check_endpoint(gr)
         assert any(c.condition == "face_weight_vanishes" and c.outcome == "fails"
                    for c in rep.conditions)
@@ -382,7 +383,7 @@ class TestCheckLift:
         with pytest.raises(ValueError, match="the polytope has dimension 2, but " + message):
             check_lift(cp2, gamma, DIAG_IV, K, chart_vertices=charts)
         with pytest.raises(ValueError, match=message):
-            build_graph(cp2, gamma, DIAG_IV, 1, K, charts[1])
+            build_graph(cp2, gamma, DIAG_IV, 1, K, charts)
 
     def test_verdict_in_dict(self, cp2):
         d = check_lift(cp2, DIAG, DIAG_IV, K11).to_dict()
@@ -490,9 +491,9 @@ class TestCoefficientTypes:
                 check_lift(cp2, self.GAMMA, (F(0), F(1)), K11, chart_vertices)
 
     def test_build_graph(self, cp2):
-        for chart_vertex in (None, (7, 7)):
+        for chart_vertices in ((None, None), ((7, 7), None), (None, (7, 7))):
             with pytest.raises(ValueError, match=self.MESSAGE):
-                build_graph(cp2, self.GAMMA, (F(0), F(1)), 0, K11, chart_vertex)
+                build_graph(cp2, self.GAMMA, (F(0), F(1)), 0, K11, chart_vertices)
 
     def test_names_the_coordinate(self, cp2):
         with pytest.raises(ValueError, match=r"^curve coordinate 2, coefficient of s\^0: .* got 0\.25$"):
@@ -538,8 +539,8 @@ class TestExactSlots:
         "minimal-face": (lambda x: minimal_face(catalog.cp2(3), (x, 0)), "r, coordinate 1: "),
         "points-equivalent": (lambda x: points_equivalent(catalog.cp2(3), ((x, 0), (0, 0)), ((0, 0), (0, 0))),
                               "t1, coordinate 1: "),
-        "chart-vertex": (lambda x: build_graph(catalog.cp2(3), DIAG, DIAG_IV, 0, K11, (x, 0)),
-                         "build_graph: chart_vertex, coordinate 1: "),
+        "chart-vertex": (lambda x: build_graph(catalog.cp2(3), DIAG, DIAG_IV, 0, K11, ((x, 0), None)),
+                         "build_graph: chart_vertices[0], coordinate 1: "),
         "chart-vertices": (lambda x: check_lift(catalog.cp2(3), DIAG, DIAG_IV, K11, (None, (0, x))),
                            "check_lift: chart_vertices[1], coordinate 2: "),
         "isolate-root-end": (lambda x: isolate_root([1, -1], 0, x), "isolate_root: interval end 1: "),

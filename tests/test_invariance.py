@@ -13,6 +13,15 @@ change under six changes of coordinates:
 * the reversed circle K -> -K;
 * every vertex of each endpoint's minimal face, passed as a chart vertex.
 
+Two changes of P leave the surface the same near the curve, so they keep
+the status of every report, over every curve of the set:
+
+* the product with an interval: P x [0, 1], gamma x {1/2} and K x 0,
+  whose lift is S x {point};
+* a corner chop, a toric blow-up at a vertex v away from the curve: the
+  facet <sum a_i, x> <= <sum a_i, v> - eps over the normals a_i active at
+  v.  The default chart vertex of an endpoint may change.
+
 The examples are two curves whose verdicts are open questions: the square
 of ROADMAP item 13 (accepted, though the symplectic form vanishes at a
 pole) and the edge of item 3 (rejected for a weight ratio of 1/2).  This
@@ -22,6 +31,7 @@ file pins that their verdicts are invariant, not that they are right.
 import os
 import sys
 from fractions import Fraction
+from operator import mul
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,7 +39,8 @@ from hypothesis import strategies as st
 from toriclift import catalog
 from toriclift.chart import CircleEmbedding
 from toriclift.criterion import check_lift
-from toriclift.polytope import HPolytope, PolytopeError, minimal_face
+from toriclift.exactmath import isolate_root, poly_eval
+from toriclift.polytope import HPolytope, PolytopeError, enumerate_vertices, minimal_face
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 import corpus  # noqa: E402
@@ -150,3 +161,62 @@ def test_verdict_is_invariant(curve, ops, shift):
             charts = (o, None) if ep == 0 else (None, o)
             assert check_lift(P, gamma, (a, b), CircleEmbedding(K), charts).verdict == verdict, \
                 ("chart vertex", ep, o, label)
+
+
+def statuses(verdict):
+    return verdict.verdict, [r.status for r in verdict.reports]
+
+
+def base_verdict(curve):
+    return check_lift(POLYTOPES[curve.polytope], curve.coords, curve.interval, CircleEmbedding(curve.circle))
+
+
+def interval_product(P):
+    """P x [0, 1]: each normal gains a coordinate 0, and two facets bound the new one."""
+    normals = [(*a, 0) for a in P.normals] + [(0,) * P.n + (1,), (0,) * P.n + (-1,)]
+    return HPolytope(P.n + 1, normals, (*P.offsets, 1, 0))
+
+
+def corner_cuts(P):
+    """The facet (c, offset) that chops each simple vertex v of P: c the sum of its active
+    normals, offset <c, v> - eps.  Along an edge from v, <c, x> falls by the lattice length
+    travelled, and at any other vertex w by h(w) > 0, so eps = min(1/50, min h / 2) cuts off
+    v alone.  A vertex whose c is already a normal of P is skipped."""
+    verts, cuts = enumerate_vertices(P), []
+    for v, active in verts:
+        c = tuple(map(sum, zip(*(P.normals[i] for i in active))))
+        if len(active) == P.n and c not in P.normals:
+            top = sum(map(mul, c, v))
+            h = min(top - sum(map(mul, c, w)) for w, _ in verts if w != v)
+            cuts.append((c, top - min(F(1, 50), h / 2)))
+    return cuts
+
+
+def test_product_with_an_interval_keeps_every_report():
+    products = {name: interval_product(P) for name, P in POLYTOPES.items()}
+    for curve in CURVES:
+        lifted = check_lift(products[curve.polytope], [*curve.coords, [F(1, 2)]], curve.interval,
+                            CircleEmbedding((*curve.circle, 0)))
+        assert statuses(lifted) == statuses(base_verdict(curve)), curve.label()
+
+
+def test_corner_chop_away_from_the_curve_keeps_every_report():
+    # the chop is clear of the curve when its slack is positive at a and b and has no root
+    # between them; each clear chop of each curve is checked
+    cuts = {name: corner_cuts(P) for name, P in POLYTOPES.items()}
+    chopped = {}
+    for curve in CURVES:
+        P, (a, b), base, clear = POLYTOPES[curve.polytope], curve.interval, statuses(base_verdict(curve)), 0
+        size = max(map(len, curve.coords))
+        for c, offset in cuts[curve.polytope]:
+            slack = [sum(-x * g[k] for x, g in zip(c, curve.coords) if k < len(g)) for k in range(size)]
+            slack[0] += offset
+            if poly_eval(slack, a) <= 0 or poly_eval(slack, b) <= 0 or isolate_root(slack, a, b) is not None:
+                continue
+            key = curve.polytope, c
+            if key not in chopped:
+                chopped[key] = HPolytope(P.n, (*P.normals, c), (*P.offsets, offset))
+            got = check_lift(chopped[key], curve.coords, curve.interval, CircleEmbedding(curve.circle))
+            assert statuses(got) == base, (curve.label(), c)
+            clear += 1
+        assert clear, curve.label()  # every curve of the set stays clear of some vertex

@@ -12,6 +12,7 @@ import pytest
 from conftest import CATALOG, polytope_to_dict
 from toriclift import io
 from toriclift.cli import main
+from toriclift.polytope import PolytopeError
 
 F = Fraction
 
@@ -39,7 +40,7 @@ class TestRationals:
 
 class TestPolytopeFiles:
     def test_round_trip(self, cp2):
-        assert io.polytope_from_dict(polytope_to_dict(cp2)) == cp2
+        assert repr(io.polytope_from_dict(polytope_to_dict(cp2))) == repr(cp2)
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_data_file_is_the_catalog_polytope(self, name):
@@ -54,35 +55,44 @@ class TestPolytopeFiles:
             io.polytope_from_dict(d)
 
     def test_float_normal_rejected(self):
+        # the entries of a normal are HPolytope's to check
         d = {"n": 1, "facets": [{"normal": [1.0], "offset": "1"},
                                 {"normal": [-1], "offset": "0"}]}
-        with pytest.raises(io.FormatError):
+        with pytest.raises(PolytopeError, match=re.escape("facet normal (1.0,): expected integers")):
             io.polytope_from_dict(d)
 
     def test_missing_field_rejected(self):
         with pytest.raises(io.FormatError):
             io.polytope_from_dict({"facets": []})
 
-    @pytest.mark.parametrize("fields,message", [
-        ({"n": 2.5}, "n: expected an integer, got 2.5"),
-        ({"n": True}, "n: expected an integer, got True"),
-        ({"n": "1"}, "n: expected an integer, got '1'"),
-        ({"facets": 5}, "facets: expected a list of facet objects"),
-        ({"n": 0, "facets": []}, "n: the dimension must be at least 1, got 0"),
-        ({"n": -2}, "n: the dimension must be at least 1, got -2"),
+    # n is HPolytope's to check, with the text the reader gave it before
+    @pytest.mark.parametrize("fields,error,message", [
+        ({"n": 2.5}, PolytopeError, "n: expected an integer, got 2.5"),
+        ({"n": True}, PolytopeError, "n: expected an integer, got True"),
+        ({"n": "1"}, PolytopeError, "n: expected an integer, got '1'"),
+        ({"facets": 5}, io.FormatError, "facets: expected a list of facet objects"),
+        ({"n": 0, "facets": []}, PolytopeError, "n: the dimension must be at least 1, got 0"),
+        ({"n": -2}, PolytopeError, "n: the dimension must be at least 1, got -2"),
     ], ids=["float-n", "bool-n", "string-n", "facets-not-list", "zero-n", "negative-n"])
-    def test_malformed_header_rejected(self, fields, message):
+    def test_malformed_header_rejected(self, fields, error, message):
         d = dict({"n": 1, "facets": [{"normal": [1], "offset": "1"}, {"normal": [-1], "offset": "0"}]}, **fields)
-        with pytest.raises(io.FormatError, match=re.escape(message)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             io.polytope_from_dict(d)
 
-    @pytest.mark.parametrize("facet,message", [
-        ({"normal": [True], "offset": "1"}, "facets[0].normal: expected a list of integers"),
-        ({"normal": [1], "offset": True}, "facets[0].offset: expected a rational literal"),
+    @pytest.mark.parametrize("facet,error,message", [
+        ({"normal": [True], "offset": "1"}, PolytopeError, "facet normal (True,): expected integers"),
+        ({"normal": [1], "offset": True}, io.FormatError, "facets[0].offset: expected a rational literal"),
     ], ids=["normal", "offset"])
-    def test_boolean_rejected(self, facet, message):
+    def test_boolean_rejected(self, facet, error, message):
         d = {"n": 1, "facets": [facet, {"normal": [-1], "offset": "0"}]}
-        with pytest.raises(io.FormatError, match=re.escape(message)):
+        with pytest.raises(error, match=re.escape(message)):
+            io.polytope_from_dict(d)
+
+    @pytest.mark.parametrize("normal", [1, "1", {"x": 1}, None], ids=["int", "str", "object", "null"])
+    def test_normal_not_a_list_rejected(self, normal):
+        # a tuple is built of the normal, so the reader checks that it is a list
+        d = {"n": 1, "facets": [{"normal": normal, "offset": "1"}, {"normal": [-1], "offset": "0"}]}
+        with pytest.raises(io.FormatError, match=r"^facets\[0\]\.normal: expected a list of integers$"):
             io.polytope_from_dict(d)
 
 
@@ -95,6 +105,7 @@ MALFORMED_ENTRIES = {
     "endpoint-string": ({"endpoints": [None, "chart_vertex"]},
                         "endpoints[1]: expected an endpoint object or null"),
     "endpoints-false": ({"endpoints": False}, "endpoints: expected up to two endpoint objects"),
+    "endpoints-three": ({"endpoints": [None, None, None]}, "endpoints: expected up to two endpoint objects"),
 }
 
 
@@ -119,10 +130,15 @@ class TestCurveFiles:
         assert spec.chart_vertices == (None, (F(3), F(0)))
 
     def test_zero_circle_rejected(self):
-        d = dict(self.GOOD)
-        d["circle"] = [0, 0]
-        with pytest.raises(io.FormatError, match="nonzero"):
-            io.curve_from_dict(d)
+        # the entries of the circle are CircleEmbedding's to check
+        for circle in ([0, 0], []):
+            with pytest.raises(ValueError, match=r"^circle direction must be nonzero \(effective action\)$"):
+                io.curve_from_dict(dict(self.GOOD, circle=circle))
+
+    @pytest.mark.parametrize("circle", [1, "1,1", {"K": [1, 1]}, None], ids=["int", "str", "object", "null"])
+    def test_circle_not_a_list_rejected(self, circle):
+        with pytest.raises(io.FormatError, match=r"^circle: expected a list of integers$"):
+            io.curve_from_dict(dict(self.GOOD, circle=circle))
 
     def test_empty_domain_rejected(self):
         d = dict(self.GOOD)
@@ -145,12 +161,12 @@ class TestCurveFiles:
         with pytest.raises(io.FormatError, match=re.escape(message)):
             io.curve_from_dict(dict(self.GOOD, **fields))
 
-    @pytest.mark.parametrize("fields,message", [
-        ({"coords": [["0", True], ["0", "1"]]}, "coords[0][1]: expected a rational literal"),
-        ({"circle": [True, 1]}, "circle: expected a list of integers"),
+    @pytest.mark.parametrize("fields,error,message", [
+        ({"coords": [["0", True], ["0", "1"]]}, io.FormatError, "coords[0][1]: expected a rational literal"),
+        ({"circle": [True, 1]}, ValueError, "circle direction (True, 1): expected integers, got True"),
     ], ids=["coefficient", "circle"])
-    def test_boolean_rejected(self, fields, message):
-        with pytest.raises(io.FormatError, match=re.escape(message)):
+    def test_boolean_rejected(self, fields, error, message):
+        with pytest.raises(error, match=re.escape(message)):
             io.curve_from_dict(dict(self.GOOD, **fields))
 
 
@@ -391,10 +407,10 @@ class TestCli:
     # each boolean stands where the parser used to read it as 1 or 0, which
     # gave the same valid input: now exit 3 with one message
     @pytest.mark.parametrize("target,message", [
-        ("normal", "facets[2].normal: expected a list of integers"),
+        ("normal", "facet normal (True, True): expected integers"),
         ("offset", "facets[0].offset: expected a rational literal like '3' or '1/2', got False"),
         ("coefficient", "coords[0][1]: expected a rational literal like '3' or '1/2', got True"),
-        ("circle", "circle: expected a list of integers"),
+        ("circle", "circle direction (True, True): expected integers, got True"),
         ("vector", "vectors[0]: expected a list of integers"),
     ], ids=["normal", "offset", "coefficient", "circle", "vector"])
     def test_json_boolean_usage_error(self, cp2, tmp_path, capsys, target, message):
@@ -522,6 +538,20 @@ class TestCli:
                 assert main(argv) == 3
                 assert capsys.readouterr() == ("", "error: vertex (1, 0, 0) is not simple: 4 active facets\n")
         assert not (tmp_path / "mesh.csv").exists()
+
+    @pytest.mark.parametrize("endpoints", [[{"chart_vertex": ["7", "7"]}, None], [None, {"chart_vertex": ["7", "7"]}]],
+                             ids=["given-at-0", "given-at-1"])
+    def test_chart_vertex_checked_at_both_endpoints(self, cp2_file, tmp_path, capsys, endpoints):
+        # (7, 7) is no vertex of P: lift-check and sample at either endpoint exit 3 with one
+        # message, where sample at the other endpoint wrote a mesh and exited 0
+        curve = write_json(tmp_path, "curve.json", {"coords": [["0", "3"], ["0"]], "domain": ["0", "1"],
+                                                    "circle": [0, 1], "endpoints": endpoints})
+        out = tmp_path / "mesh.csv"
+        for argv in (["lift-check", cp2_file, curve],
+                     *(["sample", cp2_file, curve, "--endpoint", e, "--nt", "4", "--out", str(out)] for e in "01")):
+            assert main(argv) == 3
+            assert capsys.readouterr() == ("", "error: chart vertex (7, 7) is not a vertex of P\n")
+        assert not out.exists()
 
     def test_equiv_non_simple_vertex_message(self, tmp_path, capsys):
         octahedron = write_json(tmp_path, "octahedron.json", {"n": 3, "facets": [
