@@ -50,7 +50,7 @@ from .polytope import HPolytope, PolytopeError, format_point
 
 Curve = list[RatPoly]  # one coefficient list per ambient coordinate
 Interval = tuple[Fraction, Fraction]
-ChartVertices = tuple[Optional[Sequence[Fraction]], Optional[Sequence[Fraction]]]  # given per endpoint, or None
+_ChartVertices = tuple[Optional[Sequence[Fraction]], Optional[Sequence[Fraction]]]  # given per endpoint, or None
 Mapped = namedtuple("Mapped", "D G a w WN Gm S")  # the curve and its facet slacks on (0, 1), from _map
 
 
@@ -152,7 +152,7 @@ def _check_coefficients(gamma: Curve) -> None:
 
 
 def _check_input(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmbedding,
-                 chart_vertices: ChartVertices, caller: str) -> list[Optional[VertexChart]]:
+                 chart_vertices: _ChartVertices, caller: str) -> list[Optional[VertexChart]]:
     """The entry gate of `build_graph` and `check_lift`: ValueError for the interval, the number of chart
     vertices, a given one's coordinates, the lengths and the curve, in this order, then PolytopeError unless
     each given chart vertex is a simple Delzant vertex of P.  Returns each endpoint's chart, or None."""
@@ -208,7 +208,7 @@ def _map(P: HPolytope, gamma: Curve, interval: Interval) -> Mapped:
 
 
 def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
-                circle: CircleEmbedding, chart_vertices: ChartVertices = (None, None)) -> CurveGraph:
+                circle: CircleEmbedding, chart_vertices: _ChartVertices = (None, None)) -> CurveGraph:
     """Write the curve near one endpoint as chart polynomials.
 
     endpoint 0 analyzes s = a, endpoint 1 analyzes s = b; tau runs into
@@ -216,9 +216,9 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
     (endpoint outside the polytope or interior to it, singular
     parametrisation, tangent parallel to the face, curve exiting the chart
     cone) and PolytopeError/ValueError for malformed input: the endpoint and
-    `_check_input`, which checks both of `check_lift`'s chart vertices,
-    before the curve is read, then the chart's vertex, given or default,
-    which must be a vertex of the endpoint's face.
+    `_check_input`, which checks both of `check_lift`'s chart vertices, before
+    the curve is read, then the chart's vertex, given or default, which must
+    be a simple Delzant vertex of the endpoint's face.
     """
     if endpoint not in (0, 1):
         raise ValueError(f"build_graph: endpoint must be 0 or 1, got {endpoint!r}")
@@ -412,7 +412,7 @@ def check_endpoint(graph: CurveGraph, name: str = "endpoint") -> Report:
 
 
 def check_lift(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmbedding,
-               chart_vertices: ChartVertices = (None, None)) -> LiftVerdict:
+               chart_vertices: _ChartVertices = (None, None)) -> LiftVerdict:
     """Full criterion: containment, transversality, both endpoint analyses.
 
     The input, given chart vertices included, is checked first (`_check_input`).
