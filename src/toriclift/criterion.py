@@ -161,11 +161,19 @@ def _check_input(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleE
             raise ValueError(f"{caller}: interval end {k}: expected an int or a Fraction, got {x!r}")
     if not interval[0] < interval[1]:
         raise ValueError(f"{caller}: empty parameter interval")
-    if len(chart_vertices) != 2:
-        raise ValueError(f"{caller}: chart_vertices: expected two entries, got {len(chart_vertices)}")
+    try:
+        count = len(chart_vertices)
+    except TypeError:
+        raise ValueError(f"{caller}: chart_vertices: expected a sequence of two entries, "
+                         f"got {chart_vertices!r}") from None
+    if count != 2:
+        raise ValueError(f"{caller}: chart_vertices: expected two entries, got {count}")
     given = [(ep, o) for ep, o in enumerate(chart_vertices) if o is not None]
     for ep, o in given:
-        _check_point(o, f"{caller}: chart_vertices[{ep}]")
+        try:
+            _check_point(o, f"{caller}: chart_vertices[{ep}]")
+        except TypeError:
+            raise ValueError(f"{caller}: chart_vertices[{ep}]: expected a point or None, got {o!r}") from None
     wrong = [f"{name} has length {len(x)}" for name, x in (("the curve", gamma), ("the circle", circle.K))
              if len(x) != P.n]
     wrong += [f"chart vertex {format_point(o)} has length {len(o)}" for _, o in given if len(o) != P.n]

@@ -193,13 +193,6 @@ def poly_deriv(p: Sequence[Fraction]) -> RatPoly:
     return poly_trim([i * c for i, c in enumerate(p)][1:])
 
 
-def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(p)):
-        acc = acc * x + c
-    return acc
-
-
 def _integer_polys(*polys: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
     """(D, [D*p for each p]) as integer lists, D > 0 the lcm of every denominator.
 

@@ -6,9 +6,12 @@ first) with circle weights (k_1, ..., k_n) is
 
     F(tau, t) = (r_1 cos k_1 t, r_1 sin k_1 t, ..., r_n cos k_n t, r_n sin k_n t)
 
-with r_j = sqrt(2 x_j(tau)) for tau in [0, b - a].  The planarity probe
-and the pullback-density identity give heuristic confirmations of the
-exact verdicts; `inconclusive` is always an acceptable probe outcome.
+with r_j = sqrt(2 x_j(tau)) for tau in [0, b - a].  The sampler, the
+planarity probe and the pullback density share one evaluator, which
+fills a coordinate-major grid (2n, len(tau), len(t)): each coordinate is
+one contiguous block.  The probe and the pullback-density identity give
+heuristic confirmations of the exact verdicts; `inconclusive` is always
+an acceptable probe outcome.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .criterion import CurveGraph
-from .exactmath import poly_deriv, poly_eval
 
 
 class SamplerError(ValueError):
@@ -31,7 +33,7 @@ class SamplerError(ValueError):
 class SurfaceSample(NamedTuple):
     tau: np.ndarray         # shape (nx,)
     t: np.ndarray           # shape (nt,)
-    points: np.ndarray      # shape (nx, nt, 2n)
+    points: np.ndarray      # shape (nx, nt, 2n); from sample_surface, a view on the (2n, nx, nt) grid
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -39,20 +41,20 @@ class SurfaceSample(NamedTuple):
 
 
 def _surface(graph: CurveGraph, tau: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Points F(tau, t) on a tau x t grid, shape (len(tau), len(t), 2n).
+    """Points F(tau, t) on a tau x t grid, coordinate-major: shape (2n, len(tau), len(t)).
 
     Raises on a negative radicand, that is where the curve leaves the
     chart's orthant.
     """
-    pts = np.empty((len(tau), len(t), 2 * graph.n))
+    pts = np.empty((2 * graph.n, len(tau), len(t)))
     for i, (x, k) in enumerate(zip(graph.num, graph.k)):
         vals = 2.0 * np.polyval([c / graph.den for c in reversed(x)] or [0.0], tau)
         bad = vals < -1e-12
         if np.any(bad):
             raise SamplerError(f"negative radicand in coordinate {i + 1} at tau = {float(tau[bad][0])}")
         r = np.sqrt(np.clip(vals, 0.0, None))
-        pts[:, :, 2 * i] = r[:, None] * np.cos(k * t)[None, :]
-        pts[:, :, 2 * i + 1] = r[:, None] * np.sin(k * t)[None, :]
+        np.multiply(r[:, None], np.cos(k * t), out=pts[2 * i])
+        np.multiply(r[:, None], np.sin(k * t), out=pts[2 * i + 1])
     return pts
 
 
@@ -62,13 +64,25 @@ def sample_surface(graph: CurveGraph, nx: int, nt: int) -> SurfaceSample:
         raise SamplerError("empty grid")
     tau = np.linspace(0.0, float(graph.x1_max), nx)
     t = np.linspace(0.0, 2.0 * np.pi, nt, endpoint=False)
-    return SurfaceSample(tau, t, _surface(graph, tau, t))
+    return SurfaceSample(tau, t, np.moveaxis(_surface(graph, tau, t), 0, -1))
 
 
-def pullback_density_exact(graph: CurveGraph, tau: Fraction) -> Fraction:
-    """Exact sum_j k_j x_j'(tau), from the integer chart polynomials over their denominator."""
-    tau = Fraction(tau)
-    return sum((k * poly_eval(poly_deriv(x), tau) for x, k in zip(graph.num, graph.k)), Fraction(0)) / graph.den
+def pullback_density_exact(graph: CurveGraph, tau: Fraction | float) -> Fraction:
+    """Exact sum_j k_j x_j'(tau), from the integer chart polynomials over their denominator.
+
+    With tau = p/q (a float's is dyadic) and S = sum_j k_j num_j of degree m, Horner in
+    integers gives q**(m - 1) S'(p/q); one Fraction divides it by q**(m - 1) den.
+    """
+    p, q = tau.as_integer_ratio()
+    s = [0] * max(map(len, graph.num))
+    for x, k in zip(graph.num, graph.k):
+        for i, c in enumerate(x):
+            s[i] += k * c
+    acc, qk = 0, 1  # qk = q**(m - i) at the coefficient of tau**i
+    for i in range(len(s) - 1, 0, -1):
+        acc = acc * p + i * s[i] * qk
+        qk *= q
+    return Fraction(acc, qk // q * graph.den) if acc else Fraction(0)
 
 
 # fourth-order central difference: offsets and weights
@@ -88,10 +102,11 @@ def pullback_density(graph: CurveGraph, tau: float, t: float = 0.37) -> tuple[fl
         raise SamplerError(f"pullback density needs a finite tau > 0, got {tau}")
     h, ht = 1e-3 * tau, 1e-3
     p = _surface(graph, tau + h * _STENCIL, t + ht * _STENCIL)
-    fx = _WEIGHTS @ p[:, 2] / h
-    ft = _WEIGHTS @ p[2, :] / ht
+    # each product on a contiguous (5, 2n) copy, the operand layout the sums' last bits depend on
+    fx = _WEIGHTS @ np.ascontiguousarray(p[:, :, 2].T) / h
+    ft = _WEIGHTS @ np.ascontiguousarray(p[:, 2, :].T) / ht
     omega = float(np.sum(fx[0::2] * ft[1::2] - fx[1::2] * ft[0::2]))
-    exact = float(pullback_density_exact(graph, Fraction(tau)))
+    exact = float(pullback_density_exact(graph, tau))
     return omega, exact
 
 
@@ -127,7 +142,8 @@ def smoothness_probe(graph: CurveGraph, nx: int = 400, nt: int = 48) -> ProbeRes
     eps/2: a smooth (C^1) surface flattens at a definite rate, a cone is
     scale-invariant.  The tau grid is quadratic so that the radius r_1,
     which grows like sqrt(tau), is spread evenly near the tip.  The grid
-    is centered on the tip once; both scales select rows of that array.
+    is centered on the tip once, one contiguous row per coordinate; both
+    scales select columns of that array.
     """
     if nx < 1 or nt < 1:
         raise SamplerError("empty grid")
@@ -138,17 +154,19 @@ def smoothness_probe(graph: CurveGraph, nx: int = 400, nt: int = 48) -> ProbeRes
         grid = _surface(graph, tau, t)
     except SamplerError:
         return ProbeResult("inconclusive", float("nan"), float("nan"), float("nan"))
-    centered = grid[1:].reshape(-1, 2 * graph.n) - grid[0, 0]
-    dist = np.sqrt(sum(c * c for c in centered.T))
+    cols = grid[:, 1:].reshape(2 * graph.n, nx * nt)  # a view: one row per coordinate
+    cols -= grid[:, :1, 0]
+    dist = np.sqrt(sum(c * c for c in cols))
     # small enough that curvature of a smooth sheet stays under the
     # planar threshold, large enough to keep the point count up
     eps = 0.15 * float(np.max(dist))
     res = []
-    for scale in (eps, eps / 2):
-        sel = centered[(dist > 0) & (dist <= scale)]
-        if len(sel) < MIN_POINTS:
+    for scale in (eps, eps / 2):  # the second selection is a subset of the first, in its order
+        keep = (dist > 0) & (dist <= scale)
+        cols, dist = cols[:, keep], dist[keep]
+        if cols.shape[1] < MIN_POINTS:
             return ProbeResult("inconclusive", float("nan"), float("nan"), float("nan"))
-        res.append(_plane_residual(sel))
+        res.append(_plane_residual(cols.T))
     coarse, fine = res
     ratio = fine / coarse if coarse > 0 else 0.0
     if fine <= 1e-9 or (ratio <= PLANAR_RATIO and coarse < PLANAR_RESIDUAL):
@@ -202,8 +220,11 @@ def _g17_lines(a: np.ndarray, prefix: str, sep: str):
     Where %.17g writes fixed notation, 1e-4 <= |v| < 1e17, the 17 correctly
     rounded digits N * 10**(e - 16) come from _round17; log10 may put e one
     off near a power of ten, which N outside [10**16, 10**17) shows.  Each
-    value's text fills _SLOTS slots of a NUL-filled line buffer, written one
-    slot at a time, and the NULs are dropped from the chunk at the end.
+    value's text fills _SLOTS slots of a NUL-filled line buffer: the sign,
+    the leading "0.000" and the digits are written one slot at a time over
+    every value, the point once per value that has one, at slot 7 + 2e.
+    The NULs are dropped from the chunk at the end.  A chunk is copied to
+    row-major order first, so each slot is written in the buffer's order.
     +-0 is written as 0 or -0; nan, +-inf and the values %.17g writes in
     exponent notation go through '%.17g' itself.
     """
@@ -211,9 +232,10 @@ def _g17_lines(a: np.ndarray, prefix: str, sep: str):
     P = len(pre)
     width = P + _SLOTS + len(sep)
     for i in range(0, len(a), _CHUNK):
-        x = a[i:i + _CHUNK]
+        x = np.ascontiguousarray(a[i:i + _CHUNK])  # OBJ vertices come column-major
         buf = bytearray(x.size * width)
-        lines = np.frombuffer(buf, np.uint8).reshape(x.shape + (width,))  # line, value, slot
+        flat = np.frombuffer(buf, np.uint8)
+        lines = flat.reshape(x.shape + (width,))  # line, value, slot
         lines[:, 0, :P] = pre
         lines[:, :-1, P + _SLOTS:] = sep
         lines[:, -1, P + _SLOTS] = ord("\n")
@@ -239,7 +261,8 @@ def _g17_lines(a: np.ndarray, prefix: str, sep: str):
         text[0] = np.signbit(x) * np.uint8(ord("-"))
         text[1:6] = (e < _LEAD_BELOW) * _LEAD_CHAR
         text[6::2] = (d + np.uint8(ord("0"))) * (_DIGIT <= np.maximum(e, last))
-        text[7::2] = ((_DIGIT[:16] == e) & (last > e)) * np.uint8(ord("."))
+        point = np.flatnonzero((e >= 0) & (last > e))  # the values whose point follows a digit
+        flat[point * width + (P + 7) + 2 * e.ravel()[point]] = ord(".")
         text[6][x == 0] = ord("0")  # written as 1 from y
         other = ~fixed & (x != 0)
         if other.any():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from toriclift import catalog
-from toriclift.exactmath import poly_deriv, poly_eval, poly_scale, poly_trim
+from toriclift.exactmath import poly_deriv, poly_scale, poly_trim
 
 # the catalog polytopes, by the names of their files in data/
 CATALOG = {
@@ -24,6 +24,14 @@ def polytope_to_dict(P):
             for a, lam in zip(P.normals, P.offsets)
         ],
     }
+
+
+def poly_eval(p, x):
+    """p(x) by Horner in Fractions."""
+    acc = Fraction(0)
+    for c in reversed(list(p)):
+        acc = acc * x + c
+    return acc
 
 
 def chart_polys(graph):

@@ -131,6 +131,20 @@ class TestMakeChart:
             with pytest.raises(ValueError, match=message):
                 entry(*args)
 
+    @pytest.mark.parametrize("charts,message", [
+        (None, "chart_vertices: expected a sequence of two entries, got None"),
+        (5, "chart_vertices: expected a sequence of two entries, got 5"),
+        (((0, 0), 5), "chart_vertices[1]: expected a point or None, got 5"),
+        ((None, 0), "chart_vertices[1]: expected a point or None, got 0"),
+    ], ids=["none", "int", "int-entry", "zero-entry"])
+    def test_chart_vertices_not_a_pair_of_points_rejected(self, cp2, charts, message):
+        # each raised a TypeError from len() or from iterating the entry
+        K = CircleEmbedding((1, 1))
+        for entry, args in ((check_lift, (cp2, self.EDGE_START, (0, 1), K, charts)),
+                            (build_graph, (cp2, self.EDGE_START, (0, 1), 0, K, charts))):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{entry.__name__}: {message}')}$"):
+                entry(*args)
+
     def test_wrong_length_rejected(self, cp2):
         # named before any work, as the curve and the circle are
         for o in ((F(0),), (0, 0, 0)):

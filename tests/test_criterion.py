@@ -9,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from conftest import NoScan, chart_polys, sturm_count
+from conftest import NoScan, chart_polys, poly_eval, sturm_count
 from toriclift import catalog, criterion, exactmath, io
 from toriclift.chart import CircleEmbedding
 from toriclift.criterion import (
@@ -20,7 +20,7 @@ from toriclift.criterion import (
     divided_smoothness,
     valuation,
 )
-from toriclift.exactmath import isolate_root, poly_compose_linear, poly_deriv, poly_eval, poly_trim
+from toriclift.exactmath import isolate_root, poly_compose_linear, poly_deriv, poly_trim
 from toriclift.polytope import HPolytope, PolytopeError, face_lattice, minimal_face, points_equivalent
 
 F = Fraction

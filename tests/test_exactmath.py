@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_divmod, square_free_part, sturm_count
+from conftest import poly_divmod, poly_eval, square_free_part, sturm_count
 from toriclift import exactmath
 from toriclift.exactmath import (
     ISOLATE_WIDTH,
@@ -18,7 +18,6 @@ from toriclift.exactmath import (
     isolate_root,
     poly_add,
     poly_compose_linear,
-    poly_eval,
     poly_trim,
     primitive,
     rank,

@@ -36,10 +36,11 @@ from operator import mul
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import poly_eval
 from toriclift import catalog
 from toriclift.chart import CircleEmbedding
 from toriclift.criterion import check_lift
-from toriclift.exactmath import isolate_root, poly_eval
+from toriclift.exactmath import isolate_root
 from toriclift.polytope import HPolytope, PolytopeError, enumerate_vertices, minimal_face
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chart_polys
+from conftest import chart_polys, poly_eval
 from toriclift import catalog, surface
 from toriclift.chart import CircleEmbedding
 from toriclift.criterion import build_graph
-from toriclift.exactmath import poly_eval
+from toriclift.exactmath import poly_deriv
 from toriclift.surface import (
     ProbeResult,
     SamplerError,
@@ -61,6 +61,9 @@ def degenerate_graph(cp2):
     # (s, 2-s) with K = (1, 1): the pulled-back area form vanishes
     gamma = [poly(0, 1), poly(2, -1)]
     return build_graph(cp2, gamma, (F(0), F(2)), 0, CircleEmbedding((1, 1)))
+
+
+FIXTURES = ["disc", "cone", "paraboloid", "space", "degenerate"]
 
 
 # The exact bytes export_mesh writes for a 3 x 4 grid of values every
@@ -180,11 +183,52 @@ class TestSampling:
         with pytest.raises(SamplerError):
             sample_surface(disc_graph, 0, 8)
 
+    def test_negative_radicand_names_the_first_tau(self, cp2):
+        # tau = 20/19, the first of 20 samples on [0, 2] past s = 1, of the nine that leave
+        graph = build_graph(cp2, [poly(0, 1), poly(0, 1, -1)], (F(0), F(2)), 0, CircleEmbedding((1, 1)))
+        first = float(np.linspace(0.0, 2.0, 20)[10])
+        with pytest.raises(SamplerError, match=f"^negative radicand in coordinate 2 at tau = {first}$"):
+            sample_surface(graph, 20, 8)
+
+    def test_radicand_tolerance(self, disc_graph):
+        # 2 x_2 = -1e-12 exactly (a power-of-two multiple of the rounded -1/(2 10**12)) is
+        # rounding, read as 0; twice that leaves the orthant
+        den = 2 * 10 ** 12
+        graph = disc_graph._replace(num=([0, den], [-1]), den=den)
+        s = sample_surface(graph, 5, 4)
+        assert not s.points[:, :, 2:].any()
+        with pytest.raises(SamplerError, match="coordinate 2"):
+            sample_surface(graph._replace(num=([0, den], [-2])), 5, 4)
+
+
+def fraction_density(graph, tau):
+    """sum_j k_j x_j'(tau) by Horner in Fractions at Fraction(tau): the oracle for the
+    integer Horner of pullback_density_exact."""
+    tau = F(tau)
+    return sum((k * poly_eval(poly_deriv(x), tau) for x, k in zip(graph.num, graph.k)), F(0)) / graph.den
+
 
 class TestPullbackDensity:
     def test_disc_exact_formula(self, disc_graph):
         # k1 x1'(tau) + k2 x2'(tau) = 2 on the diagonal disc
         assert pullback_density_exact(disc_graph, F(1, 2)) == F(2)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_exact_matches_fraction_horner(self, request, name):
+        graph = request.getfixturevalue(f"{name}_graph")
+        xm = graph.x1_max
+        for tau in (F(0), F(1, 3), xm / 7, xm, 1, 0.0, 0.1, float(xm), 5e-324, 3.0):
+            got = pullback_density_exact(graph, tau)
+            assert type(got) is F and got == fraction_density(graph, tau)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exact_matches_fraction_horner_on_floats(self, disc_graph, cone_graph, paraboloid_graph,
+                                                     space_graph, degenerate_graph, data):
+        for graph in (disc_graph, cone_graph, paraboloid_graph, space_graph, degenerate_graph):
+            tau = data.draw(st.floats(0.0, float(graph.x1_max), exclude_min=True))
+            got = pullback_density_exact(graph, tau)
+            assert type(got) is F and got == fraction_density(graph, tau)
 
     def test_numeric_matches_exact(self, disc_graph, paraboloid_graph):
         for graph in (disc_graph, paraboloid_graph):
@@ -208,6 +252,50 @@ class TestPullbackDensity:
             pullback_density(disc_graph, tau)
 
 
+def point_major_surface(graph, tau, t):
+    """The sampler as first written, points F(tau, t) in the layout (len(tau), len(t), 2n):
+    the oracle for the coordinate-major grid the sampler, probe and density share."""
+    pts = np.empty((len(tau), len(t), 2 * graph.n))
+    for i, (x, k) in enumerate(zip(graph.num, graph.k)):
+        vals = 2.0 * np.polyval([c / graph.den for c in reversed(x)] or [0.0], tau)
+        bad = vals < -1e-12
+        if np.any(bad):
+            raise SamplerError(f"negative radicand in coordinate {i + 1} at tau = {float(tau[bad][0])}")
+        r = np.sqrt(np.clip(vals, 0.0, None))
+        pts[:, :, 2 * i] = r[:, None] * np.cos(k * t)[None, :]
+        pts[:, :, 2 * i + 1] = r[:, None] * np.sin(k * t)[None, :]
+    return pts
+
+
+def hexes(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+class TestPointMajorOracle:
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("nx,nt", [(48, 64), (7, 3), (1, 1)])
+    def test_sample_matches_bit_for_bit(self, request, name, nx, nt):
+        graph = request.getfixturevalue(f"{name}_graph")
+        s = sample_surface(graph, nx, nt)
+        want = point_major_surface(graph, s.tau, s.t)
+        assert s.points.shape == want.shape == (nx, nt, 2 * graph.n)
+        assert hexes(s.points) == hexes(want)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_density_matches_bit_for_bit(self, request, name):
+        graph = request.getfixturevalue(f"{name}_graph")
+        stencil = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+        for tau in (float(graph.x1_max) * a for a in (1 / 16, 0.3, 0.55, 0.8)):
+            h, ht, t = 1e-3 * tau, 1e-3, 0.37
+            p = point_major_surface(graph, tau + h * stencil, t + ht * stencil)
+            fx, ft = weights @ p[:, 2] / h, weights @ p[2, :] / ht
+            omega = float(np.sum(fx[0::2] * ft[1::2] - fx[1::2] * ft[0::2]))
+            got, exact = pullback_density(graph, tau)
+            assert float(got).hex() == omega.hex()
+            assert exact == float(fraction_density(graph, tau))
+
+
 def norm_probe(graph, nx=400, nt=48):
     """smoothness_probe as first written: distances by np.linalg.norm, and the
     vertex subtracted again from each selection.  The oracle for the probe."""
@@ -216,7 +304,7 @@ def norm_probe(graph, nx=400, nt=48):
     t = np.linspace(0.0, 2.0 * np.pi, nt, endpoint=False)
     nan = ProbeResult("inconclusive", math.nan, math.nan, math.nan)
     try:
-        grid = surface._surface(graph, tau, t)
+        grid = point_major_surface(graph, tau, t)
     except SamplerError:
         return nan
     vertex = grid[0, 0]
@@ -242,6 +330,16 @@ def norm_probe(graph, nx=400, nt=48):
     return ProbeResult(kind, coarse, fine, ratio)
 
 
+def norm_selection_sizes(graph, nx, nt):
+    """The numbers of points norm_probe selects at the two scales."""
+    tau_cap = surface.PROBE_TAU * min(float(graph.x1_max), 1.0)
+    tau = np.concatenate(([0.0], tau_cap * np.linspace(1.0 / nx, 1.0, nx) ** 2))
+    grid = point_major_surface(graph, tau, np.linspace(0.0, 2.0 * np.pi, nt, endpoint=False))
+    dist = np.linalg.norm(grid[1:].reshape(-1, 2 * graph.n) - grid[0, 0][None, :], axis=1)
+    eps = 0.15 * float(np.max(dist))
+    return [int(np.count_nonzero((dist > 0) & (dist <= scale))) for scale in (eps, eps / 2)]
+
+
 class TestSmoothnessProbe:
     def test_disc_planar(self, disc_graph):
         assert smoothness_probe(disc_graph).kind == "planar"
@@ -259,6 +357,45 @@ class TestSmoothnessProbe:
     def test_too_few_points_inconclusive(self, disc_graph):
         assert smoothness_probe(disc_graph, nx=3, nt=2).kind == "inconclusive"
 
+    def test_one_point_grid_is_not_empty(self, disc_graph):
+        res = smoothness_probe(disc_graph, nx=1, nt=1)
+        assert res.kind == "inconclusive" and all(map(math.isnan, res[1:]))
+
+    def test_surface_at_the_tip_only_inconclusive(self, disc_graph):
+        # every sample is the tip: no point at a positive distance to fit a plane to
+        res = smoothness_probe(disc_graph._replace(num=([0], [0])))
+        assert res.kind == "inconclusive" and all(map(math.isnan, res[1:]))
+
+    def test_default_grid(self, disc_graph, cone_graph):
+        for graph in (disc_graph, cone_graph):
+            assert hexes(smoothness_probe(graph)[1:]) == hexes(norm_probe(graph, 400, 48)[1:])
+
+    @pytest.mark.parametrize("name", ["disc", "cone"])
+    def test_min_points_bound_is_inclusive(self, request, monkeypatch, name):
+        # the fine selection, counted as the oracle selects it, is enough at MIN_POINTS = count
+        graph = request.getfixturevalue(f"{name}_graph")
+        count = norm_selection_sizes(graph, 60, 7)[1]
+        for bound, enough in ((count, True), (count + 1, False)):
+            monkeypatch.setattr(surface, "MIN_POINTS", bound)
+            assert math.isnan(smoothness_probe(graph, 60, 7).residual_fine) != enough
+
+    def test_planar_bounds(self, monkeypatch, paraboloid_graph):
+        # planar takes ratio <= PLANAR_RATIO and coarse < PLANAR_RESIDUAL, at the measured values
+        res = smoothness_probe(paraboloid_graph)
+        assert res.kind == "planar" and res.residual_fine > 1e-9
+        monkeypatch.setattr(surface, "PLANAR_RATIO", res.ratio)
+        assert smoothness_probe(paraboloid_graph).kind == "planar"
+        monkeypatch.setattr(surface, "PLANAR_RESIDUAL", res.residual_coarse)
+        assert smoothness_probe(paraboloid_graph).kind == "inconclusive"
+
+    def test_cone_bounds(self, monkeypatch, cone_graph):
+        # conelike takes coarse > CONE_RESIDUAL and ratio >= CONE_RATIO, at the measured values
+        res = smoothness_probe(cone_graph)
+        monkeypatch.setattr(surface, "CONE_RATIO", res.ratio)
+        assert smoothness_probe(cone_graph).kind == "conelike"
+        monkeypatch.setattr(surface, "CONE_RESIDUAL", res.residual_coarse)
+        assert smoothness_probe(cone_graph).kind == "inconclusive"
+
     def test_negative_radicand_inconclusive(self, cp2):
         # (s, -s) leaves the chart's orthant at once, so the probe window has no surface
         graph = build_graph(cp2, [poly(0, 1), poly(0, -1)], (F(0), F(1)), 0, CircleEmbedding((1, 1)))
@@ -270,7 +407,7 @@ class TestSmoothnessProbe:
         with pytest.raises(SamplerError, match="empty grid"):
             smoothness_probe(disc_graph, nx=nx, nt=nt)
 
-    @pytest.mark.parametrize("name", ["disc", "cone", "paraboloid", "space"])
+    @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("nx,nt", [(400, 48), (60, 7), (3, 2)])
     def test_matches_norm_probe_bit_for_bit(self, request, name, nx, nt):
         graph = request.getfixturevalue(f"{name}_graph")
