@@ -142,8 +142,9 @@ def smoothness_probe(graph: CurveGraph, nx: int = 400, nt: int = 48) -> ProbeRes
     eps/2: a smooth (C^1) surface flattens at a definite rate, a cone is
     scale-invariant.  The tau grid is quadratic so that the radius r_1,
     which grows like sqrt(tau), is spread evenly near the tip.  The grid
-    is centered on the tip once, one contiguous row per coordinate; both
-    scales select columns of that array.
+    is centered on the tip once, one contiguous row per coordinate; the
+    coarse scale selects columns of that array, the fine one columns of
+    the coarse selection.
     """
     if nx < 1 or nt < 1:
         raise SamplerError("empty grid")
@@ -161,7 +162,7 @@ def smoothness_probe(graph: CurveGraph, nx: int = 400, nt: int = 48) -> ProbeRes
     # planar threshold, large enough to keep the point count up
     eps = 0.15 * float(np.max(dist))
     res = []
-    for scale in (eps, eps / 2):  # the second selection is a subset of the first, in its order
+    for scale in (eps, eps / 2):  # the fine selection is a subset of the coarse one, in its order
         keep = (dist > 0) & (dist <= scale)
         cols, dist = cols[:, keep], dist[keep]
         if cols.shape[1] < MIN_POINTS:
