@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactmath import IntVec, dot, int_det, is_int, primitive
+from .exactmath import IntVec, int_det, is_int, primitive
 from .polytope import HPolytope, Point, PolytopeError, format_point
 
 
@@ -70,7 +70,3 @@ def from_chart(chart: VertexChart, x: Sequence[Fraction]) -> Point:
         for i in range(n)
     )
 
-
-def local_weights(chart: VertexChart, rho: CircleEmbedding) -> IntVec:
-    """Circle weights k_j = <u_j, K> in the chart's edge basis."""
-    return tuple(dot(u, rho.K) for u in chart.columns)

@@ -33,7 +33,7 @@ from math import lcm
 from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .chart import CircleEmbedding, VertexChart, _chart, local_weights
+from .chart import CircleEmbedding, VertexChart, _chart
 from .exactmath import (
     RatPoly,
     _check_point,
@@ -156,10 +156,14 @@ def _check_input(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleE
     """The entry gate of `build_graph` and `check_lift`: ValueError for the interval, the number of chart
     vertices, a given one's coordinates, the lengths and the curve, in this order, then PolytopeError unless
     each given chart vertex is a simple Delzant vertex of P.  Returns each endpoint's chart, or None."""
+    try:
+        a, b = interval
+    except (TypeError, ValueError):
+        raise ValueError(f"{caller}: interval: expected two ends, got {interval!r}") from None
     for k, x in enumerate(interval):
         if not is_rational(x):
             raise ValueError(f"{caller}: interval end {k}: expected an int or a Fraction, got {x!r}")
-    if not interval[0] < interval[1]:
+    if not a < b:
         raise ValueError(f"{caller}: empty parameter interval")
     try:
         count = len(chart_vertices)
@@ -168,23 +172,26 @@ def _check_input(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleE
                          f"got {chart_vertices!r}") from None
     if count != 2:
         raise ValueError(f"{caller}: chart_vertices: expected two entries, got {count}")
-    given = [(ep, o) for ep, o in enumerate(chart_vertices) if o is not None]
-    for ep, o in given:
-        try:
+    points, given = list(chart_vertices), []  # each given entry read once, as a tuple
+    for ep, o in enumerate(points):
+        if o is not None:
+            try:
+                points[ep] = o = tuple(o)
+            except TypeError:
+                raise ValueError(f"{caller}: chart_vertices[{ep}]: expected a point or None, got {o!r}") from None
             _check_point(o, f"{caller}: chart_vertices[{ep}]")
-        except TypeError:
-            raise ValueError(f"{caller}: chart_vertices[{ep}]: expected a point or None, got {o!r}") from None
+            given.append(o)
     wrong = [f"{name} has length {len(x)}" for name, x in (("the curve", gamma), ("the circle", circle.K))
              if len(x) != P.n]
-    wrong += [f"chart vertex {format_point(o)} has length {len(o)}" for _, o in given if len(o) != P.n]
+    wrong += [f"chart vertex {format_point(o)} has length {len(o)}" for o in given if len(o) != P.n]
     if wrong:
         raise ValueError(f"the polytope has dimension {P.n}, but {' and '.join(wrong)}")
     _check_coefficients(gamma)
     records = {r[0]: r for r in P._vertices} if given else {}  # an int point finds its Fractions
-    for _, o in given:
-        if tuple(o) not in records:
+    for o in given:
+        if o not in records:
             raise PolytopeError(f"chart vertex {format_point(o)} is not a vertex of P")
-    return [None if o is None else _chart(P, *records[tuple(o)]) for o in chart_vertices]
+    return [None if o is None else _chart(P, *records[o]) for o in points]
 
 
 def _map(P: HPolytope, gamma: Curve, interval: Interval) -> Mapped:
@@ -245,36 +252,33 @@ def _graph(P: HPolytope, m: Mapped, endpoint: int, circle: CircleEmbedding,
     if not tight:
         raise GraphBuildReject("endpoint_interior",
                                f"endpoint {_point(m, endpoint)} is not on the boundary")
-    # the chart and its face coordinates: the given chart, or the default one, kept on P by the
-    # endpoint's tight facets and built at the first vertex record of the endpoint's face
-    kept = None if given is not None else P._endpoint_charts.get(tight)
-    if kept is None:
-        chart = given if given is not None else _chart(P, *next(r for r in P._vertices if r[1] >= tight))
-        if not tight.issubset(chart.active):
-            raise PolytopeError(f"chart vertex {format_point(chart.vertex)} is not a vertex of the endpoint face")
-        kept = chart, frozenset(j for j, f in enumerate(chart.active) if f not in tight)
-        if given is None:
-            P._endpoint_charts[tight] = kept
-    # gamma'(e) = 0 exactly when each Gm_j' vanishes at t = 0 or 1: g_1, or sum k g_k
-    if not any(sum(map(mul, range(len(g)) if endpoint else (0, 1), g)) for g in m.Gm):
-        raise GraphBuildReject("singular_parametrisation",
-                               f"the curve has zero velocity at endpoint {_point(m, endpoint)}")
-    chart, Q0 = kept
-    n = P.n
+    # the given chart, or the default one, kept on P by the endpoint's tight facets and built
+    # at the first vertex record that holds them, which is a vertex of the endpoint's face
+    if given is not None and not tight.issubset(given.active):
+        raise PolytopeError(f"chart vertex {format_point(given.vertex)} is not a vertex of the endpoint face")
+    chart = given or P._endpoint_charts.get(tight)
+    if chart is None:
+        chart = P._endpoint_charts[tight] = _chart(P, *next(r for r in P._vertices if r[1] >= tight))
+    active, n = chart.active, P.n
 
     # chart coordinate j is the slack of active facet j along gamma(e +- tau), in u = tau/w:
     # q(u) at a and q(1 - u) at b (one Taylor shift, then u -> -u), all over one denominator;
     # it vanishes at the endpoint exactly when facet j is tight there
-    facets = [m.S[f] for f in chart.active]
+    facets = [m.S[f] for f in active]
     N = max(map(len, facets)) - 1
     wn, wd = m.w.numerator, (m.w.denominator if endpoint == 0 else -m.w.denominator)
     scale = [wn ** N]  # wn^N (+-1/w)^k, by running products
     for _ in range(N):
         scale.append(scale[-1] // wn * wd)
     num = [list(map(mul, _shift1(q[::-1])[::-1] if endpoint else q, scale)) for q in facets]
-    den = m.D * m.WN * scale[0]
     slope = [q[1] if len(q) > 1 else 0 for q in num]  # signs of x_j'(0)
-    param = next((j for j in range(n) if slope[j] and j not in Q0), None)
+    # the active normals are independent, so gamma'(e) = 0 exactly when every slope is 0; a
+    # curve constant at the vertex has every active slack zero (N = -1), so reject before den
+    if not any(slope):
+        raise GraphBuildReject("singular_parametrisation",
+                               f"the curve has zero velocity at endpoint {_point(m, endpoint)}")
+    den = m.D * m.WN * scale[0]
+    param = next((j for j in range(n) if slope[j] and active[j] in tight), None)
     if param is None:
         raise GraphBuildReject(
             "tangent_parallel_to_face",
@@ -288,9 +292,9 @@ def _graph(P: HPolytope, m: Mapped, endpoint: int, circle: CircleEmbedding,
 
     others = (*range(param), *range(param + 1, n))
     order = (param, *others)
-    kw = local_weights(chart, circle)
-    Q = frozenset([pos for pos, j in enumerate(others, start=2) if j in Q0])
-    return CurveGraph(chart, param, others, tuple([num[j] for j in order]), den, tuple([kw[j] for j in order]), Q, m.w)
+    k = tuple([sum(map(mul, chart.columns[j], circle.K)) for j in order])  # k_j = <u_j, K>
+    Q = frozenset([pos for pos, j in enumerate(others, start=2) if active[j] not in tight])
+    return CurveGraph(chart, param, others, tuple([num[j] for j in order]), den, k, Q, m.w)
 
 
 def _point(m: Mapped, endpoint: int) -> str:
@@ -351,8 +355,8 @@ def valuation(p: RatPoly) -> Optional[int]:
     return next((i for i, c in enumerate(p) if c != 0), None)
 
 
-def divided_smoothness(x: RatPoly, m: int) -> Optional[str]:
-    """Why sqrt(2 x(tau)) / r_1^|m| fails to be smooth and even at the tip.
+def _divided_smoothness(x: RatPoly, v: Optional[int], m: int) -> Optional[str]:
+    """Why sqrt(2 x(tau)) / r_1^|m| fails to be smooth and even at the tip, given v = valuation(x).
 
     None when it holds.  Near the tip the surface is z_j = f z_p^m for
     m >= 0 and z_j = f conj(z_p)^|m| for m < 0, with f = r_j / r_1^|m| a
@@ -363,7 +367,6 @@ def divided_smoothness(x: RatPoly, m: int) -> Optional[str]:
     function of r_1^2 when c_v > 0: it holds iff x is identically zero, or
     c_v > 0, v >= |m| and v - m is even.
     """
-    v = valuation(x)
     if v is None:
         return None
     if x[v] < 0:
@@ -403,11 +406,9 @@ def check_endpoint(graph: CurveGraph, name: str = "endpoint") -> Report:
         m = ki // k1
         conditions.append(Condition("weight_ratio_integer", loc, "holds", f"m = {m}"))
         xi = graph.num[pos - 1]  # den > 0 keeps every valuation and sign
-        reason = divided_smoothness(xi, m)
-        detail = f"m = {m}"
         v = valuation(xi)
-        if v is not None:
-            detail += f", valuation {v}"
+        reason = _divided_smoothness(xi, v, m)
+        detail = f"m = {m}" if v is None else f"m = {m}, valuation {v}"
         if reason:
             detail += f", {reason}"
         conditions.append(Condition("divided_smoothness", loc,

@@ -18,10 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import chart_polys, polytope_to_dict
-from toriclift import catalog
+from toriclift import catalog, criterion
 from toriclift.chart import CircleEmbedding
 from toriclift.cli import main as cli_main
-from toriclift.criterion import build_graph, check_endpoint, check_lift, divided_smoothness
+from toriclift.criterion import build_graph, check_endpoint, check_lift, valuation
 from toriclift.polytope import face_lattice, points_equivalent, validate_delzant
 from toriclift.surface import pullback_density, pullback_density_exact, smoothness_probe
 
@@ -294,7 +294,7 @@ def test_acceptance_7_series_kernel():
         for a in range(0, 7):
             x_j = [F(0)] * a + [F(1), F(1)]
             for m in range(-4, 5):
-                reason = divided_smoothness(x_j, m)
+                reason = criterion._divided_smoothness(x_j, valuation(x_j), m)
                 beta = _growth_exponent(x_j, m, float(c))
                 assert abs(beta - (a - abs(m))) < 0.05, (a, m, beta)
                 smooth = round(beta) >= 0 and round(beta) % 2 == 0
@@ -312,7 +312,7 @@ def test_acceptance_7_series_kernel():
         # a negative leading coefficient is never smooth: the radicand is
         # negative next to the tip
         x_neg = [F(0), F(-1), F(-1)]
-        assert divided_smoothness(x_neg, 1) == "negative_leading"
+        assert criterion._divided_smoothness(x_neg, valuation(x_neg), 1) == "negative_leading"
         assert np.all(np.polyval([-1.0, -1.0, 0.0], np.logspace(-8, -4, 12)) < 0)
         graph = build_graph(square, [[F(0), F(1), c], x_neg], (F(0), F(1, 4)), 0,
                             CircleEmbedding((1, 1)))

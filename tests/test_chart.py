@@ -8,7 +8,7 @@ import pytest
 
 from conftest import CATALOG, chart_polys
 from toriclift import catalog, chart, exactmath
-from toriclift.chart import CircleEmbedding, from_chart, local_weights
+from toriclift.chart import CircleEmbedding, from_chart
 from toriclift.criterion import GraphBuildReject, build_graph, check_lift
 from toriclift.exactmath import dot, poly_add, poly_compose_linear, poly_scale, poly_sub
 from toriclift.polytope import (
@@ -44,6 +44,16 @@ def to_chart(chart, p):
 
 def mean(points):
     return tuple(sum(c) / len(points) for c in zip(*points))
+
+
+def vertex_weights(P, v, rho):
+    """The chart at the vertex v and the circle weights `build_graph` reads there, in chart
+    order: along the chord from v to the mean of P's vertices every chart coordinate grows,
+    so the parameter is chart coordinate 1."""
+    end = mean([w for w, _ in enumerate_vertices(P)])
+    graph = build_graph(P, [[a, b - a] for a, b in zip(v, end)], (0, 1), 0, rho)
+    assert graph.chart.vertex == tuple(v) and graph.param_chart_index == 0
+    return graph.chart, graph.k
 
 
 def chord(P, face, rng=None):
@@ -144,6 +154,19 @@ class TestMakeChart:
                             (build_graph, (cp2, self.EDGE_START, (0, 1), 0, K, charts))):
             with pytest.raises(ValueError, match=f"^{re.escape(f'{entry.__name__}: {message}')}$"):
                 entry(*args)
+
+    @pytest.mark.parametrize("make", [iter, lambda p: (x for x in p), list], ids=["iterator", "generator", "list"])
+    def test_chart_vertex_read_once(self, cp2, make):
+        # an entry that iterates once is read as the point it yields, at either end, where an
+        # iterator or a generator raised "has no len()"; EDGE_START ends at (2, 1) on x + y = 3
+        K = CircleEmbedding((1, 1))
+        for charts in (((0, 0), None), (None, (3, 0))):
+            given = tuple(None if o is None else make(o) for o in charts)
+            assert check_lift(cp2, self.EDGE_START, (0, 1), K, given) == check_lift(cp2, self.EDGE_START, (0, 1), K, charts)
+            for ep in (0, 1):
+                given = tuple(None if o is None else make(o) for o in charts)
+                assert build_graph(cp2, self.EDGE_START, (0, 1), ep, K, given) \
+                    == build_graph(cp2, self.EDGE_START, (0, 1), ep, K, charts)
 
     def test_wrong_length_rejected(self, cp2):
         # named before any work, as the curve and the circle are
@@ -257,22 +280,20 @@ class TestCoordinateMaps:
 
 class TestLocalWeights:
     def test_origin(self, cp2):
-        ch = vertex_chart(cp2, (F(0), F(0)))
-        assert local_weights(ch, CircleEmbedding((1, 1))) == (1, 1)
+        assert vertex_weights(cp2, (F(0), F(0)), CircleEmbedding((1, 1)))[1] == (1, 1)
 
     def test_far_vertex(self, cp2):
-        ch = vertex_chart(cp2, (F(3), F(0)))
-        w = local_weights(ch, CircleEmbedding((1, 1)))
-        assert sorted(w) == sorted(dot(u, (1, 1)) for u in ch.columns)
+        ch, w = vertex_weights(cp2, (F(3), F(0)), CircleEmbedding((1, 1)))
+        assert w == tuple(dot(u, (1, 1)) for u in ch.columns)
 
     def test_covariance_under_basis(self, cp2, hirzebruch):
         # weights are exactly the pairings of the chart columns with K
         for P in (cp2, hirzebruch):
             for v, _ in enumerate_vertices(P):
-                ch = vertex_chart(P, v)
                 for K in ((1, 0), (0, 1), (2, -3)):
                     rho = CircleEmbedding(K)
-                    assert local_weights(ch, rho) == tuple(dot(u, rho.K) for u in ch.columns)
+                    ch, w = vertex_weights(P, v, rho)
+                    assert w == tuple(dot(u, rho.K) for u in ch.columns)
 
 
 class TestQSet:
@@ -373,10 +394,9 @@ class TestPairingInvariance:
         # x = U^{-1} v are the chart components of the tangent vector
         rng = random.Random(5)
         for v, _ in enumerate_vertices(cp2):
-            ch = vertex_chart(cp2, v)
             for K in ((1, 1), (1, 0), (2, -1)):
                 rho = CircleEmbedding(K)
-                k = local_weights(ch, rho)
+                ch, k = vertex_weights(cp2, v, rho)
                 for _ in range(10):
                     vec = (F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
                     comp = [sum(row[j] * vec[j] for j in range(2)) for row in ch.inverse]

@@ -17,17 +17,21 @@ from toriclift.criterion import (
     build_graph,
     check_endpoint,
     check_lift,
-    divided_smoothness,
     valuation,
 )
 from toriclift.exactmath import isolate_root, poly_compose_linear, poly_deriv, poly_trim
-from toriclift.polytope import HPolytope, PolytopeError, face_lattice, minimal_face, points_equivalent
+from toriclift.polytope import HPolytope, PolytopeError, face_lattice, format_point, minimal_face, points_equivalent
 
 F = Fraction
 
 
 def poly(*cs):
     return [F(c) for c in cs]
+
+
+def divided_smoothness(x, m):
+    """The rule `check_endpoint` applies to a chart polynomial x with weight ratio m."""
+    return criterion._divided_smoothness(x, valuation(x), m)
 
 
 DIAG = [poly(0, 1), poly(0, 1)]          # gamma(s) = (s, s)
@@ -118,6 +122,49 @@ class TestBuildGraph:
             with pytest.raises(GraphBuildReject) as exc:
                 build_graph(cp2, gamma, (F(0), F(1)), 0, K11)
             assert exc.value.reason == "singular_parametrisation"
+
+    # curves on [0, 1/2] with gamma'(0) = 0 that start at a vertex, on an edge and on a facet of
+    # the unit cube, and at two vertices of cp2(3); the constant curve has every slack at the
+    # chart vertex identically zero
+    ZERO_VELOCITY = {
+        "cube-vertex": (catalog.box([1, 1, 1]), [poly(0, 0, 1), poly(0, 0, 0, 1), poly(0, 0, 1)]),
+        "cube-vertex-constant": (catalog.box([1, 1, 1]), [poly(0), poly(0), poly(0)]),
+        "cube-edge": (catalog.box([1, 1, 1]), [poly(F(1, 2), 0, 0, 1), poly(0, 0, 1), poly(0, 0, 1)]),
+        "cube-facet": (catalog.box([1, 1, 1]), [poly(F(1, 2), 0, -1), poly(F(1, 2), 0, 0, 1), poly(0, 0, 1)]),
+        "cp2-origin": (catalog.cp2(3), [poly(0, 0, 1), poly(0, 0, 1)]),
+        "cp2-vertex": (catalog.cp2(3), [poly(3, 0, -2), poly(0, 0, 1)]),
+    }
+    # gamma'(0) != 0 along the endpoint's face
+    ALONG_FACE = {
+        "cube-edge": (catalog.box([1, 1, 1]), [poly(F(1, 2), 1), poly(0, 0, 1), poly(0, 0, 1)]),
+        "cube-facet": (catalog.box([1, 1, 1]), [poly(F(1, 2), 1), poly(F(1, 2), -1), poly(0, 0, 1)]),
+        "cp2-edge": (catalog.cp2(3), [poly(1, 1), poly(0, 0, 1)]),
+    }
+
+    @staticmethod
+    def face_charts(P, gamma):
+        """The default chart and each vertex of the face of gamma(0), given as the chart vertex."""
+        return [(None, None)] + [(v, None) for v in minimal_face(P, [g[0] for g in gamma]).vertices]
+
+    @pytest.mark.parametrize("name", sorted(ZERO_VELOCITY))
+    def test_zero_velocity_in_every_face_chart(self, name):
+        # every chart slope x_j'(0) is 0 exactly when gamma'(0) is, whichever vertex the chart is at
+        P, gamma = self.ZERO_VELOCITY[name]
+        for charts in self.face_charts(P, gamma):
+            with pytest.raises(GraphBuildReject) as exc:
+                build_graph(P, gamma, (F(0), F(1, 2)), 0, CircleEmbedding((1,) * P.n), charts)
+            assert exc.value.reason == "singular_parametrisation"
+            assert exc.value.detail == f"the curve has zero velocity at endpoint {format_point([g[0] for g in gamma])}"
+            cond = check_lift(P, gamma, (F(0), F(1, 2)), CircleEmbedding((1,) * P.n), charts).report("endpoint 1")
+            assert [c.condition for c in cond.conditions] == ["singular_parametrisation"]
+
+    @pytest.mark.parametrize("name", sorted(ALONG_FACE))
+    def test_velocity_along_the_face_in_every_face_chart(self, name):
+        P, gamma = self.ALONG_FACE[name]
+        for charts in self.face_charts(P, gamma):
+            with pytest.raises(GraphBuildReject) as exc:
+                build_graph(P, gamma, (F(0), F(1, 2)), 0, CircleEmbedding((1,) * P.n), charts)
+            assert exc.value.reason == "tangent_parallel_to_face"
 
     def test_parabola_graph(self, cp2):
         # gamma(s) = (s, s^2) at the origin: x_2(tau) = tau^2
@@ -286,6 +333,7 @@ class TestDividedSmoothness:
         ((0, 1), -1, "holds", None),         # z2 = c conj(z1)
         ((0, 1), -3, "fails", "negative_power"),
         ((0, 0, 0, 1), -3, "holds", None),   # z2 = c conj(z1)^3
+        ((0, F(1, 2)), 1, "holds", None),    # a positive leading coefficient below 1
     ])
     def test_table(self, coeffs, m, status, reason):
         out = divided_smoothness(poly(*coeffs), m)
@@ -510,7 +558,12 @@ class TestIntervalTypes:
         ((0, 1.5), "interval end 1: expected an int or a Fraction, got 1.5"),
         ((F(0), "3/2"), "interval end 1: expected an int or a Fraction, got '3/2'"),
         ((False, 1), "interval end 0: expected an int or a Fraction, got False"),
-    ], ids=["float-start", "float-end", "str", "bool"])
+        # (0,) raised IndexError and 5 TypeError; build_graph accepted (0, 1, 2) and
+        # check_lift then passed three ends to the root search
+        ((0,), "interval: expected two ends, got (0,)"),
+        ((0, 1, 2), "interval: expected two ends, got (0, 1, 2)"),
+        (5, "interval: expected two ends, got 5"),
+    ], ids=["float-start", "float-end", "str", "bool", "one", "three", "int"])
 
     @BAD
     def test_check_lift(self, cp2, interval, message):
@@ -799,6 +852,22 @@ class TestWorkGuard:
         P._vertices = NoScan(P._vertices)
         assert check_lift(P, DIAG, DIAG_IV, K11) == default
         assert check_lift(P, [poly(0, 2), poly(0, 1)], (F(0), F(1)), K10).verdict == "reject"
+
+    def test_one_valuation_per_divided_smoothness(self, monkeypatch):
+        # check_endpoint reads each checked coordinate's valuation once, for its rule and its detail
+        calls = []
+        monkeypatch.setattr(criterion, "valuation", lambda p: calls.append(p) or valuation(p))
+        checked = 0
+        for P, gamma, iv, K in [(catalog.cp2(3), DIAG, DIAG_IV, K11), (catalog.cp2(3), DIAG, DIAG_IV, K10),
+                                (catalog.unit_square(), DIAG, (F(0), F(1)), CircleEmbedding((1, -3))),
+                                (catalog.box([2, 1, 1]), [poly(0, 1, 1), poly(0), poly(0)], (F(0), F(1)),
+                                 CircleEmbedding((1, 2, -1)))]:
+            calls.clear()
+            v = check_lift(P, gamma, iv, K)
+            rules = [c for r in v.reports for c in r.conditions if c.condition == "divided_smoothness"]
+            assert len(calls) == len(rules)
+            checked += len(rules)
+        assert checked >= 6
 
     def test_input_checked_once(self, monkeypatch):
         counts = {"_check_coefficients": 0, "_check_input": 0}
