@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactmath import IntVec, int_det, is_int, primitive
+from .exactmath import IntVec, _integer_polys, dot, int_det, is_int, primitive
 from .polytope import HPolytope, Point, PolytopeError, format_point
 
 
@@ -49,11 +49,15 @@ class VertexChart(NamedTuple):
         return tuple(tuple(-x for x in self.polytope.normals[f]) for f in self.active)
 
 
-def _chart(P: HPolytope, o: Point, active: frozenset[int]) -> VertexChart:
-    """Chart at the vertex o with the active facets `active`, from P's record of the vertex.
-    Rejects a vertex that is not simple, or not Delzant: U is unimodular exactly when the
-    walk's D = det A_S is +-1, and U^{-1} is then the negated active normals."""
-    key = tuple(sorted(active))
+def _chart(P: HPolytope, o: Point) -> VertexChart:
+    """Chart at the vertex o, found in P's records by the facets tight at o (the active normals at a
+    vertex have rank n, so no other point has its key).  Rejects any other point, a vertex that is not
+    simple, and one that is not Delzant: U is unimodular exactly when the walk's D = det A_S is +-1."""
+    lam, X = _integer_polys(P.offsets, o)[1]  # over one denominator, so facet i is tight where <a_i, X> = lam_i
+    key = tuple([i for i, a in enumerate(P.normals) if dot(a, X) == lam[i]])
+    o = tuple(map(Fraction, o))
+    if key not in P._edges:
+        raise PolytopeError(f"chart vertex {format_point(o)} is not a vertex of P")
     if len(key) != P.n:
         raise PolytopeError(f"vertex {format_point(o)} is not simple: {len(key)} active facets")
     cols, D = P._edges[key]

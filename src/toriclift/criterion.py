@@ -28,6 +28,7 @@ lists over one positive denominator.
 from __future__ import annotations
 
 from collections import namedtuple
+from contextlib import suppress
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
@@ -41,6 +42,7 @@ from .exactmath import (
     _integer_polys,
     _isolate,
     _shift1,
+    is_int,
     is_rational,
     isolate_root,
     poly_deriv,
@@ -152,15 +154,15 @@ def _check_coefficients(gamma: Curve) -> None:
 
 
 def _check_input(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmbedding,
-                 chart_vertices: _ChartVertices, caller: str) -> list[Optional[VertexChart]]:
+                 chart_vertices: _ChartVertices, caller: str) -> tuple[Interval, list[Optional[VertexChart]]]:
     """The entry gate of `build_graph` and `check_lift`: ValueError for the interval, the number of chart
     vertices, a given one's coordinates, the lengths and the curve, in this order, then PolytopeError unless
-    each given chart vertex is a simple Delzant vertex of P.  Returns each endpoint's chart, or None."""
+    each given chart vertex is a simple Delzant vertex of P.  Returns (a, b) and each endpoint's chart or None."""
     try:
         a, b = interval
     except (TypeError, ValueError):
         raise ValueError(f"{caller}: interval: expected two ends, got {interval!r}") from None
-    for k, x in enumerate(interval):
+    for k, x in enumerate((a, b)):
         if not is_rational(x):
             raise ValueError(f"{caller}: interval end {k}: expected an int or a Fraction, got {x!r}")
     if not a < b:
@@ -172,7 +174,7 @@ def _check_input(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleE
                          f"got {chart_vertices!r}") from None
     if count != 2:
         raise ValueError(f"{caller}: chart_vertices: expected two entries, got {count}")
-    points, given = list(chart_vertices), []  # each given entry read once, as a tuple
+    points = list(chart_vertices)  # each given entry read once, as a tuple
     for ep, o in enumerate(points):
         if o is not None:
             try:
@@ -180,18 +182,14 @@ def _check_input(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleE
             except TypeError:
                 raise ValueError(f"{caller}: chart_vertices[{ep}]: expected a point or None, got {o!r}") from None
             _check_point(o, f"{caller}: chart_vertices[{ep}]")
-            given.append(o)
     wrong = [f"{name} has length {len(x)}" for name, x in (("the curve", gamma), ("the circle", circle.K))
              if len(x) != P.n]
-    wrong += [f"chart vertex {format_point(o)} has length {len(o)}" for o in given if len(o) != P.n]
+    wrong += [f"chart vertex {format_point(o)} has length {len(o)}" for o in points
+              if o is not None and len(o) != P.n]
     if wrong:
         raise ValueError(f"the polytope has dimension {P.n}, but {' and '.join(wrong)}")
     _check_coefficients(gamma)
-    records = {r[0]: r for r in P._vertices} if given else {}  # an int point finds its Fractions
-    for o in given:
-        if o not in records:
-            raise PolytopeError(f"chart vertex {format_point(o)} is not a vertex of P")
-    return [None if o is None else _chart(P, *records[o]) for o in points]
+    return (a, b), [None if o is None else _chart(P, o) for o in points]
 
 
 def _map(P: HPolytope, gamma: Curve, interval: Interval) -> Mapped:
@@ -226,19 +224,20 @@ def build_graph(P: HPolytope, gamma: Curve, interval: Interval, endpoint: int,
                 circle: CircleEmbedding, chart_vertices: _ChartVertices = (None, None)) -> CurveGraph:
     """Write the curve near one endpoint as chart polynomials.
 
-    endpoint 0 analyzes s = a, endpoint 1 analyzes s = b; tau runs into
-    the domain.  Raises GraphBuildReject for criterion-level failures
-    (endpoint outside the polytope or interior to it, singular
-    parametrisation, tangent parallel to the face, curve exiting the chart
-    cone) and PolytopeError/ValueError for malformed input: the endpoint and
-    `_check_input`, which checks both of `check_lift`'s chart vertices, before
-    the curve is read, then the chart's vertex, given or default, which must
-    be a simple Delzant vertex of the endpoint's face.
+    endpoint 0 analyzes s = a, endpoint 1 analyzes s = b; tau runs into the domain.  Raises
+    GraphBuildReject for criterion-level failures (endpoint outside P or interior to it, singular
+    parametrisation, tangent parallel to the face, curve exiting the chart cone), and PolytopeError or
+    ValueError for the endpoint and for what `check_lift` refuses: `_check_input`, then each endpoint's
+    chart vertex, given or default, which must be a simple Delzant vertex of that endpoint's face (the
+    other endpoint's is built first, and only its GraphBuildReject is dropped).
     """
-    if endpoint not in (0, 1):
+    if not is_int(endpoint) or endpoint not in (0, 1):
         raise ValueError(f"build_graph: endpoint must be 0 or 1, got {endpoint!r}")
-    charts = _check_input(P, gamma, interval, circle, chart_vertices, "build_graph")
-    return _graph(P, _map(P, gamma, interval), endpoint, circle, charts[endpoint])
+    interval, charts = _check_input(P, gamma, interval, circle, chart_vertices, "build_graph")
+    m = _map(P, gamma, interval)
+    with suppress(GraphBuildReject):
+        _graph(P, m, 1 - endpoint, circle, charts[1 - endpoint])
+    return _graph(P, m, endpoint, circle, charts[endpoint])
 
 
 def _graph(P: HPolytope, m: Mapped, endpoint: int, circle: CircleEmbedding,
@@ -258,7 +257,7 @@ def _graph(P: HPolytope, m: Mapped, endpoint: int, circle: CircleEmbedding,
         raise PolytopeError(f"chart vertex {format_point(given.vertex)} is not a vertex of the endpoint face")
     chart = given or P._endpoint_charts.get(tight)
     if chart is None:
-        chart = P._endpoint_charts[tight] = _chart(P, *next(r for r in P._vertices if r[1] >= tight))
+        chart = P._endpoint_charts[tight] = _chart(P, next(v for v, act in P._vertices if act >= tight))
     active, n = chart.active, P.n
 
     # chart coordinate j is the slack of active facet j along gamma(e +- tau), in u = tau/w:
@@ -428,7 +427,7 @@ def check_lift(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleEmb
     The curve is then mapped onto (0, 1) once (`_map`), and its facet slacks
     serve the interior check and both endpoint graphs alike.
     """
-    charts = _check_input(P, gamma, interval, circle, chart_vertices, "check_lift")
+    interval, charts = _check_input(P, gamma, interval, circle, chart_vertices, "check_lift")
     m = _map(P, gamma, interval)  # m.G = D*gamma is transversal exactly where gamma is
     reports = [_interior(m.a, m.w, m.S), _transversality(m.G, circle, interval)]
     for ep in (0, 1):

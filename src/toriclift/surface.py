@@ -24,6 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .criterion import CurveGraph
+from .exactmath import is_int
 
 
 class SamplerError(ValueError):
@@ -306,8 +307,8 @@ def export_mesh(sample: SurfaceSample, fmt: str, path,
                                 sample.points.reshape(nx * nt, dim)])
         blocks = itertools.chain([header.encode()], _g17_lines(rows, "", ","))
     elif fmt == "obj":
-        if any(i < 0 or i >= dim for i in project) or len(project) != 3:
-            raise SamplerError(f"projection {project} out of range for dimension {dim}")
+        if len(project) != 3 or not all(is_int(i) and 0 <= i < dim for i in project):
+            raise SamplerError(f"projection {project}: expected three integers in 0..{dim - 1}")
         if nt < 3:
             raise SamplerError(f"OBJ export needs nt >= 3, got nt = {nt}")
         verts = sample.points[:, :, list(project)].reshape(nx * nt, 3)

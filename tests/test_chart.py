@@ -33,7 +33,7 @@ DELZANT = [name for name, P in POLYTOPES.items() if validate_delzant(P).ok]
 
 def vertex_chart(P, v):
     """The chart at the vertex v, built by `_chart` from P's record of v."""
-    return chart._chart(P, *next(r for r in P._vertices if r[0] == tuple(v)))
+    return chart._chart(P, tuple(v))
 
 
 def to_chart(chart, p):
@@ -98,8 +98,9 @@ class TestMakeChart:
         ch = vertex_chart(cp2, (F(3), F(0)))
         assert set(ch.columns) == {(-1, 1), (-1, 0)}
 
-    # a chart vertex is given only through the criterion, which finds it among the vertex
-    # records of the endpoint's face: a point that is no such vertex is malformed input
+    # a chart vertex is given only through the criterion, which finds its vertex record by the
+    # facets tight at it and checks that it lies on the endpoint's face: a point that is no such
+    # vertex is malformed input
     EDGE_START = [[1, 1], [0, 1]]  # from (1, 0) on the edge y = 0, whose vertices are (0, 0) and (3, 0)
     OUTSIDE_START = [[-1, 1], [0, 1]]  # from (-1, 0), outside P: no endpoint face to look in
     NOT_A_VERTEX = "is not a vertex of P"
@@ -176,11 +177,29 @@ class TestMakeChart:
                 check_lift(cp2, self.EDGE_START, (0, 1), CircleEmbedding((1, 1)), (o, None))
 
     def test_non_simple_vertex_rejected(self):
-        # |x| + |y| + |z| <= 1: four facets meet at every vertex
+        # |x| + |y| + |z| <= 1: four facets meet at every vertex, given in Fractions or ints
         octahedron = HPolytope(3, list(itertools.product((1, -1), repeat=3)), [1] * 8)
-        with pytest.raises(PolytopeError,
-                           match=re.escape("vertex (1, 0, 0) is not simple: 4 active facets")):
-            vertex_chart(octahedron, (F(1), F(0), F(0)))
+        for o in ((F(1), F(0), F(0)), (0, 0, -1)):
+            with pytest.raises(PolytopeError,
+                               match=f"^{re.escape(f'vertex {format_point(o)} is not simple: 4 active facets')}$"):
+                vertex_chart(octahedron, o)
+
+    def test_int_point_gives_the_fraction_chart(self, cp2):
+        # the point finds its record by the facets tight at it, so its ints and its Fractions
+        # give one chart, which keeps the vertex as Fractions
+        for o in ((0, 0), (3, 0), (0, 3)):
+            ints, fractions = chart._chart(cp2, o), chart._chart(cp2, tuple(map(F, o)))
+            assert ints == fractions and repr(ints) == repr(fractions)
+            assert ints.vertex == o and all(type(x) is F for x in ints.vertex)
+
+    @pytest.mark.parametrize("name,o", [("cp2", (1, 0)), ("cp2", (4, 0)), ("cp2", (F(1, 2), F(1, 2))),
+                                        ("cp2", (-1, -1)), ("hirzebruch", (0, 2))],
+                             ids=["edge", "outside", "inside", "outside-none-tight", "two-facets-outside"])
+    def test_point_that_is_no_vertex(self, request, name, o):
+        # no facet key of a vertex: a point inside an edge, inside P or outside it, and (0, 2),
+        # where the hirzebruch facets x = 0 and x + y = 2 meet outside P
+        with pytest.raises(PolytopeError, match=f"^{re.escape(f'chart vertex {format_point(o)} {self.NOT_A_VERTEX}')}$"):
+            chart._chart(request.getfixturevalue(name), o)
 
     def test_memo_read_with_int_coordinates(self):
         # a given chart vertex in ints finds the same chart as its Fractions and as the

@@ -111,10 +111,24 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(cp2, DIAG, (F(1), F(1)), 0, K11)
 
-    @pytest.mark.parametrize("endpoint", [-1, 2, 5])
+    # True analysed s = b, as True in (0, 1): a bool or a float is no endpoint index
+    @pytest.mark.parametrize("endpoint", [-1, 2, 5, True, False, 0.0, 1.0])
     def test_endpoint_index_rejected(self, cp2, endpoint):
-        with pytest.raises(ValueError, match=f"^build_graph: endpoint must be 0 or 1, got {endpoint}$"):
+        with pytest.raises(ValueError, match=f"^build_graph: endpoint must be 0 or 1, got {re.escape(repr(endpoint))}$"):
             build_graph(cp2, DIAG, DIAG_IV, endpoint, K11)
+
+    @pytest.mark.parametrize("polytope,gamma,charts,message", [
+        ("cp2", [poly(0, 3), poly(0)], (None, (0, 3)), "chart vertex (0, 3) is not a vertex of the endpoint face"),
+        ("bad_triangle", [poly(0, 1), poly(0)], (None, None), "vertex (1, 0) is not Delzant: |det U| = 2"),
+    ], ids=["given-off-the-face", "default-not-delzant"])
+    def test_chart_at_the_other_endpoint_checked(self, request, polytope, gamma, charts, message):
+        # the chart at s = 1 is malformed: build_graph raises check_lift's error at either
+        # endpoint, where endpoint 0 returned a graph
+        P, K = request.getfixturevalue(polytope), CircleEmbedding((0, 1))
+        for entry, args in ((check_lift, (P, gamma, (0, 1), K, charts)),
+                            *((build_graph, (P, gamma, (0, 1), ep, K, charts)) for ep in (0, 1))):
+            with pytest.raises(PolytopeError, match=f"^{re.escape(message)}$"):
+                entry(*args)
 
     def test_singular_parametrization_rejected(self, cp2):
         # at the vertex 0, and at (1, 0), where gamma(a) is not zero but gamma'(a) is
@@ -575,6 +589,13 @@ class TestIntervalTypes:
         with pytest.raises(ValueError, match=f"^build_graph: {re.escape(message)}$"):
             build_graph(cp2, DIAG, interval, 0, K11)
 
+    @pytest.mark.parametrize("make", [iter, lambda p: (x for x in p)], ids=["iterator", "generator"])
+    def test_interval_read_once(self, cp2, make):
+        # the gate hands on the ends it unpacked, where _map read the spent iterator again
+        assert check_lift(cp2, DIAG, make(DIAG_IV), K11) == check_lift(cp2, DIAG, DIAG_IV, K11)
+        for ep in (0, 1):
+            assert build_graph(cp2, DIAG, make(DIAG_IV), ep, K11) == build_graph(cp2, DIAG, DIAG_IV, ep, K11)
+
     def test_int_ends_read_as_fractions(self, cp2):
         assert check_lift(cp2, DIAG, (0, F(3, 2)), K11) == check_lift(cp2, DIAG, DIAG_IV, K11)
         graph = build_graph(cp2, DIAG, (0, F(3, 2)), 0, K11)
@@ -852,6 +873,16 @@ class TestWorkGuard:
         P._vertices = NoScan(P._vertices)
         assert check_lift(P, DIAG, DIAG_IV, K11) == default
         assert check_lift(P, [poly(0, 2), poly(0, 1)], (F(0), F(1)), K10).verdict == "reject"
+
+    def test_given_chart_vertex_scans_no_vertex_record(self):
+        # a given chart vertex finds its record by the facets tight at it: on box([1] * 10),
+        # once the default charts are kept, check_lift iterates none of the 1 024 records
+        P, K = catalog.box([1] * 10), CircleEmbedding(range(1, 11))
+        gamma, iv = [poly(0, 1)] * 5 + [poly(0, 1, -1)] * 5, (F(0), F(1))
+        given = [((0,) * 10, None), (None, (1,) * 5 + (0,) * 5), ((0,) * 10, (1,) * 5 + (0,) * 5)]
+        verdicts = [check_lift(P, gamma, iv, K, charts) for charts in given]
+        P._vertices = NoScan(P._vertices)
+        assert [check_lift(P, gamma, iv, K, charts) for charts in given] == verdicts
 
     def test_one_valuation_per_divided_smoothness(self, monkeypatch):
         # check_endpoint reads each checked coordinate's valuation once, for its rule and its detail

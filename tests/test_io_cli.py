@@ -553,6 +553,24 @@ class TestCli:
             assert capsys.readouterr() == ("", "error: chart vertex (7, 7) is not a vertex of P\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("polytope,coords,endpoints,message", [
+        ("cp2_3", [["0", "3"], ["0"]], [None, {"chart_vertex": ["0", "3"]}],
+         "chart vertex (0, 3) is not a vertex of the endpoint face"),
+        ("non_delzant_triangle", [["0", "1"], ["0"]], [None, None], "vertex (1, 0) is not Delzant: |det U| = 2"),
+    ], ids=["given-off-the-face", "default-not-delzant"])
+    def test_chart_at_the_other_endpoint_checked(self, tmp_path, capsys, polytope, coords, endpoints, message):
+        # the chart at s = 1 is malformed: lift-check and sample at either endpoint exit 3 with
+        # one message, where sample at endpoint 0 wrote a mesh and exited 0
+        P = os.path.join(DATA, f"{polytope}.json")
+        curve = write_json(tmp_path, "curve.json", {"coords": coords, "domain": ["0", "1"],
+                                                    "circle": [0, 1], "endpoints": endpoints})
+        out = tmp_path / "mesh.csv"
+        for argv in (["lift-check", P, curve],
+                     *(["sample", P, curve, "--endpoint", e, "--nt", "4", "--out", str(out)] for e in "01")):
+            assert main(argv) == 3
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_equiv_non_simple_vertex_message(self, tmp_path, capsys):
         octahedron = write_json(tmp_path, "octahedron.json", {"n": 3, "facets": [
             {"normal": list(a), "offset": "1"} for a in itertools.product((1, -1), repeat=3)]})

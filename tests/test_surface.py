@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -582,6 +583,14 @@ class TestExport:
         s = sample_surface(disc_graph, 3, 3)
         with pytest.raises(SamplerError):
             export_mesh(s, "obj", tmp_path / "x.obj", project=(0, 1, 9))
+
+    @pytest.mark.parametrize("project", [(True, 0, 2), (0.0, 1, 2), (0, 1, 4)], ids=["bool", "float", "dim"])
+    def test_projection_entry_rejected(self, disc_graph, tmp_path, project):
+        # True was read as coordinate 1, and 0.0 raised numpy's IndexError; the points have 4 coordinates
+        s = sample_surface(disc_graph, 3, 3)
+        with pytest.raises(SamplerError, match=re.escape(f"projection {project}: expected three integers in 0..3")):
+            export_mesh(s, "obj", tmp_path / "x.obj", project=project)
+        assert not (tmp_path / "x.obj").exists()
 
     def test_unknown_format_rejected(self, disc_graph, tmp_path):
         s = sample_surface(disc_graph, 3, 3)
