@@ -11,9 +11,9 @@ fills the nonnegative orthant.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .exactmath import IntVec, _integer_polys, dot, int_det, is_int, primitive
+from .exactmath import IntVec, int_det, is_int, primitive
 from .polytope import HPolytope, Point, PolytopeError, format_point
 
 
@@ -49,12 +49,11 @@ class VertexChart(NamedTuple):
         return tuple(tuple(-x for x in self.polytope.normals[f]) for f in self.active)
 
 
-def _chart(P: HPolytope, o: Point) -> VertexChart:
-    """Chart at the vertex o, found in P's records by the facets tight at o (the active normals at a
-    vertex have rank n, so no other point has its key).  Rejects any other point, a vertex that is not
+def _chart(P: HPolytope, o: Point, active: Optional[frozenset[int]]) -> VertexChart:
+    """Chart at the vertex o, found in P's records by the facets tight at o, `active` (`polytope._tight`,
+    None outside P): no other point has a vertex's key.  Rejects any other point, a vertex that is not
     simple, and one that is not Delzant: U is unimodular exactly when the walk's D = det A_S is +-1."""
-    lam, X = _integer_polys(P.offsets, o)[1]  # over one denominator, so facet i is tight where <a_i, X> = lam_i
-    key = tuple([i for i, a in enumerate(P.normals) if dot(a, X) == lam[i]])
+    key = active and tuple(sorted(active))
     o = tuple(map(Fraction, o))
     if key not in P._edges:
         raise PolytopeError(f"chart vertex {format_point(o)} is not a vertex of P")

@@ -48,7 +48,7 @@ from .exactmath import (
     poly_deriv,
     poly_trim,
 )
-from .polytope import HPolytope, PolytopeError, format_point
+from .polytope import HPolytope, PolytopeError, _tight, format_point
 
 Curve = list[RatPoly]  # one coefficient list per ambient coordinate
 Interval = tuple[Fraction, Fraction]
@@ -189,7 +189,7 @@ def _check_input(P: HPolytope, gamma: Curve, interval: Interval, circle: CircleE
     if wrong:
         raise ValueError(f"the polytope has dimension {P.n}, but {' and '.join(wrong)}")
     _check_coefficients(gamma)
-    return (a, b), [None if o is None else _chart(P, o) for o in points]
+    return (a, b), [None if o is None else _chart(P, o, _tight(P, o)) for o in points]
 
 
 def _map(P: HPolytope, gamma: Curve, interval: Interval) -> Mapped:
@@ -257,7 +257,7 @@ def _graph(P: HPolytope, m: Mapped, endpoint: int, circle: CircleEmbedding,
         raise PolytopeError(f"chart vertex {format_point(given.vertex)} is not a vertex of the endpoint face")
     chart = given or P._endpoint_charts.get(tight)
     if chart is None:
-        chart = P._endpoint_charts[tight] = _chart(P, next(v for v, act in P._vertices if act >= tight))
+        chart = P._endpoint_charts[tight] = _chart(P, *next(rec for rec in P._vertices if rec[1] >= tight))
     active, n = chart.active, P.n
 
     # chart coordinate j is the slack of active facet j along gamma(e +- tau), in u = tau/w:

@@ -17,8 +17,8 @@ every normal, as lrs updates its dictionary (Avis, "lrs: a revised
 implementation of the reverse search vertex enumeration algorithm",
 2000); any other vertex takes a kernel per (n-1)-subset of its facets.
 The Delzant and quasitoric checks read the keys from the table, with no
-sort.  A point question scans the vertex records for the point or for
-the active sets that contain the facets tight at it; `face_lattice` builds
+sort.  A point question scans the vertex records for the active sets that
+hold the facets tight at it, which integer slacks give; `face_lattice` builds
 every face per call, on a simple polytope as the subsets of the vertex
 keys, a face with k facets of dimension n - k, else as the intersections
 of the vertex active sets with a rank for each.
@@ -462,16 +462,21 @@ def validate_quasitoric(P: HPolytope, facet_vectors: Sequence[Sequence[int]],
     return QuasitoricReport(ok, tuple(dets))
 
 
+def _tight(P: HPolytope, r: Sequence[Fraction]) -> Optional[frozenset[int]]:
+    """The facets tight at the point r, or None outside P, by the slacks over one denominator."""
+    lam, X = _integer_polys(P.offsets, r)[1]
+    slacks = [x - dot(a, X) for a, x in zip(P.normals, lam)]
+    return None if min(slacks) < 0 else frozenset([i for i, s in enumerate(slacks) if not s])
+
+
 def minimal_face(P: HPolytope, r: Sequence[Fraction]) -> Face:
     """The face containing r in its relative interior: its active set is the facets tight at r."""
     if len(r) != P.n:
         raise PolytopeError(f"r has length {len(r)}, the polytope has dimension {P.n}")
     _check_point(r, "r")
-    r = tuple(Fraction(x) for x in r)
-    slacks = [lam - dot(r, a) for a, lam in zip(P.normals, P.offsets)]
-    if any(s < 0 for s in slacks):
+    if (active := _tight(P, r)) is None:
         raise PolytopeError(f"point {format_point(r)} outside the polytope")
-    return _face(P, frozenset(i for i, s in enumerate(slacks) if s == 0))
+    return _face(P, active)
 
 
 def characteristic_subtorus(P: HPolytope, F: Face) -> tuple[IntVec, ...]:
@@ -493,13 +498,18 @@ def characteristic_subtorus(P: HPolytope, F: Face) -> tuple[IntVec, ...]:
 
 
 def in_subtorus(gens: Sequence[IntVec], delta: Sequence[Fraction], n: int) -> bool:
-    """Is delta (mod Z^n) in the subtorus spanned by the generator columns?
+    """Is delta (mod Z^n) in the subtorus spanned by the generator columns?  All have n exact entries.
 
     Decides existence of real phi and integer m with delta = G phi + m.
     The rows of a Z-basis C of the left kernel of G cut out span_R(G), and
     C extends to a unimodular matrix, so C maps Z^n onto Z^k: the condition
     is C delta in C Z^n = Z^k, that is, C delta is integral.
     """
+    wrong = [f"generator {tuple(g)} of length {len(g)}" for g in gens if len(g) != n or not all(map(is_int, g))]
+    if wrong or len(delta) != n:
+        raise ValueError(f"in_subtorus: expected {n} integers in each generator and {n} coordinates in delta, "
+                         f"got {wrong[0] if wrong else f'delta of length {len(delta)}'}")
+    _check_point(delta, "in_subtorus: delta")
     return all(dot(c, delta).denominator == 1 for c in _kernel(gens, n))
 
 
@@ -516,11 +526,8 @@ def points_equivalent(P: HPolytope, tp1: tuple[Sequence[Fraction], Sequence[Frac
         if len(x) != P.n:
             raise PolytopeError(f"{name} has length {len(x)}, the polytope has dimension {P.n}")
         _check_point(x, name)
-    r1 = tuple(Fraction(x) for x in r1)
-    r2 = tuple(Fraction(x) for x in r2)
     F = minimal_face(P, r1)  # each minimal_face raises PolytopeError for a point outside P
-    if r1 != r2:
+    if tuple(r1) != tuple(r2):
         minimal_face(P, r2)
         return False
-    delta = tuple(Fraction(a) - Fraction(b) for a, b in zip(t1, t2))
-    return in_subtorus(characteristic_subtorus(P, F), delta, P.n)
+    return in_subtorus(characteristic_subtorus(P, F), [a - b for a, b in zip(t1, t2)], P.n)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import CATALOG, chart_polys
-from toriclift import catalog, chart, exactmath
+from toriclift import catalog, chart, criterion, exactmath, polytope
 from toriclift.chart import CircleEmbedding, from_chart
 from toriclift.criterion import GraphBuildReject, build_graph, check_lift
 from toriclift.exactmath import dot, poly_add, poly_compose_linear, poly_scale, poly_sub
@@ -32,8 +32,8 @@ DELZANT = [name for name, P in POLYTOPES.items() if validate_delzant(P).ok]
 
 
 def vertex_chart(P, v):
-    """The chart at the vertex v, built by `_chart` from P's record of v."""
-    return chart._chart(P, tuple(v))
+    """The chart at the vertex v, built by `_chart` from the facets tight at v."""
+    return chart._chart(P, tuple(v), polytope._tight(P, v))
 
 
 def to_chart(chart, p):
@@ -188,7 +188,7 @@ class TestMakeChart:
         # the point finds its record by the facets tight at it, so its ints and its Fractions
         # give one chart, which keeps the vertex as Fractions
         for o in ((0, 0), (3, 0), (0, 3)):
-            ints, fractions = chart._chart(cp2, o), chart._chart(cp2, tuple(map(F, o)))
+            ints, fractions = vertex_chart(cp2, o), vertex_chart(cp2, tuple(map(F, o)))
             assert ints == fractions and repr(ints) == repr(fractions)
             assert ints.vertex == o and all(type(x) is F for x in ints.vertex)
 
@@ -199,7 +199,26 @@ class TestMakeChart:
         # no facet key of a vertex: a point inside an edge, inside P or outside it, and (0, 2),
         # where the hirzebruch facets x = 0 and x + y = 2 meet outside P
         with pytest.raises(PolytopeError, match=f"^{re.escape(f'chart vertex {format_point(o)} {self.NOT_A_VERTEX}')}$"):
-            chart._chart(request.getfixturevalue(name), o)
+            vertex_chart(request.getfixturevalue(name), o)
+
+    def test_default_chart_takes_no_slack(self, monkeypatch):
+        # a default chart is read from the vertex record that holds the endpoint's tight facets, so
+        # it takes no facet slack at its vertex; a given chart vertex takes them, once
+        gamma, K = [[0, 1]] * 4, CircleEmbedding((1, 0, 0, 0))  # from the corner 0 to the corner 1
+        expected = check_lift(catalog.box([1] * 4), gamma, (0, 1), K).to_dict()
+        points = []
+
+        def refuse(P, r):
+            points.append(r)
+            raise AssertionError("slacks taken at a point")
+        monkeypatch.setattr(polytope, "_tight", refuse)
+        monkeypatch.setattr(criterion, "_tight", refuse)
+        P = catalog.box([1] * 4)
+        assert not P._endpoint_charts and check_lift(P, gamma, (0, 1), K).to_dict() == expected
+        assert not points and len(P._endpoint_charts) == 2
+        with pytest.raises(AssertionError, match="slacks taken at a point"):
+            check_lift(P, gamma, (0, 1), K, (None, (1, 1, 1, 1)))
+        assert points == [(1, 1, 1, 1)]
 
     def test_memo_read_with_int_coordinates(self):
         # a given chart vertex in ints finds the same chart as its Fractions and as the

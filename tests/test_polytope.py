@@ -24,6 +24,8 @@ from toriclift.polytope import (
     edge_vectors_at_vertex,
     enumerate_vertices,
     face_lattice,
+    format_point,
+    in_subtorus,
     minimal_face,
     points_equivalent,
     validate_delzant,
@@ -1201,6 +1203,97 @@ class TestMinimalFace:
             minimal_face(cp2, (F(0), F(4)))  # tight at facet 0, past facet 2
 
 
+class TestTight:
+    """`_tight`, the one rule for the facets tight at a point, which minimal_face and a given chart vertex share."""
+
+    BOX = catalog.box([2, 1, F(3, 2)])  # facets 2i: x_i >= 0, 2i + 1: x_i <= L_i
+    SEGMENT = HPolytope(1, ((-1,), (1,)), (0, F(5, 2)))
+    TABLE = [
+        ("cp2", (0, 0), {0, 1}), ("cp2", (3, 0), {1, 2}), ("cp2", (1, 0), {1}), ("cp2", (F(3, 2), F(3, 2)), {2}),
+        ("cp2", (1, 1), set()), ("cp2", (0, 4), None), ("cp2", (-1, 0), None), ("cp2", (F(1, 3), F(-1, 5)), None),
+        ("box", (2, 1, 0), {1, 3, 4}), ("box", (1, 0, 0), {2, 4}), ("box", (1, F(1, 2), 0), {4}),
+        ("box", (2, F(1, 2), F(3, 4)), {1}), ("box", (1, F(1, 2), F(3, 4)), set()), ("box", (0, 2, 0), None),
+        ("box", (F(5, 2), 0, F(3, 2)), None), ("segment", (0,), {0}), ("segment", (F(5, 2),), {1}),
+        ("segment", (1,), set()), ("segment", (3,), None), ("segment", (F(-1, 2),), None),
+    ]
+
+    @pytest.mark.parametrize("name,r,expected", TABLE, ids=[f"{n}-{format_point(r)}" for n, r, _ in TABLE])
+    def test_table(self, cp2, name, r, expected):
+        # a vertex, an edge, a facet, the interior, one slack negative beside one at zero (cp2 (0, 4),
+        # box (0, 2, 0)), a segment; ints and Fractions give one answer
+        P = {"cp2": cp2, "box": self.BOX, "segment": self.SEGMENT}[name]
+        want = None if expected is None else frozenset(expected)
+        assert polytope._tight(P, r) == want
+        assert polytope._tight(P, tuple(map(F, r))) == want and polytope._tight(P, list(r)) == want
+
+    def test_vertex_gives_its_active_set(self, cp2):
+        for P in (cp2, self.BOX, self.SEGMENT, catalog.hirzebruch(), octahedron()):
+            for v, act in enumerate_vertices(P):
+                assert polytope._tight(P, v) == act
+                if all(x.denominator == 1 for x in v):
+                    assert polytope._tight(P, tuple(map(int, v))) == act
+
+
+class TestMinimalFaceOracle:
+    """minimal_face against the facet slacks taken in Fractions, one at a time, on a 10-cube."""
+
+    @staticmethod
+    def oracle(P, r):
+        slacks = [lam - sum(F(x) * y for x, y in zip(r, a)) for a, lam in zip(P.normals, P.offsets)]
+        if min(slacks) < 0:
+            return None
+        active = frozenset(i for i, s in enumerate(slacks) if s == 0)
+        return active, P.n - len(active), tuple(v for v, act in enumerate_vertices(P) if act >= active)
+
+    @pytest.mark.parametrize("r", [(1,) * 10, (F(1, 2),) * 10, (0,) + (F(1, 2),) * 9, (F(1, 3), 1) + (0,) * 8],
+                             ids=["far-corner", "centre", "one-facet", "face"])
+    def test_box10(self, r):
+        P = catalog.box([1] * 10)
+        f = minimal_face(P, r)
+        assert (f.active, f.dim, f.vertices) == self.oracle(P, r)
+        assert minimal_face(P, tuple(map(F, r))) == f
+
+    @pytest.mark.parametrize("r", [(2,) + (F(1, 2),) * 9, (F(1, 2),) * 9 + (F(-1, 7),), (1,) * 9 + (F(11, 10),)])
+    def test_outside_names_the_point(self, r):
+        P = catalog.box([1] * 10)
+        assert self.oracle(P, r) is None
+        for form in (r, tuple(map(F, r)), list(r)):
+            with pytest.raises(PolytopeError, match=f"^{re.escape(f'point {format_point(r)} outside the polytope')}$"):
+                minimal_face(P, form)
+
+
+class TestInSubtorus:
+    """in_subtorus names a malformed generator or delta: a float or a bool is no integer entry."""
+
+    @pytest.mark.parametrize("gens,delta,message", [
+        (((1.5, 0),), (F(1, 2), 0), "got generator (1.5, 0) of length 2"),
+        (((True, 0),), (F(1, 2), 0), "got generator (True, 0) of length 2"),
+        (((1, 0), (F(1), 1)), (0, 0), "got generator (Fraction(1, 1), 1) of length 2"),
+        (((1, 0, 0),), (0, 0), "got generator (1, 0, 0) of length 3"),
+        (((1, 0),), (0, 0, 0), "got delta of length 3"),
+        ((), (F(1, 2),), "got delta of length 1"),
+    ], ids=["float", "bool", "fraction", "generator-length", "delta-length", "no-generators-delta-length"])
+    def test_bad_shape_or_entry(self, gens, delta, message):
+        with pytest.raises(ValueError, match=f"^in_subtorus: expected 2 integers in each generator and 2 "
+                                             f"coordinates in delta, {re.escape(message)}$"):
+            in_subtorus(gens, delta, 2)
+
+    @pytest.mark.parametrize("delta,k", [((0.5, 0), 1), ((0, True), 2), ((F(1, 2), None), 2)])
+    def test_delta_coordinate_named(self, delta, k):
+        for gens in ((), ((1, 0),)):
+            with pytest.raises(ValueError, match=f"^in_subtorus: delta, coordinate {k}: expected an int or a "
+                                                 f"Fraction, got {re.escape(repr(delta[k - 1]))}$"):
+                in_subtorus(gens, delta, 2)
+
+    def test_answers(self):
+        # the subtorus of (1, 0) holds every shift along x, and a y shift only by an integer
+        assert in_subtorus(((1, 0),), (F(1, 2), 0), 2) and in_subtorus(((1, 0),), (F(1, 3), 5), 2)
+        assert not in_subtorus(((1, 0),), (0, F(1, 2)), 2)
+        assert in_subtorus((), (1, -2), 2) and not in_subtorus((), (F(1, 2), 0), 2)
+        assert in_subtorus(((1, 0), (0, 1)), (F(1, 7), F(2, 9)), 2)
+        assert in_subtorus(((1, 1),), (F(1, 4), F(5, 4)), 2) and not in_subtorus(((1, 1),), (F(1, 4), F(1, 2)), 2)
+
+
 class TestCharacteristicSubtorus:
     def test_facet_circle(self, cp2):
         f = minimal_face(cp2, (F(3, 2), F(3, 2)))  # facet with normal (1,1)
@@ -1252,6 +1345,20 @@ class TestPointsEquivalent:
     def test_different_base_points(self, cp2):
         t = (F(0), F(0))
         assert not points_equivalent(cp2, ((t), (F(1), F(1))), ((t), (F(1), F(2))))
+
+    @pytest.mark.parametrize("t2,r", [((F(1, 4), F(1, 10)), (1, 0)), ((F(9, 10), F(7, 10)), (1, 0)),
+                                      ((F(5, 6), F(1, 2)), (0, 0)), ((F(1, 2), F(1, 3)), (1, 1))])
+    def test_point_types(self, cp2, t2, r):
+        # a list and an equal tuple, in ints or Fractions, are one point, and give the two-tuple answer
+        t1 = (F(1, 4), F(7, 10))
+        want = points_equivalent(cp2, (t1, tuple(map(F, r))), (t2, tuple(map(F, r))))
+        for r1, r2 in ((list(r), tuple(r)), (list(map(F, r)), r), (tuple(r), list(map(F, r)))):
+            assert points_equivalent(cp2, (t1, r1), (t2, r2)) is want
+            assert points_equivalent(cp2, (list(t1), r2), (list(t2), r1)) is want
+        # unequal points are never equivalent, whatever their types
+        other = (r[0], r[1] + F(1, 2))
+        for r1, r2 in ((list(r), other), (r, list(other)), (list(other), tuple(map(F, r)))):
+            assert points_equivalent(cp2, (t1, r1), (t1, r2)) is False
 
     @pytest.mark.parametrize("r1,r2", [((5, 5), (1, 0)), ((1, 0), (5, 5)), ((1, 0), (-1, 0))])
     def test_outside_rejected(self, cp2, r1, r2):
