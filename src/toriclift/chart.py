@@ -50,9 +50,9 @@ class VertexChart(NamedTuple):
 
 
 def _chart(P: HPolytope, o: Point, active: Optional[frozenset[int]]) -> VertexChart:
-    """Chart at the vertex o, found in P's records by the facets tight at o, `active` (`polytope._tight`,
-    None outside P): no other point has a vertex's key.  Rejects any other point, a vertex that is not
-    simple, and one that is not Delzant: U is unimodular exactly when the walk's D = det A_S is +-1."""
+    """Chart at the vertex o, found in P's records by `active`, the facets tight at o (None outside P): the
+    active normals at a vertex have rank n, so no other point has its key.  Rejects any other point, a vertex
+    that is not simple, and one that is not Delzant: U is unimodular exactly when the walk's D = det A_S is +-1."""
     key = active and tuple(sorted(active))
     o = tuple(map(Fraction, o))
     if key not in P._edges:

@@ -498,7 +498,7 @@ def characteristic_subtorus(P: HPolytope, F: Face) -> tuple[IntVec, ...]:
 
 
 def in_subtorus(gens: Sequence[IntVec], delta: Sequence[Fraction], n: int) -> bool:
-    """Is delta (mod Z^n) in the subtorus spanned by the generator columns?  All have n exact entries.
+    """Is delta (mod Z^n) in the subtorus spanned by the integer generator columns?  Each has n entries.
 
     Decides existence of real phi and integer m with delta = G phi + m.
     The rows of a Z-basis C of the left kernel of G cut out span_R(G), and

@@ -1202,6 +1202,31 @@ class TestMinimalFace:
         with pytest.raises(PolytopeError, match="outside the polytope"):
             minimal_face(cp2, (F(0), F(4)))  # tight at facet 0, past facet 2
 
+    @staticmethod
+    def oracle(P, r):
+        """(active set, dimension, vertices) of the face at r, by the slacks in Fractions, one at a time."""
+        slacks = [lam - sum(F(x) * y for x, y in zip(r, a)) for a, lam in zip(P.normals, P.offsets)]
+        if min(slacks) < 0:
+            return None
+        active = frozenset(i for i, s in enumerate(slacks) if s == 0)
+        return active, P.n - len(active), tuple(v for v, act in enumerate_vertices(P) if act >= active)
+
+    @pytest.mark.parametrize("r", [(1,) * 10, (F(1, 2),) * 10, (0,) + (F(1, 2),) * 9, (F(1, 3), 1) + (0,) * 8],
+                             ids=["far-corner", "centre", "one-facet", "face"])
+    def test_box10_against_fraction_slacks(self, r):
+        P = catalog.box([1] * 10)
+        f = minimal_face(P, r)
+        assert (f.active, f.dim, f.vertices) == self.oracle(P, r)
+        assert minimal_face(P, tuple(map(F, r))) == f
+
+    @pytest.mark.parametrize("r", [(2,) + (F(1, 2),) * 9, (F(1, 2),) * 9 + (F(-1, 7),), (1,) * 9 + (F(11, 10),)])
+    def test_box10_outside_names_the_point(self, r):
+        P = catalog.box([1] * 10)
+        assert self.oracle(P, r) is None
+        for form in (r, tuple(map(F, r)), list(r)):
+            with pytest.raises(PolytopeError, match=f"^{re.escape(f'point {format_point(r)} outside the polytope')}$"):
+                minimal_face(P, form)
+
 
 class TestTight:
     """`_tight`, the one rule for the facets tight at a point, which minimal_face and a given chart vertex share."""
@@ -1232,34 +1257,6 @@ class TestTight:
                 assert polytope._tight(P, v) == act
                 if all(x.denominator == 1 for x in v):
                     assert polytope._tight(P, tuple(map(int, v))) == act
-
-
-class TestMinimalFaceOracle:
-    """minimal_face against the facet slacks taken in Fractions, one at a time, on a 10-cube."""
-
-    @staticmethod
-    def oracle(P, r):
-        slacks = [lam - sum(F(x) * y for x, y in zip(r, a)) for a, lam in zip(P.normals, P.offsets)]
-        if min(slacks) < 0:
-            return None
-        active = frozenset(i for i, s in enumerate(slacks) if s == 0)
-        return active, P.n - len(active), tuple(v for v, act in enumerate_vertices(P) if act >= active)
-
-    @pytest.mark.parametrize("r", [(1,) * 10, (F(1, 2),) * 10, (0,) + (F(1, 2),) * 9, (F(1, 3), 1) + (0,) * 8],
-                             ids=["far-corner", "centre", "one-facet", "face"])
-    def test_box10(self, r):
-        P = catalog.box([1] * 10)
-        f = minimal_face(P, r)
-        assert (f.active, f.dim, f.vertices) == self.oracle(P, r)
-        assert minimal_face(P, tuple(map(F, r))) == f
-
-    @pytest.mark.parametrize("r", [(2,) + (F(1, 2),) * 9, (F(1, 2),) * 9 + (F(-1, 7),), (1,) * 9 + (F(11, 10),)])
-    def test_outside_names_the_point(self, r):
-        P = catalog.box([1] * 10)
-        assert self.oracle(P, r) is None
-        for form in (r, tuple(map(F, r)), list(r)):
-            with pytest.raises(PolytopeError, match=f"^{re.escape(f'point {format_point(r)} outside the polytope')}$"):
-                minimal_face(P, form)
 
 
 class TestInSubtorus:
